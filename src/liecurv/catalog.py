@@ -10,8 +10,7 @@ reported per claim, never exceptions.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
@@ -19,8 +18,8 @@ import numpy as np
 
 from . import curvature, derivations, linalg, moment, nice, structure
 from .errors import CatalogSchemaError, LieCurvError
-from .metric import Metric, parse_metric, signature
-from .scalars import DEFAULT_TOL, close, is_zero, parse_scalar
+from .metric import parse_metric, signature
+from .scalars import close, is_zero, parse_scalar
 from .structure import StructureTensor, parse_structure
 
 ALGEBRA_CLAIMS = frozenset({
@@ -159,7 +158,6 @@ def _scalar_matches(expected_text, computed, exact, tol):
 
 def _check_algebra_claims(entry: CatalogEntry, a: StructureTensor):
     checks = []
-    rep = None
     der = None
     for claim in sorted(entry.claims):
         expected = entry.claims[claim]
@@ -167,8 +165,7 @@ def _check_algebra_claims(entry: CatalogEntry, a: StructureTensor):
             computed = structure.is_lie(a)
         elif claim in ("nilpotent", "solvable", "step", "unimodular",
                        "killing_zero", "lcs_dims", "centre_in_derived"):
-            rep = rep or structure.classify(a)
-            computed = rep.to_json().get(claim)
+            computed = structure.classify(a).to_json().get(claim)
         elif claim == "nice_basis":
             computed = nice.nice_basis_check(a).is_nice
         elif claim == "der_in_sl":
@@ -251,12 +248,18 @@ def verify_entry(entry: CatalogEntry) -> EntryReport:
 
 
 def verify_catalog(entries, jobs: int = 1, name_filter: Optional[str] = None):
-    """Ordered reports for all (optionally filtered) entries."""
+    """Ordered reports for all (optionally filtered) entries.
+
+    jobs > 1 uses worker processes: Fraction arithmetic holds the GIL.
+    """
     selected = [e for e in entries
                 if name_filter is None or name_filter in e.name]
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(verify_entry, selected))
-    else:
-        reports = [verify_entry(e) for e in selected]
-    return reports
+        # lazy imports: they would add to the start-up of every CLI call
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # spawned workers, since forking a process that runs threads is unsafe
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            return list(pool.map(verify_entry, selected, chunksize=1))
+    return [verify_entry(e) for e in selected]

@@ -19,7 +19,7 @@ import numpy as np
 from . import catalog as catalog_mod
 from . import curvature, derivations, linalg, moment, nice
 from .errors import LieCurvError
-from .metric import Metric, parse_metric, signature
+from .metric import parse_metric
 from .scalars import DEFAULT_TOL, format_scalar, parse_scalar
 from .structure import classify, parse_structure, print_structure
 

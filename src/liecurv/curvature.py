@@ -22,13 +22,14 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import (KillingFormNonzeroError, NotLieAlgebraError,
-                     NotNilpotentError, NotUnimodularError)
+from .errors import NotNilpotentError
 from .metric import (Metric, pair_operators, pair_two_forms,
                      pseudo_orthonormal_frame)
 from .scalars import Scalar, format_scalar, is_zero
-from .structure import (StructureTensor, centre, classify, is_lie, is_unimodular,
-                        killing_form, lower_central_series, trace_ad)
+from .structure import (StructureTensor, classify, killing_form,
+                        require_killing_zero, require_lie, require_unimodular,
+                        trace_ad)
+from .structure import is_lie  # noqa: F401  (bench/test_smoke.py traces it here)
 
 
 def match_backends(a: StructureTensor, S: Metric):
@@ -36,12 +37,6 @@ def match_backends(a: StructureTensor, S: Metric):
     if a.exact == S.exact:
         return a, S
     return a.to_float(), S.to_float()
-
-
-def _require_lie(a: StructureTensor):
-    if not is_lie(a):
-        raise NotLieAlgebraError(
-            "Jacobi identity fails; refusing to compute curvature")
 
 
 def lowered_brackets(a: StructureTensor, S: Metric) -> np.ndarray:
@@ -66,7 +61,7 @@ class ConnectionCoefficients:
 
 def levi_civita(a: StructureTensor, S: Metric) -> ConnectionCoefficients:
     """Unique torsion-free metric connection, from the Koszul formula."""
-    _require_lie(a)
+    require_lie(a, "the Levi-Civita connection")
     a, S = match_backends(a, S)
     cl = lowered_brackets(a, S)
     n = a.n
@@ -217,7 +212,7 @@ def b_forms(a: StructureTensor, S: Metric):
 
 def ricci_general(a: StructureTensor, S: Metric) -> RicciData:
     """Ric = -1/2 B1 + 1/2 B5 - 1/2 B3 - 1/2 B4, valid for any Lie algebra."""
-    _require_lie(a)
+    require_lie(a, "the Ricci tensor")
     a, S = match_backends(a, S)
     B, _ = b_forms(a, S)
     half = Fraction(1, 2) if S.exact else 0.5
@@ -227,12 +222,11 @@ def ricci_general(a: StructureTensor, S: Metric) -> RicciData:
 
 def ricci_killing_zero(a: StructureTensor, S: Metric) -> RicciData:
     """Ric = 1/2 <d v, d w> - 1/2 <ad v, ad w>; needs unimodular, Killing zero."""
-    _require_lie(a)
+    what = "the Killing-form-zero Ricci formula"
+    require_lie(a, what)
     a, S = match_backends(a, S)
-    if not is_unimodular(a):
-        raise NotUnimodularError("structure tensor is not unimodular")
-    if not linalg.mat_is_zero(killing_form(a), a.tol):
-        raise KillingFormNonzeroError("Killing form is not identically zero")
+    require_unimodular(a, what)
+    require_killing_zero(a, what)
     cl = lowered_brackets(a, S)
     B3, B5 = _ad_form_pairings(a, S, cl)
     half = Fraction(1, 2) if S.exact else 0.5
@@ -278,7 +272,6 @@ def besse_check(a: StructureTensor, S: Metric, v: np.ndarray):
     Returns the pair (lemma_value, besse_value); they must agree.
     """
     a, S = match_backends(a, S)
-    _require_lie(a)
     n = a.n
     lemma = v @ ricci_general(a, S).ric_form @ v
     quarter = Fraction(1, 4) if S.exact else 0.25
@@ -380,7 +373,6 @@ def holonomy_span(a: StructureTensor, S: Metric, max_order: int = 3):
     first covariant derivative of R vanishes.  Stops early once the span
     stabilizes (one further order adds no dimension) or is already full.
     """
-    _require_lie(a)
     a, S = match_backends(a, S)
     n = a.n
     ops, conn = curvature_operators(a, S)

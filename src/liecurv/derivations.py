@@ -10,16 +10,14 @@ linear system in the n^2 matrix entries -- is itself a curvature invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import linalg
-from .errors import (KillingFormNonzeroError, NotLieAlgebraError,
-                     NotUnimodularError)
 from .scalars import DEFAULT_TOL, is_zero
-from .structure import StructureTensor, is_lie, is_unimodular, killing_form
+from .structure import (StructureTensor, require_killing_zero, require_lie,
+                        require_unimodular)
 
 
 @dataclass(frozen=True)
@@ -79,8 +77,7 @@ def derivation_space(a: StructureTensor) -> DerivationSpace:
     The witness is the first reduced-echelon basis element with nonzero
     trace, which makes it reproducible across runs.
     """
-    if not is_lie(a):
-        raise NotLieAlgebraError("derivations are computed for Lie brackets only")
+    require_lie(a, "the derivation space")
     n = a.n
     null = linalg.nullspace(_derivation_system(a), a.tol)
     if null:
@@ -102,11 +99,8 @@ def trace_obstruction(a: StructureTensor) -> dict:
     Requires a unimodular bracket with identically zero Killing form (the
     class on which the obstruction theorem applies).
     """
-    if not is_unimodular(a):
-        raise NotUnimodularError("the trace obstruction needs a unimodular bracket")
-    if not linalg.mat_is_zero(killing_form(a), a.tol):
-        raise KillingFormNonzeroError(
-            "the trace obstruction needs an identically zero Killing form")
+    require_unimodular(a, "the trace obstruction")
+    require_killing_zero(a, "the trace obstruction")
     der = derivation_space(a)
     return {
         "dim_der": der.dim,

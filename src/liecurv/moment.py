@@ -24,13 +24,12 @@ from typing import Union
 
 import numpy as np
 
-from . import linalg
-from .curvature import RicciData, _require_lie, match_backends
-from .errors import (DimensionMismatchError, KillingFormNonzeroError,
-                     NotUnimodularError)
+from . import linalg, structure
+from .curvature import RicciData, match_backends
+from .errors import DimensionMismatchError
 from .metric import Metric
 from .scalars import DEFAULT_TOL, Scalar, close, format_scalar, is_zero
-from .structure import StructureTensor, is_unimodular, killing_form
+from .structure import StructureTensor
 
 #: inputs to the bilinear maps: a full bracket object or a raw component
 #: array c[i, j, k] = a^k_{ij} (antisymmetric in i, j but not necessarily Lie)
@@ -44,10 +43,6 @@ def _c_array(a: StructureLike) -> np.ndarray:
 def _operators(c: np.ndarray) -> list:
     """Matrices u_i with (u_i)[k, j] = c[i, j, k]; u_i = ad(e_i) for brackets."""
     return [c[i].T for i in range(c.shape[0])]
-
-
-def _is_exact(M: np.ndarray) -> bool:
-    return not linalg.is_float_array(M)
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ class DualStructureTensor:
 
     @property
     def exact(self) -> bool:
-        return _is_exact(self.comps)
+        return not linalg.is_float_array(self.comps)
 
     def matrix(self, m: int) -> np.ndarray:
         return self.comps[m]
@@ -121,8 +116,8 @@ def q_map(a: StructureLike, S: Metric,
     """
     if isinstance(a, StructureTensor):
         a, S = match_backends(a, S)
-        if require_unimodular and not is_unimodular(a):
-            raise NotUnimodularError("q is defined on unimodular brackets")
+        if require_unimodular:
+            structure.require_unimodular(a, "q")
     c = _c_array(a)
     n = S.n
     if c.shape != (n, n, n):
@@ -130,7 +125,7 @@ def q_map(a: StructureLike, S: Metric,
             f"bracket array shape {c.shape} incompatible with metric on R^{n}")
     ops = _operators(c)
     duals = [S.ginv @ u.T @ S.g for u in ops]
-    comps = linalg.zeros((n, n, n), _is_exact(S.g))
+    comps = linalg.zeros((n, n, n), S.exact)
     for m in range(n):
         acc = comps[m]
         for i in range(n):
@@ -149,7 +144,7 @@ def contractions(a: StructureLike, b: DualStructureTensor):
         raise DimensionMismatchError(
             f"bracket array shape {c.shape} does not match n={n}")
     ops = _operators(c)
-    exact = _is_exact(c) and b.exact
+    exact = not linalg.is_float_array(c) and b.exact
     c1 = linalg.zeros((n, n), exact)
     c2 = linalg.zeros((n, n), exact)
     for i in range(n):
@@ -176,13 +171,11 @@ def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
     Valid on unimodular Lie brackets with identically zero Killing form;
     agrees with the curvature-module Ricci exactly on that class.
     """
-    _require_lie(a)
+    what = "the moment-map Ricci"
+    structure.require_lie(a, what)
     a, S = match_backends(a, S)
-    if not is_unimodular(a):
-        raise NotUnimodularError("the moment-map Ricci needs a unimodular bracket")
-    if not linalg.mat_is_zero(killing_form(a), a.tol):
-        raise KillingFormNonzeroError(
-            "the moment-map Ricci needs an identically zero Killing form")
+    structure.require_unimodular(a, what)
+    structure.require_killing_zero(a, what)
     c1, c2 = contractions(a, q_map(a, S))
     quarter = Fraction(1, 4) if S.exact else 0.25
     half = Fraction(1, 2) if S.exact else 0.5
@@ -259,7 +252,7 @@ def dq(a: StructureLike, S: Metric, a_prime: StructureLike,
     base = q_map(a_prime, S, require_unimodular=False).comps
     ops = _operators(_c_array(a))
     T = S.ginv @ W @ S.ginv
-    comps = linalg.zeros((n, n, n), _is_exact(S.g) and _is_exact(W))
+    comps = linalg.zeros((n, n, n), S.exact and not linalg.is_float_array(W))
     for m in range(n):
         acc = base[m]
         for i in range(n):
@@ -278,8 +271,7 @@ def dq(a: StructureLike, S: Metric, a_prime: StructureLike,
 def scalar_functional(a: StructureTensor, S: Metric) -> Scalar:
     """s(a, S) = -1/4 <a, q(a, S)>; the scalar curvature when a is in P."""
     a, S = match_backends(a, S)
-    if not is_unimodular(a):
-        raise NotUnimodularError("the scalar functional needs a unimodular bracket")
+    structure.require_unimodular(a, "the scalar functional")
     quarter = Fraction(1, 4) if S.exact else 0.25
     return -quarter * pairing(a, q_map(a, S))
 
@@ -393,13 +385,11 @@ def jacobi_tangent_critical(a: StructureTensor, S: Metric) -> dict:
     The kernel cut down by the linearized Killing-form-zero condition is
     reported alongside with its own verdict.
     """
-    _require_lie(a)
+    what = "criticality"
+    structure.require_lie(a, what)
     a, S = match_backends(a, S)
-    if not is_unimodular(a):
-        raise NotUnimodularError("criticality is considered for unimodular brackets")
-    if not linalg.mat_is_zero(killing_form(a), a.tol):
-        raise KillingFormNonzeroError(
-            "criticality is considered for brackets with zero Killing form")
+    structure.require_unimodular(a, what)
+    structure.require_killing_zero(a, what)
     n = a.n
     index = _variable_index(n)
     J = _linearized_jacobi_matrix(a, index)

@@ -24,8 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
-from .curvature import RicciData, ricci_killing_zero
+from .curvature import ricci_killing_zero
 from .errors import DegenerateMetricError, NotNiceBasisError
 from .metric import Metric
 from .scalars import DEFAULT_TOL, Scalar, is_zero, rationalize

@@ -17,14 +17,6 @@ Scalar = Union[Fraction, float]
 DEFAULT_TOL = 1e-9
 
 
-def is_exact(x: Scalar) -> bool:
-    return not isinstance(x, float)
-
-
-def as_float(x: Scalar) -> float:
-    return float(x)
-
-
 def is_zero(x: Scalar, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(x, float):
         return abs(x) <= tol

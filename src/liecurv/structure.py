@@ -15,14 +15,18 @@ the test suite are transcribed under this convention.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations, permutations, product
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, StructureParseError
+from .errors import (DimensionMismatchError, KillingFormNonzeroError,
+                     NotLieAlgebraError, NotUnimodularError,
+                     StructureParseError)
 from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
                       parse_scalar)
 
@@ -43,7 +47,11 @@ def _freeze(coeffs, tol):
 
 @dataclass(frozen=True)
 class StructureTensor:
-    """Components a^k_{ij} of an antisymmetric bracket on R^n (0-based keys)."""
+    """Components a^k_{ij} of an antisymmetric bracket on R^n (0-based keys).
+
+    Metric-independent invariants are computed once, on first use, and kept
+    read-only; read them through is_lie, trace_ad, killing_form, classify.
+    """
 
     n: int
     coeffs: Mapping[tuple[int, int, int], Scalar]
@@ -62,9 +70,55 @@ class StructureTensor:
         """Build from a {(i, j, k): a^k_ij} map, 0-based, any index order."""
         return cls(n, _freeze(coeffs, tol), tol)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(not isinstance(c, float) for c in self.coeffs.values())
+
+    @cached_property
+    def _lie(self) -> bool:
+        return not jacobi_defect(self)
+
+    @cached_property
+    def _trace_ad(self) -> np.ndarray:
+        t = linalg.zeros(self.n, self.exact)
+        for (i, j, k), c in self.coeffs.items():
+            if k == j:
+                t[i] += c
+            if k == i:
+                t[j] -= c
+        return _read_only(t)
+
+    @cached_property
+    def _killing_form(self) -> np.ndarray:
+        ads = [self.ad_basis(i) for i in range(self.n)]
+        B = linalg.zeros((self.n, self.n), self.exact)
+        for i in range(self.n):
+            for j in range(i, self.n):
+                B[i, j] = B[j, i] = linalg.sparse_frob(ads[i], ads[j].T)
+        return _read_only(B)
+
+    @cached_property
+    def _report(self) -> "ClassifyReport":
+        if not is_lie(self):
+            return ClassifyReport(is_lie=False)
+        lcs = lower_central_series(self)
+        nilpotent = lcs.dims[-1] == 0
+        Z = centre(self)
+        derived = lcs.spaces[0]
+        for M in (*lcs.spaces, Z):
+            _read_only(M)
+        return ClassifyReport(
+            is_lie=True,
+            unimodular=is_unimodular(self),
+            nilpotent=nilpotent,
+            solvable=derived_series_terminates(self),
+            step=len(lcs.dims) if nilpotent else None,
+            killing_zero=linalg.mat_is_zero(killing_form(self), self.tol),
+            lcs=lcs,
+            centre=Z,
+            derived=derived,
+            centre_in_derived=subspace_contained(Z, derived, self.tol),
+        )
 
     def a(self, i: int, j: int, k: int) -> Scalar:
         """Component a^k_{ij} with antisymmetry in (i, j)."""
@@ -249,71 +303,87 @@ def print_structure(a: StructureTensor) -> str:
 
 # --- Lie-theoretic predicates ----------------------------------------------
 
+def _read_only(M: np.ndarray) -> np.ndarray:
+    M.setflags(write=False)
+    return M
+
+
+def _bracket(a: StructureTensor, u, v) -> list:
+    """[u, v]_k = sum over a^k_ij of a^k_ij (u_i v_j - u_j v_i)."""
+    out = [Fraction(0) if a.exact else 0.0] * a.n
+    for (i, j, k), c in a.coeffs.items():
+        ui, uj, vi, vj = u[i], u[j], v[i], v[j]
+        if ui and vj:
+            out[k] += c * ui * vj
+        if uj and vi:
+            out[k] -= c * uj * vi
+    return out
+
+
+def _bracket_span(a: StructureTensor, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row basis (reduced echelon) of span{[u, v] : u row of U, v row of V}.
+
+    When V is U, only pairs u < v are bracketed: the rest add nothing by
+    antisymmetry.
+    """
+    us = U.tolist()
+    pairs = combinations(us, 2) if V is U else product(us, V.tolist())
+    rows = [r for r in (_bracket(a, u, v) for u, v in pairs)
+            if not all(is_zero(x, a.tol) for x in r)]
+    return _row_space(rows, a.n, a.exact, a.tol)
+
+
 def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
     """J(e_i,e_j,e_k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
 
     Returns the nonzero components on triples i < j < k; empty iff `a`
     satisfies the Jacobi identity.
     """
-    n = a.n
-    ads = [a.ad_basis(i) for i in range(n)]
-
-    def bracket_col(vec, k):
-        # ad(vec) e_k, skipping the zero components of vec
-        out = linalg.zeros(n, a.exact)
-        for m in range(n):
-            x = vec[m]
-            if not is_zero(x, a.tol):
-                out = out + x * ads[m][:, k]
-        return out
-
+    e = linalg.eye(a.n, a.exact).tolist()
+    inner = {(i, j): _bracket(a, e[i], e[j]) for i, j in permutations(range(a.n), 2)}
     defect = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            bij = ads[i][:, j]
-            for k in range(j + 1, n):
-                v = bracket_col(bij, k) + bracket_col(ads[j][:, k], i) \
-                    - bracket_col(ads[i][:, k], j)
-                if not all(is_zero(x, a.tol) for x in v):
-                    defect[(i, j, k)] = v
+    for i, j, k in combinations(range(a.n), 3):
+        v = [x + y + z for x, y, z in zip(_bracket(a, inner[i, j], e[k]),
+                                          _bracket(a, inner[j, k], e[i]),
+                                          _bracket(a, inner[k, i], e[j]))]
+        if not all(is_zero(x, a.tol) for x in v):
+            defect[(i, j, k)] = linalg.from_rows([v], a.exact)[0]
     return defect
 
 
-def _basis(n, i, exact):
-    v = linalg.zeros(n, exact)
-    v[i] = Fraction(1) if exact else 1.0
-    return v
-
-
 def is_lie(a: StructureTensor) -> bool:
-    return not jacobi_defect(a)
+    return a._lie
 
 
 def killing_form(a: StructureTensor) -> np.ndarray:
     """B(v, w) = Tr(ad v o ad w) on the basis."""
-    ads = [a.ad_basis(i) for i in range(a.n)]
-    B = linalg.zeros((a.n, a.n), a.exact)
-    for i in range(a.n):
-        for j in range(i, a.n):
-            t = linalg.sparse_frob(ads[i], ads[j].T)
-            B[i, j] = t
-            B[j, i] = t
-    return B
+    return a._killing_form
 
 
 def trace_ad(a: StructureTensor) -> np.ndarray:
     """Vector of Tr ad(e_i); zero iff unimodular."""
-    t = linalg.zeros(a.n, a.exact)
-    for (i, j, k), c in a.coeffs.items():
-        if k == j:
-            t[i] += c
-        if k == i:
-            t[j] -= c
-    return t
+    return a._trace_ad
 
 
 def is_unimodular(a: StructureTensor) -> bool:
     return all(is_zero(x, a.tol) for x in trace_ad(a))
+
+
+# --- preconditions: `what` names the operation in the error message --------
+
+def require_lie(a: StructureTensor, what: str):
+    if not is_lie(a):
+        raise NotLieAlgebraError(f"{what} needs a Lie bracket; the Jacobi identity fails")
+
+
+def require_unimodular(a: StructureTensor, what: str):
+    if not is_unimodular(a):
+        raise NotUnimodularError(f"{what} needs a unimodular bracket")
+
+
+def require_killing_zero(a: StructureTensor, what: str):
+    if not linalg.mat_is_zero(killing_form(a), a.tol):
+        raise KillingFormNonzeroError(f"{what} needs an identically zero Killing form")
 
 
 @dataclass(frozen=True)
@@ -331,32 +401,20 @@ class SubspaceFlag:
 def _row_space(rows, n, exact, tol):
     if not rows:
         return linalg.zeros((0, n), exact)
-    M = np.stack(rows)
-    R, pivots = linalg.rref(M, tol)
+    R, pivots = linalg.rref(linalg.from_rows(rows, exact), tol)
     return R[:len(pivots), :]
-
-
-def _bracket_space(a: StructureTensor, basis_rows: Optional[np.ndarray] = None):
-    """Row basis of [g, U] where U is spanned by basis_rows (default g)."""
-    n = a.n
-    if basis_rows is None:
-        vs = [_basis(n, i, a.exact) for i in range(n)]
-    else:
-        vs = list(basis_rows)
-    rows = [a.ad_basis(i) @ v for i in range(n) for v in vs]
-    rows = [r for r in rows if not all(is_zero(x, a.tol) for x in r)]
-    return _row_space(rows, n, a.exact, a.tol)
 
 
 def lower_central_series(a: StructureTensor) -> SubspaceFlag:
     """g^1 = [g, g], g^{i+1} = [g, g^i], until stabilization or zero."""
+    g = linalg.eye(a.n, a.exact)
     spaces = []
-    current = _bracket_space(a)
+    current = _bracket_span(a, g, g)
     while True:
         spaces.append(current)
         if current.shape[0] == 0:
             break
-        nxt = _bracket_space(a, current)
+        nxt = _bracket_span(a, g, current)
         if nxt.shape[0] == current.shape[0]:
             break
         current = nxt
@@ -365,26 +423,14 @@ def lower_central_series(a: StructureTensor) -> SubspaceFlag:
 
 def derived_series_terminates(a: StructureTensor) -> bool:
     """Solvability via the derived series g, [g,g], [[g,g],[g,g]], ..."""
-    current = None
-    dim = a.n
+    current = linalg.eye(a.n, a.exact)
     while True:
-        rows = _derived(a, current)
-        if rows.shape[0] == 0:
+        nxt = _bracket_span(a, current, current)
+        if nxt.shape[0] == 0:
             return True
-        if rows.shape[0] == dim:
+        if nxt.shape[0] == current.shape[0]:
             return False
-        current, dim = rows, rows.shape[0]
-
-
-def _derived(a, basis_rows):
-    n = a.n
-    if basis_rows is None:
-        vs = [_basis(n, i, a.exact) for i in range(n)]
-    else:
-        vs = list(basis_rows)
-    rows = [a.ad(v) @ w for v in vs for w in vs]
-    rows = [r for r in rows if not all(is_zero(x, a.tol) for x in r)]
-    return _row_space(rows, n, a.exact, a.tol)
+        current = nxt
 
 
 def centre(a: StructureTensor) -> np.ndarray:
@@ -439,28 +485,4 @@ class ClassifyReport:
 
 def classify(a: StructureTensor) -> ClassifyReport:
     """Metric-independent report; fields beyond is_lie are absent if it fails."""
-    if not is_lie(a):
-        return ClassifyReport(is_lie=False)
-    lcs = lower_central_series(a)
-    nilpotent = lcs.dims[-1] == 0
-    step = len(lcs.dims) if nilpotent else None
-    B = killing_form(a)
-    Z = centre(a)
-    derived = lcs.spaces[0]
-    return ClassifyReport(
-        is_lie=True,
-        unimodular=is_unimodular(a),
-        nilpotent=nilpotent,
-        solvable=derived_series_terminates(a),
-        step=step,
-        killing_zero=linalg.mat_is_zero(B, a.tol),
-        lcs=lcs,
-        centre=Z,
-        derived=derived,
-        centre_in_derived=subspace_contained(Z, derived, a.tol),
-    )
-
-
-def ad_matrix(a: StructureTensor, v: np.ndarray) -> np.ndarray:
-    """Matrix of ad(v) for an arbitrary vector; column action w -> [v, w]."""
-    return a.ad(v)
+    return a._report

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from liecurv.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 HEIS = "(0,0,12)"
 
@@ -140,6 +146,14 @@ def test_unimodularity_typed_error_via_cli(capsys):
     assert code == 2 and "unimodular" in err
 
 
+def test_killing_form_typed_error_via_cli(capsys):
+    code, out, err = run(capsys, "critical", "--structure", "(0,12,-13)",
+                         "--metric", "diag(1,1,1)")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Killing form" in err
+    assert "Traceback" not in err
+
+
 def test_einstein_search_cli(capsys):
     code, out, _ = run(capsys, "einstein-search", "--structure",
                        "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)",
@@ -182,3 +196,15 @@ def test_catalog_verify_failure_exit_code(capsys, tmp_path):
     p.write_text(json.dumps(bad) + "\n")
     code, out, _ = run(capsys, "catalog", "verify", "--path", str(p))
     assert code == 1 and "FAIL" in out
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # `catalog verify --jobs N` imports the process pool only when it runs
+    code = ("import sys, liecurv.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

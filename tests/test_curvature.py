@@ -9,9 +9,11 @@ from liecurv.curvature import (b_forms, besse_check, holonomy_span,
                                levi_civita, mn_criterion, ricci_general,
                                ricci_index_oracle, ricci_killing_zero,
                                riemann, trace_vector)
+from liecurv.derivations import trace_obstruction
 from liecurv.errors import (KillingFormNonzeroError, NotLieAlgebraError,
                             NotNilpotentError, NotUnimodularError)
 from liecurv.metric import Metric, parse_metric
+from liecurv.moment import jacobi_tangent_critical, ricci_via_moment
 from liecurv.structure import StructureTensor, parse_structure
 
 from conftest import random_sparse_bracket
@@ -83,13 +85,23 @@ def test_b_forms_heisenberg():
     assert traces[4] == Fraction(0)
 
 
+# every entry point restricted to unimodular brackets with zero Killing form
+KILLING_ZERO_PATHS = (
+    lambda a: ricci_killing_zero(a, Metric.euclidean(a.n)),
+    trace_obstruction,
+    lambda a: ricci_via_moment(a, Metric.euclidean(a.n)),
+    lambda a: jacobi_tangent_critical(a, Metric.euclidean(a.n)),
+)
+
+
 def test_killing_zero_path_preconditions():
     nonuni = parse_structure("(0,12)")
-    with pytest.raises(NotUnimodularError):
-        ricci_killing_zero(nonuni, Metric.euclidean(2))
     killing = parse_structure("(0,12,-13)")
-    with pytest.raises(KillingFormNonzeroError):
-        ricci_killing_zero(killing, Metric.euclidean(3))
+    for path in KILLING_ZERO_PATHS:
+        with pytest.raises(NotUnimodularError, match="unimodular"):
+            path(nonuni)
+        with pytest.raises(KillingFormNonzeroError, match="Killing form"):
+            path(killing)
 
 
 def test_index_oracle_on_non_unimodular():

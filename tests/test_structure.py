@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -132,3 +133,55 @@ def test_json_round_trip():
     a = parse_structure("(0,0,1/2*12,13)")
     back = StructureTensor.from_json(a.to_json())
     assert back.coeffs == a.coeffs
+
+
+def test_invariants_are_cached():
+    a = parse_structure("(0,0,12,13,23)")
+    assert classify(a) is classify(a)
+    assert killing_form(a) is killing_form(a)
+    assert trace_ad(a) is trace_ad(a)
+
+
+def test_jacobi_defect_runs_once_per_tensor(monkeypatch):
+    from liecurv import structure
+    from liecurv.curvature import ricci_general
+    from liecurv.derivations import derivation_space
+    from liecurv.metric import Metric
+    calls = []
+    original = structure.jacobi_defect
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(structure, "jacobi_defect", counting)
+    a = parse_structure("(0,0,12,13)")
+    assert is_lie(a) and classify(a).is_lie
+    derivation_space(a)
+    ricci_general(a, Metric.euclidean(4))
+    assert is_lie(a)
+    assert calls == [a]
+
+
+def test_cached_arrays_are_read_only():
+    a = parse_structure("(0,12,-13)")
+    for M in (killing_form(a), trace_ad(a), classify(a).centre,
+              classify(a).derived):
+        with pytest.raises(ValueError):
+            M.flat[0] = Fraction(5)
+    assert killing_form(a)[0, 0] == Fraction(2)
+
+
+def test_classify_is_basis_independent_on_dense_tensors(catalog_entries):
+    from conftest import random_invertible
+    from liecurv.moment import gauge_structure
+    rng = random.Random(5)
+    sources = [e for e in catalog_entries
+               if e.exact and 5 <= e.dim <= 7 and e.claims.get("is_lie", True)]
+    for entry in rng.sample(sources, 6):
+        a = entry.parse()
+        g = random_invertible(rng, a.n)
+        report = classify(gauge_structure(g, a)).to_json()
+        assert report == classify(a).to_json(), entry.name
+        for claim in set(entry.claims) & set(report):
+            assert report[claim] == entry.claims[claim], (entry.name, claim)
