@@ -247,19 +247,7 @@ def verify_entry(entry: CatalogEntry) -> EntryReport:
     return EntryReport(entry.name, tuple(checks))
 
 
-def verify_catalog(entries, jobs: int = 1, name_filter: Optional[str] = None):
-    """Ordered reports for all (optionally filtered) entries.
-
-    jobs > 1 uses worker processes: Fraction arithmetic holds the GIL.
-    """
-    selected = [e for e in entries
-                if name_filter is None or name_filter in e.name]
-    if jobs > 1:
-        # lazy imports: they would add to the start-up of every CLI call
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # spawned workers, since forking a process that runs threads is unsafe
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            return list(pool.map(verify_entry, selected, chunksize=1))
-    return [verify_entry(e) for e in selected]
+def verify_catalog(entries, name_filter: Optional[str] = None):
+    """Ordered reports for all (optionally filtered) entries."""
+    return [verify_entry(e) for e in entries
+            if name_filter is None or name_filter in e.name]

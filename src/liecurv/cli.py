@@ -290,8 +290,7 @@ def cmd_catalog(args):
     if args.action != "verify":
         raise LieCurvError(f"unknown catalog action {args.action!r}")
     entries = catalog_mod.load_catalog(args.path)
-    reports = catalog_mod.verify_catalog(entries, jobs=args.jobs,
-                                         name_filter=args.filter)
+    reports = catalog_mod.verify_catalog(entries, name_filter=args.filter)
     ok = all(r.passed for r in reports)
     payload = {"command": "catalog", "passed": ok,
                "reports": [r.to_json() for r in reports]}
@@ -358,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", parents=[common])
     p.add_argument("action", choices=("verify",))
     p.add_argument("--path", default=None, help="catalog file (default: shipped)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--filter", default=None, help="substring filter on names")
     p.set_defaults(fn=cmd_catalog)
     return parser

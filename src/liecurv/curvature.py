@@ -329,13 +329,13 @@ def mn_criterion(a: StructureTensor, S: Metric):
     }
 
 
-def _covariant_derivative(level: dict, G: list, n: int, tol: float) -> dict:
+def _covariant_derivative(level: dict, G: list, n: int, tol: float):
     """One covariant derivative of a family of operator-valued tensors.
 
-    `level` maps lower-index tuples (..., i, j) to End(T) matrices; the
-    result has one extra leading lower index.
+    `level` maps lower-index tuples (..., i, j) to End(T) matrices; yields
+    the (key, matrix) pairs of the result, which has one extra leading lower
+    index, one at a time so that a caller may stop early.
     """
-    out = {}
     for m in range(n):
         Gm = G[m]
         for idx, M in level.items():
@@ -345,18 +345,16 @@ def _covariant_derivative(level: dict, G: list, n: int, tol: float) -> dict:
                 for p in range(n):
                     if is_zero(col[p], tol):
                         continue
-                    key = idx[:s] + (p,) + idx[s + 1:]
-                    key = _canon_pair(key, len(idx))
+                    key = _canon_pair(idx[:s] + (p,) + idx[s + 1:])
                     if key is None:
                         continue
                     sign, key = key
                     if key in level:
                         D = D - sign * col[p] * level[key]
-            out[(m,) + idx] = D
-    return out
+            yield (m,) + idx, D
 
 
-def _canon_pair(idx, length):
+def _canon_pair(idx):
     """Canonicalize the trailing antisymmetric (i, j) pair of an index tuple."""
     i, j = idx[-2], idx[-1]
     if i == j:
@@ -380,39 +378,20 @@ def holonomy_span(a: StructureTensor, S: Metric, max_order: int = 3):
     full_dim = n * (n - 1) // 2
 
     rows = [M.reshape(n * n) for M in ops.values()]
-    curvature_span_dim = linalg.rank(np.stack(rows), a.tol)
-    span_dim = curvature_span_dim
+    span_dim = linalg.rank(np.stack(rows), a.tol)
 
     if span_dim >= full_dim:
         # already maximal: only the local-symmetry question remains, and a
         # single nonzero first derivative settles it
-        locally_symmetric = True
-        for (i, j), M in ops.items():
-            for m in range(n):
-                D = G[m] @ M - M @ G[m]
-                for idx in (0, 1):
-                    col = G[m][:, (i, j)[idx]]
-                    for p in range(n):
-                        if is_zero(col[p], a.tol):
-                            continue
-                        canon = _canon_pair((p, j) if idx == 0 else (i, p), 2)
-                        if canon is None or canon[1] not in ops:
-                            continue
-                        D = D - canon[0] * col[p] * ops[canon[1]]
-                if not linalg.mat_is_zero(D, a.tol):
-                    locally_symmetric = False
-                    break
-            if not locally_symmetric:
-                break
+        locally_symmetric = all(linalg.mat_is_zero(D, a.tol) for _, D
+                                in _covariant_derivative(ops, G, n, a.tol))
         return {"span_dim": int(span_dim), "full": True,
                 "locally_symmetric": bool(locally_symmetric)}
 
-    level = dict(ops)
-    d1 = _covariant_derivative(level, G, n, a.tol)
-    locally_symmetric = all(linalg.mat_is_zero(M, a.tol) for M in d1.values())
-
+    current = dict(_covariant_derivative(ops, G, n, a.tol))
+    locally_symmetric = all(linalg.mat_is_zero(M, a.tol)
+                            for M in current.values())
     order = 1
-    current = d1
     while True:
         new_rows = rows + [M.reshape(n * n) for M in current.values()
                            if not linalg.mat_is_zero(M, a.tol)]
@@ -421,7 +400,7 @@ def holonomy_span(a: StructureTensor, S: Metric, max_order: int = 3):
         span_dim, rows = new_dim, new_rows
         if span_dim >= full_dim or not grew or order >= max_order:
             break
-        current = _covariant_derivative(current, G, n, a.tol)
+        current = dict(_covariant_derivative(current, G, n, a.tol))
         order += 1
     return {
         "span_dim": int(span_dim),

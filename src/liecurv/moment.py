@@ -198,14 +198,24 @@ def infinitesimal_metric(X, S: Metric) -> np.ndarray:
 
 
 def gauge_structure(g: np.ndarray, a: StructureTensor) -> StructureTensor:
-    """Finite action (g.a)(x, y) = g [g^{-1} x, g^{-1} y]."""
-    c = a.as_array()
+    """Finite action (g.a)(x, y) = g [g^{-1} x, g^{-1} y].
+
+    (g.a)^k_ij = sum over p < q, m of a^m_pq g[k, m] times the 2x2 minor
+    ginv[p, i] ginv[q, j] - ginv[q, i] ginv[p, j].
+    """
+    n = a.n
     ginv = linalg.inv(g, a.tol)
-    t = np.tensordot(c, g, axes=([2], [1]))          # [p, q, k]
-    t = np.tensordot(ginv, t, axes=([0], [0]))       # [i, q, k]
-    t = np.tensordot(t, ginv, axes=([1], [0]))       # [i, k, j]
-    t = np.transpose(t, (0, 2, 1))
-    return _structure_from_array(a.n, t, a.tol)
+    out = {}
+    for (p, q, m), c in a.coeffs.items():
+        col = [(k, c * g[k, m]) for k in range(n) if not is_zero(g[k, m], a.tol)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                minor = ginv[p, i] * ginv[q, j] - ginv[q, i] * ginv[p, j]
+                if is_zero(minor, a.tol):
+                    continue
+                for k, x in col:
+                    out[(i, j, k)] = out.get((i, j, k), 0) + minor * x
+    return StructureTensor.from_brackets(n, dict(sorted(out.items())), a.tol)
 
 
 def infinitesimal_structure(X, a: StructureLike) -> np.ndarray:
@@ -295,16 +305,6 @@ def gauge_derivative(a: StructureTensor, S: Metric, X) -> Scalar:
     return -2 * inner
 
 
-def _structure_from_array(n, c, tol) -> StructureTensor:
-    coeffs = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if not is_zero(c[i, j, k], tol):
-                    coeffs[(i, j, k)] = c[i, j, k]
-    return StructureTensor.from_brackets(n, coeffs, tol)
-
-
 def _variable_index(n):
     """Column order for components a'^k_{ij}, i < j."""
     index = {}
@@ -369,37 +369,33 @@ def _linearized_killing_matrix(a: StructureTensor, index):
     return np.stack(rows)
 
 
-def _vector_to_array(vec, index, n, exact):
-    c = linalg.zeros((n, n, n), exact)
-    for (i, j, k), col in index.items():
-        c[i, j, k] = vec[col]
-        c[j, i, k] = -vec[col]
-    return c
-
-
 def jacobi_tangent_critical(a: StructureTensor, S: Metric) -> dict:
     """Criticality of the scalar functional along bracket deformations.
 
-    The tangent space is the kernel of the linearized Jacobi map; the
+    The tangent space is the kernel of the linearized Jacobi map J; the
     bracket is critical when <a', q(a, S)> vanishes for every tangent a'.
-    The kernel cut down by the linearized Killing-form-zero condition is
-    reported alongside with its own verdict.
+    That pairing is the linear functional w, so the bracket is critical
+    exactly when w lies in the row space of J: rank [J; w] = rank J.  The
+    kernel cut down by the linearized Killing-form-zero condition K is
+    reported alongside, with the same test on [J; K].
     """
     what = "criticality"
     structure.require_lie(a, what)
     a, S = match_backends(a, S)
     structure.require_unimodular(a, what)
     structure.require_killing_zero(a, what)
-    n = a.n
-    index = _variable_index(n)
+    index = _variable_index(a.n)
     J = _linearized_jacobi_matrix(a, index)
     K = _linearized_killing_matrix(a, index)
-    qb = q_map(a, S)
+    b = q_map(a, S).comps
+    # <a', q> = sum over i < j, k of a'^k_ij (b[i, j, k] - b[j, i, k])
+    w = linalg.zeros((1, len(index)), a.exact)
+    for (i, j, k), col in index.items():
+        w[0, col] = b[i, j, k] - b[j, i, k]
 
     def verdict(matrix):
-        basis = linalg.nullspace(matrix, a.tol)
-        vals = [pairing(_vector_to_array(v, index, n, a.exact), qb) for v in basis]
-        return len(basis), all(is_zero(x, S.tol) for x in vals)
+        r = linalg.rank(matrix, a.tol)
+        return len(index) - r, linalg.rank(np.concatenate([matrix, w]), a.tol) == r
 
     tangent_dim, critical = verdict(J)
     killing_dim, killing_critical = verdict(np.concatenate([J, K], axis=0))

@@ -160,9 +160,14 @@ class StructureTensor:
                 M[k, p] -= c
         return M
 
-    def to_float(self) -> "StructureTensor":
+    @cached_property
+    def _float_twin(self) -> "StructureTensor":
         return StructureTensor(
             self.n, {key: float(c) for key, c in self.coeffs.items()}, self.tol)
+
+    def to_float(self) -> "StructureTensor":
+        """The float copy, built once, so its invariants are cached with it."""
+        return self._float_twin if self.exact else self
 
     def terms(self) -> Iterator[tuple[int, int, int, Scalar]]:
         """Nonzero (i, j, k, a^k_ij) with i < j, sorted by (k, i, j)."""

@@ -198,8 +198,15 @@ def test_catalog_verify_failure_exit_code(capsys, tmp_path):
     assert code == 1 and "FAIL" in out
 
 
+def test_catalog_verify_has_no_jobs_flag(capsys):
+    code, out, err = run(capsys, "catalog", "verify", "--jobs", "2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --jobs 2" in err
+    assert "Traceback" not in err
+
+
 def test_cli_import_leaves_process_pool_unloaded():
-    # `catalog verify --jobs N` imports the process pool only when it runs
+    # start-up stays lean: importing the CLI loads no process pool
     code = ("import sys, liecurv.cli; "
             "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
             " & set(sys.modules)))")

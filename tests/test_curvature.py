@@ -175,11 +175,15 @@ def test_mn_criterion_requires_nilpotent():
         mn_criterion(a, Metric.euclidean(3))
 
 
-def test_holonomy_heisenberg():
-    a = parse_structure(HEIS)
+@pytest.mark.parametrize("text, symmetric",
+                         [(HEIS, False), ("(23,-13,12)", True)],
+                         ids=["heisenberg", "so3"])
+def test_holonomy_full_span(text, symmetric):
+    # so(3) is locally symmetric, so every first derivative gets checked
+    a = parse_structure(text)
     out = holonomy_span(a, Metric.euclidean(3))
     assert out["span_dim"] == 3 and out["full"] is True
-    assert out["locally_symmetric"] is False
+    assert out["locally_symmetric"] is symmetric
 
 
 def test_holonomy_abelian():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liecurv import linalg
+from liecurv import linalg, moment
 from liecurv.curvature import ricci_killing_zero
 from liecurv.errors import NotUnimodularError
 from liecurv.metric import Metric, parse_metric
@@ -14,6 +14,7 @@ from liecurv.moment import (DualStructureTensor, GaugeDirection, contractions,
                             infinitesimal_metric, infinitesimal_structure,
                             jacobi_tangent_critical, moment_map, pairing,
                             q_map, ricci_via_moment, scalar_functional)
+from liecurv.scalars import is_zero
 from liecurv.structure import is_lie, parse_structure
 
 from conftest import (random_invertible, random_matrix, random_metric,
@@ -104,6 +105,7 @@ def test_gauge_metric_and_structure_consistency():
         g = random_invertible(rng, 3)
         assert scalar_functional(gauge_structure(g, a), gauge_metric(g, S)) \
             == scalar_functional(a, S)
+        assert gauge_structure(g, gauge_structure(linalg.inv(g), a)) == a
 
 
 def test_infinitesimal_structure_derivation_kernel():
@@ -171,11 +173,49 @@ def test_critical_verdicts():
     a = parse_structure("(24,0,0,0,0,35)")
     S = parse_metric("e1.e4+e2.e5+e3.e6", 6)
     out = jacobi_tangent_critical(a, S)
-    assert out["critical"] is True and out["critical_killing"] is True
+    assert out == {"tangent_dim": 50, "critical": True,
+                   "tangent_dim_killing": 44, "critical_killing": True}
     b = parse_structure("(0,0,0,0,0,45)")
     out2 = jacobi_tangent_critical(b, S)
-    assert out2["critical"] is False
-    assert out2["tangent_dim"] >= out2["tangent_dim_killing"]
+    assert out2 == {"tangent_dim": 65, "critical": False,
+                    "tangent_dim_killing": 62, "critical_killing": False}
+
+
+def _kernel_and_pair(a, S):
+    """Criticality the long way: pair q(a, S) with each tangent basis vector."""
+    index = moment._variable_index(a.n)
+    J = moment._linearized_jacobi_matrix(a, index)
+    K = moment._linearized_killing_matrix(a, index)
+    qb = q_map(a, S)
+
+    def verdict(matrix):
+        basis = linalg.nullspace(matrix, a.tol)
+        values = []
+        for v in basis:
+            c = linalg.zeros((a.n,) * 3, a.exact)
+            for (i, j, k), col in index.items():
+                c[i, j, k], c[j, i, k] = v[col], -v[col]
+            values.append(pairing(c, qb))
+        return len(basis), all(is_zero(x, S.tol) for x in values)
+
+    tangent_dim, critical = verdict(J)
+    killing_dim, critical_killing = verdict(np.concatenate([J, K]))
+    return {"tangent_dim": tangent_dim, "critical": critical,
+            "tangent_dim_killing": killing_dim,
+            "critical_killing": critical_killing}
+
+
+@pytest.mark.parametrize("text, metric, exact", [
+    ("(24,0,0,0,0,35)", "e1.e4+e2.e5+e3.e6", True),
+    ("(24,0,0,0,0,35)", "e1.e4+e2.e5+e3.e6", False),
+    ("(0,0,0,0,0,45)", "e1.e4+e2.e5+e3.e6", True),
+    ("(0,0,0,0,0,45)", "e1.e4+e2.e5+e3.e6", False),
+    ("(0,0,12,13)", "diag(1,1,1,1)", True),
+])
+def test_critical_rank_test_matches_kernel_and_pair(text, metric, exact):
+    a = parse_structure(text, exact=exact)
+    S = parse_metric(metric, a.n, exact=exact)
+    assert jacobi_tangent_critical(a, S) == _kernel_and_pair(a, S)
 
 
 def test_dual_tensor_json_lists_all_terms():

@@ -163,6 +163,28 @@ def test_jacobi_defect_runs_once_per_tensor(monkeypatch):
     assert calls == [a]
 
 
+def test_float_twin_is_built_once(monkeypatch):
+    from functools import cached_property
+    from liecurv.curvature import ricci_general
+    from liecurv.metric import parse_metric
+    calls = []
+    original = StructureTensor.__dict__["_killing_form"].func
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(StructureTensor, "_killing_form")
+    monkeypatch.setattr(StructureTensor, "_killing_form", prop)
+    a = parse_structure("(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)")
+    S = parse_metric("diag(1,1,1,1,-7/3,-7/3,98/15,98/15)", 8, exact=False)
+    for _ in range(3):
+        ricci_general(a, S)
+    assert len(calls) == 1
+    assert calls[0] is a.to_float() and a.to_float().to_float() is calls[0]
+
+
 def test_cached_arrays_are_read_only():
     a = parse_structure("(0,12,-13)")
     for M in (killing_form(a), trace_ad(a), classify(a).centre,
