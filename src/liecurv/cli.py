@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -19,8 +20,8 @@ import numpy as np
 from . import catalog as catalog_mod
 from . import curvature, derivations, linalg, moment, nice
 from .errors import LieCurvError
-from .metric import parse_metric
-from .scalars import DEFAULT_TOL, format_scalar, parse_scalar
+from .metric import parse_json_matrix, parse_metric
+from .scalars import DEFAULT_TOL, format_scalar
 from .structure import classify, parse_structure, print_structure
 
 SCHEMA = "1"
@@ -193,14 +194,7 @@ def _parse_direction(text, n, exact):
     text = _read_arg(text)
     if text == "identity":
         return linalg.eye(n, exact)
-    data = json.loads(text)
-    X = linalg.zeros((n, n), exact)
-    if len(data) != n or any(len(row) != n for row in data):
-        raise LieCurvError(f"direction matrix is not {n}x{n}")
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            X[i, j] = parse_scalar(str(x), exact)
-    return X
+    return parse_json_matrix(json.loads(text), n, exact, "direction")
 
 
 def cmd_gauge_derivative(args):
@@ -308,6 +302,18 @@ def cmd_catalog(args):
     return 0 if ok else 1
 
 
+def _tolerance(text: str) -> float:
+    """A finite float >= 0; any other would make float zero tests lie."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps subcommand defaults from clobbering values parsed from
     # the shared options when they appear before the subcommand
@@ -315,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend", choices=("exact", "float"),
                         default=argparse.SUPPRESS,
                         help="scalar backend (default: exact, or $RICCI_BACKEND)")
-    common.add_argument("--tolerance", type=float, default=argparse.SUPPRESS)
+    common.add_argument("--tolerance", type=_tolerance,
+                        default=argparse.SUPPRESS)
     common.add_argument("--output", choices=("text", "json"),
                         default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(

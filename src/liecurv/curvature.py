@@ -299,24 +299,20 @@ def mn_criterion(a: StructureTensor, S: Metric):
         raise NotNilpotentError("the M/N criterion needs a nilpotent Lie algebra")
     n = a.n
     carr = a.as_array()
-    # ad(g): span of the ad(e_i); reduce to an independent set first
-    ad_rows = np.stack([a.ad_basis(i).reshape(n * n) for i in range(n)])
-    R, piv = linalg.rref(ad_rows, a.tol)
-    ad_ops = [R[r].reshape(n, n) for r in range(len(piv))]
-    gram_ad = linalg.zeros((len(ad_ops), len(ad_ops)), S.exact)
-    for i, u in enumerate(ad_ops):
-        for j, w in enumerate(ad_ops):
-            gram_ad[i, j] = pair_operators(S, u, w)
-    dim_m = len(ad_ops) - linalg.rank(gram_ad, a.tol) if ad_ops else 0
-    # d(g*): span of the de^k
-    d_rows = np.stack([(-carr[:, :, k]).reshape(n * n) for k in range(n)])
-    R, piv = linalg.rref(d_rows, a.tol)
-    d_forms = [R[r].reshape(n, n) for r in range(len(piv))]
-    gram_d = linalg.zeros((len(d_forms), len(d_forms)), S.exact)
-    for i, u in enumerate(d_forms):
-        for j, w in enumerate(d_forms):
-            gram_d[i, j] = pair_two_forms(S, u, w)
-    dim_n = len(d_forms) - linalg.rank(gram_d, a.tol) if d_forms else 0
+
+    def null_dim(mats, pair):
+        """Null-space dimension of `pair` on the span of the n x n `mats`."""
+        span = linalg.row_space([M.reshape(n * n) for M in mats], n * n, a.exact, a.tol)
+        basis = [r.reshape(n, n) for r in span]
+        gram = linalg.zeros((len(basis), len(basis)), S.exact)
+        for i, u in enumerate(basis):
+            for j, w in enumerate(basis):
+                gram[i, j] = pair(S, u, w)
+        return len(basis) - linalg.rank(gram, a.tol)
+
+    # ad(g) is spanned by the ad(e_i), d(g*) by the de^k
+    dim_m = null_dim([a.ad_basis(i) for i in range(n)], pair_operators)
+    dim_n = null_dim([-carr[:, :, k] for k in range(n)], pair_two_forms)
     dim_derived = rep.derived.shape[0]
     dim_centre = rep.centre.shape[0]
     excluded = dim_m + dim_n >= dim_derived - dim_centre

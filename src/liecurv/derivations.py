@@ -38,12 +38,9 @@ class DerivationSpace:
 
     def contains(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         """Exact membership of X in the span of the basis."""
-        if not self.basis:
-            return linalg.mat_is_zero(X, tol)
         n = self.n
-        rows = np.stack([B.reshape(n * n) for B in self.basis])
-        stacked = np.concatenate([rows, X.reshape(1, n * n)], axis=0)
-        return linalg.rank(stacked, tol) == self.dim
+        rows = np.stack([B.reshape(n * n) for B in self.basis + (X,)])
+        return linalg.rank(rows, tol) == self.dim
 
 
 def _derivation_system(a: StructureTensor) -> np.ndarray:
@@ -80,11 +77,7 @@ def derivation_space(a: StructureTensor) -> DerivationSpace:
     require_lie(a, "the derivation space")
     n = a.n
     null = linalg.nullspace(_derivation_system(a), a.tol)
-    if null:
-        R, pivots = linalg.rref(np.stack(null), a.tol)
-        basis = tuple(R[r].reshape(n, n) for r in range(len(pivots)))
-    else:
-        basis = ()
+    basis = tuple(B.reshape(n, n) for B in linalg.row_space(null, n * n, a.exact, a.tol))
     witness = None
     for B in basis:
         if not is_zero(np.trace(B), a.tol):
@@ -135,23 +128,13 @@ def diagonal_derivation_solve(a: StructureTensor) -> DiagonalSolve:
     """Diagonal X = diag(x_1..x_n) with X a derivation: x_i + x_j = x_k
     for every nonzero a^k_{ij}."""
     n = a.n
-    rows = []
-    for (i, j, k), c in sorted(a.coeffs.items()):
-        row = linalg.zeros(n, a.exact)
+    system = linalg.zeros((len(a.coeffs), n), a.exact)
+    for row, ((i, j, k), c) in zip(system, sorted(a.coeffs.items())):
         row[i] += c
         row[j] += c
         row[k] -= c
         # the equation is c * (x_i + x_j - x_k) = 0; keep c for exactness
-        rows.append(row)
-    if not rows:
-        basis = tuple(linalg.eye(n, a.exact)[i] for i in range(n))
-    else:
-        null = linalg.nullspace(np.stack(rows), a.tol)
-        if null:
-            R, pivots = linalg.rref(np.stack(null), a.tol)
-            basis = tuple(R[r] for r in range(len(pivots)))
-        else:
-            basis = ()
+    basis = tuple(linalg.row_space(linalg.nullspace(system, a.tol), n, a.exact, a.tol))
     witness = None
     for v in basis:
         if not is_zero(np.sum(v), a.tol):

@@ -1,11 +1,12 @@
-"""Dense linear algebra generic over the exact/float scalar backends.
+"""Linear algebra generic over the exact/float scalar backends.
 
 Exact matrices are numpy object arrays of Fractions; float matrices are
-ordinary float64 arrays.  Everything here is elementary Gaussian elimination:
-the dimensions in this package never exceed a few hundred rows, and exactness
-matters more than asymptotics.  Pivots are chosen by least bit length on the
-exact backend (keeps intermediate fractions small) and by largest magnitude on
-the float backend.  Output ordering is deterministic.
+ordinary float64 arrays.  Rank, kernel, row space and inverse all go through
+one sparse Gauss-Jordan elimination, `rref`, which holds each row as a
+{column: entry} dict of its nonzeros: the matrices here are mostly zero.
+Pivots are chosen by least `bit_size`: least bit length on the exact backend
+(keeps intermediate fractions small), largest magnitude on the float backend.
+Output ordering is deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .scalars import DEFAULT_TOL, bit_size, is_zero
 __all__ = [
     "zeros", "eye", "from_rows", "to_float", "is_float_array",
     "mat_equal", "mat_is_zero", "sparse_mm", "sparse_frob",
-    "rref", "rank", "nullspace", "inv", "sylvester_signature",
+    "rref", "rank", "nullspace", "row_space", "inv", "sylvester_signature",
 ]
 
 
@@ -105,37 +106,43 @@ def mat_equal(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return all(is_zero(a - b, tol) for a, b in zip(A.flat, B.flat))
 
 
-def _pick_pivot(M, rows, col, tol):
-    """Index of the best pivot row in `rows` for `col`, or None."""
-    if is_float_array(M):
-        best = max(rows, key=lambda r: abs(M[r, col]))
-        return best if abs(M[best, col]) > tol else None
-    candidates = [r for r in rows if M[r, col] != 0]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda r: (bit_size(M[r, col]), r))
-
-
 def rref(M: np.ndarray, tol: float = DEFAULT_TOL):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = M.copy()
-    n_rows, n_cols = R.shape
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    The pivot is the remaining row of least `bit_size`, lowest row on ties;
+    entries with `is_zero` are neither pivots nor eliminated."""
+    n_rows, n_cols = M.shape
+    rows = [{c: x for c, x in enumerate(row) if x} for row in M.tolist()]
     pivots = []
-    row = 0
     for col in range(n_cols):
-        if row >= n_rows:
+        top = len(pivots)
+        if top == n_rows:
             break
-        piv = _pick_pivot(R, range(row, n_rows), col, tol)
-        if piv is None:
+        candidates = [r for r in range(top, n_rows)
+                      if col in rows[r] and not is_zero(rows[r][col], tol)]
+        if not candidates:
             continue
-        if piv != row:
-            R[[row, piv], :] = R[[piv, row], :]
-        R[row, :] = R[row, :] / R[row, col]
-        for r in range(n_rows):
-            if r != row and not is_zero(R[r, col], tol):
-                R[r, :] = R[r, :] - R[r, col] * R[row, :]
+        piv = min(candidates, key=lambda r: (bit_size(rows[r][col]), r))
+        rows[top], rows[piv] = rows[piv], rows[top]
+        p = rows[top]
+        d = p[col]
+        for c, x in p.items():
+            p[c] = x / d
+        for r, row in enumerate(rows):
+            f = row.get(col)
+            if r == top or f is None or is_zero(f, tol):
+                continue
+            for c, x in p.items():
+                y = row.get(c, 0) - f * x
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
         pivots.append(col)
-        row += 1
+    R = zeros((n_rows, n_cols), not is_float_array(M))
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            R[r, c] = x
     return R, pivots
 
 
@@ -157,6 +164,15 @@ def nullspace(M: np.ndarray, tol: float = DEFAULT_TOL):
             v[pc] = -R[r, f]
         basis.append(v)
     return basis
+
+
+def row_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Reduced echelon basis, shape (rank, n), of the span of the length-n
+    vectors `rows`, which may be none."""
+    if len(rows) == 0:
+        return zeros((0, n), exact)
+    R, pivots = rref(from_rows(rows, exact), tol)
+    return R[:len(pivots)]
 
 
 def inv(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -133,16 +133,10 @@ def parse_metric(text: str, n: int, exact: bool = True,
     if text.startswith("[") or text.startswith("{"):
         data = json.loads(text)
         if isinstance(data, dict):
-            if "n" in data and data["n"] != n:
-                raise MetricParseError(f"dimension mismatch: {data['n']} != {n}")
-            data = data["g"]
-        if len(data) != n or any(len(row) != n for row in data):
-            raise MetricParseError(f"matrix is not {n}x{n}")
-        g = linalg.zeros((n, n), exact)
-        for i, row in enumerate(data):
-            for j, x in enumerate(row):
-                g[i, j] = parse_scalar(str(x), exact)
-        return Metric(n, g, tol)
+            if "n" in data and (type(data["n"]) is not int or data["n"] != n):
+                raise MetricParseError(f"dimension mismatch: {data['n']!r} != {n}")
+            data = data.get("g")
+        return Metric(n, parse_json_matrix(data, n, exact, "metric"), tol)
     # sum of terms
     g = linalg.zeros((n, n), exact)
     pos = 0
@@ -164,6 +158,19 @@ def parse_metric(text: str, n: int, exact: bool = True,
             g[i, j] += coeff
             g[j, i] += coeff
     return Metric(n, g, tol)
+
+
+def parse_json_matrix(data, n: int, exact: bool, what: str) -> np.ndarray:
+    """Decoded JSON as an n x n matrix: n lists of n numbers or numeric
+    strings such as "-7/3"; `what` names the matrix in errors."""
+    if not (isinstance(data, list) and len(data) == n
+            and all(isinstance(row, list) and len(row) == n for row in data)):
+        raise MetricParseError(f"{what} matrix is not {n}x{n}")
+    M = linalg.zeros((n, n), exact)
+    for i, row in enumerate(data):
+        for j, x in enumerate(row):
+            M[i, j] = parse_scalar(str(x), exact)
+    return M
 
 
 # --- induced pairings -------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Union
 
 Scalar = Union[Fraction, float]
 
-#: default relative tolerance for the float backend
+#: default float-backend tolerance: absolute in ``is_zero``, relative in ``close``
 DEFAULT_TOL = 1e-9
 
 
@@ -59,9 +59,9 @@ def rationalize(x: float, max_denominator: int = 10**6) -> Fraction:
     return Fraction(x).limit_denominator(max_denominator)
 
 
-def bit_size(x: Scalar) -> int:
-    """Pivot-selection size measure; smaller means a cheaper exact pivot."""
+def bit_size(x: Scalar) -> float:
+    """Pivot-selection size measure, smaller is better: total bit length of
+    a rational (cheaper exact pivot), -|x| for a float (stabler pivot)."""
     if isinstance(x, float):
-        return 0
-    x = Fraction(x)
+        return -abs(x)
     return x.numerator.bit_length() + x.denominator.bit_length()

@@ -333,9 +333,8 @@ def _bracket_span(a: StructureTensor, U: np.ndarray, V: np.ndarray) -> np.ndarra
     """
     us = U.tolist()
     pairs = combinations(us, 2) if V is U else product(us, V.tolist())
-    rows = [r for r in (_bracket(a, u, v) for u, v in pairs)
-            if not all(is_zero(x, a.tol) for x in r)]
-    return _row_space(rows, a.n, a.exact, a.tol)
+    rows = [_bracket(a, u, v) for u, v in pairs]
+    return linalg.row_space(rows, a.n, a.exact, a.tol)
 
 
 def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
@@ -403,13 +402,6 @@ class SubspaceFlag:
         return tuple(s.shape[0] for s in self.spaces)
 
 
-def _row_space(rows, n, exact, tol):
-    if not rows:
-        return linalg.zeros((0, n), exact)
-    R, pivots = linalg.rref(linalg.from_rows(rows, exact), tol)
-    return R[:len(pivots), :]
-
-
 def lower_central_series(a: StructureTensor) -> SubspaceFlag:
     """g^1 = [g, g], g^{i+1} = [g, g^i], until stabilization or zero."""
     g = linalg.eye(a.n, a.exact)
@@ -445,14 +437,11 @@ def centre(a: StructureTensor) -> np.ndarray:
     for (i, j, k), c in a.coeffs.items():
         M[k * n + j, i] += c
         M[k * n + i, j] -= c
-    null = linalg.nullspace(M, a.tol)
-    return _row_space(null, n, a.exact, a.tol)
+    return linalg.row_space(linalg.nullspace(M, a.tol), n, a.exact, a.tol)
 
 
 def subspace_contained(U: np.ndarray, W: np.ndarray, tol=DEFAULT_TOL) -> bool:
     """Row space of U contained in row space of W."""
-    if U.shape[0] == 0:
-        return True
     stacked = np.concatenate([W, U], axis=0)
     return linalg.rank(stacked, tol) == linalg.rank(W, tol)
 

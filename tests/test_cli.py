@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liecurv.cli import main
+from liecurv.metric import parse_metric
+from liecurv.structure import parse_structure
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -215,3 +221,83 @@ def test_cli_import_leaves_process_pool_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--metric", '{"g": 5}'], "metric matrix is not 2x2"),
+    (["--metric", "[1,2]"], "metric matrix is not 2x2"),
+    (["--metric", '{"n": 2}'], "metric matrix is not 2x2"),
+    (["--metric", '{"n": "2", "g": [[1,0],[0,1]]}'], "mismatch: '2' != 2"),
+    (["--metric", "[[1,0],[0,null]]"], "not a numeric literal: 'None'"),
+    (["--metric", "diag(1,1)", "--direction", "5"], "direction matrix is not 2x2"),
+    (["--metric", "diag(1,1)", "--direction", '[[1,0],[0,{"x":1}]]'],
+     "not a numeric literal"),
+])
+def test_malformed_json_matrix_is_usage_error(capsys, argv, message):
+    command = "gauge-derivative" if "--direction" in argv else "ricci"
+    code, out, err = run(capsys, command, "--structure", "(0,0)", *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, tol):
+    code, out, err = run(capsys, "--backend", "float", "--tolerance", tol,
+                         "classify", "--structure", HEIS)
+    assert code == 2 and out == ""
+    assert "error: argument --tolerance" in err and "Traceback" not in err
+
+
+def test_zero_tolerance_is_allowed(capsys):
+    code, out, _ = run(capsys, "--backend", "float", "--tolerance", "0",
+                       "classify", "--structure", HEIS)
+    assert code == 0 and "nilpotent: True" in out
+
+
+def _fails(parse):
+    try:
+        parse()
+    except Exception:
+        return True
+    return False
+
+
+def _main_err(argv):
+    """Exit code and stderr of an in-process run (capsys does not mix with
+    Hypothesis's repeated examples)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+_FUZZ = settings(max_examples=100, derandomize=True, deadline=None)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=True)
+    | st.text("0123/-.", max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "g", "x"]), inner, max_size=3),
+    max_leaves=12)
+
+
+@_FUZZ
+@given(st.text("(),+-*/.0123456789 e", max_size=24))
+def test_malformed_structure_exits_2(text):
+    assume(_fails(lambda: parse_structure(text, exact=True))
+           and _fails(lambda: parse_structure(text, exact=False)))
+    code, err = _main_err(["classify", f"--structure={text}"])
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+@_FUZZ
+@given(st.text("diag(),[]{}\"ng:0123456789-+/.e* ", max_size=30)
+       | _JSON.map(json.dumps))
+def test_malformed_metric_exits_2(text):
+    assume(_fails(lambda: parse_metric(text, 3, exact=True))
+           and _fails(lambda: parse_metric(text, 3, exact=False)))
+    code, err = _main_err(["ricci", "--structure", HEIS, f"--metric={text}"])
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from liecurv import linalg
+from liecurv.cli import main
 from liecurv.errors import DegenerateMetricError
+from liecurv.scalars import DEFAULT_TOL, bit_size, close, is_zero, parse_scalar
 
 
 def test_zeros_and_eye_backends():
@@ -56,6 +59,114 @@ def test_float_backend_rref_rank():
     M = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-13]])
     assert linalg.rank(M, tol=1e-9) == 1
     assert linalg.rank(M.astype(float) + np.eye(2), tol=1e-9) == 2
+
+
+def dense_rref(M, tol=DEFAULT_TOL):
+    """The dense Gauss-Jordan elimination that the sparse `rref` replaced,
+    kept as its reference: same pivot rule, whole-row arithmetic."""
+
+    def pick_pivot(R, rows, col):
+        if linalg.is_float_array(R):
+            best = max(rows, key=lambda r: abs(R[r, col]))
+            return best if abs(R[best, col]) > tol else None
+        candidates = [r for r in rows if R[r, col] != 0]
+        if not candidates:
+            return None
+        return min(candidates, key=lambda r: (bit_size(R[r, col]), r))
+
+    R = M.copy()
+    n_rows, n_cols = R.shape
+    pivots = []
+    row = 0
+    for col in range(n_cols):
+        if row >= n_rows:
+            break
+        piv = pick_pivot(R, range(row, n_rows), col)
+        if piv is None:
+            continue
+        if piv != row:
+            R[[row, piv], :] = R[[piv, row], :]
+        R[row, :] = R[row, :] / R[row, col]
+        for r in range(n_rows):
+            if r != row and not is_zero(R[r, col], tol):
+                R[r, :] = R[r, :] - R[r, col] * R[row, :]
+        pivots.append(col)
+        row += 1
+    return R, pivots
+
+
+def random_kernel_input(kind, seed):
+    """Seeded test matrix: exact sparse/dense of several shapes, with zero and
+    repeated rows, or float (dense, sparse, rank-deficient, with pivot
+    magnitude ties, with a column below the tolerance)."""
+    rng = random.Random(seed)
+    rows, cols = rng.choice([(6, 6), (9, 5), (5, 9), (12, 20), (20, 12)])
+    density = {"sparse": 0.2, "degenerate": 0.3, "float-sparse": 0.25,
+               "float-tiny": 0.3}.get(kind, 1.0)
+    exact = not kind.startswith("float")
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if exact:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        if kind == "float-ties":
+            return rng.choice([-2, -1, 1, 2]) / 3
+        return rng.uniform(-3, 3)
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind == "degenerate":
+        for r in rng.sample(range(rows), 2):
+            data[r] = [0] * cols
+        for _ in range(2):
+            data[rng.randrange(rows)] = list(data[rng.randrange(rows)])
+    if kind == "float-low-rank":
+        basis = data[:2]
+        data = [[rng.uniform(-2, 2) * x + rng.uniform(-2, 2) * y
+                 for x, y in zip(*basis)] for _ in range(rows)]
+    if kind == "float-tiny":
+        col = rng.randrange(cols)
+        for r in range(rows):
+            data[r][col] = (1e-12, 0.0, 5e-10)[r % 3]
+    return linalg.from_rows(data, exact)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense", "degenerate", "float",
+                                  "float-sparse", "float-low-rank", "float-ties",
+                                  "float-tiny"])
+@pytest.mark.parametrize("seed", range(6))
+def test_rref_matches_dense_oracle(kind, seed):
+    M = random_kernel_input(kind, seed)
+    M_in = M.copy()
+    R, pivots = linalg.rref(M)
+    assert (M == M_in).all()
+    R_ref, pivots_ref = dense_rref(M)
+    assert pivots == pivots_ref
+    assert R.shape == R_ref.shape and R.dtype == R_ref.dtype
+    # equal values; floats may differ only in the sign of a zero
+    assert [[type(x) for x in row] for row in R.tolist()] == \
+        [[type(x) for x in row] for row in R_ref.tolist()]
+    assert (R == R_ref).all()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_row_space_of_no_rows(exact):
+    B = linalg.row_space([], 4, exact)
+    assert B.shape == (0, 4)
+    assert linalg.is_float_array(B) != exact
+
+
+def test_float_derivation_witness_has_no_negative_zero(capsys):
+    argv = ["--output", "json", "derivations", "--structure", "(0,0,12,13,14+23)"]
+    witness = {}
+    for backend in ("exact", "float"):
+        assert main(["--backend", backend] + argv) == 0
+        out = capsys.readouterr().out
+        witness[backend] = json.loads(out)["witness"]
+    assert "-0.0" not in json.dumps(witness["float"])
+    for row_f, row_e in zip(witness["float"], witness["exact"], strict=True):
+        for x, y in zip(row_f, row_e, strict=True):
+            assert close(float(x), parse_scalar(y))
 
 
 @pytest.mark.parametrize("diag,expected", [

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecurv import linalg
 from liecurv.errors import StructureParseError
@@ -69,6 +71,24 @@ def test_two_digit_pairs_rejected_above_nine():
 def test_print_parse_round_trip(text):
     a = parse_structure(text)
     assert parse_structure(print_structure(a)).coeffs == a.coeffs
+
+
+@st.composite
+def sparse_brackets(draw):
+    n = draw(st.integers(2, 11))
+    triples = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                        st.integers(0, n - 1)).filter(lambda t: t[0] != t[1])
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    coeffs = draw(st.dictionaries(triples, coeff.filter(bool), max_size=2 * n))
+    return StructureTensor.from_brackets(n, coeffs)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(sparse_brackets())
+def test_print_parse_round_trip_random(a):
+    text = print_structure(a)
+    assert parse_structure(text) == a
+    assert print_structure(parse_structure(text)) == text
 
 
 def test_ad_matrix_matches_bracket():
