@@ -23,8 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotNilpotentError
-from .metric import (Metric, pair_operators, pair_two_forms,
-                     pseudo_orthonormal_frame)
+from .metric import Metric, gram, pseudo_orthonormal_frame
 from .scalars import Scalar, format_scalar, is_zero
 from .structure import (StructureTensor, classify, killing_form,
                         require_killing_zero, require_lie, require_unimodular,
@@ -41,7 +40,7 @@ def match_backends(a: StructureTensor, S: Metric):
 
 def lowered_brackets(a: StructureTensor, S: Metric) -> np.ndarray:
     """cl[i, j, k] = <[e_i, e_j], e_k>."""
-    return np.tensordot(a.as_array(), S.g, axes=([2], [0]))
+    return linalg.sparse_mm(a.as_array(), S.g)
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ def levi_civita(a: StructureTensor, S: Metric) -> ConnectionCoefficients:
     # K[i,j,k] = <nabla_{e_i} e_j, e_k>
     #          = (cl[i,j,k] - cl[j,k,i] + cl[k,i,j]) / 2
     K = half * (cl - np.transpose(cl, (2, 0, 1)) + np.transpose(cl, (1, 2, 0)))
-    gamma = np.tensordot(K, S.ginv, axes=([2], [0]))
+    gamma = linalg.sparse_mm(K, S.ginv)
     return ConnectionCoefficients(n, gamma)
 
 
@@ -97,16 +96,12 @@ def curvature_operators(a: StructureTensor, S: Metric,
     a, S = match_backends(a, S)
     if conn is None:
         conn = levi_civita(a, S)
-    G = conn.matrices()
-    c = a.as_array()
-    ops = {}
-    for i in range(a.n):
-        for j in range(i + 1, a.n):
-            M = G[i] @ G[j] - G[j] @ G[i]
-            for k in range(a.n):
-                if not is_zero(c[i, j, k], a.tol):
-                    M = M - c[i, j, k] * G[k]
-            ops[(i, j)] = M
+    n = a.n
+    G = np.stack(conn.matrices())
+    GG = linalg.sparse_mm(G, np.transpose(G, (1, 0, 2)))  # GG[i, :, j] = G[i] G[j]
+    ops = {(i, j): GG[i, :, j] - GG[j, :, i] for i in range(n) for j in range(i + 1, n)}
+    for (i, j, k), c in a.coeffs.items():
+        ops[(i, j)] = ops[(i, j)] - c * G[k]
     return ops, conn
 
 
@@ -117,7 +112,7 @@ def riemann(a: StructureTensor, S: Metric) -> CurvatureTensor:
     n = a.n
     R = linalg.zeros((n, n, n, n), S.exact)
     for (i, j), M in ops.items():
-        low = S.g @ M          # low[l, h] = <R(e_i,e_j) e_h, e_l>
+        low = linalg.sparse_mm(S.g, M)  # low[l, h] = <R(e_i,e_j) e_h, e_l>
         R[i, j] = low.T
         R[j, i] = -low.T
     return CurvatureTensor(n, R)
@@ -135,7 +130,7 @@ class RicciData:
 
     @classmethod
     def from_form(cls, S: Metric, form: np.ndarray) -> "RicciData":
-        op = S.ginv @ form
+        op = linalg.sparse_mm(S.ginv, form)
         scalar = np.trace(op)
         lam = op[0, 0]
         ident = linalg.eye(S.n, S.exact)
@@ -155,23 +150,12 @@ def _ad_form_pairings(a: StructureTensor, S: Metric, cl: np.ndarray):
     """(B3, B5): Gram matrices of the ad(e_j) and the 2-forms de_j^flat.
 
     B3[j, h] = <ad e_j, ad e_h> on operators, B5[j, h] = <de_j^flat,
-    de_h^flat> on 2-forms; contracted in bulk rather than pair by pair.
+    de_h^flat> on 2-forms.
     """
-    n = a.n
-    ads = [a.ad_basis(j) for j in range(n)]
     # de_j^flat as a 2-form: F_j[p, q] = -<e_j, [e_p, e_q]> = -cl[p, q, j]
     forms = -np.transpose(cl, (2, 0, 1))
-    mm, frob = linalg.sparse_mm, linalg.sparse_frob
-    Q = [mm(mm(S.ginv, ads[j].T), S.g) for j in range(n)]
-    R = [mm(mm(S.ginv, forms[j]), S.ginv) for j in range(n)]
-    half = Fraction(1, 2) if S.exact else 0.5
-    B3 = linalg.zeros((n, n), S.exact)
-    B5 = linalg.zeros((n, n), S.exact)
-    for j in range(n):
-        for h in range(j, n):
-            B3[j, h] = B3[h, j] = frob(Q[j], ads[h].T)
-            B5[j, h] = B5[h, j] = half * frob(R[j], forms[h])
-    return B3, B5
+    return (gram(S, [a.ad_basis(j) for j in range(a.n)], "T*T"),
+            gram(S, list(forms), "Lambda2T*"))
 
 
 def b_forms(a: StructureTensor, S: Metric):
@@ -192,21 +176,19 @@ def b_forms(a: StructureTensor, S: Metric):
         B1 = linalg.zeros((n, n), S.exact)
     else:
         w = S.ginv @ tau
-        T1 = np.tensordot(cl, w, axes=([1], [0]))  # sum_q cl[j,q,h] w_q
+        T1 = linalg.sparse_mm(np.transpose(cl, (0, 2, 1)), w)  # sum_q cl[j,q,h] w_q
         B1 = -(T1 + T1.T)
     B2 = np.outer(tau, tau)
     B3, B5 = _ad_form_pairings(a, S, cl)
     B4 = killing_form(a)
     # B6[j, h] = Tr((ad e_j)^flat_sharp (de_h^flat)^T_sharp) symmetrized
-    mm, frob = linalg.sparse_mm, linalg.sparse_frob
-    U = [mm(mm(S.ginv, cl[j]), S.ginv) for j in range(n)]
-    M1 = linalg.zeros((n, n), S.exact)
-    for j in range(n):
-        for h in range(n):
-            M1[j, h] = frob(U[j], forms[h])
+    mm = linalg.sparse_mm
+    U = np.stack([mm(mm(S.ginv, cl[j]), S.ginv) for j in range(n)])
+    # M1[j, h] = sum_pq U[j, p, q] forms[h, p, q]
+    M1 = mm(U.reshape(n, n * n), forms.reshape(n, n * n).T)
     B6 = M1 + M1.T
     B = {1: B1, 2: B2, 3: B3, 4: B4, 5: B5, 6: B6}
-    traces = {k: np.trace(S.ginv @ B[k]) for k in (2, 3, 4)}
+    traces = {k: linalg.sparse_frob(S.ginv, B[k].T) for k in (2, 3, 4)}
     return B, traces
 
 
@@ -300,19 +282,16 @@ def mn_criterion(a: StructureTensor, S: Metric):
     n = a.n
     carr = a.as_array()
 
-    def null_dim(mats, pair):
-        """Null-space dimension of `pair` on the span of the n x n `mats`."""
+    def null_dim(mats, shape):
+        """Null-space dimension of the pairing on `shape` restricted to the
+        span of the n x n `mats`."""
         span = linalg.row_space([M.reshape(n * n) for M in mats], n * n, a.exact, a.tol)
         basis = [r.reshape(n, n) for r in span]
-        gram = linalg.zeros((len(basis), len(basis)), S.exact)
-        for i, u in enumerate(basis):
-            for j, w in enumerate(basis):
-                gram[i, j] = pair(S, u, w)
-        return len(basis) - linalg.rank(gram, a.tol)
+        return len(basis) - linalg.rank(gram(S, basis, shape), a.tol)
 
     # ad(g) is spanned by the ad(e_i), d(g*) by the de^k
-    dim_m = null_dim([a.ad_basis(i) for i in range(n)], pair_operators)
-    dim_n = null_dim([-carr[:, :, k] for k in range(n)], pair_two_forms)
+    dim_m = null_dim([a.ad_basis(i) for i in range(n)], "T*T")
+    dim_n = null_dim([-carr[:, :, k] for k in range(n)], "Lambda2T*")
     dim_derived = rep.derived.shape[0]
     dim_centre = rep.centre.shape[0]
     excluded = dim_m + dim_n >= dim_derived - dim_centre
@@ -335,7 +314,7 @@ def _covariant_derivative(level: dict, G: list, n: int, tol: float):
     for m in range(n):
         Gm = G[m]
         for idx, M in level.items():
-            D = Gm @ M - M @ Gm
+            D = linalg.sparse_mm(Gm, M) - linalg.sparse_mm(M, Gm)
             for s, isl in enumerate(idx):
                 col = Gm[:, isl]
                 for p in range(n):

@@ -10,6 +10,7 @@ linear system in the n^2 matrix entries -- is itself a curvature invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -46,26 +47,27 @@ class DerivationSpace:
 def _derivation_system(a: StructureTensor) -> np.ndarray:
     """Rows of the linear system on X (flattened row-major, n^2 unknowns).
 
-    One equation per (i < j, l): the e_l component of
+    One equation per (i < j, l), in that order: the e_l component of
     X[e_i, e_j] - [Xe_i, e_j] - [e_i, Xe_j].
     """
     n = a.n
-    c = a.as_array()
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for l in range(n):
-                row = linalg.zeros(n * n, a.exact)
-                for k in range(n):
-                    if not is_zero(c[i, j, k], a.tol):
-                        row[l * n + k] += c[i, j, k]
-                    # [X e_i, e_j] picks up X[m, i] a^l_{mj}
-                    if not is_zero(c[k, j, l], a.tol):
-                        row[k * n + i] -= c[k, j, l]
-                    if not is_zero(c[i, k, l], a.tol):
-                        row[k * n + j] -= c[i, k, l]
-                rows.append(row)
-    return np.stack(rows)
+    pair = {ij: p for p, ij in enumerate(combinations(range(n), 2))}
+    M = linalg.zeros((len(pair) * n, n * n), a.exact)
+    for (p, q, m), c in a.coeffs.items():
+        # X[e_p, e_q] picks up X[l, m] a^m_pq
+        for l in range(n):
+            M[pair[p, q] * n + l, l * n + m] += c
+        # [X e_i, e_j] picks up X[k, i] a^l_kj, with (k, j) = (p, q) or (q, p)
+        for i in range(q):
+            M[pair[i, q] * n + m, p * n + i] -= c
+        for i in range(p):
+            M[pair[i, p] * n + m, q * n + i] += c
+        # [e_i, X e_j] picks up X[k, j] a^l_ik, with (i, k) = (p, q) or (q, p)
+        for j in range(p + 1, n):
+            M[pair[p, j] * n + m, q * n + j] -= c
+        for j in range(q + 1, n):
+            M[pair[q, j] * n + m, p * n + j] += c
+    return M
 
 
 def derivation_space(a: StructureTensor) -> DerivationSpace:

@@ -1,17 +1,26 @@
 """Linear algebra generic over the exact/float scalar backends.
 
 Exact matrices are numpy object arrays of Fractions; float matrices are
-ordinary float64 arrays.  Rank, kernel, row space and inverse all go through
-one sparse Gauss-Jordan elimination, `rref`, which holds each row as a
-{column: entry} dict of its nonzeros: the matrices here are mostly zero.
-Pivots are chosen by least `bit_size`: least bit length on the exact backend
-(keeps intermediate fractions small), largest magnitude on the float backend.
+ordinary float64 arrays.  The exact matrices and tensors here are mostly
+zero, so every exact computation rests on two sparse kernels:
+
+- one Gauss-Jordan elimination, `rref`, which holds each row as a
+  {column: entry} dict of its nonzeros; rank, kernel, row space and
+  inverse all go through it.  Pivots are chosen by least `bit_size`: least
+  bit length on the exact backend (keeps intermediate fractions small),
+  largest magnitude on the float backend;
+- one matrix product, `sparse_mm`, and one Frobenius pairing,
+  `sparse_frob`, which skip zero entries; every exact matrix product and
+  tensor contraction is one of them, a tensor contraction being a product
+  of reshaped arrays.  On floats they fall back to BLAS.
+
 Output ordering is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -60,37 +69,33 @@ def to_float(M: np.ndarray) -> np.ndarray:
 
 
 def sparse_mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact matrix product that skips structural zeros.
-
-    Structure tensors and their derived matrices are mostly zero; a dense
-    object-dtype `@` multiplies every Fraction pair, which dominates the
-    exact profiles.  Floats fall back to BLAS.
-    """
+    """Product contracting the last axis of A with the first axis of B, as
+    np.tensordot(A, B, 1): A @ B for matrices.  Zero entries are skipped;
+    floats fall back to BLAS."""
+    shape = A.shape[:-1] + B.shape[1:]
+    A = A.reshape(prod(A.shape[:-1]), A.shape[-1])
+    B = B.reshape(B.shape[0], prod(B.shape[1:]))
     if is_float_array(A) or is_float_array(B):
-        return A @ B
-    n, m = A.shape
+        return (np.asarray(A, dtype=float) @ np.asarray(B, dtype=float)).reshape(shape)
     p = B.shape[1]
-    C = zeros((n, p), True)
-    for i in range(n):
-        Ai = A[i]
-        Ci = C[i]
-        for k in range(m):
-            x = Ai[k]
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in B.tolist()]
+    C = zeros((A.shape[0], p))
+    for i, a_row in enumerate(A.tolist()):
+        c_row = [Fraction(0)] * p
+        for x, b_row in zip(a_row, b_rows):
             if x:
-                row = B[k]
-                for j in range(p):
-                    y = row[j]
-                    if y:
-                        Ci[j] += x * y
-    return C
+                for j, y in b_row:
+                    c_row[j] += x * y
+        C[i] = c_row
+    return C.reshape(shape)
 
 
 def sparse_frob(A: np.ndarray, B: np.ndarray):
-    """Entrywise contraction sum_ij A[i,j] B[i,j], skipping zeros."""
+    """Frobenius pairing, the sum of A * B over all entries, skipping zeros."""
     if is_float_array(A) or is_float_array(B):
         return float(np.sum(A * B))
     total = Fraction(0)
-    for x, y in zip(A.flat, B.flat):
+    for x, y in zip(A.ravel().tolist(), B.ravel().tolist()):
         if x and y:
             total += x * y
     return total
@@ -171,7 +176,7 @@ def row_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray
     vectors `rows`, which may be none."""
     if len(rows) == 0:
         return zeros((0, n), exact)
-    R, pivots = rref(from_rows(rows, exact), tol)
+    R, pivots = rref(np.array(rows, dtype=object if exact else float), tol)
     return R[:len(pivots)]
 
 

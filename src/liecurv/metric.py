@@ -184,29 +184,54 @@ def pair_covectors(S: Metric, alpha, beta):
 
 
 def metric_adjoint(S: Metric, u: np.ndarray) -> np.ndarray:
-    """u* with <u v, w> = <v, u* w>."""
-    return S.ginv @ u.T @ S.g
+    """u* = g^{-1} u^T g, with <u v, w> = <v, u* w>."""
+    return linalg.sparse_mm(linalg.sparse_mm(S.ginv, u.T), S.g)
+
+
+def _dual(S: Metric, x: np.ndarray, shape: str) -> np.ndarray:
+    """x' with <y, x> = sparse_frob(y, x') on "T*T" or "Lambda2T*": x' is
+    (x*)^T for operators, as <y, x> = Tr(y o x*), and g^{-1} x g^{-1} / 2
+    for 2-forms."""
+    if shape == "T*T":
+        return metric_adjoint(S, x).T
+    if shape == "Lambda2T*":
+        return linalg.sparse_mm(linalg.sparse_mm(S.ginv, x), S.ginv) / 2
+    raise ValueError(f"no matrix pairing on tensor shape {shape!r}")
 
 
 def pair_operators(S: Metric, u1: np.ndarray, u2: np.ndarray):
     """Induced pairing on T*⊗T: <u1, u2> = Tr(u1 o u2*)."""
-    return np.trace(u1 @ metric_adjoint(S, u2))
+    return linalg.sparse_frob(u1, _dual(S, u2, "T*T"))
 
 
 def pair_two_forms(S: Metric, alpha: np.ndarray, beta: np.ndarray):
     """Induced pairing on Lambda^2 T* for antisymmetric component matrices."""
-    half = Fraction(1, 2) if S.exact else 0.5
-    return half * np.trace(S.ginv @ alpha @ S.ginv @ beta.T)
+    return linalg.sparse_frob(alpha, _dual(S, beta, "Lambda2T*"))
+
+
+def gram(S: Metric, mats: Sequence[np.ndarray], shape: str) -> np.ndarray:
+    """Gram matrix G[i, j] = <mats[i], mats[j]> of the induced pairing on
+    "T*T" (operators) or "Lambda2T*" (2-forms).
+
+    Each matrix is dualized once and, the pairing being symmetric, only
+    pairs i <= j are contracted.
+    """
+    duals = [_dual(S, M, shape) for M in mats]
+    G = linalg.zeros((len(mats), len(mats)), S.exact)
+    for i, M in enumerate(mats):
+        for j in range(i, len(mats)):
+            G[i, j] = G[j, i] = linalg.sparse_frob(M, duals[j])
+    return G
 
 
 def pair_bracket_tensors(S: Metric, c1: np.ndarray, c2: np.ndarray):
     """Induced pairing on Lambda^2 T* ⊗ T for arrays c[i, j, k] (antisym i,j)."""
     half = Fraction(1, 2) if S.exact else 0.5
-    # raise the two form indices, lower the vector index, then contract
-    t = np.tensordot(c1, S.ginv, axes=([0], [0]))   # [j, k, l]
-    t = np.tensordot(t, S.ginv, axes=([0], [0]))    # [k, l, m]
-    t = np.tensordot(t, S.g, axes=([0], [0]))       # [l, m, p]
-    return half * np.tensordot(t, c2, axes=([0, 1, 2], [0, 1, 2]))[()]
+    # lower the vector index of c1, raise its two form indices, then contract
+    t = linalg.sparse_mm(c1, S.g)                                   # [i, j, p]
+    t = linalg.sparse_mm(S.ginv.T, t)                               # [l, j, p]
+    t = linalg.sparse_mm(S.ginv.T, np.transpose(t, (1, 0, 2)))      # [m, l, p]
+    return half * linalg.sparse_frob(t, np.transpose(c2, (1, 0, 2)))
 
 
 def induced_pairing(S: Metric, shape: str) -> Callable:

@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg, structure
 from .curvature import RicciData, match_backends
 from .errors import DimensionMismatchError
-from .metric import Metric
+from .metric import Metric, metric_adjoint
 from .scalars import DEFAULT_TOL, Scalar, close, format_scalar, is_zero
 from .structure import StructureTensor
 
@@ -123,17 +123,9 @@ def q_map(a: StructureLike, S: Metric,
     if c.shape != (n, n, n):
         raise DimensionMismatchError(
             f"bracket array shape {c.shape} incompatible with metric on R^{n}")
-    ops = _operators(c)
-    duals = [S.ginv @ u.T @ S.g for u in ops]
-    comps = linalg.zeros((n, n, n), S.exact)
-    for m in range(n):
-        acc = comps[m]
-        for i in range(n):
-            w = S.ginv[i, m]
-            if not is_zero(w, S.tol):
-                acc = acc + w * duals[i]
-        comps[m] = acc
-    return DualStructureTensor(n, comps, S.tol)
+    # comps[m] = sum_i g^{-1}[i, m] u_i*
+    duals = np.stack([metric_adjoint(S, u) for u in _operators(c)])
+    return DualStructureTensor(n, linalg.sparse_mm(S.ginv.T, duals), S.tol)
 
 
 def contractions(a: StructureLike, b: DualStructureTensor):
@@ -143,13 +135,12 @@ def contractions(a: StructureLike, b: DualStructureTensor):
     if c.shape != (n, n, n):
         raise DimensionMismatchError(
             f"bracket array shape {c.shape} does not match n={n}")
-    ops = _operators(c)
-    exact = not linalg.is_float_array(c) and b.exact
-    c1 = linalg.zeros((n, n), exact)
-    c2 = linalg.zeros((n, n), exact)
-    for i in range(n):
-        c1 = c1 + ops[i] @ b.comps[i]
-        c2 = c2 + b.comps[i] @ ops[i]
+    # c1 = [a_1 ... a_n] [b_1; ...; b_n] and c2 = [b_1 ... b_n] [a_1; ...; a_n]
+    # with (a_i)[k, j] = c[i, j, k] and (b_i)[j, l] = comps[i, j, l]
+    c1 = linalg.sparse_mm(np.transpose(c, (2, 0, 1)).reshape(n, n * n),
+                          b.comps.reshape(n * n, n))
+    c2 = linalg.sparse_mm(np.transpose(b.comps, (1, 0, 2)).reshape(n, n * n),
+                          np.transpose(c, (0, 2, 1)).reshape(n * n, n))
     return c1, c2
 
 
@@ -180,7 +171,7 @@ def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
     quarter = Fraction(1, 4) if S.exact else 0.25
     half = Fraction(1, 2) if S.exact else 0.5
     op = quarter * c1 - half * c2
-    return RicciData.from_form(S, S.g @ op)
+    return RicciData.from_form(S, linalg.sparse_mm(S.g, op))
 
 
 # --- the gauge action -------------------------------------------------------
@@ -188,13 +179,13 @@ def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
 def gauge_metric(g: np.ndarray, S: Metric) -> Metric:
     """Finite action g.S = g^{-T} S g^{-1} (pullback along g^{-1})."""
     ginv = linalg.inv(g, S.tol)
-    return Metric(S.n, ginv.T @ S.g @ ginv, S.tol)
+    return Metric(S.n, linalg.sparse_mm(linalg.sparse_mm(ginv.T, S.g), ginv), S.tol)
 
 
 def infinitesimal_metric(X, S: Metric) -> np.ndarray:
     """Derivative of exp(tX).S at t = 0: -X^T S - S X (a symmetric matrix)."""
     X = _direction(X)
-    return -X.T @ S.g - S.g @ X
+    return linalg.sparse_mm(-X.T, S.g) - linalg.sparse_mm(S.g, X)
 
 
 def gauge_structure(g: np.ndarray, a: StructureTensor) -> StructureTensor:
@@ -225,19 +216,19 @@ def infinitesimal_structure(X, a: StructureLike) -> np.ndarray:
     """
     X = _direction(X)
     c = _c_array(a)
-    t1 = np.tensordot(c, X, axes=([2], [1]))                   # X[k,m] c[i,j,m]
-    t2 = np.tensordot(X, c, axes=([0], [0]))                   # X[m,i] c[m,j,k]
-    t3 = np.transpose(np.tensordot(X, np.transpose(c, (1, 0, 2)),
-                                   axes=([0], [0])), (1, 0, 2))
-    return t1 - t2 - t3
+    mm = linalg.sparse_mm
+    t1 = mm(c, X.T)                                   # X[k,m] c[i,j,m]
+    t2 = mm(X.T, c)                                   # X[m,i] c[m,j,k]
+    t3 = mm(X.T, np.transpose(c, (1, 0, 2)))          # X[m,j] c[i,m,k], as [j,i,k]
+    return t1 - t2 - np.transpose(t3, (1, 0, 2))
 
 
 def gauge_dual(g: np.ndarray, b: DualStructureTensor) -> DualStructureTensor:
     """Finite action on the dual side; equivariance partner of gauge_structure."""
     ginv = linalg.inv(g, b.tol)
-    t = np.tensordot(g, b.comps, axes=([1], [0]))    # [k, j', l']
-    t = np.tensordot(g, t, axes=([1], [1]))          # [j, k, l']
-    t = np.tensordot(t, ginv, axes=([2], [0]))       # [j, k, l]
+    t = linalg.sparse_mm(g, b.comps)                           # [k, j', l']
+    t = linalg.sparse_mm(g, np.transpose(t, (1, 0, 2)))        # [j, k, l']
+    t = linalg.sparse_mm(t, ginv)                              # [j, k, l]
     return DualStructureTensor(b.n, np.transpose(t, (1, 0, 2)), b.tol)
 
 
@@ -245,11 +236,11 @@ def infinitesimal_dual(X, b: DualStructureTensor) -> np.ndarray:
     """Derivative of exp(tX).b at t = 0, as a raw component array."""
     X = _direction(X)
     c = b.comps
-    t1 = np.tensordot(X, c, axes=([1], [0]))
-    t2 = np.transpose(np.tensordot(X, np.transpose(c, (1, 0, 2)),
-                                   axes=([1], [0])), (1, 0, 2))
-    t3 = np.tensordot(c, X, axes=([2], [0]))
-    return t1 + t2 - t3
+    mm = linalg.sparse_mm
+    t1 = mm(X, c)                                     # X[i,m] c[m,j,l]
+    t2 = mm(X, np.transpose(c, (1, 0, 2)))            # X[j,m] c[i,m,l], as [j,i,l]
+    t3 = mm(c, X)                                     # c[i,j,m] X[m,l]
+    return t1 + np.transpose(t2, (1, 0, 2)) - t3
 
 
 def dq(a: StructureLike, S: Metric, a_prime: StructureLike,
@@ -258,22 +249,16 @@ def dq(a: StructureLike, S: Metric, a_prime: StructureLike,
 
     Satisfies dq(a, S)(a', X.S) = q(a' - X.a, S) + X.q(a, S) for any X.
     """
-    n = S.n
+    mm = linalg.sparse_mm
     base = q_map(a_prime, S, require_unimodular=False).comps
-    ops = _operators(_c_array(a))
-    T = S.ginv @ W @ S.ginv
-    comps = linalg.zeros((n, n, n), S.exact and not linalg.is_float_array(W))
-    for m in range(n):
-        acc = base[m]
-        for i in range(n):
-            at = ops[i].T
-            if not is_zero(T[i, m], S.tol):
-                acc = acc - T[i, m] * (S.ginv @ at @ S.g)
-            w = S.ginv[i, m]
-            if not is_zero(w, S.tol):
-                acc = acc + w * (-T @ at @ S.g + S.ginv @ at @ W)
-        comps[m] = acc
-    return DualStructureTensor(n, comps, S.tol)
+    c = _c_array(a)
+    # q(a, S)[m] = sum_i g^{-1}[i, m] u_i*, where g^{-1} moves by
+    # -T = -g^{-1} W g^{-1} and u_i* = g^{-1} c[i] g by g^{-1} (c[i] W - W u_i*)
+    T = mm(mm(S.ginv, W), S.ginv)
+    adj = [metric_adjoint(S, u) for u in _operators(c)]
+    moved = [mm(S.ginv, mm(c[i], W) - mm(W, u)) for i, u in enumerate(adj)]
+    comps = base - mm(T.T, np.stack(adj)) + mm(S.ginv.T, np.stack(moved))
+    return DualStructureTensor(S.n, comps, S.tol)
 
 
 # --- the scalar functional and criticality ----------------------------------
@@ -296,7 +281,7 @@ def gauge_derivative(a: StructureTensor, S: Metric, X) -> Scalar:
     a, S = match_backends(a, S)
     X = _direction(X)
     ric = ricci_via_moment(a, S)
-    inner = np.trace(ric.ric_op @ X)
+    inner = linalg.sparse_frob(ric.ric_op, X.T)
     quarter = Fraction(1, 4) if S.exact else 0.25
     alt = quarter * pairing(infinitesimal_structure(X, a), q_map(a, S))
     if not close(inner, alt, S.tol):

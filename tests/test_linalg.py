@@ -212,3 +212,55 @@ def test_signature_float_matches_exact():
     g = linalg.from_rows([[2, 1, 0], [1, -3, 1], [0, 1, 5]])
     exact = linalg.sylvester_signature(g)
     assert linalg.sylvester_signature(linalg.to_float(g)) == exact
+
+
+def random_product_input(kind, seed):
+    """Seeded operands (A, B, C) for the product A.B and the pairing <A, C>:
+    exact sparse/dense, with zero rows and columns, the reshaped shapes of a
+    tensor contraction (n x n^2 by n^2 x n, n^2 x n by n x n), 3-index
+    arrays, or float."""
+    rng = random.Random(seed)
+    n = rng.choice([3, 4, 5])
+    shapes = {"wide": ((n, n * n), (n * n, n)), "tall": ((n * n, n), (n, n)),
+              "tensor-left": ((n, n, n), (n, n)),
+              "tensor-right": ((n, n), (n, n, n))}
+    a_shape, b_shape = shapes.get(kind, ((n + 1, n), (n, n + 2)))
+    density = 1.0 if kind in ("dense", "float") else 0.3
+    exact = not kind.startswith("float")
+
+    def array(shape):
+        M = linalg.zeros(shape, exact)
+        for idx in np.ndindex(*shape):
+            if rng.random() < density:
+                M[idx] = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if exact
+                          else rng.uniform(-3, 3))
+        return M
+
+    A, B, C = array(a_shape), array(b_shape), array(a_shape)
+    if kind == "zero-lines":
+        A[rng.randrange(n + 1)] = Fraction(0)
+        A[:, rng.randrange(n)] = Fraction(0)
+        B[rng.randrange(n)] = Fraction(0)
+        B[:, rng.randrange(n + 2)] = Fraction(0)
+    return A, B, C
+
+
+@pytest.mark.parametrize("kind", ["sparse", "dense", "zero-lines", "wide", "tall",
+                                  "tensor-left", "tensor-right", "float",
+                                  "float-sparse"])
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_product_matches_dense_oracle(kind, seed):
+    A, B, C = random_product_input(kind, seed)
+    A_in, B_in = A.copy(), B.copy()
+    got = linalg.sparse_mm(A, B)
+    want = np.tensordot(A, B, 1) if kind.startswith("tensor") else A @ B
+    assert (A == A_in).all() and (B == B_in).all()
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert (got == want).all()
+    frob = linalg.sparse_frob(A, C)
+    assert frob == np.sum(A * C)
+    if kind.startswith("float"):
+        assert isinstance(frob, float)
+    else:
+        assert {type(x) for x in got.flat} == {Fraction}
+        assert type(frob) is Fraction

@@ -7,10 +7,13 @@ import pytest
 
 from liecurv import linalg
 from liecurv.errors import DegenerateMetricError, MetricParseError
-from liecurv.metric import (Metric, induced_pairing, metric_adjoint,
+from liecurv.curvature import b_forms
+from liecurv.metric import (Metric, gram, induced_pairing, metric_adjoint,
                             pair_bracket_tensors, pair_operators,
                             pair_two_forms, parse_metric,
                             pseudo_orthonormal_frame, signature)
+from liecurv.scalars import close
+from liecurv.structure import parse_structure
 
 from conftest import random_matrix, random_metric
 
@@ -105,6 +108,43 @@ def test_bracket_tensor_pairing_heisenberg_norm():
     S = Metric.euclidean(3)
     c = a.as_array()
     assert pair_bracket_tensors(S, c, c) == Fraction(1)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("text,null", [
+    # the split metric makes ad(g) and d(g*) totally null; the second is not
+    ("e1.e4+e2.e5+e3.e6", True),
+    ("e1.e4+e2.e5+e3.e6+e1.e1+e2.e6", False),
+])
+def test_gram_equals_pairwise_pairings(exact, text, null):
+    a = parse_structure("(24,0,0,0,0,35)", exact)          # h3 + h3
+    S = parse_metric(text, 6, exact)
+    n = a.n
+    c = a.as_array()
+    g, ginv = S.g, S.ginv
+    ads = [a.ad_basis(j) for j in range(n)]
+    d_forms = [-c[:, :, k] for k in range(n)]                 # de^k
+    flats = [-np.tensordot(c, g[:, j], axes=([2], [0])) for j in range(n)]
+    cases = [
+        (ads, "T*T", pair_operators,
+         lambda u, w: np.trace(u @ ginv @ w.T @ g)),
+        (d_forms + flats, "Lambda2T*", pair_two_forms,
+         lambda x, y: np.trace(ginv @ x @ ginv @ y.T) / 2),
+    ]
+    for mats, shape, pair, oracle in cases:
+        G = gram(S, mats, shape)
+        assert G.shape == (len(mats),) * 2 and linalg.is_float_array(G) != exact
+        for i, x in enumerate(mats):
+            for j, y in enumerate(mats):
+                assert G[i, j] == G[j, i]
+                assert close(G[i, j], pair(S, x, y))
+                assert close(G[i, j], oracle(x, y))
+        assert linalg.mat_is_zero(G) == null
+    B, _ = b_forms(a, S)
+    assert linalg.mat_equal(B[3], gram(S, ads, "T*T"))
+    assert linalg.mat_equal(B[5], gram(S, flats, "Lambda2T*"))
+    with pytest.raises(ValueError):
+        gram(S, ads, "T")
 
 
 def test_induced_pairing_dispatch():
