@@ -314,6 +314,14 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _count(text: str) -> int:
+    """An integer >= 0, such as a restart budget."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps subcommand defaults from clobbering values parsed from
     # the shared options when they appear before the subcommand
@@ -360,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", default="all",
                    help='"all" or semicolon-separated sign lists like "+,+,-"')
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=200)
+    p.add_argument("--restarts", type=_count, default=200)
     p = sub.add_parser("catalog", parents=[common])
     p.add_argument("action", choices=("verify",))
     p.add_argument("--path", default=None, help="catalog file (default: shipped)")

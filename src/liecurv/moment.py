@@ -206,7 +206,10 @@ def gauge_structure(g: np.ndarray, a: StructureTensor) -> StructureTensor:
                     continue
                 for k, x in col:
                     out[(i, j, k)] = out.get((i, j, k), 0) + minor * x
-    return StructureTensor.from_brackets(n, dict(sorted(out.items())), a.tol)
+    # a float tensor stays float when it gauges to zero; otherwise the
+    # coefficients tell whether g was exact too
+    return StructureTensor.from_brackets(n, dict(sorted(out.items())), a.tol,
+                                         None if a.exact else False)
 
 
 def infinitesimal_structure(X, a: StructureLike) -> np.ndarray:

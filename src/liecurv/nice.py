@@ -10,7 +10,12 @@ diagonal metric has diagonal Ricci tensor, with the closed form
 
 which turns the Einstein condition into n rational equations in the n
 diagonal entries -- the system the damped-Newton search solves per sign
-pattern before rationalizing and re-verifying candidates exactly.
+pattern before rationalizing and re-verifying candidates exactly.  The
+search returns an empty list without running Newton when an exact diagonal
+derivation with nonzero trace exists: by the trace obstruction, such a Lie
+algebra (unimodular, zero Killing form) has no Einstein metric with s != 0,
+so that empty list is a proof of nonexistence.  Any other empty list is a
+statement about the search budget only.
 """
 
 from __future__ import annotations
@@ -24,11 +29,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .curvature import ricci_killing_zero
+from .derivations import diagonal_derivation_solve
 from .errors import DegenerateMetricError, NotNiceBasisError
 from .metric import Metric
 from .scalars import DEFAULT_TOL, Scalar, is_zero, rationalize
-from .structure import StructureTensor
+from .structure import StructureTensor, is_lie, is_unimodular, killing_form
 
 
 @dataclass(frozen=True)
@@ -67,20 +74,28 @@ def nice_basis_check(a: StructureTensor) -> NiceReport:
     return NiceReport(not violations, tuple(violations))
 
 
-def diagonal_ricci_closed_form(a: StructureTensor, diag: Sequence[Scalar]):
-    """The n diagonal Ricci entries of diag(g) on a nice basis, closed form."""
-    n = a.n
-    g = list(diag)
-    zero = g[0] - g[0]
-    out = [zero] * n
-    half = Fraction(1, 2) if not isinstance(g[0], float) else 0.5
-    for (i, j, k), c in a.coeffs.items():
-        c2 = c * c
+def _squared_terms(a: StructureTensor, floating: bool):
+    """(i, j, k, (a^k_ij)^2) per term; squared exactly, then converted."""
+    return [(i, j, k, float(c * c) if floating else c * c)
+            for (i, j, k), c in a.coeffs.items()]
+
+
+def _closed_form(n: int, terms, g, half):
+    out = [g[0] - g[0]] * n
+    for i, j, k, c2 in terms:
         out[k] += half * g[k] * c2 / (g[i] * g[j])
         # a^k_{ij} contributes -1/2 (a^k_{ij})^2 g_k/(g_j g_i) to ric_i, ric_j
         out[i] -= half * c2 * g[k] / (g[j] * g[i])
         out[j] -= half * c2 * g[k] / (g[i] * g[j])
     return out
+
+
+def diagonal_ricci_closed_form(a: StructureTensor, diag: Sequence[Scalar]):
+    """The n diagonal Ricci entries of diag(g) on a nice basis, closed form."""
+    g = list(diag)
+    floating = isinstance(g[0], float)
+    return _closed_form(a.n, _squared_terms(a, floating), g,
+                        0.5 if floating else Fraction(1, 2))
 
 
 def diagonal_ricci(a: StructureTensor, diag: Sequence[Scalar],
@@ -124,23 +139,22 @@ class EinsteinMetricResult:
                 "exact": self.exact}
 
 
-def _float_residual(a: StructureTensor, g: Sequence[float]):
-    ric = diagonal_ricci_closed_form(a, list(g))
-    return np.array([ric[i] - ric[0] for i in range(1, a.n)], dtype=float)
+def _float_residual(n: int, terms, g: Sequence[float]):
+    ric = _closed_form(n, terms, g, 0.5)
+    return np.array([x - ric[0] for x in ric[1:]], dtype=float)
 
 
-def _newton_from(a: StructureTensor, signs, u0, max_iter: int):
+def _newton_from(n: int, terms, signs, u0, max_iter: int):
     """Damped Newton on u = log|g_i| (i >= 2; g_1 fixed to signs[0])."""
-    n = a.n
     u = np.array(u0, dtype=float)
 
     def gvec(u):
         g = [float(signs[0])]
-        g += [signs[i + 1] * math.exp(min(max(u[i], -60.0), 60.0))
-              for i in range(n - 1)]
+        g += [s * math.exp(min(max(x, -60.0), 60.0))
+              for s, x in zip(signs[1:], u.tolist())]
         return g
 
-    F = _float_residual(a, gvec(u))
+    F = _float_residual(n, terms, gvec(u))
     for _ in range(max_iter):
         norm = np.max(np.abs(F))
         if norm < 1e-13:
@@ -150,7 +164,7 @@ def _newton_from(a: StructureTensor, signs, u0, max_iter: int):
         for c in range(n - 1):
             up = u.copy()
             up[c] += h
-            J[:, c] = (_float_residual(a, gvec(up)) - F) / h
+            J[:, c] = (_float_residual(n, terms, gvec(up)) - F) / h
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -159,7 +173,7 @@ def _newton_from(a: StructureTensor, signs, u0, max_iter: int):
             return None
         t = 1.0
         while t > 1e-6:
-            Fn = _float_residual(a, gvec(u + t * step))
+            Fn = _float_residual(n, terms, gvec(u + t * step))
             if np.max(np.abs(Fn)) < norm:
                 u = u + t * step
                 F = Fn
@@ -188,33 +202,46 @@ def diagonal_einstein_search(a: StructureTensor,
                              max_iter: int = 100):
     """Search for diagonal metrics with ric = lambda Id, lambda != 0.
 
-    Newton runs on log-magnitudes with the signs frozen per pattern; the
-    first entry is normalized to sign_pattern[0].  Candidates are
-    rationalized by continued fractions (denominators up to 10^6) and kept
-    only if they re-verify exactly, or -- failing rationalization -- if the
-    float residual is below 1e-10.  An empty list is a budget statement,
+    On an exact Lie bracket that is unimodular with zero Killing form and
+    has a diagonal derivation of nonzero trace, the empty list is returned
+    at once, and it is a proof: that derivation rules out every Einstein
+    metric with s != 0 (the trace obstruction).  Otherwise Newton runs on
+    log-magnitudes with the signs frozen per pattern; the first entry is
+    normalized to sign_pattern[0].  Candidates are rationalized by
+    continued fractions (denominators up to 10^6) and kept only if they
+    re-verify exactly, or -- failing rationalization -- if the float
+    residual is below 1e-10.  There an empty list is a budget statement,
     never a nonexistence proof.
     """
     report = nice_basis_check(a)
     if not report.is_nice:
         raise NotNiceBasisError("the diagonal search needs a nice basis")
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     n = a.n
     if sign_pattern is not None:
-        patterns = [tuple(sign_pattern)]
+        pattern = tuple(sign_pattern)
+        if len(pattern) != n or any(s not in (1, -1) for s in pattern):
+            raise ValueError(f"sign pattern must be n entries of +-1, got {pattern}")
+        patterns = [pattern]
     else:
         patterns = [(1,) + p for p in itertools.product((1, -1), repeat=n - 1)]
+    # the trace obstruction, on the class ricci_killing_zero accepts
+    if (a.exact and is_lie(a) and is_unimodular(a)
+            and linalg.mat_is_zero(killing_form(a), a.tol)
+            and diagonal_derivation_solve(a).trace_can_be_nonzero):
+        return []
+    terms = _squared_terms(a, True)
     rng = random.Random(seed)
     results = []
     seen = set()
     for pattern in patterns:
-        if len(pattern) != n or any(s not in (1, -1) for s in pattern):
-            raise ValueError(f"sign pattern must be n entries of +-1, got {pattern}")
         for _ in range(restarts):
             u0 = [rng.uniform(-2, 2) for _ in range(n - 1)]
-            g = _newton_from(a, pattern, u0, max_iter)
+            g = _newton_from(n, terms, pattern, u0, max_iter)
             if g is None:
                 continue
-            ric = diagonal_ricci_closed_form(a, g)
+            ric = _closed_form(n, terms, g, 0.5)
             if abs(ric[0]) < 1e-8:
                 continue      # Ricci-flat (or nearly): lambda = 0 excluded
             exact_diag = tuple(rationalize(x) for x in g)

@@ -51,11 +51,14 @@ class StructureTensor:
 
     Metric-independent invariants are computed once, on first use, and kept
     read-only; read them through is_lie, trace_ad, killing_form, classify.
+    `exact` is the backend; when it is not given it is read off the
+    coefficients, which an abelian bracket does not have.
     """
 
     n: int
     coeffs: Mapping[tuple[int, int, int], Scalar]
     tol: float = DEFAULT_TOL
+    exact: Optional[bool] = None
 
     def __post_init__(self):
         if not 2 <= self.n <= MAX_DIM:
@@ -63,16 +66,20 @@ class StructureTensor:
         for (i, j, k) in self.coeffs:
             if not (0 <= i < j < self.n and 0 <= k < self.n):
                 raise ValueError(f"index triple {(i, j, k)} out of range for n={self.n}")
-        object.__setattr__(self, "coeffs", dict(self.coeffs))
+        coeffs = dict(self.coeffs)
+        has_float = any(isinstance(c, float) for c in coeffs.values())
+        exact = not has_float if self.exact is None else self.exact
+        if exact and has_float:
+            raise ValueError("an exact structure tensor cannot hold float coefficients")
+        if not exact:
+            coeffs = {key: float(c) for key, c in coeffs.items()}
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "exact", exact)
 
     @classmethod
-    def from_brackets(cls, n, coeffs, tol=DEFAULT_TOL):
+    def from_brackets(cls, n, coeffs, tol=DEFAULT_TOL, exact=None):
         """Build from a {(i, j, k): a^k_ij} map, 0-based, any index order."""
-        return cls(n, _freeze(coeffs, tol), tol)
-
-    @cached_property
-    def exact(self) -> bool:
-        return all(not isinstance(c, float) for c in self.coeffs.values())
+        return cls(n, _freeze(coeffs, tol), tol, exact)
 
     @cached_property
     def _lie(self) -> bool:
@@ -162,8 +169,7 @@ class StructureTensor:
 
     @cached_property
     def _float_twin(self) -> "StructureTensor":
-        return StructureTensor(
-            self.n, {key: float(c) for key, c in self.coeffs.items()}, self.tol)
+        return StructureTensor(self.n, self.coeffs, self.tol, exact=False)
 
     def to_float(self) -> "StructureTensor":
         """The float copy, built once, so its invariants are cached with it."""
@@ -192,7 +198,7 @@ class StructureTensor:
             (b["i"] - 1, b["j"] - 1, b["k"] - 1): parse_scalar(str(b["c"]), exact)
             for b in data["brackets"]
         }
-        return cls.from_brackets(data["n"], coeffs, tol)
+        return cls.from_brackets(data["n"], coeffs, tol, exact)
 
 
 # --- text notation ----------------------------------------------------------
@@ -278,7 +284,7 @@ def parse_structure(text: str, exact: bool = True,
                 i, j, coeff = j, i, -coeff
             # de^k = sum coeff e^ij  <=>  a^k_ij = -coeff
             coeffs[(i - 1, j - 1, k)] = -coeff
-    return StructureTensor.from_brackets(n, coeffs, tol)
+    return StructureTensor.from_brackets(n, coeffs, tol, exact)
 
 
 def print_structure(a: StructureTensor) -> str:

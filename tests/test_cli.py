@@ -56,6 +56,19 @@ def test_ricci_json(capsys):
     assert rep["ric_op"][0][0] == "-1/2"
 
 
+@pytest.mark.parametrize("command", ["bforms", "ricci"])
+def test_float_backend_abelian_prints_only_floats(capsys, command):
+    # an abelian bracket has no coefficient to say it is float; the backend
+    # must still reach every form
+    code, out, _ = run(capsys, "--backend", "float", "--output", "json",
+                       command, "--structure", "(0,0,0)",
+                       "--metric", "diag(1,1,1)")
+    assert code == 0
+    doc = json.loads(out)
+    scalars = json.dumps([doc.get("forms"), doc.get("traces"), doc.get("report")])
+    assert '"0.0"' in scalars and '"0"' not in scalars
+
+
 def test_einstein_exit_codes(capsys):
     code, out, _ = run(capsys, "einstein", "--structure", "(24,0,0,0,0,35)",
                        "--metric", "e1.e4+e2.e5+e3.e6")
@@ -168,6 +181,17 @@ def test_einstein_search_cli(capsys):
     assert code == 0
     results = json.loads(out)["results"]
     assert any(r["lambda"] == "7/15" and r["exact"] for r in results)
+
+
+def test_einstein_search_rejects_negative_restarts(capsys):
+    code, out, err = run(capsys, "einstein-search", "--structure", HEIS,
+                         "--restarts", "-5")
+    assert code == 2 and out == ""
+    assert "error: argument --restarts: expected an integer >= 0, got '-5'" in err
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, "einstein-search", "--structure", HEIS,
+                       "--restarts", "0", "--output", "json")
+    assert code == 0 and json.loads(out)["results"] == []
 
 
 def test_einstein_search_deterministic_bytes(capsys):

@@ -1,9 +1,12 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from liecurv import linalg
+from liecurv import linalg, nice
 from liecurv.curvature import ricci_general
+from liecurv.derivations import diagonal_derivation_solve
 from liecurv.errors import DegenerateMetricError, NotNiceBasisError
 from liecurv.metric import Metric
 from liecurv.nice import (diagonal_einstein_search, diagonal_ricci,
@@ -14,6 +17,9 @@ N8 = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
 N8_DIAG = (Fraction(1), Fraction(1), Fraction(1), Fraction(1),
            Fraction(-7, 3), Fraction(-7, 3),
            Fraction(98, 15), Fraction(98, 15))
+N8_DIAG_2 = (Fraction(1), Fraction(1), Fraction(-1), Fraction(-1),
+             Fraction(-7, 3), Fraction(7, 3),
+             Fraction(-98, 15), Fraction(-98, 15))
 
 
 def test_nice_basis_accept():
@@ -98,3 +104,70 @@ def test_search_deterministic():
     r1 = diagonal_einstein_search(a, sign_pattern=pattern, seed=3, restarts=15)
     r2 = diagonal_einstein_search(a, sign_pattern=pattern, seed=3, restarts=15)
     assert [r.to_json() for r in r1] == [r.to_json() for r in r2]
+
+
+def _mixed_reference(a, g):
+    """The closed form with Fraction squares met by float g, as Python's
+    mixed arithmetic evaluates it: each square becomes float(c * c)."""
+    out = [0.0] * a.n
+    for (i, j, k), c in a.coeffs.items():
+        c2 = c * c
+        out[k] += 0.5 * g[k] * c2 / (g[i] * g[j])
+        out[i] -= 0.5 * c2 * g[k] / (g[j] * g[i])
+        out[j] -= 0.5 * c2 * g[k] / (g[i] * g[j])
+    return out
+
+
+def test_search_float_loop_matches_closed_form_bit_for_bit(catalog_entries):
+    tensors = [e.parse() for e in catalog_entries if e.exact]
+    tensors = [a for a in tensors if nice_basis_check(a).is_nice]
+    assert len(tensors) >= 45
+    # 1/10 squares to a different double before and after conversion
+    assert float(Fraction(1, 10)) ** 2 != float(Fraction(1, 100))
+    tensors.append(parse_structure("(0,0,1/10*12,3/10*13)"))
+    rng = random.Random(7)
+    for a in tensors:
+        terms = nice._squared_terms(a, True)
+        for _ in range(4):
+            g = [rng.choice((1.0, -1.0)) * math.exp(rng.uniform(-2, 2))
+                 for _ in range(a.n)]
+            want = [x.hex() for x in _mixed_reference(a, g)]
+            assert [x.hex() for x in nice._closed_form(a.n, terms, g, 0.5)] == want
+            assert [x.hex() for x in diagonal_ricci_closed_form(a, g)] == want
+
+
+def test_search_returns_certified_none_without_newton(monkeypatch,
+                                                       catalog_entries):
+    def newton(*args):
+        raise AssertionError("Newton ran although a trace certificate exists")
+    monkeypatch.setattr(nice, "_newton_from", newton)
+    by_name = {e.name: e for e in catalog_entries}
+    heis = parse_structure("(0,0,12)")
+    for a in (heis, by_name["147E(lambda=2)"].parse(),
+              by_name["123457I(lambda=1)"].parse()):
+        assert diagonal_derivation_solve(a).trace_can_be_nonzero
+        assert diagonal_einstein_search(a) == []
+    # argument checks come before the certificate
+    for pattern in ((1, 1), (1, 0, 1)):
+        with pytest.raises(ValueError):
+            diagonal_einstein_search(heis, sign_pattern=pattern)
+    with pytest.raises(ValueError):
+        diagonal_einstein_search(heis, restarts=-1)
+    with pytest.raises(NotNiceBasisError):
+        diagonal_einstein_search(parse_structure("(0,0,0,12,14,15+23+24)"))
+    # a float bracket certifies nothing, even one without coefficients
+    for text in ("(0,0,12)", "(0,0,0)"):
+        with pytest.raises(AssertionError, match="Newton ran"):
+            diagonal_einstein_search(parse_structure(text, exact=False),
+                                     restarts=1)
+
+
+def test_search_without_witness_finds_both_catalogued_metrics():
+    a = parse_structure(N8)
+    assert not diagonal_derivation_solve(a).trace_can_be_nonzero
+    for pattern, diag in (((1, 1, 1, 1, -1, -1, 1, 1), N8_DIAG),
+                          ((1, 1, -1, -1, -1, 1, -1, -1), N8_DIAG_2)):
+        results = diagonal_einstein_search(a, sign_pattern=pattern, seed=0,
+                                           restarts=8)
+        assert any(r.exact and r.diag == diag and r.lam == Fraction(7, 15)
+                   for r in results)

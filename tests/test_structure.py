@@ -35,6 +35,26 @@ def test_parse_decimal_coefficient_float_backend():
     assert not a.exact
 
 
+@pytest.mark.parametrize("text", ["(0,0,0)", "(0,0,12)"])
+def test_float_backend_is_carried_without_coefficients(text):
+    a = parse_structure(text, exact=False)
+    assert not a.exact and not a.to_float().exact
+    assert not parse_structure(text).to_float().exact
+    assert parse_structure(text).exact
+    assert not StructureTensor.from_json(a.to_json(), exact=False).exact
+    assert all(isinstance(c, float) for c in a.coeffs.values())
+    assert killing_form(a).dtype == float and trace_ad(a).dtype == float
+    from liecurv.moment import gauge_structure
+    assert not gauge_structure(linalg.eye(3), a).exact
+
+
+def test_exact_tensor_refuses_float_coefficients():
+    with pytest.raises(ValueError):
+        StructureTensor(3, {(0, 1, 2): 1.5}, exact=True)
+    a = StructureTensor(3, {(0, 1, 2): Fraction(1, 2)}, exact=False)
+    assert a.coeffs == {(0, 1, 2): 0.5}
+
+
 @pytest.mark.parametrize("bad", [
     "(0,0,11)",            # repeated wedge index
     "(0,0,12+12)",         # repeated pair in one slot
