@@ -261,16 +261,28 @@ def _parse_patterns(text, n):
 
 def cmd_einstein_search(args):
     inp = _Inputs(args, need_metric=False)
+    patterns = _parse_patterns(args.patterns, inp.a.n)
     results = []
-    for pattern in _parse_patterns(args.patterns, inp.a.n):
+    for pattern in patterns:
         results.extend(nice.diagonal_einstein_search(
             inp.a, sign_pattern=pattern, seed=args.seed,
             restarts=args.restarts))
-    payload = {"command": "einstein-search", "seed": args.seed,
+    status = nice.search_status(inp.a, patterns, results)
+    payload = {"command": "einstein-search", "seed": args.seed, **status,
                "results": [r.to_json() for r in results]}
     def text():
-        if not results:
+        if status.get("reason") == "trace-obstruction":
+            print(f"none: the diagonal derivation "
+                  f"diag({', '.join(status['witness'])}) has nonzero trace, "
+                  f"so no Einstein metric with s != 0 exists")
+        elif status.get("reason") == "sign-patterns":
+            print("none: no requested sign pattern admits a diagonal "
+                  "Einstein metric with lambda != 0 in this basis")
+        elif not results:
             print("no diagonal Einstein metric found under the search budget")
+        else:
+            print(f"found {len(results)} diagonal Einstein "
+                  f"metric{'s' if len(results) > 1 else ''}")
         for r in results:
             print(f"diag({', '.join(format_scalar(x) for x in r.diag)})"
                   f"  lambda = {format_scalar(r.lam)}"

@@ -8,13 +8,22 @@ diagonal metric has diagonal Ricci tensor, with the closed form
     ric_k = 1/2 g_k sum_{i<j} (a^k_{ij})^2 / (g_i g_j)
           - 1/2 sum_{i,j} (a^j_{ki})^2 g_j / (g_i g_k),
 
-which turns the Einstein condition into n rational equations in the n
-diagonal entries -- the system the damped-Newton search solves per sign
-pattern before rationalizing and re-verifying candidates exactly.  The
-search returns an empty list without running Newton when an exact diagonal
-derivation with nonzero trace exists: by the trace obstruction, such a Lie
-algebra (unimodular, zero Killing form) has no Einstein metric with s != 0,
-so that empty list is a proof of nonexistence.  Any other empty list is a
+that is ric = 1/2 M y, where the term t = (i, j, k) gives M the column
+e_k - e_i - e_j and y_t = (a^k_{ij})^2 g_k / (g_i g_j).  This turns the
+Einstein condition into n rational equations in the n diagonal entries --
+the system the damped-Newton search solves per sign pattern before
+rationalizing and re-verifying candidates exactly.
+
+On an exact Lie bracket that is unimodular with zero Killing form two
+exact arguments come first.  If 1 is not in the image of M, a diagonal
+derivation of nonzero trace exists, and by the trace obstruction no
+Einstein metric with s != 0 exists at all.  Otherwise a sign pattern
+sigma is skipped when no y with M y in R 1 has the signs
+sign(y_t) = sigma_i sigma_j sigma_k, a linear feasibility question
+decided exactly by Fourier-Motzkin elimination.  When every requested
+pattern fails it, no diagonal Einstein metric with lambda != 0 exists in
+the given basis; metrics that are not diagonal in it are not covered.
+`search_status` states which of these holds; any other empty result is a
 statement about the search budget only.
 """
 
@@ -34,7 +43,8 @@ from .curvature import ricci_killing_zero
 from .derivations import diagonal_derivation_solve
 from .errors import DegenerateMetricError, NotNiceBasisError
 from .metric import Metric
-from .scalars import DEFAULT_TOL, Scalar, is_zero, rationalize
+from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
+                      rationalize)
 from .structure import StructureTensor, is_lie, is_unimodular, killing_form
 
 
@@ -131,7 +141,6 @@ class EinsteinMetricResult:
     exact: bool
 
     def to_json(self) -> dict:
-        from .scalars import format_scalar
         return {"pattern": list(self.pattern),
                 "diag": [format_scalar(x) for x in self.diag],
                 "lambda": format_scalar(self.lam),
@@ -196,22 +205,86 @@ def _verify_exact(a: StructureTensor, diag):
     return lam
 
 
+def _closed_form_is_ricci(a: StructureTensor) -> bool:
+    """Exact, Lie, unimodular, zero Killing form: the class ricci_killing_zero
+    accepts.  There the closed form is the Ricci tensor exactly and the
+    trace obstruction applies, so the exact tests below are proofs."""
+    return (a.exact and is_lie(a) and is_unimodular(a)
+            and linalg.mat_is_zero(killing_form(a), a.tol))
+
+
+def _pattern_feasible(a: StructureTensor, pattern) -> bool:
+    """Whether some y with M y = 2 lambda 1, lambda != 0, has the signs
+    sign(y_t) = pattern_i pattern_j pattern_k that the metric's signs force.
+
+    Rescaling g by a positive factor rescales y, so lambda is free and the
+    question is whether the strict system s_t (B w)_t > 0 is solvable, B
+    spanning {y : M y in R 1} (see StructureTensor._einstein_span): an open
+    set, so a solution with lambda = 0 would have neighbours with lambda != 0.
+    """
+    span = a._einstein_span
+    if span is None:
+        return False
+    return _strictly_solvable(
+        [row if pattern[i] * pattern[j] * pattern[k] > 0 else
+         tuple(-x for x in row) for (i, j, k), row in span])
+
+
+# Fourier-Motzkin can grow doubly exponentially; past this many new rows in
+# one step the pattern counts as feasible, and Newton decides as before
+_FM_ROWS = 4096
+
+
+def _strictly_solvable(rows) -> bool:
+    """Whether some w has r . w > 0 for every integer row r.
+
+    Fourier-Motzkin elimination, each step on the variable that pairs the
+    fewest rows: a positive and a negative coefficient combine into one
+    row without it; a variable of one sign only drops its rows.
+    """
+    def primitive(r):
+        g = math.gcd(*r)
+        return tuple(x // g for x in r) if g else r
+
+    rows = {primitive(r) for r in rows}
+    live = set(range(len(next(iter(rows), ()))))
+    while live:
+        def pairs(c):
+            return sum(r[c] > 0 for r in rows) * sum(r[c] < 0 for r in rows)
+        c = min(sorted(live), key=pairs)
+        if pairs(c) > _FM_ROWS:
+            return True
+        live.remove(c)
+        pos = [r for r in rows if r[c] > 0]
+        neg = [r for r in rows if r[c] < 0]
+        rows = {r for r in rows if r[c] == 0}
+        rows.update(primitive(tuple(p[c] * x - q[c] * y for x, y in zip(q, p)))
+                    for p in pos for q in neg)
+    return not rows       # what is left are zero rows, 0 > 0
+
+
+def _all_patterns(n: int):
+    return [(1,) + p for p in itertools.product((1, -1), repeat=n - 1)]
+
+
 def diagonal_einstein_search(a: StructureTensor,
                              sign_pattern: Optional[Sequence[int]] = None,
                              seed: int = 0, restarts: int = 200,
                              max_iter: int = 100):
     """Search for diagonal metrics with ric = lambda Id, lambda != 0.
 
-    On an exact Lie bracket that is unimodular with zero Killing form and
-    has a diagonal derivation of nonzero trace, the empty list is returned
-    at once, and it is a proof: that derivation rules out every Einstein
-    metric with s != 0 (the trace obstruction).  Otherwise Newton runs on
-    log-magnitudes with the signs frozen per pattern; the first entry is
-    normalized to sign_pattern[0].  Candidates are rationalized by
-    continued fractions (denominators up to 10^6) and kept only if they
-    re-verify exactly, or -- failing rationalization -- if the float
-    residual is below 1e-10.  There an empty list is a budget statement,
-    never a nonexistence proof.
+    On an exact Lie bracket that is unimodular with zero Killing form, the
+    empty list is returned at once when a diagonal derivation of nonzero
+    trace exists (1 not in the image of M): that derivation rules out every
+    Einstein metric with s != 0 (the trace obstruction).  There a sign
+    pattern that fails the exact sign test is skipped without a Newton run;
+    its starts are still drawn, so the other patterns see the same ones.
+    Newton runs on log-magnitudes with the signs frozen per pattern; the
+    first entry is normalized to sign_pattern[0].  Candidates are
+    rationalized by continued fractions (denominators up to 10^6) and kept
+    only if they re-verify exactly, or -- failing rationalization -- if the
+    float residual is below 1e-10.  `search_status` says whether an empty
+    list is a proof or a budget statement.
     """
     report = nice_basis_check(a)
     if not report.is_nice:
@@ -225,17 +298,19 @@ def diagonal_einstein_search(a: StructureTensor,
             raise ValueError(f"sign pattern must be n entries of +-1, got {pattern}")
         patterns = [pattern]
     else:
-        patterns = [(1,) + p for p in itertools.product((1, -1), repeat=n - 1)]
-    # the trace obstruction, on the class ricci_killing_zero accepts
-    if (a.exact and is_lie(a) and is_unimodular(a)
-            and linalg.mat_is_zero(killing_form(a), a.tol)
-            and diagonal_derivation_solve(a).trace_can_be_nonzero):
+        patterns = _all_patterns(n)
+    proven = _closed_form_is_ricci(a)
+    if proven and a._einstein_span is None:
         return []
     terms = _squared_terms(a, True)
     rng = random.Random(seed)
     results = []
     seen = set()
     for pattern in patterns:
+        if proven and not _pattern_feasible(a, pattern):
+            for _ in range(restarts * (n - 1)):
+                rng.random()        # the starts its Newton runs would take
+            continue
         for _ in range(restarts):
             u0 = [rng.uniform(-2, 2) for _ in range(n - 1)]
             g = _newton_from(n, terms, pattern, u0, max_iter)
@@ -263,3 +338,28 @@ def diagonal_einstein_search(a: StructureTensor,
                         pattern, tuple(g), ric[0], ric[0] * n, False))
     results.sort(key=lambda r: (r.pattern, tuple(map(float, r.diag))))
     return results
+
+
+def search_status(a: StructureTensor, sign_patterns, results) -> dict:
+    """What a search over `sign_patterns` (None standing for all) that
+    returned `results` establishes, as JSON fields.
+
+    "found" when there are results.  "none" when the empty result is
+    proven: with reason "trace-obstruction" and the diagonal derivation of
+    nonzero trace as witness, no Einstein metric with s != 0 exists; with
+    reason "sign-patterns", no requested pattern passes the exact sign
+    test, so no diagonal Einstein metric with lambda != 0 exists in this
+    basis.  "budget" otherwise.
+    """
+    if results:
+        return {"status": "found"}
+    if _closed_form_is_ricci(a):
+        if a._einstein_span is None:
+            witness = diagonal_derivation_solve(a).trace_witness
+            return {"status": "none", "reason": "trace-obstruction",
+                    "witness": [format_scalar(x) for x in witness]}
+        patterns = [q for p in sign_patterns
+                    for q in (_all_patterns(a.n) if p is None else [p])]
+        if not any(_pattern_feasible(a, p) for p in patterns):
+            return {"status": "none", "reason": "sign-patterns"}
+    return {"status": "budget"}

@@ -14,6 +14,7 @@ the test suite are transcribed under this convention.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,6 +104,32 @@ class StructureTensor:
             for j in range(i, self.n):
                 B[i, j] = B[j, i] = linalg.sparse_frob(ads[i], ads[j].T)
         return _read_only(B)
+
+    @cached_property
+    def _einstein_span(self) -> Optional[tuple]:
+        """The linear part of the diagonal Einstein condition on a nice basis.
+
+        There ric = 1/2 M y for diag(g): M is the n x m matrix whose column
+        for the term (i, j, k) is e_k - e_i - e_j, and y_t = (a^k_ij)^2
+        g_k / (g_i g_j).  Returns ((i, j, k), row) for each term of
+        sorted(coeffs), the rows of an integer basis of {y : M y in R 1};
+        None when 1 is not in the image of M, which holds exactly when a
+        diagonal derivation of nonzero trace exists.
+        """
+        terms = sorted(self.coeffs)
+        M = linalg.zeros((self.n, len(terms) + 1))
+        for t, (i, j, k) in enumerate(terms):
+            M[k, t] += 1
+            M[i, t] -= 1
+            M[j, t] -= 1
+        M[:, -1] = Fraction(-1)
+        basis = linalg.nullspace(M)          # vectors (y, s) with M y = s 1
+        if all(v[-1] == 0 for v in basis):
+            return None
+        cols = [[x * math.lcm(*(x.denominator for x in v)) for x in v[:-1]]
+                for v in basis]
+        return tuple(zip(terms, (tuple(int(x) for x in row)
+                                 for row in zip(*cols))))
 
     @cached_property
     def _report(self) -> "ClassifyReport":

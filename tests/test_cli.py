@@ -179,8 +179,38 @@ def test_einstein_search_cli(capsys):
                        "--patterns", "+,+,+,+,-,-,+,+", "--seed", "0",
                        "--restarts", "25", "--output", "json")
     assert code == 0
-    results = json.loads(out)["results"]
-    assert any(r["lambda"] == "7/15" and r["exact"] for r in results)
+    payload = json.loads(out)
+    assert payload["status"] == "found" and "reason" not in payload
+    assert any(r["lambda"] == "7/15" and r["exact"] for r in payload["results"])
+
+
+def test_einstein_search_status(capsys):
+    n8 = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
+    cases = (
+        ([HEIS], {"status": "none", "reason": "trace-obstruction",
+                  "witness": ["1", "0", "1"]},
+         "none: the diagonal derivation diag(1, 0, 1) has nonzero trace"),
+        ([n8, "--patterns", "+,+,+,+,+,+,+,+;+,-,+,-,+,-,+,-"],
+         {"status": "none", "reason": "sign-patterns"},
+         "none: no requested sign pattern admits a diagonal Einstein metric"),
+        ([n8, "--restarts", "0"], {"status": "budget"},
+         "no diagonal Einstein metric found under the search budget"),
+        # a float bracket proves nothing
+        ([HEIS, "--backend", "float", "--restarts", "2"], {"status": "budget"},
+         "no diagonal Einstein metric found under the search budget"),
+        ([n8, "--patterns", "+,+,+,+,-,-,+,+", "--restarts", "8"],
+         {"status": "found"}, "found 1 diagonal Einstein metric\n"),
+    )
+    for argv, fields, line in cases:
+        code, out, _ = run(capsys, "einstein-search", "--structure", *argv,
+                           "--output", "json")
+        payload = json.loads(out)
+        assert code == 0
+        assert {k: payload[k] for k in payload
+                if k in ("status", "reason", "witness")} == fields
+        assert (payload["results"] == []) == (fields["status"] != "found")
+        code, out, _ = run(capsys, "einstein-search", "--structure", *argv)
+        assert code == 0 and out.startswith(line)
 
 
 def test_einstein_search_rejects_negative_restarts(capsys):

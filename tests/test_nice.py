@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -171,3 +172,100 @@ def test_search_without_witness_finds_both_catalogued_metrics():
                                            restarts=8)
         assert any(r.exact and r.diag == diag and r.lam == Fraction(7, 15)
                    for r in results)
+
+
+N8_FEASIBLE = {
+    (1, 1, 1, 1, -1, 1, 1, 1), (1, 1, 1, 1, -1, -1, 1, 1),
+    (1, 1, -1, -1, -1, 1, -1, -1), (1, 1, -1, -1, -1, -1, -1, -1),
+    (1, -1, 1, 1, 1, 1, 1, -1), (1, -1, 1, 1, -1, 1, -1, 1),
+    (1, -1, -1, -1, 1, -1, -1, 1), (1, -1, -1, -1, -1, -1, 1, -1),
+}
+
+
+def _gated_nice_entries(catalog_entries):
+    tensors = [(e.name, e.parse()) for e in catalog_entries if e.exact]
+    return [(name, a) for name, a in tensors
+            if nice_basis_check(a).is_nice and nice._closed_form_is_ricci(a)]
+
+
+def test_sign_test_keeps_exactly_eight_patterns_of_n8():
+    a = parse_structure(N8)
+    feasible = {p for p in nice._all_patterns(8) if nice._pattern_feasible(a, p)}
+    assert feasible == N8_FEASIBLE
+    assert tuple(1 if x > 0 else -1 for x in N8_DIAG) in feasible
+    assert tuple(1 if x > 0 else -1 for x in N8_DIAG_2) in feasible
+
+
+def test_sign_test_agrees_with_trace_witness(catalog_entries):
+    entries = _gated_nice_entries(catalog_entries)
+    assert len(entries) >= 44
+    obstructed = 0
+    for name, a in entries:
+        witness = diagonal_derivation_solve(a).trace_can_be_nonzero
+        # 1 is outside the image of M exactly when the witness exists
+        assert (a._einstein_span is None) == witness, name
+        if witness:
+            obstructed += 1
+            assert not any(nice._pattern_feasible(a, p)
+                           for p in nice._all_patterns(a.n)), name
+    assert obstructed == len(entries) - 1
+
+
+def test_strictly_solvable_small_systems():
+    assert nice._strictly_solvable([(1, 0), (0, 1), (1, -1)])
+    assert not nice._strictly_solvable([(1, 0), (-1, 0)])
+    assert not nice._strictly_solvable([(1, 1), (-1, 0), (0, -1)])
+    assert not nice._strictly_solvable([(0, 0)])
+    assert nice._strictly_solvable([(2, -1, 0), (0, 1, -3), (-1, 0, 1)])
+    assert not nice._strictly_solvable([(1, -1, 0), (0, 1, -1), (-1, 0, 1)])
+    assert nice._strictly_solvable([])
+    # past the row budget the answer is "feasible", which prunes nothing
+    rows = [(s, k) for s in (1, -1) for k in range(-80, 81)]
+    assert nice._strictly_solvable(rows)
+    assert not nice._strictly_solvable(rows[:3] + [(-1, 0), (1, 0)])
+
+
+def test_pruned_pattern_never_runs_newton(monkeypatch):
+    def newton(*args):
+        raise AssertionError("Newton ran on a pattern the sign test rules out")
+    monkeypatch.setattr(nice, "_newton_from", newton)
+    a = parse_structure(N8)
+    for p in nice._all_patterns(8):
+        if p not in N8_FEASIBLE:
+            assert diagonal_einstein_search(a, sign_pattern=p, restarts=5) == []
+    status = nice.search_status(a, [(1,) * 8], [])
+    assert status == {"status": "none", "reason": "sign-patterns"}
+
+
+def test_prune_keeps_the_search_output(monkeypatch):
+    # a skipped pattern still draws its starts, so every later pattern
+    # sees the same ones as without the sign test
+    a = parse_structure(N8)
+    pruned = diagonal_einstein_search(a, seed=2, restarts=3)
+    monkeypatch.setattr(nice, "_pattern_feasible", lambda a, p: True)
+    unpruned = diagonal_einstein_search(a, seed=2, restarts=3)
+    assert pruned
+    assert [r.to_json() for r in pruned] == [r.to_json() for r in unpruned]
+
+
+def test_all_patterns_find_both_catalogued_metrics_within_budget():
+    a = parse_structure(N8)
+    start = time.monotonic()
+    results = diagonal_einstein_search(a)
+    assert time.monotonic() - start < 40.0
+    for diag in (N8_DIAG, N8_DIAG_2):
+        assert any(r.exact and r.diag == diag and r.lam == Fraction(7, 15)
+                   for r in results)
+    assert nice.search_status(a, [None], results) == {"status": "found"}
+
+
+def test_closed_form_is_the_ricci_tensor_on_gated_entries(catalog_entries):
+    # the "none" answers rest on ric = 1/2 M y holding exactly there
+    rng = random.Random(11)
+    for name, a in _gated_nice_entries(catalog_entries):
+        for _ in range(2):
+            diag = [Fraction(rng.choice((1, -1)) * rng.randint(1, 9),
+                             rng.randint(1, 5)) for _ in range(a.n)]
+            entries, off = diagonal_ricci(a, diag)
+            assert off == 0, name
+            assert diagonal_ricci_closed_form(a, diag) == entries, name
