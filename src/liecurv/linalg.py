@@ -7,12 +7,17 @@ zero, so every exact computation rests on two sparse kernels:
 - one Gauss-Jordan elimination, `rref`, which holds each row as a
   {column: entry} dict of its nonzeros; rank, kernel, row space and
   inverse all go through it.  Pivots are chosen by least `bit_size`: least
-  bit length on the exact backend (keeps intermediate fractions small),
+  bit length on the exact backend (keeps intermediate integers small),
   largest magnitude on the float backend;
 - one matrix product, `sparse_mm`, and one Frobenius pairing,
   `sparse_frob`, which skip zero entries; every exact matrix product and
   tensor contraction is one of them, a tensor contraction being a product
   of reshaped arrays.  On floats they fall back to BLAS.
+
+The exact branches of both kernels compute on Python ints: `as_integers`
+writes a row or an operand as integers over one common denominator, and a
+Fraction is built once per nonzero output entry.  Inputs and outputs are
+Fractions throughout.
 
 Output ordering is deterministic.
 """
@@ -20,7 +25,7 @@ Output ordering is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from .scalars import DEFAULT_TOL, bit_size, is_zero
 
 __all__ = [
     "zeros", "eye", "from_rows", "to_float", "is_float_array",
-    "mat_equal", "mat_is_zero", "sparse_mm", "sparse_frob",
+    "mat_equal", "mat_is_zero", "as_integers", "sparse_mm", "sparse_frob",
     "rref", "rank", "nullspace", "row_space", "inv", "sylvester_signature",
 ]
 
@@ -68,6 +73,17 @@ def to_float(M: np.ndarray) -> np.ndarray:
     return M.astype(float)
 
 
+def as_integers(xs):
+    """(n, d): integers n_i and one common denominator d > 0 with
+    xs[i] == n_i / d, for a sequence of exact scalars; d is 1 when there are
+    none."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = lcm(*{e for _, e in ratios})
+    if d == 1:
+        return [n for n, _ in ratios], d
+    return [n * (d // e) for n, e in ratios], d
+
+
 def sparse_mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product contracting the last axis of A with the first axis of B, as
     np.tensordot(A, B, 1): A @ B for matrices.  Zero entries are skipped;
@@ -77,16 +93,22 @@ def sparse_mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = B.reshape(B.shape[0], prod(B.shape[1:]))
     if is_float_array(A) or is_float_array(B):
         return (np.asarray(A, dtype=float) @ np.asarray(B, dtype=float)).reshape(shape)
+    m, k = A.shape
     p = B.shape[1]
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in B.tolist()]
-    C = zeros((A.shape[0], p))
-    for i, a_row in enumerate(A.tolist()):
-        c_row = [Fraction(0)] * p
-        for x, b_row in zip(a_row, b_rows):
+    na, da = as_integers(A.ravel().tolist())
+    nb, db = as_integers(B.ravel().tolist())
+    b_rows = [[(j, y) for j, y in enumerate(nb[r * p:(r + 1) * p]) if y]
+              for r in range(k)]
+    d = da * db
+    zero = Fraction(0)
+    C = np.empty((m, p), dtype=object)
+    for i in range(m):
+        c_row = [0] * p
+        for x, b_row in zip(na[i * k:(i + 1) * k], b_rows):
             if x:
                 for j, y in b_row:
                     c_row[j] += x * y
-        C[i] = c_row
+        C[i] = [Fraction(v, d) if v else zero for v in c_row]
     return C.reshape(shape)
 
 
@@ -94,11 +116,9 @@ def sparse_frob(A: np.ndarray, B: np.ndarray):
     """Frobenius pairing, the sum of A * B over all entries, skipping zeros."""
     if is_float_array(A) or is_float_array(B):
         return float(np.sum(A * B))
-    total = Fraction(0)
-    for x, y in zip(A.ravel().tolist(), B.ravel().tolist()):
-        if x and y:
-            total += x * y
-    return total
+    na, da = as_integers(A.ravel().tolist())
+    nb, db = as_integers(B.ravel().tolist())
+    return Fraction(sum(x * y for x, y in zip(na, nb) if x and y), da * db)
 
 
 def mat_is_zero(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -111,13 +131,29 @@ def mat_equal(A: np.ndarray, B: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return all(is_zero(a - b, tol) for a, b in zip(A.flat, B.flat))
 
 
+def _primitive(row: dict) -> dict:
+    """Divide an integer row by its content, the gcd of its entries."""
+    k = gcd(*row.values())
+    if k > 1:
+        for c in row:
+            row[c] //= k
+    return row
+
+
 def rref(M: np.ndarray, tol: float = DEFAULT_TOL):
     """Reduced row echelon form; returns (R, pivot_columns).
 
     The pivot is the remaining row of least `bit_size`, lowest row on ties;
-    entries with `is_zero` are neither pivots nor eliminated."""
+    entries with `is_zero` are neither pivots nor eliminated.  Exact rows are
+    eliminated fraction-free (Bareiss, Math. Comp. 22, 1968) as primitive
+    integer rows, and each pivot row is divided by its pivot only when R is
+    written; the reduced echelon form is unique, so R is the same."""
     n_rows, n_cols = M.shape
+    exact = not is_float_array(M)
     rows = [{c: x for c, x in enumerate(row) if x} for row in M.tolist()]
+    if exact:
+        rows = [_primitive(dict(zip(row, as_integers(list(row.values()))[0])))
+                for row in rows]
     pivots = []
     for col in range(n_cols):
         top = len(pivots)
@@ -131,23 +167,33 @@ def rref(M: np.ndarray, tol: float = DEFAULT_TOL):
         rows[top], rows[piv] = rows[piv], rows[top]
         p = rows[top]
         d = p[col]
-        for c, x in p.items():
-            p[c] = x / d
+        if not exact:
+            for c, x in p.items():
+                p[c] = x / d
         for r, row in enumerate(rows):
             f = row.get(col)
             if r == top or f is None or is_zero(f, tol):
                 continue
+            if exact:
+                # row <- (d/g) row - (f/g) p, g = gcd(d, f)
+                g = gcd(d, f)
+                scale, f = d // g, f // g
+                if scale != 1:
+                    for c in row:
+                        row[c] *= scale
             for c, x in p.items():
                 y = row.get(c, 0) - f * x
                 if y:
                     row[c] = y
                 else:
                     del row[c]
+            if exact:
+                _primitive(row)
         pivots.append(col)
-    R = zeros((n_rows, n_cols), not is_float_array(M))
+    R = zeros((n_rows, n_cols), exact)
     for r, row in enumerate(rows):
         for c, x in row.items():
-            R[r, c] = x
+            R[r, c] = Fraction(x, row[pivots[r]]) if exact else x
     return R, pivots
 
 

@@ -59,9 +59,11 @@ def rationalize(x: float, max_denominator: int = 10**6) -> Fraction:
     return Fraction(x).limit_denominator(max_denominator)
 
 
-def bit_size(x: Scalar) -> float:
+def bit_size(x: Scalar | int) -> float:
     """Pivot-selection size measure, smaller is better: total bit length of
-    a rational (cheaper exact pivot), -|x| for a float (stabler pivot)."""
+    a rational or an integer (cheaper exact pivot; `linalg.rref` takes it on
+    the integer rows of its fraction-free elimination), -|x| for a float
+    (stabler pivot)."""
     if isinstance(x, float):
         return -abs(x)
     return x.numerator.bit_length() + x.denominator.bit_length()

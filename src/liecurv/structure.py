@@ -14,7 +14,6 @@ the test suite are transcribed under this convention.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,10 +125,8 @@ class StructureTensor:
         basis = linalg.nullspace(M)          # vectors (y, s) with M y = s 1
         if all(v[-1] == 0 for v in basis):
             return None
-        cols = [[x * math.lcm(*(x.denominator for x in v)) for x in v[:-1]]
-                for v in basis]
-        return tuple(zip(terms, (tuple(int(x) for x in row)
-                                 for row in zip(*cols))))
+        cols = [linalg.as_integers(v.tolist())[0][:-1] for v in basis]
+        return tuple(zip(terms, zip(*cols)))
 
     @cached_property
     def _report(self) -> "ClassifyReport":

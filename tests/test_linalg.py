@@ -1,12 +1,14 @@
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
-from liecurv import linalg
+from liecurv import curvature, linalg, metric, moment
 from liecurv.cli import main
+from liecurv.derivations import derivation_space
 from liecurv.errors import DegenerateMetricError
 from liecurv.scalars import DEFAULT_TOL, bit_size, close, is_zero, parse_scalar
 
@@ -95,19 +97,35 @@ def dense_rref(M, tol=DEFAULT_TOL):
     return R, pivots
 
 
+# pairwise coprime denominators up to 10**6: the primes just below it
+BIG_PRIMES = [p for p in range(10**6 - 4999, 10**6, 2)
+              if all(p % q for q in range(3, 1001, 2))]
+
+
+def big_entries(rng, count):
+    """`count` Fractions with numerators up to 2**40 in size over pairwise
+    coprime denominators near 10**6."""
+    return iter([Fraction(rng.randint(-2**40, 2**40), d)
+                 for d in rng.sample(BIG_PRIMES, count)])
+
+
 def random_kernel_input(kind, seed):
     """Seeded test matrix: exact sparse/dense of several shapes, with zero and
-    repeated rows, or float (dense, sparse, rank-deficient, with pivot
-    magnitude ties, with a column below the tolerance)."""
+    repeated rows, or with big pairwise coprime denominators, or float
+    (dense, sparse, rank-deficient, with pivot magnitude ties, with a column
+    below the tolerance)."""
     rng = random.Random(seed)
     rows, cols = rng.choice([(6, 6), (9, 5), (5, 9), (12, 20), (20, 12)])
     density = {"sparse": 0.2, "degenerate": 0.3, "float-sparse": 0.25,
-               "float-tiny": 0.3}.get(kind, 1.0)
+               "float-tiny": 0.3, "big-denominators": 0.6}.get(kind, 1.0)
     exact = not kind.startswith("float")
+    big = big_entries(rng, rows * cols) if kind == "big-denominators" else None
 
     def entry():
         if rng.random() >= density:
             return 0
+        if kind == "big-denominators":
+            return next(big)
         if exact:
             return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         if kind == "float-ties":
@@ -131,9 +149,9 @@ def random_kernel_input(kind, seed):
     return linalg.from_rows(data, exact)
 
 
-@pytest.mark.parametrize("kind", ["sparse", "dense", "degenerate", "float",
-                                  "float-sparse", "float-low-rank", "float-ties",
-                                  "float-tiny"])
+@pytest.mark.parametrize("kind", ["sparse", "dense", "degenerate",
+                                  "big-denominators", "float", "float-sparse",
+                                  "float-low-rank", "float-ties", "float-tiny"])
 @pytest.mark.parametrize("seed", range(6))
 def test_rref_matches_dense_oracle(kind, seed):
     M = random_kernel_input(kind, seed)
@@ -147,6 +165,19 @@ def test_rref_matches_dense_oracle(kind, seed):
     assert [[type(x) for x in row] for row in R.tolist()] == \
         [[type(x) for x in row] for row in R_ref.tolist()]
     assert (R == R_ref).all()
+    if linalg.is_float_array(M):
+        return
+    # every exact output entry is a Fraction, zeros included, never an int
+    null = linalg.nullspace(M)
+    assert len(null) == M.shape[1] - len(pivots)
+    for v in null:
+        assert all(x == 0 for x in M @ v)
+    outputs = [R] + null
+    if len(pivots) == M.shape[0] == M.shape[1]:
+        Minv = linalg.inv(M)
+        assert linalg.mat_equal(M @ Minv, linalg.eye(M.shape[0]))
+        outputs.append(Minv)
+    assert {type(x) for X in outputs for x in X.flat} == {Fraction}
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -216,24 +247,32 @@ def test_signature_float_matches_exact():
 
 def random_product_input(kind, seed):
     """Seeded operands (A, B, C) for the product A.B and the pairing <A, C>:
-    exact sparse/dense, with zero rows and columns, the reshaped shapes of a
-    tensor contraction (n x n^2 by n^2 x n, n^2 x n by n x n), 3-index
+    exact sparse/dense, with zero rows and columns, with big pairwise coprime
+    denominators, with a zero-length contraction axis, the reshaped shapes
+    of a tensor contraction (n x n^2 by n^2 x n, n^2 x n by n x n), 3-index
     arrays, or float."""
     rng = random.Random(seed)
     n = rng.choice([3, 4, 5])
     shapes = {"wide": ((n, n * n), (n * n, n)), "tall": ((n * n, n), (n, n)),
               "tensor-left": ((n, n, n), (n, n)),
-              "tensor-right": ((n, n), (n, n, n))}
+              "tensor-right": ((n, n), (n, n, n)),
+              "empty-axis": ((n + 1, 0), (0, n + 2))}
     a_shape, b_shape = shapes.get(kind, ((n + 1, n), (n, n + 2)))
-    density = 1.0 if kind in ("dense", "float") else 0.3
+    density = {"dense": 1.0, "float": 1.0, "big-denominators": 0.6}.get(kind, 0.3)
     exact = not kind.startswith("float")
+    big = (big_entries(rng, 2 * prod(a_shape) + prod(b_shape))
+           if kind == "big-denominators" else None)
 
     def array(shape):
         M = linalg.zeros(shape, exact)
         for idx in np.ndindex(*shape):
             if rng.random() < density:
-                M[idx] = (Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if exact
-                          else rng.uniform(-3, 3))
+                if kind == "big-denominators":
+                    M[idx] = next(big)
+                elif exact:
+                    M[idx] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                else:
+                    M[idx] = rng.uniform(-3, 3)
         return M
 
     A, B, C = array(a_shape), array(b_shape), array(a_shape)
@@ -245,7 +284,8 @@ def random_product_input(kind, seed):
     return A, B, C
 
 
-@pytest.mark.parametrize("kind", ["sparse", "dense", "zero-lines", "wide", "tall",
+@pytest.mark.parametrize("kind", ["sparse", "dense", "zero-lines",
+                                  "big-denominators", "empty-axis", "wide", "tall",
                                   "tensor-left", "tensor-right", "float",
                                   "float-sparse"])
 @pytest.mark.parametrize("seed", range(4))
@@ -264,3 +304,39 @@ def test_sparse_product_matches_dense_oracle(kind, seed):
     else:
         assert {type(x) for x in got.flat} == {Fraction}
         assert type(frob) is Fraction
+
+
+def unit_bidiagonal_inverse(rng, n):
+    """A dense integral change of basis: the inverse of a unit upper
+    bidiagonal matrix with random signs, integral and full above the
+    diagonal."""
+    U = linalg.eye(n)
+    for i in range(n - 1):
+        U[i, i + 1] = Fraction(rng.choice((-1, 1)))
+    return linalg.inv(U)
+
+
+@pytest.mark.parametrize("name,metric_text", [
+    ("(0,0,12,13,23)", "diag(1,1,1,1,1)"),
+    ("a_lambda(lambda=2)", "e1.e4+e2.e5+e3.e6"),
+    ("12457N(lambda=1/2)", "diag(1,-1,1,2,-1,1,3)"),
+    ("n8-einstein", "diag(1,1,1,1,-7/3,-7/3,98/15,98/15)"),
+])
+def test_invariants_survive_a_dense_integral_basis(catalog_entries, name,
+                                                   metric_text):
+    """Dense integral brackets and metrics are where the exact kernels do the
+    most integer work: Der(g), its trace and the Einstein constant must not
+    see the change of basis."""
+    entry = next(e for e in catalog_entries if e.name == name)
+    a = entry.parse()
+    S = metric.parse_metric(metric_text, a.n)
+    g = unit_bidiagonal_inverse(random.Random(name), a.n)
+    ga, gS = moment.gauge_structure(g, a), moment.gauge_metric(g, S)
+    assert sum(1 for x in ga.as_array().flat if x != 0) > \
+        sum(1 for x in a.as_array().flat if x != 0)
+    der, gder = derivation_space(a), derivation_space(ga)
+    assert (gder.dim, gder.has_nonzero_trace) == (der.dim, der.has_nonzero_trace)
+    ric, gric = curvature.ricci_general(a, S), curvature.ricci_general(ga, gS)
+    assert (gric.einstein, gric.scalar) == (ric.einstein, ric.scalar)
+    if name == "n8-einstein":
+        assert gric.einstein == Fraction(7, 15)
