@@ -256,7 +256,7 @@ def _parse_patterns(text, n):
             raise LieCurvError(
                 f"pattern {chunk!r} must be {n} comma-separated signs")
         pats.append(tuple(-1 if s.startswith("-") else 1 for s in signs))
-    return pats
+    return list(dict.fromkeys(pats))     # a repeated pattern is searched once
 
 
 def cmd_einstein_search(args):

@@ -12,7 +12,11 @@ that is ric = 1/2 M y, where the term t = (i, j, k) gives M the column
 e_k - e_i - e_j and y_t = (a^k_{ij})^2 g_k / (g_i g_j).  This turns the
 Einstein condition into n rational equations in the n diagonal entries --
 the system the damped-Newton search solves per sign pattern before
-rationalizing and re-verifying candidates exactly.
+rationalizing and re-verifying candidates exactly.  In u = log|g| the
+terms are y = w exp(M^T u), w_t = sigma_i sigma_j sigma_k (a^k_ij)^2, so
+the Jacobian of ric is 1/2 M diag(y) M^T in closed form.  Newton runs on
+the squares divided by a power of two near their largest, which makes its
+thresholds relative to the size of the bracket.
 
 On an exact Lie bracket that is unimodular with zero Killing form two
 exact arguments come first.  If 1 is not in the image of M, a diagonal
@@ -148,51 +152,71 @@ class EinsteinMetricResult:
                 "exact": self.exact}
 
 
-def _float_residual(n: int, terms, g: Sequence[float]):
-    ric = _closed_form(n, terms, g, 0.5)
-    return np.array([x - ric[0] for x in ric[1:]], dtype=float)
+def _search_terms(a: StructureTensor):
+    """Float terms (i, j, k, (a^k_ij)^2 / 2^e), 2^e <= max (a^k_ij)^2 <
+    2^(e+1), and e.  Rescaling the bracket rescales ric and keeps its
+    Einstein metrics, so the search's thresholds hold on these quotients.
+    Each is formed exactly, then converted: at e = 0 they are the floats of
+    `_squared_terms`."""
+    squares = _squared_terms(a, False)
+    top = max((c2 for *_, c2 in squares), default=0)
+    e = 0
+    if 0 < top < math.inf:
+        top = Fraction(top)
+        e = top.numerator.bit_length() - top.denominator.bit_length()
+        e -= top < Fraction(2) ** e
+    return [(i, j, k, float(c2 / Fraction(2) ** e))
+            for i, j, k, c2 in squares], e
 
 
-def _newton_from(n: int, terms, signs, u0, max_iter: int):
+def _residual(M, w, u):
+    """(residual, y) at u = log|g_i|, i >= 2, with g_1 = +-1 and each u_i
+    clamped to [-60, 60]: y = w exp(M^T (0, u)), w_t = sigma_i sigma_j
+    sigma_k (a^k_ij)^2, ric = 1/2 M y, residual_i = ric_i - ric_1."""
+    y = w * np.exp(M[1:].T @ u.clip(-60.0, 60.0))
+    ric = 0.5 * (M @ y)
+    return ric[1:] - ric[0], y
+
+
+def _jacobian(M, y):
+    """The residual's Jacobian in u, from that of ric: 1/2 M diag(y) M^T."""
+    A = (M * y) @ M[1:].T
+    return 0.5 * (A[1:] - A[0])
+
+
+def _newton_from(M, w, signs, u0, max_iter: int):
     """Damped Newton on u = log|g_i| (i >= 2; g_1 fixed to signs[0])."""
-    u = np.array(u0, dtype=float)
-
     def gvec(u):
         g = [float(signs[0])]
         g += [s * math.exp(min(max(x, -60.0), 60.0))
               for s, x in zip(signs[1:], u.tolist())]
         return g
 
-    F = _float_residual(n, terms, gvec(u))
+    u = np.array(u0, dtype=float)
+    F, y = _residual(M, w, u)
     for _ in range(max_iter):
-        norm = np.max(np.abs(F))
+        norm = abs(F).max()
         if norm < 1e-13:
             return gvec(u)
-        J = np.empty((n - 1, n - 1))
-        h = 1e-7
-        for c in range(n - 1):
-            up = u.copy()
-            up[c] += h
-            J[:, c] = (_float_residual(n, terms, gvec(up)) - F) / h
         try:
-            step = np.linalg.solve(J, -F)
+            step = np.linalg.solve(_jacobian(M, y), -F)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step)):
             return None
         t = 1.0
         while t > 1e-6:
-            Fn = _float_residual(n, terms, gvec(u + t * step))
-            if np.max(np.abs(Fn)) < norm:
+            Fn, yn = _residual(M, w, u + t * step)
+            if abs(Fn).max() < norm:
                 u = u + t * step
-                F = Fn
+                F, y = Fn, yn
                 break
             t /= 2
         else:
             return None
-        if np.max(np.abs(u)) > 40:
+        if abs(u).max() > 40:
             return None
-    return gvec(u) if np.max(np.abs(F)) < 1e-13 else None
+    return gvec(u) if abs(F).max() < 1e-13 else None
 
 
 def _verify_exact(a: StructureTensor, diag):
@@ -279,12 +303,16 @@ def diagonal_einstein_search(a: StructureTensor,
     Einstein metric with s != 0 (the trace obstruction).  There a sign
     pattern that fails the exact sign test is skipped without a Newton run;
     its starts are still drawn, so the other patterns see the same ones.
-    Newton runs on log-magnitudes with the signs frozen per pattern; the
-    first entry is normalized to sign_pattern[0].  Candidates are
-    rationalized by continued fractions (denominators up to 10^6) and kept
-    only if they re-verify exactly, or -- failing rationalization -- if the
-    float residual is below 1e-10.  `search_status` says whether an empty
-    list is a proof or a budget statement.
+    Newton runs on log-magnitudes with the signs frozen per pattern and the
+    analytic Jacobian 1/2 M diag(y) M^T; the first entry is normalized to
+    sign_pattern[0].  Candidates are rationalized by continued fractions
+    (denominators up to 10^6) and kept only if they re-verify exactly, or
+    -- failing rationalization -- if the float residual is below 1e-10.
+    These thresholds, the Newton stop at 1e-13 and the test lambda != 0
+    (|lambda| >= 1e-8) apply to the squares divided by 2^e, the power of
+    two with 1 <= max (a^k_ij)^2 / 2^e < 2, so rescaling the bracket does
+    not change which metrics are found.  `search_status` says whether an
+    empty list is a proof or a budget statement.
     """
     report = nice_basis_check(a)
     if not report.is_nice:
@@ -302,21 +330,31 @@ def diagonal_einstein_search(a: StructureTensor,
     proven = _closed_form_is_ricci(a)
     if proven and a._einstein_span is None:
         return []
-    terms = _squared_terms(a, True)
     rng = random.Random(seed)
     results = []
     seen = set()
+    terms = None
     for pattern in patterns:
         if proven and not _pattern_feasible(a, pattern):
             for _ in range(restarts * (n - 1)):
                 rng.random()        # the starts its Newton runs would take
             continue
+        if terms is None:           # built once, after a pattern passes
+            terms, e = _search_terms(a)
+            M = np.zeros((n, len(terms)))     # column t: e_k - e_i - e_j
+            for t, (i, j, k, _) in enumerate(terms):
+                M[k, t] += 1
+                M[i, t] -= 1
+                M[j, t] -= 1
+            squares = np.array([c2 for *_, c2 in terms])
+        w = squares * [pattern[i] * pattern[j] * pattern[k]
+                       for i, j, k, _ in terms]
         for _ in range(restarts):
             u0 = [rng.uniform(-2, 2) for _ in range(n - 1)]
-            g = _newton_from(n, terms, pattern, u0, max_iter)
+            g = _newton_from(M, w, pattern, u0, max_iter)
             if g is None:
                 continue
-            ric = _closed_form(n, terms, g, 0.5)
+            ric = _closed_form(n, terms, g, 0.5)      # ric / 2^e
             if abs(ric[0]) < 1e-8:
                 continue      # Ricci-flat (or nearly): lambda = 0 excluded
             exact_diag = tuple(rationalize(x) for x in g)
@@ -334,8 +372,9 @@ def diagonal_einstein_search(a: StructureTensor,
                 key = (pattern, tuple(round(x, 8) for x in g))
                 if key not in seen:
                     seen.add(key)
+                    lam = math.ldexp(ric[0], e)
                     results.append(EinsteinMetricResult(
-                        pattern, tuple(g), ric[0], ric[0] * n, False))
+                        pattern, tuple(g), lam, lam * n, False))
     results.sort(key=lambda r: (r.pattern, tuple(map(float, r.diag))))
     return results
 

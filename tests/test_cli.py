@@ -232,6 +232,24 @@ def test_einstein_search_deterministic_bytes(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
+def test_einstein_search_repeated_patterns_searched_once(capsys):
+    n8 = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
+    once = "+,+,+,+,-,-,+,+"
+    other = "+,+,-,-,-,+,-,-"
+    outs = []
+    for patterns in (f"{once};{other}",
+                     f"{once};{other};+1,1,1,1,-1,-1,1,1;{once};{other}"):
+        code, out, _ = run(capsys, "einstein-search", "--structure", n8,
+                           "--patterns", patterns, "--restarts", "8",
+                           "--output", "json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    # first occurrences keep their order
+    assert [r["pattern"] for r in json.loads(outs[0])["results"]] == \
+        [[1, 1, 1, 1, -1, -1, 1, 1], [1, 1, -1, -1, -1, 1, -1, -1]]
+
+
 def test_mn_and_holonomy(capsys):
     code, out, _ = run(capsys, "mn", "--structure", HEIS,
                        "--metric", "diag(1,1,1)", "--output", "json")

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liecurv import linalg, nice
@@ -269,3 +270,76 @@ def test_closed_form_is_the_ricci_tensor_on_gated_entries(catalog_entries):
             entries, off = diagonal_ricci(a, diag)
             assert off == 0, name
             assert diagonal_ricci_closed_form(a, diag) == entries, name
+
+
+def _newton_inputs(a, pattern):
+    terms, _ = nice._search_terms(a)
+    M = np.zeros((a.n, len(terms)))
+    w = []
+    for t, (i, j, k, c2) in enumerate(terms):
+        np.add.at(M, ([k, i, j], t), (1, -1, -1))   # k may equal i or j
+        w.append(c2 * pattern[i] * pattern[j] * pattern[k])
+    return terms, M, np.array(w)
+
+
+def test_residual_and_jacobian_match_closed_form(catalog_entries):
+    tensors = [e.parse() for e in catalog_entries if e.exact]
+    tensors = [a for a in tensors if nice_basis_check(a).is_nice]
+    assert len(tensors) >= 45
+    tensors.append(parse_structure("(0,0,0.1*12,0.3*13,2.5*14+23)",
+                                   exact=False))
+    rng = random.Random(5)
+    h = 1e-5
+    for a in tensors:
+        n = a.n
+        for _ in range(3):
+            pattern = (1,) + tuple(rng.choice((1, -1)) for _ in range(n - 1))
+            terms, M, w = _newton_inputs(a, pattern)
+            u = np.array([rng.uniform(-2, 2) for _ in range(n - 1)])
+            g = [pattern[0]] + [s * math.exp(x) for s, x in zip(pattern[1:], u)]
+            ric = nice._closed_form(n, terms, g, 0.5)
+            scale = max(map(abs, ric), default=0.0) or 1.0
+            F, y = nice._residual(M, w, u)
+            want = [x - ric[0] for x in ric[1:]]
+            assert np.max(np.abs(F - want)) <= 1e-12 * scale
+            J = nice._jacobian(M, y)
+            fd = np.empty((n - 1, n - 1))
+            for c in range(n - 1):
+                du = np.zeros(n - 1)
+                du[c] = h
+                fd[:, c] = (nice._residual(M, w, u + du)[0]
+                            - nice._residual(M, w, u - du)[0]) / (2 * h)
+            assert np.max(np.abs(J - fd)) <= 1e-6 * (np.max(np.abs(J)) or 1.0)
+
+
+def test_search_output_matches_golden():
+    from make_einstein_search_golden import GOLDEN, render
+    assert render() == GOLDEN.read_text()
+
+
+def _scaled_n8(t):
+    a = parse_structure(N8)
+    return type(a)(a.n, {key: c * t for key, c in a.coeffs.items()})
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 10000), Fraction(100)])
+@pytest.mark.parametrize("exact", [True, False])
+def test_search_finds_known_metric_on_rescaled_bracket(t, exact):
+    # rescaling the bracket by t keeps the Einstein metrics and multiplies
+    # lambda by t^2; no threshold of the search may be absolute
+    a = _scaled_n8(t)
+    if not exact:
+        a = a.to_float()
+    pattern = (1, 1, 1, 1, -1, -1, 1, 1)
+    results = diagonal_einstein_search(a, sign_pattern=pattern, seed=0,
+                                       restarts=8)
+    lam = Fraction(7, 15) * t * t
+    if exact:
+        assert any(r.exact and r.diag == N8_DIAG and r.lam == lam
+                   for r in results)
+    else:
+        assert any(all(math.isclose(x, d, rel_tol=1e-9)
+                       for x, d in zip(r.diag, N8_DIAG))
+                   and math.isclose(r.lam, lam, rel_tol=1e-9)
+                   and math.isclose(r.scalar, 8 * lam, rel_tol=1e-9)
+                   for r in results)
