@@ -79,16 +79,6 @@ class CurvatureTensor:
     n: int
     R: np.ndarray
 
-    def symmetries_hold(self, tol=1e-9) -> bool:
-        R = self.R
-        checks = [
-            R + np.transpose(R, (1, 0, 2, 3)),
-            R + np.transpose(R, (0, 1, 3, 2)),
-            R - np.transpose(R, (2, 3, 0, 1)),
-            R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2)),
-        ]
-        return all(linalg.mat_is_zero(c, tol) for c in checks)
-
 
 def curvature_operators(a: StructureTensor, S: Metric,
                         conn: Optional[ConnectionCoefficients] = None):

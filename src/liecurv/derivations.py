@@ -9,6 +9,7 @@ linear system in the n^2 matrix entries -- is itself a curvature invariant.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -37,37 +38,32 @@ class DerivationSpace:
     def has_nonzero_trace(self) -> bool:
         return self.trace_witness is not None
 
-    def contains(self, X: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Exact membership of X in the span of the basis."""
-        n = self.n
-        rows = np.stack([B.reshape(n * n) for B in self.basis + (X,)])
-        return linalg.rank(rows, tol) == self.dim
 
-
-def _derivation_system(a: StructureTensor) -> np.ndarray:
-    """Rows of the linear system on X (flattened row-major, n^2 unknowns).
+def _derivation_system(a: StructureTensor) -> list:
+    """Sparse rows, {column: entry}, of the linear system on X (flattened
+    row-major, n^2 unknowns), on the exact backend scaled to integers.
 
     One equation per (i < j, l), in that order: the e_l component of
     X[e_i, e_j] - [Xe_i, e_j] - [e_i, Xe_j].
     """
     n = a.n
     pair = {ij: p for p, ij in enumerate(combinations(range(n), 2))}
-    M = linalg.zeros((len(pair) * n, n * n), a.exact)
-    for (p, q, m), c in a.coeffs.items():
+    rows = [defaultdict(int) for _ in range(len(pair) * n)]
+    for (p, q, m), c in a._scaled[0].items():
         # X[e_p, e_q] picks up X[l, m] a^m_pq
         for l in range(n):
-            M[pair[p, q] * n + l, l * n + m] += c
+            rows[pair[p, q] * n + l][l * n + m] += c
         # [X e_i, e_j] picks up X[k, i] a^l_kj, with (k, j) = (p, q) or (q, p)
         for i in range(q):
-            M[pair[i, q] * n + m, p * n + i] -= c
+            rows[pair[i, q] * n + m][p * n + i] -= c
         for i in range(p):
-            M[pair[i, p] * n + m, q * n + i] += c
+            rows[pair[i, p] * n + m][q * n + i] += c
         # [e_i, X e_j] picks up X[k, j] a^l_ik, with (i, k) = (p, q) or (q, p)
         for j in range(p + 1, n):
-            M[pair[p, j] * n + m, q * n + j] -= c
+            rows[pair[p, j] * n + m][q * n + j] -= c
         for j in range(q + 1, n):
-            M[pair[q, j] * n + m, p * n + j] += c
-    return M
+            rows[pair[q, j] * n + m][p * n + j] += c
+    return rows
 
 
 def derivation_space(a: StructureTensor) -> DerivationSpace:
@@ -78,13 +74,9 @@ def derivation_space(a: StructureTensor) -> DerivationSpace:
     """
     require_lie(a, "the derivation space")
     n = a.n
-    null = linalg.nullspace(_derivation_system(a), a.tol)
+    null = linalg.kernel(_derivation_system(a), n * n, a.exact, a.tol)
     basis = tuple(B.reshape(n, n) for B in linalg.row_space(null, n * n, a.exact, a.tol))
-    witness = None
-    for B in basis:
-        if not is_zero(np.trace(B), a.tol):
-            witness = B
-            break
+    witness = next((B for B in basis if not is_zero(np.trace(B), a.tol)), None)
     return DerivationSpace(n, basis, witness)
 
 
@@ -130,16 +122,13 @@ def diagonal_derivation_solve(a: StructureTensor) -> DiagonalSolve:
     """Diagonal X = diag(x_1..x_n) with X a derivation: x_i + x_j = x_k
     for every nonzero a^k_{ij}."""
     n = a.n
-    system = linalg.zeros((len(a.coeffs), n), a.exact)
-    for row, ((i, j, k), c) in zip(system, sorted(a.coeffs.items())):
+    system = [defaultdict(int) for _ in a.coeffs]
+    for row, ((i, j, k), c) in zip(system, sorted(a._scaled[0].items())):
         row[i] += c
         row[j] += c
         row[k] -= c
         # the equation is c * (x_i + x_j - x_k) = 0; keep c for exactness
-    basis = tuple(linalg.row_space(linalg.nullspace(system, a.tol), n, a.exact, a.tol))
-    witness = None
-    for v in basis:
-        if not is_zero(np.sum(v), a.tol):
-            witness = v
-            break
+    null = linalg.kernel(system, n, a.exact, a.tol)
+    basis = tuple(linalg.row_space(null, n, a.exact, a.tol))
+    witness = next((v for v in basis if not is_zero(np.sum(v), a.tol)), None)
     return DiagonalSolve(n, basis, witness)

@@ -4,11 +4,11 @@ Exact matrices are numpy object arrays of Fractions; float matrices are
 ordinary float64 arrays.  The exact matrices and tensors here are mostly
 zero, so every exact computation rests on two sparse kernels:
 
-- one Gauss-Jordan elimination, `rref`, which holds each row as a
-  {column: entry} dict of its nonzeros; rank, kernel, row space and
-  inverse all go through it.  Pivots are chosen by least `bit_size`: least
-  bit length on the exact backend (keeps intermediate integers small),
-  largest magnitude on the float backend;
+- one Gauss-Jordan elimination, `eliminate`, on sparse rows, {column:
+  entry} dicts of their nonzeros; `kernel` returns such rows, and the
+  exact systems built from structure constants reach it as sparse integer
+  rows, with no dense matrix.  `rref`, `rank`, `nullspace`, `row_space` and
+  `inv` are its adapters for ndarrays.  Pivots are of least `bit_size`;
 - one matrix product, `sparse_mm`, and one Frobenius pairing,
   `sparse_frob`, which skip zero entries; every exact matrix product and
   tensor contraction is one of them, a tensor contraction being a product
@@ -16,8 +16,8 @@ zero, so every exact computation rests on two sparse kernels:
 
 The exact branches of both kernels compute on Python ints: `as_integers`
 writes a row or an operand as integers over one common denominator, and a
-Fraction is built once per nonzero output entry.  Inputs and outputs are
-Fractions throughout.
+Fraction is built once per nonzero output entry.  Matrix inputs and
+outputs are Fractions throughout.
 
 Output ordering is deterministic.
 """
@@ -33,9 +33,10 @@ from .errors import DegenerateMetricError
 from .scalars import DEFAULT_TOL, bit_size, is_zero
 
 __all__ = [
-    "zeros", "eye", "from_rows", "to_float", "is_float_array",
+    "zeros", "eye", "to_float", "is_float_array",
     "mat_equal", "mat_is_zero", "as_integers", "sparse_mm", "sparse_frob",
-    "rref", "rank", "nullspace", "row_space", "inv", "sylvester_signature",
+    "sparse_rows", "eliminate", "kernel", "rref", "rank", "nullspace",
+    "row_space", "inv", "sylvester_signature",
 ]
 
 
@@ -52,16 +53,6 @@ def eye(n: int, exact: bool = True) -> np.ndarray:
     one = Fraction(1) if exact else 1.0
     for i in range(n):
         M[i, i] = one
-    return M
-
-
-def from_rows(rows, exact: bool = True) -> np.ndarray:
-    if not exact:
-        return np.array(rows, dtype=float)
-    M = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            M[i, j] = Fraction(x)
     return M
 
 
@@ -140,22 +131,37 @@ def _primitive(row: dict) -> dict:
     return row
 
 
-def rref(M: np.ndarray, tol: float = DEFAULT_TOL):
-    """Reduced row echelon form; returns (R, pivot_columns).
+def sparse_rows(rows, exact: bool) -> list:
+    """Dense rows as {column: entry} dicts of their nonzeros, exact rows
+    written as integers over a common denominator, which keeps their span."""
+    rows = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    if exact:
+        rows = [dict(zip(row, as_integers(row.values())[0])) for row in rows]
+    return rows
+
+
+def eliminate(rows, exact: bool, tol: float = DEFAULT_TOL):
+    """Gauss-Jordan elimination on sparse rows, {column: entry} dicts with
+    integer entries on the exact backend (left unmodified); every rank,
+    kernel, row space and inverse here goes through it.
+
+    Returns (reduced, pivots).  For r < len(pivots), reduced[r] is row r of
+    the reduced row echelon form, its pivot in column pivots[r] (ascending):
+    exact rows as primitive integer rows, to be divided by that pivot,
+    float rows with pivot 1.  The rows after them hold no entry, or on
+    floats only entries with `is_zero`.
 
     The pivot is the remaining row of least `bit_size`, lowest row on ties;
     entries with `is_zero` are neither pivots nor eliminated.  Exact rows are
     eliminated fraction-free (Bareiss, Math. Comp. 22, 1968) as primitive
-    integer rows, and each pivot row is divided by its pivot only when R is
-    written; the reduced echelon form is unique, so R is the same."""
-    n_rows, n_cols = M.shape
-    exact = not is_float_array(M)
-    rows = [{c: x for c, x in enumerate(row) if x} for row in M.tolist()]
+    integer rows; the reduced echelon form is unique, so dividing each by its
+    pivot at the end gives it."""
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
     if exact:
-        rows = [_primitive(dict(zip(row, as_integers(list(row.values()))[0])))
-                for row in rows]
+        rows = [_primitive(row) for row in rows]
+    n_rows = len(rows)
     pivots = []
-    for col in range(n_cols):
+    for col in sorted(set().union(*rows)):
         top = len(pivots)
         if top == n_rows:
             break
@@ -190,40 +196,63 @@ def rref(M: np.ndarray, tol: float = DEFAULT_TOL):
             if exact:
                 _primitive(row)
         pivots.append(col)
-    R = zeros((n_rows, n_cols), exact)
-    for r, row in enumerate(rows):
-        for c, x in row.items():
-            R[r, c] = Fraction(x, row[pivots[r]]) if exact else x
-    return R, pivots
+    return rows, pivots
 
 
-def rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    return len(rref(M, tol)[1])
-
-
-def nullspace(M: np.ndarray, tol: float = DEFAULT_TOL):
-    """Basis of the right null space, one vector per free column (ascending)."""
-    R, pivots = rref(M, tol)
-    n_cols = M.shape[1]
-    exact = not is_float_array(M)
-    free = [c for c in range(n_cols) if c not in pivots]
+def kernel(rows, n_cols: int, exact: bool, tol: float = DEFAULT_TOL) -> list:
+    """Sparse basis of the right kernel of the matrix with these rows (as
+    for `eliminate`) and n_cols columns: per free column f, ascending, e_f
+    minus the reduced rows' entries in column f placed at their pivots;
+    exact rows as primitive integer rows, positive in f, their last column."""
+    reduced, pivots = eliminate(rows, exact, tol)
     basis = []
-    for f in free:
-        v = zeros(n_cols, exact)
-        v[f] = Fraction(1) if exact else 1.0
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r, f]
-        basis.append(v)
+    for f in sorted(set(range(n_cols)) - set(pivots)):
+        hits = [(p, row) for p, row in zip(pivots, reduced) if f in row]
+        d = lcm(*(row[p] for p, row in hits)) if exact else 1.0
+        v = {f: d}
+        v.update((p, -row[f] * (d // row[p])) for p, row in hits)
+        basis.append(_primitive(v) if exact else v)
     return basis
 
 
+def _dense(reduced, pivots, shape, exact: bool) -> np.ndarray:
+    """The first shape[0] rows of `eliminate` as a matrix."""
+    R = zeros(shape, exact)
+    for r, row in enumerate(reduced[:shape[0]]):
+        for c, x in row.items():
+            R[r, c] = Fraction(x, row[pivots[r]]) if exact else x
+    return R
+
+
+def rref(M: np.ndarray, tol: float = DEFAULT_TOL):
+    """Reduced row echelon form of a matrix; returns (R, pivot_columns)."""
+    exact = not is_float_array(M)
+    reduced, pivots = eliminate(sparse_rows(M.tolist(), exact), exact, tol)
+    return _dense(reduced, pivots, M.shape, exact), pivots
+
+
+def rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    exact = not is_float_array(M)
+    return len(eliminate(sparse_rows(M.tolist(), exact), exact, tol)[1])
+
+
+def nullspace(M: np.ndarray, tol: float = DEFAULT_TOL):
+    """Basis of the right null space, one vector per free column (ascending),
+    with entry 1 there: the `kernel` rows, an exact one divided by its last."""
+    exact = not is_float_array(M)
+    rows = kernel(sparse_rows(M.tolist(), exact), M.shape[1], exact, tol)
+    return list(_dense(rows, [max(row) for row in rows],
+                       (len(rows), M.shape[1]), exact))
+
+
 def row_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Reduced echelon basis, shape (rank, n), of the span of the length-n
-    vectors `rows`, which may be none."""
-    if len(rows) == 0:
-        return zeros((0, n), exact)
-    R, pivots = rref(np.array(rows, dtype=object if exact else float), tol)
-    return R[:len(pivots)]
+    """Reduced echelon basis, shape (rank, n), of the span of `rows`, which
+    may be none: length-n vectors, or {column: entry} dicts with integer
+    entries on the exact backend, as `kernel` returns them."""
+    if len(rows) and not isinstance(rows[0], dict):
+        rows = sparse_rows(rows, exact)
+    reduced, pivots = eliminate(rows, exact, tol)
+    return _dense(reduced, pivots, (len(pivots), n), exact)
 
 
 def inv(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

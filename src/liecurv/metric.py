@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,9 +21,6 @@ from . import linalg
 from .errors import (DegenerateMetricError, DimensionMismatchError,
                      MetricParseError)
 from .scalars import DEFAULT_TOL, Scalar, format_scalar, is_zero, parse_scalar
-
-TENSOR_SHAPES = ("T", "T*", "Lambda2T*", "T*T", "Lambda2T*T")
-
 
 @dataclass(frozen=True)
 class Metric:
@@ -73,10 +70,6 @@ class Metric:
     def lower(self, v: np.ndarray) -> np.ndarray:
         """v^flat as a component row of a covector."""
         return self.g @ v
-
-    def raise_(self, alpha: np.ndarray) -> np.ndarray:
-        """alpha^sharp."""
-        return self.ginv @ alpha
 
     def to_json(self) -> dict:
         return {"n": self.n,
@@ -175,14 +168,6 @@ def parse_json_matrix(data, n: int, exact: bool, what: str) -> np.ndarray:
 
 # --- induced pairings -------------------------------------------------------
 
-def pair_vectors(S: Metric, v, w):
-    return v @ S.g @ w
-
-
-def pair_covectors(S: Metric, alpha, beta):
-    return alpha @ S.ginv @ beta
-
-
 def metric_adjoint(S: Metric, u: np.ndarray) -> np.ndarray:
     """u* = g^{-1} u^T g, with <u v, w> = <v, u* w>."""
     return linalg.sparse_mm(linalg.sparse_mm(S.ginv, u.T), S.g)
@@ -232,27 +217,6 @@ def pair_bracket_tensors(S: Metric, c1: np.ndarray, c2: np.ndarray):
     t = linalg.sparse_mm(S.ginv.T, t)                               # [l, j, p]
     t = linalg.sparse_mm(S.ginv.T, np.transpose(t, (1, 0, 2)))      # [m, l, p]
     return half * linalg.sparse_frob(t, np.transpose(c2, (1, 0, 2)))
-
-
-def induced_pairing(S: Metric, shape: str) -> Callable:
-    """Bilinear form on the tensor space named by `shape`.
-
-    Shapes: "T" (vectors), "T*" (covectors), "Lambda2T*" (antisymmetric
-    matrices of 2-form components), "T*T" (operators), "Lambda2T*T"
-    (arrays c[i,j,k], antisymmetric in i,j).
-    """
-    table = {
-        "T": pair_vectors,
-        "T*": pair_covectors,
-        "Lambda2T*": pair_two_forms,
-        "T*T": pair_operators,
-        "Lambda2T*T": pair_bracket_tensors,
-    }
-    if shape not in table:
-        raise ValueError(f"unsupported tensor shape {shape!r}; "
-                         f"expected one of {TENSOR_SHAPES}")
-    fn = table[shape]
-    return lambda x, y: fn(S, x, y)
 
 
 def pseudo_orthonormal_frame(S: Metric):

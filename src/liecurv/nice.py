@@ -18,17 +18,20 @@ the Jacobian of ric is 1/2 M diag(y) M^T in closed form.  Newton runs on
 the squares divided by a power of two near their largest, which makes its
 thresholds relative to the size of the bracket.
 
-On an exact Lie bracket that is unimodular with zero Killing form two
-exact arguments come first.  If 1 is not in the image of M, a diagonal
-derivation of nonzero trace exists, and by the trace obstruction no
-Einstein metric with s != 0 exists at all.  Otherwise a sign pattern
-sigma is skipped when no y with M y in R 1 has the signs
-sign(y_t) = sigma_i sigma_j sigma_k, a linear feasibility question
-decided exactly by Fourier-Motzkin elimination.  When every requested
-pattern fails it, no diagonal Einstein metric with lambda != 0 exists in
-the given basis; metrics that are not diagonal in it are not covered.
-`search_status` states which of these holds; any other empty result is a
-statement about the search budget only.
+Two exact tests come first, on either backend: they read only which
+terms are nonzero, and Newton solves the closed form itself.  If 1 is not
+in the image of M, no y has 1/2 M y = lambda 1 with lambda != 0;
+otherwise a sign pattern sigma is skipped when no y with M y in R 1 has
+the signs sign(y_t) = sigma_i sigma_j sigma_k, a linear feasibility
+question decided exactly by Fourier-Motzkin elimination.  On an exact Lie
+bracket that is unimodular with zero Killing form, where the closed form
+is the Ricci tensor, they are proofs: the first gives a diagonal
+derivation of nonzero trace, and by the trace obstruction no Einstein
+metric with s != 0 exists at all; when every requested pattern fails the
+second, no diagonal Einstein metric with lambda != 0 exists in the given
+basis (metrics not diagonal in it are not covered).  `search_status`
+states which of these holds; any other empty result is a statement about
+the search budget only.
 """
 
 from __future__ import annotations
@@ -297,12 +300,11 @@ def diagonal_einstein_search(a: StructureTensor,
                              max_iter: int = 100):
     """Search for diagonal metrics with ric = lambda Id, lambda != 0.
 
-    On an exact Lie bracket that is unimodular with zero Killing form, the
-    empty list is returned at once when a diagonal derivation of nonzero
-    trace exists (1 not in the image of M): that derivation rules out every
-    Einstein metric with s != 0 (the trace obstruction).  There a sign
-    pattern that fails the exact sign test is skipped without a Newton run;
-    its starts are still drawn, so the other patterns see the same ones.
+    The empty list is returned at once when 1 is not in the image of M, and
+    a sign pattern that fails the exact sign test is skipped without a
+    Newton run; its starts are still drawn, so the other patterns see the
+    same ones.  Both tests read only which terms are nonzero, so they apply
+    on either backend.
     Newton runs on log-magnitudes with the signs frozen per pattern and the
     analytic Jacobian 1/2 M diag(y) M^T; the first entry is normalized to
     sign_pattern[0].  Candidates are rationalized by continued fractions
@@ -327,15 +329,14 @@ def diagonal_einstein_search(a: StructureTensor,
         patterns = [pattern]
     else:
         patterns = _all_patterns(n)
-    proven = _closed_form_is_ricci(a)
-    if proven and a._einstein_span is None:
+    if a._einstein_span is None:
         return []
     rng = random.Random(seed)
     results = []
     seen = set()
     terms = None
     for pattern in patterns:
-        if proven and not _pattern_feasible(a, pattern):
+        if not _pattern_feasible(a, pattern):
             for _ in range(restarts * (n - 1)):
                 rng.random()        # the starts its Newton runs would take
             continue

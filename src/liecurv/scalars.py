@@ -61,8 +61,8 @@ def rationalize(x: float, max_denominator: int = 10**6) -> Fraction:
 
 def bit_size(x: Scalar | int) -> float:
     """Pivot-selection size measure, smaller is better: total bit length of
-    a rational or an integer (cheaper exact pivot; `linalg.rref` takes it on
-    the integer rows of its fraction-free elimination), -|x| for a float
+    a rational or an integer (cheaper exact pivot; `linalg.eliminate` takes
+    it on the integer rows of its fraction-free elimination), -|x| for a float
     (stabler pivot)."""
     if isinstance(x, float):
         return -abs(x)

@@ -15,10 +15,11 @@ the test suite are transcribed under this convention.
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -96,12 +97,35 @@ class StructureTensor:
         return _read_only(t)
 
     @cached_property
+    def _scaled(self) -> tuple:
+        """(c, d): the coefficients as c[key] / d, integers over one common
+        denominator d on the exact backend, the floats with d = 1 on the
+        float backend."""
+        if not self.exact:
+            return self.coeffs, 1
+        nums, d = linalg.as_integers(self.coeffs.values())
+        return dict(zip(self.coeffs, nums)), d
+
+    @cached_property
+    def _ad(self) -> list:
+        """ad[i][k]: the pairs (m, c) with a^m_ik = c / d != 0, c and d as
+        in `_scaled`; the nonzeros of column k of ad(e_i)."""
+        ad = [[[] for _ in range(self.n)] for _ in range(self.n)]
+        for (i, j, k), c in self._scaled[0].items():
+            ad[i][j].append((k, c))
+            ad[j][i].append((k, -c))
+        return ad
+
+    @cached_property
     def _killing_form(self) -> np.ndarray:
-        ads = [self.ad_basis(i) for i in range(self.n)]
+        # B_ij = Tr(ad e_i ad e_j) = sum over k, m of a^k_im a^m_jk
+        ad, dd = self._ad, self._scaled[1] ** 2
         B = linalg.zeros((self.n, self.n), self.exact)
         for i in range(self.n):
             for j in range(i, self.n):
-                B[i, j] = B[j, i] = linalg.sparse_frob(ads[i], ads[j].T)
+                x = sum(c * c2 for m in range(self.n) for k, c in ad[i][m]
+                        for m2, c2 in ad[j][k] if m2 == m)
+                B[i, j] = B[j, i] = Fraction(x, dd) if self.exact else x
         return _read_only(B)
 
     @cached_property
@@ -116,16 +140,16 @@ class StructureTensor:
         diagonal derivation of nonzero trace exists.
         """
         terms = sorted(self.coeffs)
-        M = linalg.zeros((self.n, len(terms) + 1))
+        s = len(terms)                       # the column of s in (y, s)
+        rows = [defaultdict(int, {s: -1}) for _ in range(self.n)]
         for t, (i, j, k) in enumerate(terms):
-            M[k, t] += 1
-            M[i, t] -= 1
-            M[j, t] -= 1
-        M[:, -1] = Fraction(-1)
-        basis = linalg.nullspace(M)          # vectors (y, s) with M y = s 1
-        if all(v[-1] == 0 for v in basis):
+            rows[k][t] += 1
+            rows[i][t] -= 1
+            rows[j][t] -= 1
+        basis = linalg.kernel(rows, s + 1, True)   # (y, s) with M y = s 1
+        if all(s not in v for v in basis):
             return None
-        cols = [linalg.as_integers(v.tolist())[0][:-1] for v in basis]
+        cols = [[v.get(t, 0) for t in range(s)] for v in basis]
         return tuple(zip(terms, zip(*cols)))
 
     @cached_property
@@ -343,27 +367,25 @@ def _read_only(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _bracket(a: StructureTensor, u, v) -> list:
-    """[u, v]_k = sum over a^k_ij of a^k_ij (u_i v_j - u_j v_i)."""
-    out = [Fraction(0) if a.exact else 0.0] * a.n
-    for (i, j, k), c in a.coeffs.items():
-        ui, uj, vi, vj = u[i], u[j], v[i], v[j]
-        if ui and vj:
-            out[k] += c * ui * vj
-        if uj and vi:
-            out[k] -= c * uj * vi
-    return out
-
-
 def _bracket_span(a: StructureTensor, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row basis (reduced echelon) of span{[u, v] : u row of U, v row of V}.
 
     When V is U, only pairs u < v are bracketed: the rest add nothing by
-    antisymmetry.
+    antisymmetry.  A span does not see the scale of a row, so exact rows
+    are bracketed as integer rows through the adjacency `_ad`.
     """
-    us = U.tolist()
-    pairs = combinations(us, 2) if V is U else product(us, V.tolist())
-    rows = [_bracket(a, u, v) for u, v in pairs]
+    us = linalg.sparse_rows(U.tolist(), a.exact)
+    pairs = (combinations(us, 2) if V is U
+             else product(us, linalg.sparse_rows(V.tolist(), a.exact)))
+    ad = a._ad
+    rows = []
+    for u, v in pairs:
+        w = defaultdict(int)
+        for i, x in u.items():
+            for k, y in v.items():
+                for m, c in ad[i][k]:
+                    w[m] += c * x * y
+        rows.append(w)
     return linalg.row_space(rows, a.n, a.exact, a.tol)
 
 
@@ -373,15 +395,19 @@ def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
     Returns the nonzero components on triples i < j < k; empty iff `a`
     satisfies the Jacobi identity.
     """
-    e = linalg.eye(a.n, a.exact).tolist()
-    inner = {(i, j): _bracket(a, e[i], e[j]) for i, j in permutations(range(a.n), 2)}
+    ad, dd = a._ad, a._scaled[1] ** 2
     defect = {}
     for i, j, k in combinations(range(a.n), 3):
-        v = [x + y + z for x, y, z in zip(_bracket(a, inner[i, j], e[k]),
-                                          _bracket(a, inner[j, k], e[i]),
-                                          _bracket(a, inner[k, i], e[j]))]
-        if not all(is_zero(x, a.tol) for x in v):
-            defect[(i, j, k)] = linalg.from_rows([v], a.exact)[0]
+        v = defaultdict(int)
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            # [[e_p, e_q], e_r] = sum of a^m_pq a^l_mr e_l
+            for m, c in ad[p][q]:
+                for l, c2 in ad[m][r]:
+                    v[l] += c * c2
+        if not all(is_zero(x, a.tol) for x in v.values()):
+            defect[(i, j, k)] = J = linalg.zeros(a.n, a.exact)
+            for l, x in v.items():
+                J[l] = Fraction(x, dd) if a.exact else x
     return defect
 
 
@@ -463,11 +489,12 @@ def derived_series_terminates(a: StructureTensor) -> bool:
 def centre(a: StructureTensor) -> np.ndarray:
     """Row basis of Z = {v : ad(v) = 0}."""
     n = a.n
-    M = linalg.zeros((n * n, n), a.exact)
-    for (i, j, k), c in a.coeffs.items():
-        M[k * n + j, i] += c
-        M[k * n + i, j] -= c
-    return linalg.row_space(linalg.nullspace(M, a.tol), n, a.exact, a.tol)
+    rows = [defaultdict(int) for _ in range(n * n)]   # (k, j): [v, e_j]_k = 0
+    for (i, j, k), c in a._scaled[0].items():
+        rows[k * n + j][i] += c
+        rows[k * n + i][j] -= c
+    return linalg.row_space(linalg.kernel(rows, n, a.exact, a.tol), n,
+                            a.exact, a.tol)
 
 
 def subspace_contained(U: np.ndarray, W: np.ndarray, tol=DEFAULT_TOL) -> bool:

@@ -12,6 +12,8 @@ from liecurv.derivations import derivation_space
 from liecurv.errors import DegenerateMetricError
 from liecurv.scalars import DEFAULT_TOL, bit_size, close, is_zero, parse_scalar
 
+from tests_helpers import from_rows
+
 
 def test_zeros_and_eye_backends():
     Z = linalg.zeros((2, 3))
@@ -23,14 +25,14 @@ def test_zeros_and_eye_backends():
 
 
 def test_rref_known():
-    M = linalg.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    M = from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
     R, pivots = linalg.rref(M)
     assert pivots == [0, 1]
     assert linalg.rank(M) == 2
 
 
 def test_nullspace_is_kernel_and_ordered():
-    M = linalg.from_rows([[1, 2, 0, 1], [0, 0, 1, 1]])
+    M = from_rows([[1, 2, 0, 1], [0, 0, 1, 1]])
     basis = linalg.nullspace(M)
     assert len(basis) == 2
     for v in basis:
@@ -42,7 +44,7 @@ def test_nullspace_is_kernel_and_ordered():
 def test_inv_exact_random():
     rng = random.Random(3)
     for _ in range(10):
-        M = linalg.from_rows(
+        M = from_rows(
             [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)])
         try:
             Minv = linalg.inv(M)
@@ -52,7 +54,7 @@ def test_inv_exact_random():
 
 
 def test_inv_singular_raises():
-    M = linalg.from_rows([[1, 2], [2, 4]])
+    M = from_rows([[1, 2], [2, 4]])
     with pytest.raises(DegenerateMetricError):
         linalg.inv(M)
 
@@ -146,7 +148,7 @@ def random_kernel_input(kind, seed):
         col = rng.randrange(cols)
         for r in range(rows):
             data[r][col] = (1e-12, 0.0, 5e-10)[r % 3]
-    return linalg.from_rows(data, exact)
+    return from_rows(data, exact)
 
 
 @pytest.mark.parametrize("kind", ["sparse", "dense", "degenerate",
@@ -214,7 +216,7 @@ def test_signature_diagonal(diag, expected):
 
 def test_signature_isotropic_diagonal():
     # hyperbolic plane: all diagonal entries vanish
-    g = linalg.from_rows([[0, 1], [1, 0]])
+    g = from_rows([[0, 1], [1, 0]])
     assert linalg.sylvester_signature(g) == (1, 1)
 
 
@@ -224,7 +226,7 @@ def test_signature_congruence_invariant():
     for i, x in enumerate([1, 1, -1, -1]):
         g[i, i] = Fraction(x)
     for _ in range(10):
-        P = linalg.from_rows(
+        P = from_rows(
             [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)])
         try:
             linalg.inv(P)
@@ -234,13 +236,13 @@ def test_signature_congruence_invariant():
 
 
 def test_signature_degenerate_raises():
-    g = linalg.from_rows([[1, 1], [1, 1]])
+    g = from_rows([[1, 1], [1, 1]])
     with pytest.raises(DegenerateMetricError):
         linalg.sylvester_signature(g)
 
 
 def test_signature_float_matches_exact():
-    g = linalg.from_rows([[2, 1, 0], [1, -3, 1], [0, 1, 5]])
+    g = from_rows([[2, 1, 0], [1, -3, 1], [0, 1, 5]])
     exact = linalg.sylvester_signature(g)
     assert linalg.sylvester_signature(linalg.to_float(g)) == exact
 

@@ -8,7 +8,7 @@ import pytest
 from liecurv import linalg
 from liecurv.errors import DegenerateMetricError, MetricParseError
 from liecurv.curvature import b_forms
-from liecurv.metric import (Metric, gram, induced_pairing, metric_adjoint,
+from liecurv.metric import (Metric, gram, metric_adjoint,
                             pair_bracket_tensors, pair_operators,
                             pair_two_forms, parse_metric,
                             pseudo_orthonormal_frame, signature)
@@ -16,6 +16,7 @@ from liecurv.scalars import close
 from liecurv.structure import parse_structure
 
 from conftest import random_matrix, random_metric
+from tests_helpers import from_rows, induced_pairing, raise_index
 
 
 def test_parse_diag():
@@ -55,13 +56,13 @@ def test_parse_malformed_term():
 
 
 def test_asymmetric_matrix_rejected():
-    g = linalg.from_rows([[1, 2], [0, 1]])
+    g = from_rows([[1, 2], [0, 1]])
     with pytest.raises(MetricParseError):
         Metric(2, g)
 
 
 def test_degenerate_rejected():
-    g = linalg.from_rows([[1, 1], [1, 1]])
+    g = from_rows([[1, 1], [1, 1]])
     with pytest.raises(DegenerateMetricError):
         Metric(2, g)
 
@@ -70,7 +71,7 @@ def test_musical_isomorphisms_inverse():
     rng = random.Random(5)
     S = random_metric(rng, 4)
     v = np.array([Fraction(x) for x in (1, -2, 0, 3)], dtype=object)
-    assert all(x == y for x, y in zip(S.raise_(S.lower(v)), v))
+    assert all(x == y for x, y in zip(raise_index(S, S.lower(v)), v))
 
 
 def test_metric_adjoint_property():

@@ -157,11 +157,13 @@ def test_search_returns_certified_none_without_newton(monkeypatch,
         diagonal_einstein_search(heis, restarts=-1)
     with pytest.raises(NotNiceBasisError):
         diagonal_einstein_search(parse_structure("(0,0,0,12,14,15+23+24)"))
-    # a float bracket certifies nothing, even one without coefficients
+    # a float bracket skips Newton the same way, as the closed form that
+    # Newton solves has no solution there either, but certifies nothing,
+    # even one without coefficients
     for text in ("(0,0,12)", "(0,0,0)"):
-        with pytest.raises(AssertionError, match="Newton ran"):
-            diagonal_einstein_search(parse_structure(text, exact=False),
-                                     restarts=1)
+        a = parse_structure(text, exact=False)
+        assert diagonal_einstein_search(a, restarts=1) == []
+        assert nice.search_status(a, [None], []) == {"status": "budget"}
 
 
 def test_search_without_witness_finds_both_catalogued_metrics():
@@ -236,6 +238,18 @@ def test_pruned_pattern_never_runs_newton(monkeypatch):
             assert diagonal_einstein_search(a, sign_pattern=p, restarts=5) == []
     status = nice.search_status(a, [(1,) * 8], [])
     assert status == {"status": "none", "reason": "sign-patterns"}
+
+
+def test_float_bracket_prunes_the_same_patterns_but_proves_nothing(monkeypatch):
+    # the sign test reads only which terms are nonzero
+    def newton(*args):
+        raise AssertionError("Newton ran on a pattern the sign test rules out")
+    monkeypatch.setattr(nice, "_newton_from", newton)
+    a = parse_structure(N8, exact=False)
+    for p in nice._all_patterns(8):
+        if p not in N8_FEASIBLE:
+            assert diagonal_einstein_search(a, sign_pattern=p, restarts=5) == []
+    assert nice.search_status(a, [(1,) * 8], []) == {"status": "budget"}
 
 
 def test_prune_keeps_the_search_output(monkeypatch):

@@ -1,5 +1,15 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite: test-only operations, and the dense
+versions that the sparse exact systems replaced, kept as their oracles."""
 
+from fractions import Fraction
+from itertools import combinations, permutations, product
+
+import numpy as np
+
+from liecurv import linalg
+from liecurv.metric import (pair_bracket_tensors, pair_operators,
+                            pair_two_forms)
+from liecurv.scalars import DEFAULT_TOL, is_zero
 from liecurv.structure import StructureTensor
 
 
@@ -13,3 +23,152 @@ def tensor_from_array(c):
                 if c[i, j, k] != 0:
                     coeffs[(i, j, k)] = c[i, j, k]
     return StructureTensor(n, coeffs)
+
+
+# --- test-only operations ----------------------------------------------------
+
+def from_rows(rows, exact: bool = True) -> np.ndarray:
+    """A matrix from nested rows: Fractions, or floats if not exact."""
+    if not exact:
+        return np.array(rows, dtype=float)
+    M = np.empty((len(rows), len(rows[0])), dtype=object)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            M[i, j] = Fraction(x)
+    return M
+
+
+def derivations_contain(der, X, tol=DEFAULT_TOL) -> bool:
+    """Exact membership of X in the span of a DerivationSpace's basis."""
+    n = der.n
+    rows = np.stack([B.reshape(n * n) for B in der.basis + (X,)])
+    return linalg.rank(rows, tol) == der.dim
+
+
+def curvature_symmetries_hold(R, tol=1e-9) -> bool:
+    """The symmetries of a (0,4) CurvatureTensor, first Bianchi included."""
+    R = R.R
+    checks = [
+        R + np.transpose(R, (1, 0, 2, 3)),
+        R + np.transpose(R, (0, 1, 3, 2)),
+        R - np.transpose(R, (2, 3, 0, 1)),
+        R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2)),
+    ]
+    return all(linalg.mat_is_zero(c, tol) for c in checks)
+
+
+def raise_index(S, alpha):
+    """alpha^sharp for a covector alpha."""
+    return S.ginv @ alpha
+
+
+TENSOR_SHAPES = ("T", "T*", "Lambda2T*", "T*T", "Lambda2T*T")
+
+
+def induced_pairing(S, shape: str):
+    """Bilinear form on the tensor space named by `shape`.
+
+    Shapes: "T" (vectors), "T*" (covectors), "Lambda2T*" (antisymmetric
+    matrices of 2-form components), "T*T" (operators), "Lambda2T*T"
+    (arrays c[i,j,k], antisymmetric in i,j).
+    """
+    table = {
+        "T": lambda S, v, w: v @ S.g @ w,
+        "T*": lambda S, alpha, beta: alpha @ S.ginv @ beta,
+        "Lambda2T*": pair_two_forms,
+        "T*T": pair_operators,
+        "Lambda2T*T": pair_bracket_tensors,
+    }
+    if shape not in table:
+        raise ValueError(f"unsupported tensor shape {shape!r}; "
+                         f"expected one of {TENSOR_SHAPES}")
+    fn = table[shape]
+    return lambda x, y: fn(S, x, y)
+
+
+# --- dense oracles of the sparse exact systems -------------------------------
+
+def dense_derivation_system(a: StructureTensor) -> np.ndarray:
+    """The derivation system as one dense matrix: one equation per
+    (i < j, l), in that order, the e_l component of
+    X[e_i, e_j] - [Xe_i, e_j] - [e_i, Xe_j], X flattened row-major."""
+    n = a.n
+    pair = {ij: p for p, ij in enumerate(combinations(range(n), 2))}
+    M = linalg.zeros((len(pair) * n, n * n), a.exact)
+    for (p, q, m), c in a.coeffs.items():
+        for l in range(n):
+            M[pair[p, q] * n + l, l * n + m] += c
+        for i in range(q):
+            M[pair[i, q] * n + m, p * n + i] -= c
+        for i in range(p):
+            M[pair[i, p] * n + m, q * n + i] += c
+        for j in range(p + 1, n):
+            M[pair[p, j] * n + m, q * n + j] -= c
+        for j in range(q + 1, n):
+            M[pair[q, j] * n + m, p * n + j] += c
+    return M
+
+
+def dense_derivation_basis(a: StructureTensor):
+    """(basis, trace witness) of Der(a) through the dense system."""
+    n = a.n
+    null = linalg.nullspace(dense_derivation_system(a), a.tol)
+    basis = [B.reshape(n, n) for B in linalg.row_space(null, n * n, a.exact, a.tol)]
+    witness = next((B for B in basis if not is_zero(np.trace(B), a.tol)), None)
+    return basis, witness
+
+
+def dense_centre(a: StructureTensor) -> np.ndarray:
+    """Row basis of the centre through the dense n^2 x n system ad(v) = 0."""
+    n = a.n
+    M = linalg.zeros((n * n, n), a.exact)
+    for (i, j, k), c in a.coeffs.items():
+        M[k * n + j, i] += c
+        M[k * n + i, j] -= c
+    return linalg.row_space(linalg.nullspace(M, a.tol), n, a.exact, a.tol)
+
+
+def bracket_vectors(a: StructureTensor, u, v) -> list:
+    """[u, v]_k = sum over a^k_ij of a^k_ij (u_i v_j - u_j v_i)."""
+    out = [Fraction(0) if a.exact else 0.0] * a.n
+    for (i, j, k), c in a.coeffs.items():
+        ui, uj, vi, vj = u[i], u[j], v[i], v[j]
+        if ui and vj:
+            out[k] += c * ui * vj
+        if uj and vi:
+            out[k] -= c * uj * vi
+    return out
+
+
+def dense_bracket_span(a: StructureTensor, U, V) -> np.ndarray:
+    """Reduced row basis of span{[u, v]} over rows u of U and v of V (pairs
+    u < v when V is U), bracketed with `bracket_vectors`."""
+    us = U.tolist()
+    pairs = combinations(us, 2) if V is U else product(us, V.tolist())
+    rows = [bracket_vectors(a, u, v) for u, v in pairs]
+    return linalg.row_space(rows, a.n, a.exact, a.tol)
+
+
+def dense_jacobi_defect(a: StructureTensor) -> dict:
+    """jacobi_defect by bracketing basis vectors with `bracket_vectors`."""
+    e = linalg.eye(a.n, a.exact).tolist()
+    inner = {(i, j): bracket_vectors(a, e[i], e[j])
+             for i, j in permutations(range(a.n), 2)}
+    defect = {}
+    for i, j, k in combinations(range(a.n), 3):
+        v = [x + y + z for x, y, z in zip(bracket_vectors(a, inner[i, j], e[k]),
+                                          bracket_vectors(a, inner[j, k], e[i]),
+                                          bracket_vectors(a, inner[k, i], e[j]))]
+        if not all(is_zero(x, a.tol) for x in v):
+            defect[(i, j, k)] = from_rows([v], a.exact)[0]
+    return defect
+
+
+def dense_killing_form(a: StructureTensor) -> np.ndarray:
+    """B(e_i, e_j) = Tr(ad e_i ad e_j) from the matrices ad_basis(i)."""
+    ads = [a.ad_basis(i) for i in range(a.n)]
+    B = linalg.zeros((a.n, a.n), a.exact)
+    for i in range(a.n):
+        for j in range(i, a.n):
+            B[i, j] = B[j, i] = linalg.sparse_frob(ads[i], ads[j].T)
+    return B
