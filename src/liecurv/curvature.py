@@ -275,7 +275,8 @@ def mn_criterion(a: StructureTensor, S: Metric):
     def null_dim(mats, shape):
         """Null-space dimension of the pairing on `shape` restricted to the
         span of the n x n `mats`."""
-        span = linalg.row_space([M.reshape(n * n) for M in mats], n * n, a.exact, a.tol)
+        rows = linalg.sparse_rows([M.reshape(n * n).tolist() for M in mats], a.exact)
+        span = linalg.row_space(rows, n * n, a.exact, a.tol)
         basis = [r.reshape(n, n) for r in span]
         return len(basis) - linalg.rank(gram(S, basis, shape), a.tol)
 

@@ -7,8 +7,9 @@ zero, so every exact computation rests on two sparse kernels:
 - one Gauss-Jordan elimination, `eliminate`, on sparse rows, {column:
   entry} dicts of their nonzeros; `kernel` returns such rows, and the
   exact systems built from structure constants reach it as sparse integer
-  rows, with no dense matrix.  `rref`, `rank`, `nullspace`, `row_space` and
-  `inv` are its adapters for ndarrays.  Pivots are of least `bit_size`;
+  rows, with no dense matrix, and `row_space` reduces such rows.  `rref`,
+  `rank` and `inv` are its adapters for ndarrays.  Pivots are of least
+  `bit_size`;
 - one matrix product, `sparse_mm`, and one Frobenius pairing,
   `sparse_frob`, which skip zero entries; every exact matrix product and
   tensor contraction is one of them, a tensor contraction being a product
@@ -35,8 +36,8 @@ from .scalars import DEFAULT_TOL, bit_size, is_zero
 __all__ = [
     "zeros", "eye", "to_float", "is_float_array",
     "mat_equal", "mat_is_zero", "as_integers", "sparse_mm", "sparse_frob",
-    "sparse_rows", "eliminate", "kernel", "rref", "rank", "nullspace",
-    "row_space", "inv", "sylvester_signature",
+    "sparse_rows", "eliminate", "kernel", "rref", "rank", "row_space", "inv",
+    "sylvester_signature",
 ]
 
 
@@ -203,15 +204,22 @@ def kernel(rows, n_cols: int, exact: bool, tol: float = DEFAULT_TOL) -> list:
     """Sparse basis of the right kernel of the matrix with these rows (as
     for `eliminate`) and n_cols columns: per free column f, ascending, e_f
     minus the reduced rows' entries in column f placed at their pivots;
-    exact rows as primitive integer rows, positive in f, their last column."""
+    exact rows as primitive integer rows, positive in f, their last column.
+    A float pivot row is not divided again: its pivot may have drifted from 1
+    by eliminating with a later pivot row that held an `is_zero` entry."""
     reduced, pivots = eliminate(rows, exact, tol)
     basis = []
     for f in sorted(set(range(n_cols)) - set(pivots)):
         hits = [(p, row) for p, row in zip(pivots, reduced) if f in row]
-        d = lcm(*(row[p] for p, row in hits)) if exact else 1.0
-        v = {f: d}
-        v.update((p, -row[f] * (d // row[p])) for p, row in hits)
-        basis.append(_primitive(v) if exact else v)
+        if exact:
+            d = lcm(*(row[p] for p, row in hits))
+            v = {f: d}
+            v.update((p, -row[f] * (d // row[p])) for p, row in hits)
+            basis.append(_primitive(v))
+        else:
+            v = {f: 1.0}
+            v.update((p, -row[f]) for p, row in hits)
+            basis.append(v)
     return basis
 
 
@@ -236,21 +244,10 @@ def rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     return len(eliminate(sparse_rows(M.tolist(), exact), exact, tol)[1])
 
 
-def nullspace(M: np.ndarray, tol: float = DEFAULT_TOL):
-    """Basis of the right null space, one vector per free column (ascending),
-    with entry 1 there: the `kernel` rows, an exact one divided by its last."""
-    exact = not is_float_array(M)
-    rows = kernel(sparse_rows(M.tolist(), exact), M.shape[1], exact, tol)
-    return list(_dense(rows, [max(row) for row in rows],
-                       (len(rows), M.shape[1]), exact))
-
-
 def row_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reduced echelon basis, shape (rank, n), of the span of `rows`, which
-    may be none: length-n vectors, or {column: entry} dicts with integer
-    entries on the exact backend, as `kernel` returns them."""
-    if len(rows) and not isinstance(rows[0], dict):
-        rows = sparse_rows(rows, exact)
+    may be none: {column: entry} dicts with integer entries on the exact
+    backend, as `kernel` and `sparse_rows` return them."""
     reduced, pivots = eliminate(rows, exact, tol)
     return _dense(reduced, pivots, (len(pivots), n), exact)
 

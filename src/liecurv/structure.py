@@ -206,13 +206,12 @@ class StructureTensor:
         return M
 
     def ad_basis(self, i: int) -> np.ndarray:
-        """Matrix of ad(e_i)."""
+        """Matrix of ad(e_i), read off `_ad`."""
         M = linalg.zeros((self.n, self.n), self.exact)
-        for (p, q, k), c in self.coeffs.items():
-            if p == i:
-                M[k, q] += c
-            elif q == i:
-                M[k, p] -= c
+        d = self._scaled[1]
+        for q, col in enumerate(self._ad[i]):
+            for k, c in col:
+                M[k, q] = Fraction(c, d) if self.exact else c
         return M
 
     @cached_property

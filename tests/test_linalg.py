@@ -10,9 +10,9 @@ from liecurv import curvature, linalg, metric, moment
 from liecurv.cli import main
 from liecurv.derivations import derivation_space
 from liecurv.errors import DegenerateMetricError
-from liecurv.scalars import DEFAULT_TOL, bit_size, close, is_zero, parse_scalar
+from liecurv.scalars import close, parse_scalar
 
-from tests_helpers import from_rows
+from tests_helpers import dense_rref, from_rows
 
 
 def test_zeros_and_eye_backends():
@@ -33,12 +33,12 @@ def test_rref_known():
 
 def test_nullspace_is_kernel_and_ordered():
     M = from_rows([[1, 2, 0, 1], [0, 0, 1, 1]])
-    basis = linalg.nullspace(M)
+    basis = linalg.kernel(linalg.sparse_rows(M.tolist(), True), 4, True)
     assert len(basis) == 2
     for v in basis:
-        assert all(x == 0 for x in M @ v)
-    # one vector per free column, ascending, unit in its free slot
-    assert basis[0][1] == 1 and basis[1][3] == 1
+        assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in M.tolist())
+    # one integer row per free column, ascending, positive in its free slot
+    assert basis == [{0: -2, 1: 1}, {0: -1, 2: -1, 3: 1}]
 
 
 def test_inv_exact_random():
@@ -63,40 +63,6 @@ def test_float_backend_rref_rank():
     M = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-13]])
     assert linalg.rank(M, tol=1e-9) == 1
     assert linalg.rank(M.astype(float) + np.eye(2), tol=1e-9) == 2
-
-
-def dense_rref(M, tol=DEFAULT_TOL):
-    """The dense Gauss-Jordan elimination that the sparse `rref` replaced,
-    kept as its reference: same pivot rule, whole-row arithmetic."""
-
-    def pick_pivot(R, rows, col):
-        if linalg.is_float_array(R):
-            best = max(rows, key=lambda r: abs(R[r, col]))
-            return best if abs(R[best, col]) > tol else None
-        candidates = [r for r in rows if R[r, col] != 0]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda r: (bit_size(R[r, col]), r))
-
-    R = M.copy()
-    n_rows, n_cols = R.shape
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        if row >= n_rows:
-            break
-        piv = pick_pivot(R, range(row, n_rows), col)
-        if piv is None:
-            continue
-        if piv != row:
-            R[[row, piv], :] = R[[piv, row], :]
-        R[row, :] = R[row, :] / R[row, col]
-        for r in range(n_rows):
-            if r != row and not is_zero(R[r, col], tol):
-                R[r, :] = R[r, :] - R[r, col] * R[row, :]
-        pivots.append(col)
-        row += 1
-    return R, pivots
 
 
 # pairwise coprime denominators up to 10**6: the primes just below it
@@ -169,12 +135,12 @@ def test_rref_matches_dense_oracle(kind, seed):
     assert (R == R_ref).all()
     if linalg.is_float_array(M):
         return
+    kernel = linalg.kernel(linalg.sparse_rows(M.tolist(), True), M.shape[1], True)
+    assert len(kernel) == M.shape[1] - len(pivots)
+    for v in kernel:
+        assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in M.tolist())
     # every exact output entry is a Fraction, zeros included, never an int
-    null = linalg.nullspace(M)
-    assert len(null) == M.shape[1] - len(pivots)
-    for v in null:
-        assert all(x == 0 for x in M @ v)
-    outputs = [R] + null
+    outputs = [R]
     if len(pivots) == M.shape[0] == M.shape[1]:
         Minv = linalg.inv(M)
         assert linalg.mat_equal(M @ Minv, linalg.eye(M.shape[0]))

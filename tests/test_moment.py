@@ -19,6 +19,7 @@ from liecurv.structure import is_lie, parse_structure
 
 from conftest import (random_invertible, random_matrix, random_metric,
                       random_sparse_bracket)
+from tests_helpers import dense_nullspace
 
 
 def test_q_map_heisenberg_euclidean():
@@ -189,7 +190,7 @@ def _kernel_and_pair(a, S):
     qb = q_map(a, S)
 
     def verdict(matrix):
-        basis = linalg.nullspace(matrix, a.tol)
+        basis = dense_nullspace(matrix, a.tol)
         values = []
         for v in basis:
             c = linalg.zeros((a.n,) * 3, a.exact)

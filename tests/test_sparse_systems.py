@@ -19,7 +19,8 @@ from conftest import random_invertible
 from test_linalg import random_kernel_input
 from tests_helpers import (dense_bracket_span, dense_centre,
                            dense_derivation_basis, dense_derivation_system,
-                           dense_jacobi_defect, dense_killing_form)
+                           dense_jacobi_defect, dense_killing_form,
+                           dense_nullspace, dense_row_space, dense_rref)
 
 LIE_ENTRIES = ["(0,0,12,13,23)", "a_lambda(lambda=2)", "147E(lambda=1/2)",
                "n8-einstein", "n8-lorentzian"]
@@ -68,7 +69,7 @@ def test_derivations_match_the_dense_system(catalog_entries, seed):
         sparse = linalg.row_space(linalg.kernel(_derivation_system(a), n * n,
                                                 a.exact, a.tol),
                                   n * n, a.exact, a.tol)
-        dense = linalg.row_space(linalg.nullspace(M, a.tol), n * n, a.exact, a.tol)
+        dense = dense_row_space(dense_nullspace(M, a.tol), n * n, a.exact, a.tol)
         assert sparse.shape == dense.shape and (sparse == dense).all()
         if is_lie(a):
             der = derivation_space(a)
@@ -93,7 +94,7 @@ def test_centre_and_diagonal_solve_match_the_dense_systems(catalog_entries, seed
             row[i] += c
             row[j] += c
             row[k] -= c
-        ref = linalg.row_space(linalg.nullspace(M, a.tol), a.n, a.exact, a.tol)
+        ref = dense_row_space(dense_nullspace(M, a.tol), a.n, a.exact, a.tol)
         assert len(sol.basis) == len(ref)
         assert all((v == w).all() for v, w in zip(sol.basis, ref))
 
@@ -105,8 +106,8 @@ def test_bracket_spans_match_the_dense_brackets(catalog_entries, seed):
         g = linalg.eye(a.n, a.exact)
         rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                  for _ in range(a.n)] for _ in range(2)]
-        V = linalg.row_space([[x if a.exact else float(x) for x in row]
-                              for row in rows], a.n, a.exact)
+        V = dense_row_space([[x if a.exact else float(x) for x in row]
+                             for row in rows], a.n, a.exact)
         for U, W in ((g, g), (g, V), (V, V)):
             got, want = _bracket_span(a, U, W), dense_bracket_span(a, U, W)
             assert got.shape == want.shape and got.dtype == want.dtype
@@ -146,25 +147,43 @@ def test_sparse_rows_give_the_dense_results(kind, seed):
     exact = not linalg.is_float_array(M)
     rows = linalg.sparse_rows(M.tolist(), exact)
     reduced, pivots = linalg.eliminate(rows, exact)
-    R, pivots_ref = linalg.rref(M)
+    R, pivots_ref = dense_rref(M)
     assert pivots == pivots_ref
     for r, p in enumerate(pivots):
         got = [Fraction(reduced[r].get(c, 0), reduced[r][p]) if exact
                else reduced[r].get(c, 0.0) for c in range(M.shape[1])]
         assert got == R[r].tolist()
     basis = linalg.row_space(rows, M.shape[1], exact)
-    assert (basis == linalg.row_space(list(M), M.shape[1], exact)).all()
     assert (basis == R[:len(pivots)]).all()
     kernel = linalg.kernel(rows, M.shape[1], exact)
-    null = linalg.nullspace(M)
+    null = dense_nullspace(M)
     free = sorted(set(range(M.shape[1])) - set(pivots))
     assert len(kernel) == len(null) == len(free)
     for f, v, w in zip(free, kernel, null):
         assert w[f] == 1 and all(w[c] * v[f] == x for c, x in v.items())
-        if exact:
-            assert all(sum(row.get(c, 0) * x for c, x in v.items()) == 0
-                       for row in rows)
         assert all(w[c] == 0 for c in range(M.shape[1]) if c not in v)
+        assert_in_kernel(M.tolist(), v, exact)
         if exact:
             assert all(type(x) is int for x in v.values())
             assert math.gcd(*v.values()) == 1 and v[f] > 0
+
+
+def assert_in_kernel(rows, v, exact):
+    """M v = 0 for the sparse vector v: exactly, or to 1e-7 of the size of v
+    on floats, where entries below the tolerance are not eliminated."""
+    scale = max(1.0, max(abs(x) for x in v.values()))
+    for row in rows:
+        y = sum(row[c] * x for c, x in v.items())
+        assert y == 0 if exact else abs(y) <= 1e-7 * scale
+
+
+def test_float_kernel_after_a_pivot_drifts_off_one():
+    # -1e-12 is below the tolerance, so the second row keeps it when it
+    # becomes the pivot row of column 1, and eliminating with it moves the
+    # first row's pivot off 1
+    M = [[1.0, 1.0, 1.0], [-1e-12, 1.0, 0.0]]
+    reduced, pivots = linalg.eliminate(linalg.sparse_rows(M, False), False)
+    assert pivots == [0, 1] and reduced[0][0] != 1.0
+    [v] = linalg.kernel(linalg.sparse_rows(M, False), 3, False)
+    assert_in_kernel(M, v, False)
+    assert v[2] == 1.0 and abs(v[0] + 1) < 1e-9 and abs(v.get(1, 0.0)) < 1e-9

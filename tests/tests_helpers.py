@@ -9,7 +9,7 @@ import numpy as np
 from liecurv import linalg
 from liecurv.metric import (pair_bracket_tensors, pair_operators,
                             pair_two_forms)
-from liecurv.scalars import DEFAULT_TOL, is_zero
+from liecurv.scalars import DEFAULT_TOL, bit_size, is_zero
 from liecurv.structure import StructureTensor
 
 
@@ -88,6 +88,65 @@ def induced_pairing(S, shape: str):
 
 # --- dense oracles of the sparse exact systems -------------------------------
 
+def dense_rref(M, tol=DEFAULT_TOL):
+    """The dense Gauss-Jordan elimination that the sparse `linalg.eliminate`
+    replaced, kept as its reference: same pivot rule, whole-row arithmetic."""
+
+    def pick_pivot(R, rows, col):
+        if linalg.is_float_array(R):
+            best = max(rows, key=lambda r: abs(R[r, col]))
+            return best if abs(R[best, col]) > tol else None
+        candidates = [r for r in rows if R[r, col] != 0]
+        if not candidates:
+            return None
+        return min(candidates, key=lambda r: (bit_size(R[r, col]), r))
+
+    R = M.copy()
+    n_rows, n_cols = R.shape
+    pivots = []
+    row = 0
+    for col in range(n_cols):
+        if row >= n_rows:
+            break
+        piv = pick_pivot(R, range(row, n_rows), col)
+        if piv is None:
+            continue
+        if piv != row:
+            R[[row, piv], :] = R[[piv, row], :]
+        R[row, :] = R[row, :] / R[row, col]
+        for r in range(n_rows):
+            if r != row and not is_zero(R[r, col], tol):
+                R[r, :] = R[r, :] - R[r, col] * R[row, :]
+        pivots.append(col)
+        row += 1
+    return R, pivots
+
+
+def dense_nullspace(M, tol=DEFAULT_TOL):
+    """Basis of the right null space through `dense_rref`, one vector per
+    free column (ascending), with entry 1 there."""
+    R, pivots = dense_rref(M, tol)
+    exact = not linalg.is_float_array(M)
+    basis = []
+    for f in range(M.shape[1]):
+        if f not in pivots:
+            v = linalg.zeros(M.shape[1], exact)
+            v[f] = Fraction(1) if exact else 1.0
+            for r, pc in enumerate(pivots):
+                v[pc] = -R[r, f]
+            basis.append(v)
+    return basis
+
+
+def dense_row_space(rows, n, exact, tol=DEFAULT_TOL):
+    """Reduced echelon basis, shape (rank, n), of the span of the length-n
+    vectors `rows` through `dense_rref`."""
+    if len(rows) == 0:
+        return linalg.zeros((0, n), exact)
+    R, pivots = dense_rref(np.array(rows, dtype=object if exact else float), tol)
+    return R[:len(pivots)]
+
+
 def dense_derivation_system(a: StructureTensor) -> np.ndarray:
     """The derivation system as one dense matrix: one equation per
     (i < j, l), in that order, the e_l component of
@@ -112,8 +171,8 @@ def dense_derivation_system(a: StructureTensor) -> np.ndarray:
 def dense_derivation_basis(a: StructureTensor):
     """(basis, trace witness) of Der(a) through the dense system."""
     n = a.n
-    null = linalg.nullspace(dense_derivation_system(a), a.tol)
-    basis = [B.reshape(n, n) for B in linalg.row_space(null, n * n, a.exact, a.tol)]
+    null = dense_nullspace(dense_derivation_system(a), a.tol)
+    basis = [B.reshape(n, n) for B in dense_row_space(null, n * n, a.exact, a.tol)]
     witness = next((B for B in basis if not is_zero(np.trace(B), a.tol)), None)
     return basis, witness
 
@@ -125,7 +184,7 @@ def dense_centre(a: StructureTensor) -> np.ndarray:
     for (i, j, k), c in a.coeffs.items():
         M[k * n + j, i] += c
         M[k * n + i, j] -= c
-    return linalg.row_space(linalg.nullspace(M, a.tol), n, a.exact, a.tol)
+    return dense_row_space(dense_nullspace(M, a.tol), n, a.exact, a.tol)
 
 
 def bracket_vectors(a: StructureTensor, u, v) -> list:
@@ -146,7 +205,7 @@ def dense_bracket_span(a: StructureTensor, U, V) -> np.ndarray:
     us = U.tolist()
     pairs = combinations(us, 2) if V is U else product(us, V.tolist())
     rows = [bracket_vectors(a, u, v) for u, v in pairs]
-    return linalg.row_space(rows, a.n, a.exact, a.tol)
+    return dense_row_space(rows, a.n, a.exact, a.tol)
 
 
 def dense_jacobi_defect(a: StructureTensor) -> dict:
