@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -82,17 +83,30 @@ class CurvatureTensor:
 
 def curvature_operators(a: StructureTensor, S: Metric,
                         conn: Optional[ConnectionCoefficients] = None):
-    """Matrices of R(e_i, e_j) for i < j, as a dict {(i, j): matrix}."""
+    """Matrices of R(e_i, e_j) = G_i G_j - G_j G_i - sum_k a^k_ij G_k for
+    i < j, G_i the matrix of nabla_{e_i}, as a dict {(i, j): matrix}.
+
+    All of them come from one product C P: P stacks the rows G_i G_j (all
+    i, j) and G_k, flattened, and row (i, j) of the sparse coefficient
+    matrix C holds +1 on G_i G_j, -1 on G_j G_i and -a^k_ij on G_k.
+    """
     a, S = match_backends(a, S)
     if conn is None:
         conn = levi_civita(a, S)
     n = a.n
     G = np.stack(conn.matrices())
     GG = linalg.sparse_mm(G, np.transpose(G, (1, 0, 2)))  # GG[i, :, j] = G[i] G[j]
-    ops = {(i, j): GG[i, :, j] - GG[j, :, i] for i in range(n) for j in range(i + 1, n)}
+    P = np.concatenate([np.transpose(GG, (0, 2, 1, 3)).reshape(n * n, n * n),
+                        G.reshape(n, n * n)])
+    pairs = list(combinations(range(n), 2))
+    row = {ij: r for r, ij in enumerate(pairs)}
+    C = linalg.zeros((len(pairs), n * n + n), S.exact)
+    for r, (i, j) in enumerate(pairs):
+        C[r, i * n + j], C[r, j * n + i] = 1, -1
     for (i, j, k), c in a.coeffs.items():
-        ops[(i, j)] = ops[(i, j)] - c * G[k]
-    return ops, conn
+        C[row[i, j], n * n + k] = -c
+    ops = linalg.sparse_mm(C, P).reshape(len(pairs), n, n)
+    return dict(zip(pairs, ops)), conn
 
 
 def riemann(a: StructureTensor, S: Metric) -> CurvatureTensor:
@@ -172,10 +186,9 @@ def b_forms(a: StructureTensor, S: Metric):
     B3, B5 = _ad_form_pairings(a, S, cl)
     B4 = killing_form(a)
     # B6[j, h] = Tr((ad e_j)^flat_sharp (de_h^flat)^T_sharp) symmetrized
-    mm = linalg.sparse_mm
-    U = np.stack([mm(mm(S.ginv, cl[j]), S.ginv) for j in range(n)])
+    U = linalg.sandwich(S.ginv, cl, S.ginv)
     # M1[j, h] = sum_pq U[j, p, q] forms[h, p, q]
-    M1 = mm(U.reshape(n, n * n), forms.reshape(n, n * n).T)
+    M1 = linalg.sparse_mm(U.reshape(n, n * n), forms.reshape(n, n * n).T)
     B6 = M1 + M1.T
     B = {1: B1, 2: B2, 3: B3, 4: B4, 5: B5, 6: B6}
     traces = {k: linalg.sparse_frob(S.ginv, B[k].T) for k in (2, 3, 4)}
@@ -230,34 +243,6 @@ def ricci_index_oracle(a: StructureTensor, S: Metric) -> RicciData:
     Finv = np.linalg.inv(F)
     form = Finv.T @ ric @ Finv
     return RicciData.from_form(S, form)
-
-
-def trace_vector(a: StructureTensor, S: Metric) -> np.ndarray:
-    """The vector Z with <Z, v> = Tr ad(v); zero iff unimodular."""
-    a, S = match_backends(a, S)
-    return S.ginv @ trace_ad(a)
-
-
-def besse_check(a: StructureTensor, S: Metric, v: np.ndarray):
-    """Ric(v, v) evaluated via ricci_general and via the Besse expression.
-
-    Returns the pair (lemma_value, besse_value); they must agree.
-    """
-    a, S = match_backends(a, S)
-    n = a.n
-    lemma = v @ ricci_general(a, S).ric_form @ v
-    quarter = Fraction(1, 4) if S.exact else 0.25
-    half = Fraction(1, 2) if S.exact else 0.5
-    adv = a.ad(v)
-    B = killing_form(a)
-    Z = trace_vector(a, S)
-    # sum_i eps_i f(e_i, e_i) in an orthonormal frame == g^{ij} f(e_i, e_j)
-    term1 = -half * np.trace(S.ginv @ adv.T @ S.g @ adv)
-    lowered = lowered_brackets(a, S)
-    w = np.tensordot(lowered, v, axes=([2], [0]))     # w[i, j] = <[e_i,e_j], v>
-    term3 = quarter * np.trace(S.ginv @ w @ S.ginv @ w.T)
-    besse = term1 - half * (v @ B @ v) + term3 - S.inner(a.bracket(Z, v), v)
-    return lemma, besse
 
 
 def mn_criterion(a: StructureTensor, S: Metric):
@@ -330,12 +315,13 @@ def _canon_pair(idx):
     return -1, idx[:-2] + (j, i)
 
 
-def holonomy_span(a: StructureTensor, S: Metric, max_order: int = 3):
+def holonomy_span(a: StructureTensor, S: Metric):
     """Infinitesimal holonomy: span of R(x, y) and its covariant derivatives.
 
     full means the span is all of so(p, q); locally_symmetric means the
-    first covariant derivative of R vanishes.  Stops early once the span
-    stabilizes (one further order adds no dimension) or is already full.
+    first covariant derivative of R vanishes.  Adds one order of covariant
+    derivatives at a time until an order adds no dimension or the span is
+    full; the span can grow at most n(n-1)/2 times, so this ends.
     """
     a, S = match_backends(a, S)
     n = a.n
@@ -357,17 +343,15 @@ def holonomy_span(a: StructureTensor, S: Metric, max_order: int = 3):
     current = dict(_covariant_derivative(ops, G, n, a.tol))
     locally_symmetric = all(linalg.mat_is_zero(M, a.tol)
                             for M in current.values())
-    order = 1
     while True:
         new_rows = rows + [M.reshape(n * n) for M in current.values()
                            if not linalg.mat_is_zero(M, a.tol)]
         new_dim = linalg.rank(np.stack(new_rows), a.tol) if new_rows else 0
         grew = new_dim > span_dim
         span_dim, rows = new_dim, new_rows
-        if span_dim >= full_dim or not grew or order >= max_order:
+        if span_dim >= full_dim or not grew:
             break
         current = dict(_covariant_derivative(current, G, n, a.tol))
-        order += 1
     return {
         "span_dim": int(span_dim),
         "full": bool(span_dim == full_dim),

@@ -9,11 +9,15 @@ zero, so every exact computation rests on two sparse kernels:
   exact systems built from structure constants reach it as sparse integer
   rows, with no dense matrix, and `row_space` reduces such rows.  `rref`,
   `rank` and `inv` are its adapters for ndarrays.  Pivots are of least
-  `bit_size`;
+  `bit_size`.  A column index, the set of rows holding each column (the
+  row/column lists of Gustavson, ACM TOMS 4, 1978), is kept through row
+  swaps, fill-in and cancellation, so a pivot step reads and updates only
+  the rows that hold its column;
 - one matrix product, `sparse_mm`, and one Frobenius pairing,
   `sparse_frob`, which skip zero entries; every exact matrix product and
   tensor contraction is one of them, a tensor contraction being a product
-  of reshaped arrays.  On floats they fall back to BLAS.
+  of reshaped arrays, and a family of matrices is transformed by one
+  `sandwich` of its stack.  On floats they fall back to BLAS.
 
 The exact branches of both kernels compute on Python ints: `as_integers`
 writes a row or an operand as integers over one common denominator, and a
@@ -25,6 +29,7 @@ Output ordering is deterministic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -35,9 +40,9 @@ from .scalars import DEFAULT_TOL, bit_size, is_zero
 
 __all__ = [
     "zeros", "eye", "to_float", "is_float_array",
-    "mat_equal", "mat_is_zero", "as_integers", "sparse_mm", "sparse_frob",
-    "sparse_rows", "eliminate", "kernel", "rref", "rank", "row_space", "inv",
-    "sylvester_signature",
+    "mat_equal", "mat_is_zero", "as_integers", "sparse_mm", "sandwich",
+    "sparse_frob", "sparse_rows", "eliminate", "kernel", "rref", "rank",
+    "row_space", "inv", "sylvester_signature",
 ]
 
 
@@ -104,6 +109,13 @@ def sparse_mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return C.reshape(shape)
 
 
+def sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The stack of L @ X[j] @ R over the first axis of X, from two
+    `sparse_mm` calls for the whole stack."""
+    LX = sparse_mm(L, np.transpose(X, (1, 0, 2)))          # [p, j, q]
+    return np.transpose(sparse_mm(LX, R), (1, 0, 2))
+
+
 def sparse_frob(A: np.ndarray, B: np.ndarray):
     """Frobenius pairing, the sum of A * B over all entries, skipping zeros."""
     if is_float_array(A) or is_float_array(B):
@@ -152,34 +164,47 @@ def eliminate(rows, exact: bool, tol: float = DEFAULT_TOL):
     float rows with pivot 1.  The rows after them hold no entry, or on
     floats only entries with `is_zero`.
 
-    The pivot is the remaining row of least `bit_size`, lowest row on ties;
-    entries with `is_zero` are neither pivots nor eliminated.  Exact rows are
-    eliminated fraction-free (Bareiss, Math. Comp. 22, 1968) as primitive
-    integer rows; the reduced echelon form is unique, so dividing each by its
-    pivot at the end gives it."""
+    The pivot is the remaining row of least `bit_size`, lowest current row
+    position on ties; entries with `is_zero` are neither pivots nor
+    eliminated.  The pivot candidates and the rows to eliminate are read
+    off a column index, and a swap exchanges two positions, not two rows.
+    Exact rows are eliminated fraction-free (Bareiss, Math. Comp. 22, 1968)
+    as primitive integer rows; the reduced echelon form is unique, so
+    dividing each by its pivot at the end gives it."""
     rows = [{c: x for c, x in row.items() if x} for row in rows]
     if exact:
         rows = [_primitive(row) for row in rows]
     n_rows = len(rows)
+    # rows never move: pos[r] is row r's current position, at[k] the row
+    # at position k, and holding[c] the rows with an entry in column c
+    pos = list(range(n_rows))
+    at = list(range(n_rows))
+    holding = defaultdict(set)
+    for r, row in enumerate(rows):
+        for c in row:
+            holding[c].add(r)
     pivots = []
-    for col in sorted(set().union(*rows)):
+    for col in sorted(holding):
         top = len(pivots)
         if top == n_rows:
             break
-        candidates = [r for r in range(top, n_rows)
-                      if col in rows[r] and not is_zero(rows[r][col], tol)]
+        candidates = [r for r in holding[col]
+                      if pos[r] >= top and not is_zero(rows[r][col], tol)]
         if not candidates:
             continue
-        piv = min(candidates, key=lambda r: (bit_size(rows[r][col]), r))
-        rows[top], rows[piv] = rows[piv], rows[top]
-        p = rows[top]
+        piv = min(candidates, key=lambda r: (bit_size(rows[r][col]), pos[r]))
+        other = at[top]
+        at[top], at[pos[piv]] = piv, other
+        pos[other], pos[piv] = pos[piv], top
+        p = rows[piv]
         d = p[col]
         if not exact:
             for c, x in p.items():
                 p[c] = x / d
-        for r, row in enumerate(rows):
-            f = row.get(col)
-            if r == top or f is None or is_zero(f, tol):
+        for r in [r for r in holding[col] if r != piv]:
+            row = rows[r]
+            f = row[col]
+            if is_zero(f, tol):
                 continue
             if exact:
                 # row <- (d/g) row - (f/g) p, g = gcd(d, f)
@@ -189,15 +214,20 @@ def eliminate(rows, exact: bool, tol: float = DEFAULT_TOL):
                     for c in row:
                         row[c] *= scale
             for c, x in p.items():
-                y = row.get(c, 0) - f * x
-                if y:
-                    row[c] = y
-                else:
+                fx = f * x
+                y = row.get(c)
+                if y is None:
+                    row[c] = -fx
+                    holding[c].add(r)
+                elif y == fx:
                     del row[c]
+                    holding[c].discard(r)
+                else:
+                    row[c] = y - fx
             if exact:
                 _primitive(row)
         pivots.append(col)
-    return rows, pivots
+    return [rows[r] for r in at], pivots
 
 
 def kernel(rows, n_cols: int, exact: bool, tol: float = DEFAULT_TOL) -> list:

@@ -168,44 +168,47 @@ def parse_json_matrix(data, n: int, exact: bool, what: str) -> np.ndarray:
 
 # --- induced pairings -------------------------------------------------------
 
-def metric_adjoint(S: Metric, u: np.ndarray) -> np.ndarray:
-    """u* = g^{-1} u^T g, with <u v, w> = <v, u* w>."""
-    return linalg.sparse_mm(linalg.sparse_mm(S.ginv, u.T), S.g)
-
-
-def _dual(S: Metric, x: np.ndarray, shape: str) -> np.ndarray:
-    """x' with <y, x> = sparse_frob(y, x') on "T*T" or "Lambda2T*": x' is
-    (x*)^T for operators, as <y, x> = Tr(y o x*), and g^{-1} x g^{-1} / 2
-    for 2-forms."""
+def _duals(S: Metric, mats: np.ndarray, shape: str) -> np.ndarray:
+    """The stack of x' with <y, x> = sparse_frob(y, x'), over the first axis
+    of `mats`, on "T*T" or "Lambda2T*": x' = (x*)^T = g x g^{-1} for
+    operators (g is symmetric), as <y, x> = Tr(y o x*), and
+    g^{-1} x g^{-1} / 2 for 2-forms."""
     if shape == "T*T":
-        return metric_adjoint(S, x).T
+        return linalg.sandwich(S.g, mats, S.ginv)
     if shape == "Lambda2T*":
-        return linalg.sparse_mm(linalg.sparse_mm(S.ginv, x), S.ginv) / 2
+        half = Fraction(1, 2) if S.exact else 0.5
+        return linalg.sandwich(half * S.ginv, mats, S.ginv)
     raise ValueError(f"no matrix pairing on tensor shape {shape!r}")
 
 
 def pair_operators(S: Metric, u1: np.ndarray, u2: np.ndarray):
     """Induced pairing on T*⊗T: <u1, u2> = Tr(u1 o u2*)."""
-    return linalg.sparse_frob(u1, _dual(S, u2, "T*T"))
+    return linalg.sparse_frob(u1, _duals(S, u2[None], "T*T")[0])
 
 
 def pair_two_forms(S: Metric, alpha: np.ndarray, beta: np.ndarray):
     """Induced pairing on Lambda^2 T* for antisymmetric component matrices."""
-    return linalg.sparse_frob(alpha, _dual(S, beta, "Lambda2T*"))
+    return linalg.sparse_frob(alpha, _duals(S, beta[None], "Lambda2T*")[0])
 
 
 def gram(S: Metric, mats: Sequence[np.ndarray], shape: str) -> np.ndarray:
     """Gram matrix G[i, j] = <mats[i], mats[j]> of the induced pairing on
-    "T*T" (operators) or "Lambda2T*" (2-forms).
+    "T*T" (operators) or "Lambda2T*" (2-forms), in batched form.
 
-    Each matrix is dualized once and, the pairing being symmetric, only
-    pairs i <= j are contracted.
+    The matrices are stacked, and the duals x' of all of them, with
+    <y, x> = sparse_frob(y, x'), come from one `linalg.sandwich` L x R of
+    the stack: (L, R) = (g, g^{-1}) on operators and (g^{-1} / 2, g^{-1})
+    on 2-forms.  G is then one product of the flattened stack with the
+    flattened duals.  The pairing is symmetric, and a float G is made
+    exactly so by mirroring its upper triangle.
     """
-    duals = [_dual(S, M, shape) for M in mats]
-    G = linalg.zeros((len(mats), len(mats)), S.exact)
-    for i, M in enumerate(mats):
-        for j in range(i, len(mats)):
-            G[i, j] = G[j, i] = linalg.sparse_frob(M, duals[j])
+    m = len(mats)
+    X = np.stack(mats) if m else linalg.zeros((0, S.n, S.n), S.exact)
+    D = _duals(S, X, shape)
+    G = linalg.sparse_mm(X.reshape(m, S.n * S.n), D.reshape(m, S.n * S.n).T)
+    if not S.exact:
+        lower = np.tril_indices(m, -1)
+        G[lower] = G.T[lower]
     return G
 
 

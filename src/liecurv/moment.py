@@ -18,8 +18,10 @@ scalar curvature s(a, S) = -1/4 <a, q(a, S)>.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Union
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from . import linalg, structure
 from .curvature import RicciData, match_backends
 from .errors import DimensionMismatchError
-from .metric import Metric, metric_adjoint
+from .metric import Metric
 from .scalars import DEFAULT_TOL, Scalar, close, format_scalar, is_zero
 from .structure import StructureTensor
 
@@ -38,11 +40,6 @@ StructureLike = Union[StructureTensor, np.ndarray]
 
 def _c_array(a: StructureLike) -> np.ndarray:
     return a.as_array() if isinstance(a, StructureTensor) else a
-
-
-def _operators(c: np.ndarray) -> list:
-    """Matrices u_i with (u_i)[k, j] = c[i, j, k]; u_i = ad(e_i) for brackets."""
-    return [c[i].T for i in range(c.shape[0])]
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,8 @@ def q_map(a: StructureLike, S: Metric,
     if c.shape != (n, n, n):
         raise DimensionMismatchError(
             f"bracket array shape {c.shape} incompatible with metric on R^{n}")
-    # comps[m] = sum_i g^{-1}[i, m] u_i*
-    duals = np.stack([metric_adjoint(S, u) for u in _operators(c)])
+    # comps[m] = sum_i g^{-1}[i, m] u_i*, u_i* = g^{-1} u_i^T g = g^{-1} c[i] g
+    duals = linalg.sandwich(S.ginv, c, S.g)
     return DualStructureTensor(n, linalg.sparse_mm(S.ginv.T, duals), S.tol)
 
 
@@ -258,9 +255,9 @@ def dq(a: StructureLike, S: Metric, a_prime: StructureLike,
     # q(a, S)[m] = sum_i g^{-1}[i, m] u_i*, where g^{-1} moves by
     # -T = -g^{-1} W g^{-1} and u_i* = g^{-1} c[i] g by g^{-1} (c[i] W - W u_i*)
     T = mm(mm(S.ginv, W), S.ginv)
-    adj = [metric_adjoint(S, u) for u in _operators(c)]
+    adj = linalg.sandwich(S.ginv, c, S.g)
     moved = [mm(S.ginv, mm(c[i], W) - mm(W, u)) for i, u in enumerate(adj)]
-    comps = base - mm(T.T, np.stack(adj)) + mm(S.ginv.T, np.stack(moved))
+    comps = base - mm(T.T, adj) + mm(S.ginv.T, np.stack(moved))
     return DualStructureTensor(S.n, comps, S.tol)
 
 
@@ -312,49 +309,40 @@ def _add_var(row, index, i, j, k, coef):
         row[index[(j, i, k)]] -= coef
 
 
-def _linearized_jacobi_matrix(a: StructureTensor, index):
-    """Matrix of a' -> d/dt Jacobi(a + t a') at t = 0."""
-    n = a.n
-    c = a.as_array()
+def _jacobi_rows(a: StructureTensor, index) -> list:
+    """Sparse rows of a' -> d/dt Jacobi(a + t a') at t = 0, one per
+    (i < j < k, l) in that order, the coefficients scaled as in
+    `StructureTensor._scaled`."""
+    n, ad = a.n, a._ad
     rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
+    for i, j, k in combinations(range(n), 3):
+        block = [defaultdict(int) for _ in range(n)]      # by l
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in ad[x][y]:           # a^m_xy a'^l_mz
                 for l in range(n):
-                    row = linalg.zeros(len(index), a.exact)
-                    for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m in range(n):
-                            if not is_zero(c[x, y, m], a.tol):
-                                _add_var(row, index, m, z, l, c[x, y, m])
-                            if not is_zero(c[m, z, l], a.tol):
-                                _add_var(row, index, x, y, m, c[m, z, l])
-                    rows.append(row)
-    return np.stack(rows)
+                    _add_var(block[l], index, m, z, l, c)
+            for m in range(n):              # a'^m_xy a^l_mz
+                for l, c in ad[m][z]:
+                    _add_var(block[l], index, x, y, m, c)
+        rows.extend(block)
+    return rows
 
 
-def _linearized_killing_matrix(a: StructureTensor, index):
-    """Matrix of a' -> d/dt Killing(a + t a') at t = 0, rows over pairs u <= v."""
+def _killing_rows(a: StructureTensor, index) -> list:
+    """Sparse rows of a' -> d/dt Killing(a + t a') at t = 0, one per pair
+    u <= v, scaled as `_jacobi_rows`."""
     n = a.n
-    ads = [a.ad_basis(i) for i in range(n)]
-    cols = {}
-    for (i, j, k), col in index.items():
-        entries = linalg.zeros((n, n), a.exact)
+    ad = [[dict(col) for col in ad_v] for ad_v in a._ad]   # ad[v][k][m] = d a^m_vk
+    rows = {(u, v): defaultdict(int) for u in range(n) for v in range(u, n)}
+    for (i, j, k), var in index.items():
         # unit direction a'^k_{ij} = 1: the only nonzero operators are
         # a'_i = e_k (x) e^j and a'_j = -e_k (x) e^i
         for v in range(n):
-            entries[i, v] += ads[v][j, k]
-            entries[j, v] -= ads[v][i, k]
-            entries[v, i] += ads[v][j, k]
-            entries[v, j] -= ads[v][i, k]
-        cols[col] = entries
-    rows = []
-    for u in range(n):
-        for v in range(u, n):
-            row = linalg.zeros(len(index), a.exact)
-            for col, entries in cols.items():
-                row[col] = entries[u, v]
-            rows.append(row)
-    return np.stack(rows)
+            x, y = ad[v][k].get(j, 0), -ad[v][k].get(i, 0)
+            for (p, q), s in (((i, v), x), ((j, v), y), ((v, i), x), ((v, j), y)):
+                if s and p <= q:
+                    rows[p, q][var] += s
+    return list(rows.values())
 
 
 def jacobi_tangent_critical(a: StructureTensor, S: Metric) -> dict:
@@ -365,7 +353,8 @@ def jacobi_tangent_critical(a: StructureTensor, S: Metric) -> dict:
     That pairing is the linear functional w, so the bracket is critical
     exactly when w lies in the row space of J: rank [J; w] = rank J.  The
     kernel cut down by the linearized Killing-form-zero condition K is
-    reported alongside, with the same test on [J; K].
+    reported alongside, with the same test on [J; K].  J, K and w are
+    built as sparse rows.
     """
     what = "criticality"
     structure.require_lie(a, what)
@@ -373,20 +362,17 @@ def jacobi_tangent_critical(a: StructureTensor, S: Metric) -> dict:
     structure.require_unimodular(a, what)
     structure.require_killing_zero(a, what)
     index = _variable_index(a.n)
-    J = _linearized_jacobi_matrix(a, index)
-    K = _linearized_killing_matrix(a, index)
     b = q_map(a, S).comps
     # <a', q> = sum over i < j, k of a'^k_ij (b[i, j, k] - b[j, i, k])
-    w = linalg.zeros((1, len(index)), a.exact)
-    for (i, j, k), col in index.items():
-        w[0, col] = b[i, j, k] - b[j, i, k]
+    w = linalg.sparse_rows([[b[i, j, k] - b[j, i, k] for i, j, k in index]], a.exact)
 
-    def verdict(matrix):
-        r = linalg.rank(matrix, a.tol)
-        return len(index) - r, linalg.rank(np.concatenate([matrix, w]), a.tol) == r
+    def verdict(rows):
+        r = len(linalg.eliminate(rows, a.exact, a.tol)[1])
+        return len(index) - r, len(linalg.eliminate(rows + w, a.exact, a.tol)[1]) == r
 
+    J = _jacobi_rows(a, index)
     tangent_dim, critical = verdict(J)
-    killing_dim, killing_critical = verdict(np.concatenate([J, K], axis=0))
+    killing_dim, killing_critical = verdict(J + _killing_rows(a, index))
     return {
         "tangent_dim": tangent_dim,
         "critical": bool(critical),

@@ -25,9 +25,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (DimensionMismatchError, KillingFormNonzeroError,
-                     NotLieAlgebraError, NotUnimodularError,
-                     StructureParseError)
+from .errors import (KillingFormNonzeroError, NotLieAlgebraError,
+                     NotUnimodularError, StructureParseError)
 from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
                       parse_scalar)
 
@@ -117,6 +116,12 @@ class StructureTensor:
         return ad
 
     @cached_property
+    def _derived(self) -> np.ndarray:
+        """Reduced row basis of the derived algebra [g, g]."""
+        g = linalg.eye(self.n, self.exact)
+        return _read_only(_bracket_span(self, g, g))
+
+    @cached_property
     def _killing_form(self) -> np.ndarray:
         # B_ij = Tr(ad e_i ad e_j) = sum over k, m of a^k_im a^m_jk
         ad, dd = self._ad, self._scaled[1] ** 2
@@ -175,15 +180,6 @@ class StructureTensor:
             centre_in_derived=subspace_contained(Z, derived, self.tol),
         )
 
-    def a(self, i: int, j: int, k: int) -> Scalar:
-        """Component a^k_{ij} with antisymmetry in (i, j)."""
-        zero = Fraction(0) if self.exact else 0.0
-        if i == j:
-            return zero
-        if i < j:
-            return self.coeffs.get((i, j, k), zero)
-        return -self.coeffs.get((j, i, k), zero)
-
     def as_array(self) -> np.ndarray:
         """Dense components c[i, j, k] = a^k_{ij}."""
         c = linalg.zeros((self.n, self.n, self.n), self.exact)
@@ -191,19 +187,6 @@ class StructureTensor:
             c[i, j, k] = v
             c[j, i, k] = -v
         return c
-
-    def bracket(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return self.ad(v) @ w
-
-    def ad(self, v: np.ndarray) -> np.ndarray:
-        """Matrix of ad(v): w -> [v, w]."""
-        if len(v) != self.n:
-            raise DimensionMismatchError(f"vector length {len(v)} != n={self.n}")
-        M = linalg.zeros((self.n, self.n), self.exact)
-        for (i, j, k), c in self.coeffs.items():
-            M[k, j] += c * v[i]
-            M[k, i] -= c * v[j]
-        return M
 
     def ad_basis(self, i: int) -> np.ndarray:
         """Matrix of ad(e_i), read off `_ad`."""
@@ -461,7 +444,7 @@ def lower_central_series(a: StructureTensor) -> SubspaceFlag:
     """g^1 = [g, g], g^{i+1} = [g, g^i], until stabilization or zero."""
     g = linalg.eye(a.n, a.exact)
     spaces = []
-    current = _bracket_span(a, g, g)
+    current = a._derived
     while True:
         spaces.append(current)
         if current.shape[0] == 0:
@@ -475,14 +458,10 @@ def lower_central_series(a: StructureTensor) -> SubspaceFlag:
 
 def derived_series_terminates(a: StructureTensor) -> bool:
     """Solvability via the derived series g, [g,g], [[g,g],[g,g]], ..."""
-    current = linalg.eye(a.n, a.exact)
-    while True:
-        nxt = _bracket_span(a, current, current)
-        if nxt.shape[0] == 0:
-            return True
-        if nxt.shape[0] == current.shape[0]:
-            return False
-        current = nxt
+    dim, current = a.n, a._derived
+    while current.shape[0] not in (0, dim):
+        dim, current = current.shape[0], _bracket_span(a, current, current)
+    return current.shape[0] == 0
 
 
 def centre(a: StructureTensor) -> np.ndarray:

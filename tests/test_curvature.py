@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from liecurv import linalg
-from liecurv.curvature import (b_forms, besse_check, holonomy_span,
+from liecurv.curvature import (b_forms, curvature_operators, holonomy_span,
                                levi_civita, mn_criterion, ricci_general,
                                ricci_index_oracle, ricci_killing_zero,
-                               riemann, trace_vector)
+                               riemann)
 from liecurv.derivations import trace_obstruction
 from liecurv.errors import (KillingFormNonzeroError, NotLieAlgebraError,
                             NotNilpotentError, NotUnimodularError)
@@ -17,7 +17,8 @@ from liecurv.moment import jacobi_tangent_critical, ricci_via_moment
 from liecurv.structure import StructureTensor, parse_structure
 
 from conftest import random_sparse_bracket
-from tests_helpers import curvature_symmetries_hold
+from tests_helpers import (besse_check, curvature_symmetries_hold,
+                           pairwise_curvature_operators, trace_vector)
 
 HEIS = "(0,0,12)"
 
@@ -141,6 +142,31 @@ def _tensor_from_array(c):
                 if c[i, j, k] != 0:
                     coeffs[(i, j, k)] = c[i, j, k]
     return StructureTensor(n, coeffs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_curvature_operators_equal_the_pairwise_form(seed):
+    rng = random.Random(seed)
+    from conftest import random_metric
+    count = 0
+    while count < 4:
+        n = rng.randint(3, 5)
+        a = _tensor_from_array(random_sparse_bracket(rng, n, terms=4))
+        from liecurv.structure import is_lie
+        if not is_lie(a):
+            continue
+        count += 1
+        S = random_metric(rng, n)
+        for a_, S_ in ((a, S), (a.to_float(), S.to_float())):
+            ops, _ = curvature_operators(a_, S_)
+            want = pairwise_curvature_operators(a_, S_)
+            assert list(ops) == list(want)
+            for key, M in ops.items():
+                if a_.exact:
+                    assert (M == want[key]).all()
+                    assert {type(x) for x in M.flat} == {Fraction}
+                else:
+                    assert np.allclose(M, want[key], rtol=1e-12, atol=1e-12)
 
 
 def test_trace_vector():

@@ -8,15 +8,15 @@ import pytest
 from liecurv import linalg
 from liecurv.errors import DegenerateMetricError, MetricParseError
 from liecurv.curvature import b_forms
-from liecurv.metric import (Metric, gram, metric_adjoint,
-                            pair_bracket_tensors, pair_operators,
-                            pair_two_forms, parse_metric,
+from liecurv.metric import (Metric, gram, pair_bracket_tensors,
+                            pair_operators, pair_two_forms, parse_metric,
                             pseudo_orthonormal_frame, signature)
 from liecurv.scalars import close
 from liecurv.structure import parse_structure
 
 from conftest import random_matrix, random_metric
-from tests_helpers import from_rows, induced_pairing, raise_index
+from tests_helpers import (dual, from_rows, induced_pairing, metric_adjoint,
+                           raise_index)
 
 
 def test_parse_diag():
@@ -146,6 +146,26 @@ def test_gram_equals_pairwise_pairings(exact, text, null):
     assert linalg.mat_equal(B[5], gram(S, flats, "Lambda2T*"))
     with pytest.raises(ValueError):
         gram(S, ads, "T")
+
+
+@pytest.mark.parametrize("shape", ["T*T", "Lambda2T*"])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_gram_equals_the_pairwise_definition(shape, seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    S = random_metric(rng, n)
+    mats = [random_matrix(rng, n, rng.randint(0, 6)) for _ in range(rng.randint(1, 6))]
+    if shape == "Lambda2T*":
+        mats = [M - M.T for M in mats]
+    G = gram(S, mats, shape)
+    assert {type(x) for x in G.flat} == {Fraction}
+    assert [[linalg.sparse_frob(x, dual(S, y, shape)) for y in mats]
+            for x in mats] == G.tolist()
+    float_mats = [linalg.to_float(M) for M in mats]
+    Gf = gram(S.to_float(), float_mats, shape)
+    assert Gf.dtype == float and (Gf == Gf.T).all()
+    assert all(close(x, y) for x, y in zip(Gf.flat, G.flat))
+    assert gram(S, [], shape).shape == (0, 0)
 
 
 def test_induced_pairing_dispatch():

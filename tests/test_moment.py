@@ -19,7 +19,8 @@ from liecurv.structure import is_lie, parse_structure
 
 from conftest import (random_invertible, random_matrix, random_metric,
                       random_sparse_bracket)
-from tests_helpers import dense_nullspace
+from tests_helpers import (dense_jacobi_linearization,
+                           dense_killing_linearization, dense_nullspace)
 
 
 def test_q_map_heisenberg_euclidean():
@@ -182,11 +183,19 @@ def test_critical_verdicts():
                     "tangent_dim_killing": 62, "critical_killing": False}
 
 
+def _dense(rows, n_cols, exact):
+    M = linalg.zeros((len(rows), n_cols), exact)
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            M[r, c] = Fraction(x) if exact else x
+    return M
+
+
 def _kernel_and_pair(a, S):
     """Criticality the long way: pair q(a, S) with each tangent basis vector."""
     index = moment._variable_index(a.n)
-    J = moment._linearized_jacobi_matrix(a, index)
-    K = moment._linearized_killing_matrix(a, index)
+    J = _dense(moment._jacobi_rows(a, index), len(index), a.exact)
+    K = _dense(moment._killing_rows(a, index), len(index), a.exact)
     qb = q_map(a, S)
 
     def verdict(matrix):
@@ -204,6 +213,27 @@ def _kernel_and_pair(a, S):
     return {"tangent_dim": tangent_dim, "critical": critical,
             "tangent_dim_killing": killing_dim,
             "critical_killing": critical_killing}
+
+
+@pytest.mark.parametrize("text, exact", [
+    ("(24,0,0,0,0,35)", True), ("(24,0,0,0,0,35)", False),
+    ("(0,0,1/2*12,3*13-2/3*23,0)", True), ("(0,0,0.5*12,14+23,0)", False),
+    ("(0,0,12,13,14+23)", True), ("(0,12,-13)", True),
+])
+def test_linearized_rows_are_the_dense_systems_scaled(text, exact):
+    # each sparse row is the dense row times the common denominator d of
+    # the coefficients (d = 1 on floats)
+    a = parse_structure(text, exact=exact)
+    index = moment._variable_index(a.n)
+    d = a._scaled[1]
+    for rows, M in ((moment._jacobi_rows(a, index),
+                     dense_jacobi_linearization(a, index)),
+                    (moment._killing_rows(a, index),
+                     dense_killing_linearization(a, index))):
+        assert len(rows) == M.shape[0]
+        if exact:
+            assert all(type(x) is int for row in rows for x in row.values())
+        assert (_dense(rows, len(index), exact) == d * M).all()
 
 
 @pytest.mark.parametrize("text, metric, exact", [

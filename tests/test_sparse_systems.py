@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liecurv import linalg
 from liecurv.derivations import (_derivation_system, derivation_space,
@@ -17,7 +19,7 @@ from liecurv.structure import (StructureTensor, _bracket_span, centre, is_lie,
 
 from conftest import random_invertible
 from test_linalg import random_kernel_input
-from tests_helpers import (dense_bracket_span, dense_centre,
+from tests_helpers import (dense_bracket_span, from_rows, dense_centre,
                            dense_derivation_basis, dense_derivation_system,
                            dense_jacobi_defect, dense_killing_form,
                            dense_nullspace, dense_row_space, dense_rref)
@@ -187,3 +189,40 @@ def test_float_kernel_after_a_pivot_drifts_off_one():
     [v] = linalg.kernel(linalg.sparse_rows(M, False), 3, False)
     assert_in_kernel(M, v, False)
     assert v[2] == 1.0 and abs(v[0] + 1) < 1e-9 and abs(v.get(1, 0.0)) < 1e-9
+
+
+@st.composite
+def mostly_empty_rows(draw):
+    """A matrix as nested rows, many of them empty, with small integers
+    (exact) or floats that include entries below the tolerance."""
+    exact = draw(st.booleans())
+    n_cols = draw(st.integers(1, 7))
+    values = (st.integers(-4, 4) if exact else
+              st.sampled_from([-2.0, -1.0, -1 / 3, 0.5, 1.0, 3.0, 1e-12, -4e-10]))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        row = [0] * n_cols
+        if draw(st.integers(0, 2)):
+            for c in draw(st.lists(st.integers(0, n_cols - 1), max_size=n_cols)):
+                row[c] = draw(values)
+        rows.append(row)
+    return rows, n_cols, exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(mostly_empty_rows())
+@example(([[1.0, 1.0, 1.0], [-1e-12, 1.0, 0.0]], 3, False))
+def test_eliminate_matches_dense_rref_on_mostly_empty_rows(case):
+    rows, n_cols, exact = case
+    rows = rows or [[0] * n_cols]
+    M = from_rows(rows, exact)
+    sparse = linalg.sparse_rows(M.tolist(), exact)
+    reduced, pivots = linalg.eliminate(sparse, exact)
+    R, pivots_ref = dense_rref(M)
+    assert pivots == pivots_ref and len(reduced) == len(rows)
+    for r, row in enumerate(reduced):
+        got = [Fraction(row.get(c, 0), row[pivots[r]]) if exact and r < len(pivots)
+               else row.get(c, 0) for c in range(n_cols)]
+        assert got == R[r].tolist()
+    for v in linalg.kernel(sparse, n_cols, exact):
+        assert_in_kernel(M.tolist(), v, exact)

@@ -13,25 +13,27 @@ from liecurv.structure import (StructureTensor, centre, classify, is_lie,
                                lower_central_series, parse_structure,
                                print_structure, subspace_contained, trace_ad)
 
+from tests_helpers import ad_matrix, component
+
 
 def test_parse_heisenberg_sign_convention():
     a = parse_structure("(0,0,12)")
     # slot 3 holds e^12, so [e1, e2] = -e3
-    assert a.a(0, 1, 2) == Fraction(-1)
-    assert a.a(1, 0, 2) == Fraction(1)
+    assert component(a, 0, 1, 2) == Fraction(-1)
+    assert component(a, 1, 0, 2) == Fraction(1)
 
 
 def test_parse_coefficients_and_pairs():
     a = parse_structure("(0,0,3*(1,2))")
-    assert a.a(0, 1, 2) == Fraction(-3)
+    assert component(a, 0, 1, 2) == Fraction(-3)
     b = parse_structure("(0,0,1/2*12-2*13,0)")
-    assert b.a(0, 1, 2) == Fraction(-1, 2)
-    assert b.a(0, 2, 2) == Fraction(2)
+    assert component(b, 0, 1, 2) == Fraction(-1, 2)
+    assert component(b, 0, 2, 2) == Fraction(2)
 
 
 def test_parse_decimal_coefficient_float_backend():
     a = parse_structure("(0,0,1.5*12)", exact=False)
-    assert a.a(0, 1, 2) == -1.5
+    assert component(a, 0, 1, 2) == -1.5
     assert not a.exact
 
 
@@ -78,7 +80,7 @@ def test_two_digit_pairs_rejected_above_nine():
         parse_structure(text)
     ok = "(" + ",".join(["0"] * 9 + ["(1,2)"]) + ")"
     a = parse_structure(ok)
-    assert a.a(0, 1, 9) == Fraction(-1)
+    assert component(a, 0, 1, 9) == Fraction(-1)
 
 
 @pytest.mark.parametrize("text", [
@@ -115,7 +117,7 @@ def test_ad_matrix_matches_bracket():
     a = parse_structure("(0,12,-13)")
     e1 = linalg.zeros(3)
     e1[0] = Fraction(1)
-    ad1 = a.ad(e1)
+    ad1 = ad_matrix(a, e1)
     assert linalg.mat_equal(ad1, a.ad_basis(0))
     # [e1, e2] = -e2, [e1, e3] = e3
     assert ad1[1, 1] == Fraction(-1)

@@ -7,10 +7,13 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from liecurv import linalg
+from liecurv.curvature import (levi_civita, lowered_brackets,
+                               match_backends, ricci_general)
+from liecurv.errors import DimensionMismatchError
 from liecurv.metric import (pair_bracket_tensors, pair_operators,
                             pair_two_forms)
 from liecurv.scalars import DEFAULT_TOL, bit_size, is_zero
-from liecurv.structure import StructureTensor
+from liecurv.structure import StructureTensor, killing_form, trace_ad
 
 
 def tensor_from_array(c):
@@ -36,6 +39,86 @@ def from_rows(rows, exact: bool = True) -> np.ndarray:
         for j, x in enumerate(row):
             M[i, j] = Fraction(x)
     return M
+
+
+def component(a: StructureTensor, i: int, j: int, k: int):
+    """Component a^k_{ij} with antisymmetry in (i, j)."""
+    zero = Fraction(0) if a.exact else 0.0
+    if i == j:
+        return zero
+    if i < j:
+        return a.coeffs.get((i, j, k), zero)
+    return -a.coeffs.get((j, i, k), zero)
+
+
+def ad_matrix(a: StructureTensor, v) -> np.ndarray:
+    """Matrix of ad(v): w -> [v, w]."""
+    if len(v) != a.n:
+        raise DimensionMismatchError(f"vector length {len(v)} != n={a.n}")
+    M = linalg.zeros((a.n, a.n), a.exact)
+    for (i, j, k), c in a.coeffs.items():
+        M[k, j] += c * v[i]
+        M[k, i] -= c * v[j]
+    return M
+
+
+def bracket(a: StructureTensor, v, w) -> np.ndarray:
+    return ad_matrix(a, v) @ w
+
+
+def trace_vector(a: StructureTensor, S) -> np.ndarray:
+    """The vector Z with <Z, v> = Tr ad(v); zero iff unimodular."""
+    a, S = match_backends(a, S)
+    return S.ginv @ trace_ad(a)
+
+
+def besse_check(a: StructureTensor, S, v):
+    """Ric(v, v) evaluated via ricci_general and via the Besse expression.
+
+    Returns the pair (lemma_value, besse_value); they must agree.
+    """
+    a, S = match_backends(a, S)
+    lemma = v @ ricci_general(a, S).ric_form @ v
+    quarter = Fraction(1, 4) if S.exact else 0.25
+    half = Fraction(1, 2) if S.exact else 0.5
+    adv = ad_matrix(a, v)
+    B = killing_form(a)
+    Z = trace_vector(a, S)
+    # sum_i eps_i f(e_i, e_i) in an orthonormal frame == g^{ij} f(e_i, e_j)
+    term1 = -half * np.trace(S.ginv @ adv.T @ S.g @ adv)
+    lowered = lowered_brackets(a, S)
+    w = np.tensordot(lowered, v, axes=([2], [0]))     # w[i, j] = <[e_i,e_j], v>
+    term3 = quarter * np.trace(S.ginv @ w @ S.ginv @ w.T)
+    besse = term1 - half * (v @ B @ v) + term3 - S.inner(bracket(a, Z, v), v)
+    return lemma, besse
+
+
+def pairwise_curvature_operators(a: StructureTensor, S) -> dict:
+    """R(e_i, e_j) = G_i G_j - G_j G_i - sum_k a^k_ij G_k one pair (i < j)
+    at a time: the form that `curvature.curvature_operators` batches."""
+    a, S = match_backends(a, S)
+    G = levi_civita(a, S).matrices()
+    ops = {(i, j): G[i] @ G[j] - G[j] @ G[i]
+           for i, j in combinations(range(a.n), 2)}
+    for (i, j, k), c in a.coeffs.items():
+        ops[i, j] = ops[i, j] - c * G[k]
+    return ops
+
+
+def metric_adjoint(S, u) -> np.ndarray:
+    """u* = g^{-1} u^T g, with <u v, w> = <v, u* w>."""
+    return linalg.sparse_mm(linalg.sparse_mm(S.ginv, u.T), S.g)
+
+
+def dual(S, x, shape: str) -> np.ndarray:
+    """x' with <y, x> = sparse_frob(y, x') on "T*T" or "Lambda2T*", one
+    matrix at a time: (x*)^T for operators, g^{-1} x g^{-1} / 2 for
+    2-forms; the pairwise definition that `metric.gram` batches."""
+    if shape == "T*T":
+        return metric_adjoint(S, x).T
+    if shape == "Lambda2T*":
+        return linalg.sparse_mm(linalg.sparse_mm(S.ginv, x), S.ginv) / 2
+    raise ValueError(f"no matrix pairing on tensor shape {shape!r}")
 
 
 def derivations_contain(der, X, tol=DEFAULT_TOL) -> bool:
@@ -231,3 +314,53 @@ def dense_killing_form(a: StructureTensor) -> np.ndarray:
         for j in range(i, a.n):
             B[i, j] = B[j, i] = linalg.sparse_frob(ads[i], ads[j].T)
     return B
+
+
+def dense_jacobi_linearization(a: StructureTensor, index) -> np.ndarray:
+    """Matrix of a' -> d/dt Jacobi(a + t a') at t = 0 on the dense
+    components, rows over (i < j < k, l), columns as `index`."""
+    n = a.n
+    c = a.as_array()
+    rows = []
+
+    def add(row, i, j, k, coef):
+        if i < j:
+            row[index[(i, j, k)]] += coef
+        elif i > j:
+            row[index[(j, i, k)]] -= coef
+
+    for i, j, k in combinations(range(n), 3):
+        for l in range(n):
+            row = linalg.zeros(len(index), a.exact)
+            for (x, y, z) in ((i, j, k), (j, k, i), (k, i, j)):
+                for m in range(n):
+                    if not is_zero(c[x, y, m], a.tol):
+                        add(row, m, z, l, c[x, y, m])
+                    if not is_zero(c[m, z, l], a.tol):
+                        add(row, x, y, m, c[m, z, l])
+            rows.append(row)
+    return np.stack(rows)
+
+
+def dense_killing_linearization(a: StructureTensor, index) -> np.ndarray:
+    """Matrix of a' -> d/dt Killing(a + t a') at t = 0 from the matrices
+    ad_basis(v), rows over pairs u <= v, columns as `index`."""
+    n = a.n
+    ads = [a.ad_basis(i) for i in range(n)]
+    cols = {}
+    for (i, j, k), col in index.items():
+        entries = linalg.zeros((n, n), a.exact)
+        for v in range(n):
+            entries[i, v] += ads[v][j, k]
+            entries[j, v] -= ads[v][i, k]
+            entries[v, i] += ads[v][j, k]
+            entries[v, j] -= ads[v][i, k]
+        cols[col] = entries
+    rows = []
+    for u in range(n):
+        for v in range(u, n):
+            row = linalg.zeros(len(index), a.exact)
+            for col, entries in cols.items():
+                row[col] = entries[u, v]
+            rows.append(row)
+    return np.stack(rows)
