@@ -13,14 +13,14 @@ from .curvature import (b_forms, holonomy_span, levi_civita, mn_criterion,
 from .derivations import (derivation_space, diagonal_derivation_solve,
                           trace_obstruction)
 from .metric import Metric, parse_metric, signature
-from .moment import (DualStructureTensor, GaugeDirection, contractions,
-                     gauge_derivative, jacobi_tangent_critical, moment_map,
-                     q_map, ricci_via_moment, scalar_functional)
+from .moment import (DualStructureTensor, contractions, gauge_derivative,
+                     jacobi_tangent_critical, moment_map, q_map,
+                     ricci_via_moment, scalar_functional)
 from .nice import diagonal_einstein_search, diagonal_ricci, nice_basis_check
 from .structure import StructureTensor, classify, parse_structure, print_structure
 
 __all__ = [
-    "StructureTensor", "Metric", "DualStructureTensor", "GaugeDirection",
+    "StructureTensor", "Metric", "DualStructureTensor",
     "parse_structure", "print_structure", "parse_metric", "signature",
     "classify", "levi_civita", "riemann", "ricci_general",
     "ricci_killing_zero", "ricci_index_oracle", "b_forms", "mn_criterion",

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-import numpy as np
-
 from . import curvature, derivations, linalg, moment, nice, structure
 from .errors import CatalogSchemaError, LieCurvError
 from .metric import parse_metric, signature
@@ -179,12 +177,12 @@ def _check_algebra_claims(entry: CatalogEntry, a: StructureTensor):
         elif claim == "diagonal_solution_dim":
             computed = derivations.diagonal_derivation_solve(a).dim
         elif claim == "diagonal_relations":
-            sol = derivations.diagonal_derivation_solve(a)
+            # each relation sum_i f_i x_i = 0 holds on every solution x
+            basis = derivations.diagonal_derivation_solve(a).basis
             computed = all(
-                sol.satisfies(np.array(
-                    [parse_scalar(str(x), a.exact) for x in functional],
-                    dtype=object if a.exact else float), a.tol)
-                for functional in expected)
+                is_zero(sum(parse_scalar(str(f), a.exact) * x
+                            for f, x in zip(functional, v)), a.tol)
+                for functional in expected for v in basis)
             expected = True
         else:  # pragma: no cover - schema check rules this out
             computed = None

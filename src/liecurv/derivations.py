@@ -17,14 +17,15 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .scalars import DEFAULT_TOL, is_zero
+from .scalars import is_zero
 from .structure import (StructureTensor, require_killing_zero, require_lie,
                         require_unimodular)
 
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    """Der(g) as a reduced-echelon basis of n x n matrices."""
+    """Derivations as a reduced-echelon basis: n x n matrices for Der(g),
+    the vectors x of X = diag(x) for the diagonal ones."""
 
     n: int
     basis: tuple
@@ -97,38 +98,13 @@ def trace_obstruction(a: StructureTensor) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DiagonalSolve:
-    """Solutions x of the diagonal-derivation system diag(x) . a = 0."""
-
-    n: int
-    basis: tuple          # vectors spanning the solution space
-    trace_witness: Optional[np.ndarray]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def trace_can_be_nonzero(self) -> bool:
-        return self.trace_witness is not None
-
-    def satisfies(self, functional, tol: float = DEFAULT_TOL) -> bool:
-        """Whether a linear relation sum_i functional[i] * x_i = 0 holds."""
-        return all(is_zero(np.dot(functional, v), tol) for v in self.basis)
-
-
-def diagonal_derivation_solve(a: StructureTensor) -> DiagonalSolve:
-    """Diagonal X = diag(x_1..x_n) with X a derivation: x_i + x_j = x_k
-    for every nonzero a^k_{ij}."""
-    n = a.n
-    system = [defaultdict(int) for _ in a.coeffs]
-    for row, ((i, j, k), c) in zip(system, sorted(a._scaled[0].items())):
-        row[i] += c
-        row[j] += c
-        row[k] -= c
-        # the equation is c * (x_i + x_j - x_k) = 0; keep c for exactness
-    null = linalg.kernel(system, n, a.exact, a.tol)
-    basis = tuple(linalg.row_space(null, n, a.exact, a.tol))
-    witness = next((v for v in basis if not is_zero(np.sum(v), a.tol)), None)
-    return DiagonalSolve(n, basis, witness)
+def diagonal_derivation_solve(a: StructureTensor) -> DerivationSpace:
+    """The diagonal derivations X = diag(x): x_i + x_j = x_k for every
+    nonzero a^k_ij.  The basis holds the vectors x, read off
+    `StructureTensor._diagonal_certificate`, as floats on the float
+    backend."""
+    basis, witness, _ = a._diagonal_certificate
+    if not a.exact:
+        basis = linalg.to_float(basis)
+        witness = None if witness is None else linalg.to_float(witness)
+    return DerivationSpace(a.n, tuple(basis), witness)

@@ -81,26 +81,6 @@ class DualStructureTensor:
         return {"n": self.n, "terms": terms}
 
 
-@dataclass(frozen=True)
-class GaugeDirection:
-    """An arbitrary element X of gl(n), acting infinitesimally on brackets."""
-
-    X: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def traceless(self) -> bool:
-        return is_zero(np.trace(self.X), self.tol)
-
-
-def _direction(X) -> np.ndarray:
-    return X.X if isinstance(X, GaugeDirection) else X
-
-
 # --- the q map and its contractions ----------------------------------------
 
 def q_map(a: StructureLike, S: Metric,
@@ -181,7 +161,6 @@ def gauge_metric(g: np.ndarray, S: Metric) -> Metric:
 
 def infinitesimal_metric(X, S: Metric) -> np.ndarray:
     """Derivative of exp(tX).S at t = 0: -X^T S - S X (a symmetric matrix)."""
-    X = _direction(X)
     return linalg.sparse_mm(-X.T, S.g) - linalg.sparse_mm(S.g, X)
 
 
@@ -214,7 +193,6 @@ def infinitesimal_structure(X, a: StructureLike) -> np.ndarray:
 
     Vanishes exactly when X is a derivation of a.
     """
-    X = _direction(X)
     c = _c_array(a)
     mm = linalg.sparse_mm
     t1 = mm(c, X.T)                                   # X[k,m] c[i,j,m]
@@ -234,7 +212,6 @@ def gauge_dual(g: np.ndarray, b: DualStructureTensor) -> DualStructureTensor:
 
 def infinitesimal_dual(X, b: DualStructureTensor) -> np.ndarray:
     """Derivative of exp(tX).b at t = 0, as a raw component array."""
-    X = _direction(X)
     c = b.comps
     mm = linalg.sparse_mm
     t1 = mm(X, c)                                     # X[i,m] c[m,j,l]
@@ -279,7 +256,6 @@ def gauge_derivative(a: StructureTensor, S: Metric, X) -> Scalar:
     traceless X exactly at Einstein metrics.
     """
     a, S = match_backends(a, S)
-    X = _direction(X)
     ric = ricci_via_moment(a, S)
     inner = linalg.sparse_frob(ric.ric_op, X.T)
     quarter = Fraction(1, 4) if S.exact else 0.25

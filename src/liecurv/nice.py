@@ -18,16 +18,19 @@ the Jacobian of ric is 1/2 M diag(y) M^T in closed form.  Newton runs on
 the squares divided by a power of two near their largest, which makes its
 thresholds relative to the size of the bracket.
 
-Two exact tests come first, on either backend: they read only which
-terms are nonzero, and Newton solves the closed form itself.  If 1 is not
-in the image of M, no y has 1/2 M y = lambda 1 with lambda != 0;
-otherwise a sign pattern sigma is skipped when no y with M y in R 1 has
-the signs sign(y_t) = sigma_i sigma_j sigma_k, a linear feasibility
-question decided exactly by Fourier-Motzkin elimination.  On an exact Lie
-bracket that is unimodular with zero Killing form, where the closed form
-is the Ricci tensor, they are proofs: the first gives a diagonal
-derivation of nonzero trace, and by the trace obstruction no Einstein
-metric with s != 0 exists at all; when every requested pattern fails the
+Newton runs only where the closed form is the Ricci tensor: on a Lie
+bracket that is unimodular with zero Killing form, the class
+`ricci_killing_zero` accepts; elsewhere the search returns nothing.  Two
+exact tests come first, on either backend, both read off
+`StructureTensor._diagonal_certificate`: they read only which terms are
+nonzero, and Newton solves the closed form itself.  If 1 is not in the
+image of M -- exactly when a diagonal derivation of nonzero trace exists
+-- no y has 1/2 M y = lambda 1 with lambda != 0; otherwise a sign pattern
+sigma is skipped when no y with M y in R 1 has the signs
+sign(y_t) = sigma_i sigma_j sigma_k, a linear feasibility question
+decided exactly by Fourier-Motzkin elimination.  On an exact bracket of
+that class they are proofs: by the trace obstruction the first rules out
+every Einstein metric with s != 0; when every requested pattern fails the
 second, no diagonal Einstein metric with lambda != 0 exists in the given
 basis (metrics not diagonal in it are not covered).  `search_status`
 states which of these holds; any other empty result is a statement about
@@ -47,7 +50,6 @@ import numpy as np
 
 from . import linalg
 from .curvature import ricci_killing_zero
-from .derivations import diagonal_derivation_solve
 from .errors import DegenerateMetricError, NotNiceBasisError
 from .metric import Metric
 from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
@@ -233,10 +235,11 @@ def _verify_exact(a: StructureTensor, diag):
 
 
 def _closed_form_is_ricci(a: StructureTensor) -> bool:
-    """Exact, Lie, unimodular, zero Killing form: the class ricci_killing_zero
-    accepts.  There the closed form is the Ricci tensor exactly and the
-    trace obstruction applies, so the exact tests below are proofs."""
-    return (a.exact and is_lie(a) and is_unimodular(a)
+    """Lie, unimodular, zero Killing form: the class ricci_killing_zero
+    accepts.  There the closed form is the Ricci tensor, so only there does
+    the search run Newton; on an exact bracket the trace obstruction
+    applies too, and the exact tests below are proofs."""
+    return (is_lie(a) and is_unimodular(a)
             and linalg.mat_is_zero(killing_form(a), a.tol))
 
 
@@ -246,10 +249,11 @@ def _pattern_feasible(a: StructureTensor, pattern) -> bool:
 
     Rescaling g by a positive factor rescales y, so lambda is free and the
     question is whether the strict system s_t (B w)_t > 0 is solvable, B
-    spanning {y : M y in R 1} (see StructureTensor._einstein_span): an open
-    set, so a solution with lambda = 0 would have neighbours with lambda != 0.
+    spanning {y : M y in R 1} (see StructureTensor._diagonal_certificate):
+    an open set, so a solution with lambda = 0 would have neighbours with
+    lambda != 0.
     """
-    span = a._einstein_span
+    span = a._diagonal_certificate.span
     if span is None:
         return False
     return _strictly_solvable(
@@ -300,11 +304,12 @@ def diagonal_einstein_search(a: StructureTensor,
                              max_iter: int = 100):
     """Search for diagonal metrics with ric = lambda Id, lambda != 0.
 
-    The empty list is returned at once when 1 is not in the image of M, and
-    a sign pattern that fails the exact sign test is skipped without a
-    Newton run; its starts are still drawn, so the other patterns see the
-    same ones.  Both tests read only which terms are nonzero, so they apply
-    on either backend.
+    The empty list is returned at once when 1 is not in the image of M,
+    and before the first Newton run when the closed form is not the Ricci
+    tensor (outside `_closed_form_is_ricci`).  A sign pattern that fails
+    the exact sign test is skipped without a Newton run; its starts are
+    still drawn, so the other patterns see the same ones.  Both exact tests
+    read only which terms are nonzero, so they apply on either backend.
     Newton runs on log-magnitudes with the signs frozen per pattern and the
     analytic Jacobian 1/2 M diag(y) M^T; the first entry is normalized to
     sign_pattern[0].  Candidates are rationalized by continued fractions
@@ -329,7 +334,7 @@ def diagonal_einstein_search(a: StructureTensor,
         patterns = [pattern]
     else:
         patterns = _all_patterns(n)
-    if a._einstein_span is None:
+    if a._diagonal_certificate.span is None:
         return []
     rng = random.Random(seed)
     results = []
@@ -341,6 +346,8 @@ def diagonal_einstein_search(a: StructureTensor,
                 rng.random()        # the starts its Newton runs would take
             continue
         if terms is None:           # built once, after a pattern passes
+            if not _closed_form_is_ricci(a):
+                return []           # Newton would solve a form that is not ric
             terms, e = _search_terms(a)
             M = np.zeros((n, len(terms)))     # column t: e_k - e_i - e_j
             for t, (i, j, k, _) in enumerate(terms):
@@ -393,9 +400,9 @@ def search_status(a: StructureTensor, sign_patterns, results) -> dict:
     """
     if results:
         return {"status": "found"}
-    if _closed_form_is_ricci(a):
-        if a._einstein_span is None:
-            witness = diagonal_derivation_solve(a).trace_witness
+    if a.exact and _closed_form_is_ricci(a):
+        witness = a._diagonal_certificate.witness
+        if witness is not None:
             return {"status": "none", "reason": "trace-obstruction",
                     "witness": [format_scalar(x) for x in witness]}
         patterns = [q for p in sign_patterns

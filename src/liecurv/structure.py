@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,18 @@ def _freeze(coeffs, tol):
         if not is_zero(c, tol):
             out[(i, j, k)] = out.get((i, j, k), type(c)(0)) + c
     return {key: c for key, c in out.items() if not is_zero(c, tol)}
+
+
+class DiagonalCertificate(NamedTuple):
+    """`StructureTensor._diagonal_certificate`: `basis`, the reduced echelon
+    basis of ker M^T as rows of Fractions; `witness`, its first row of
+    nonzero sum, or None; `span`, only when there is no witness, a pair
+    ((i, j, k), row) per term, the rows of an integer basis of
+    {y : M y in R 1}, and None otherwise."""
+
+    basis: np.ndarray
+    witness: Optional[np.ndarray]
+    span: Optional[tuple]
 
 
 @dataclass(frozen=True)
@@ -134,28 +146,35 @@ class StructureTensor:
         return _read_only(B)
 
     @cached_property
-    def _einstein_span(self) -> Optional[tuple]:
-        """The linear part of the diagonal Einstein condition on a nice basis.
+    def _diagonal_certificate(self) -> DiagonalCertificate:
+        """Both sides of the Fredholm alternative for the term matrix M.
 
-        There ric = 1/2 M y for diag(g): M is the n x m matrix whose column
-        for the term (i, j, k) is e_k - e_i - e_j, and y_t = (a^k_ij)^2
-        g_k / (g_i g_j).  Returns ((i, j, k), row) for each term of
-        sorted(coeffs), the rows of an integer basis of {y : M y in R 1};
-        None when 1 is not in the image of M, which holds exactly when a
-        diagonal derivation of nonzero trace exists.
+        On a nice basis ric = 1/2 M y for diag(g): M is the n x m matrix
+        whose column for the term (i, j, k) of sorted(coeffs) is
+        e_k - e_i - e_j, and y_t = (a^k_ij)^2 g_k / (g_i g_j).  Either some x
+        in ker M^T -- x_k = x_i + x_j per term, the diagonal derivations
+        diag(x) -- has nonzero sum, or 1 is in the image of M.  M reads only
+        which terms are nonzero, so this is exact on either backend.
         """
         terms = sorted(self.coeffs)
+        cols = [defaultdict(int) for _ in terms]      # the rows of M^T
+        for col, (i, j, k) in zip(cols, terms):
+            col[k] += 1
+            col[i] -= 1
+            col[j] -= 1
+        basis = _read_only(linalg.row_space(linalg.kernel(cols, self.n, True),
+                                            self.n, True))
+        witness = next((v for v in basis if sum(v)), None)
+        if witness is not None:
+            return DiagonalCertificate(basis, witness, None)
         s = len(terms)                       # the column of s in (y, s)
         rows = [defaultdict(int, {s: -1}) for _ in range(self.n)]
-        for t, (i, j, k) in enumerate(terms):
-            rows[k][t] += 1
-            rows[i][t] -= 1
-            rows[j][t] -= 1
-        basis = linalg.kernel(rows, s + 1, True)   # (y, s) with M y = s 1
-        if all(s not in v for v in basis):
-            return None
-        cols = [[v.get(t, 0) for t in range(s)] for v in basis]
-        return tuple(zip(terms, zip(*cols)))
+        for t, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][t] = x
+        null = linalg.kernel(rows, s + 1, True)    # (y, s) with M y = s 1
+        span = zip(*([v.get(t, 0) for t in range(s)] for v in null))
+        return DiagonalCertificate(basis, None, tuple(zip(terms, span)))
 
     @cached_property
     def _report(self) -> "ClassifyReport":

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from liecurv import nice
 from liecurv.cli import main
 from liecurv.metric import parse_metric
 from liecurv.structure import parse_structure
@@ -182,6 +183,23 @@ def test_einstein_search_cli(capsys):
     payload = json.loads(out)
     assert payload["status"] == "found" and "reason" not in payload
     assert any(r["lambda"] == "7/15" and r["exact"] for r in payload["results"])
+
+
+def test_einstein_search_runs_no_newton_outside_the_closed_form_class(
+        capsys, monkeypatch):
+    # so(3) is nice, but its Killing form is not zero, so 1/2 M y is not
+    # its Ricci tensor: no restart budget makes a candidate there
+    def newton(*args):
+        raise AssertionError("Newton ran where 1/2 M y is not the Ricci tensor")
+    monkeypatch.setattr(nice, "_newton_from", newton)
+    for backend in ("exact", "float"):
+        for restarts in (["--restarts", "0"], []):
+            code, out, _ = run(capsys, "einstein-search", "--structure",
+                               "(23,-13,12)", "--backend", backend,
+                               *restarts, "--output", "json")
+            payload = json.loads(out)
+            assert code == 0
+            assert payload["status"] == "budget" and payload["results"] == []
 
 
 def test_einstein_search_status(capsys):

@@ -77,14 +77,14 @@ def test_diagonal_solve_heisenberg():
     sol = diagonal_derivation_solve(a)
     # x3 = x1 + x2, two free parameters
     assert sol.dim == 2
-    assert sol.trace_can_be_nonzero
+    assert sol.has_nonzero_trace
     f = linalg.zeros(3)
     f[0] = f[1] = Fraction(1)
     f[2] = Fraction(-1)
-    assert sol.satisfies(f)
+    assert all(np.dot(f, v) == 0 for v in sol.basis)
     g = linalg.zeros(3)
     g[0] = Fraction(1)
-    assert not sol.satisfies(g)
+    assert not all(np.dot(g, v) == 0 for v in sol.basis)
 
 
 def test_diagonal_solve_abelian_full():

@@ -15,6 +15,8 @@ from liecurv.nice import (diagonal_einstein_search, diagonal_ricci,
                           diagonal_ricci_closed_form, nice_basis_check)
 from liecurv.structure import parse_structure
 
+from tests_helpers import dense_rref
+
 N8 = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
 N8_DIAG = (Fraction(1), Fraction(1), Fraction(1), Fraction(1),
            Fraction(-7, 3), Fraction(-7, 3),
@@ -147,7 +149,7 @@ def test_search_returns_certified_none_without_newton(monkeypatch,
     heis = parse_structure("(0,0,12)")
     for a in (heis, by_name["147E(lambda=2)"].parse(),
               by_name["123457I(lambda=1)"].parse()):
-        assert diagonal_derivation_solve(a).trace_can_be_nonzero
+        assert diagonal_derivation_solve(a).has_nonzero_trace
         assert diagonal_einstein_search(a) == []
     # argument checks come before the certificate
     for pattern in ((1, 1), (1, 0, 1)):
@@ -168,7 +170,7 @@ def test_search_returns_certified_none_without_newton(monkeypatch,
 
 def test_search_without_witness_finds_both_catalogued_metrics():
     a = parse_structure(N8)
-    assert not diagonal_derivation_solve(a).trace_can_be_nonzero
+    assert not diagonal_derivation_solve(a).has_nonzero_trace
     for pattern, diag in (((1, 1, 1, 1, -1, -1, 1, 1), N8_DIAG),
                           ((1, 1, -1, -1, -1, 1, -1, -1), N8_DIAG_2)):
         results = diagonal_einstein_search(a, sign_pattern=pattern, seed=0,
@@ -199,19 +201,42 @@ def test_sign_test_keeps_exactly_eight_patterns_of_n8():
     assert tuple(1 if x > 0 else -1 for x in N8_DIAG_2) in feasible
 
 
+def _one_in_image(a):
+    """Whether 1 is in the image of the term matrix M, from dense ranks."""
+    M = linalg.zeros((a.n, len(a.coeffs) + 1))
+    for t, (i, j, k) in enumerate(sorted(a.coeffs)):
+        M[k, t] += 1
+        M[i, t] -= 1
+        M[j, t] -= 1
+    M[:, -1] = Fraction(1)
+    return len(dense_rref(M[:, :-1])[1]) == len(dense_rref(M)[1])
+
+
 def test_sign_test_agrees_with_trace_witness(catalog_entries):
     entries = _gated_nice_entries(catalog_entries)
     assert len(entries) >= 44
+    entries += [(text, parse_structure(text))
+                for text in ("(23,-13,12)", "(0,12,-13)")]
     obstructed = 0
     for name, a in entries:
-        witness = diagonal_derivation_solve(a).trace_can_be_nonzero
+        witness = diagonal_derivation_solve(a).has_nonzero_trace
         # 1 is outside the image of M exactly when the witness exists
-        assert (a._einstein_span is None) == witness, name
-        if witness:
-            obstructed += 1
-            assert not any(nice._pattern_feasible(a, p)
-                           for p in nice._all_patterns(a.n)), name
-    assert obstructed == len(entries) - 1
+        assert _one_in_image(a) != witness, name
+        feasible = any(nice._pattern_feasible(a, p)
+                       for p in nice._all_patterns(a.n))
+        assert feasible != witness, name
+        obstructed += witness
+    # n8-einstein and so(3) have none
+    assert obstructed == len(entries) - 2
+
+
+def test_float_diagonal_solve_matches_the_exact_one(catalog_entries):
+    for entry in catalog_entries:
+        a = entry.parse()
+        exact = diagonal_derivation_solve(a)
+        floating = diagonal_derivation_solve(a.to_float())
+        assert floating.dim == exact.dim, entry.name
+        assert floating.has_nonzero_trace == exact.has_nonzero_trace, entry.name
 
 
 def test_strictly_solvable_small_systems():
