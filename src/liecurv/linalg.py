@@ -8,11 +8,9 @@ zero, so every exact computation rests on two sparse kernels:
   entry} dicts of their nonzeros; `kernel` returns such rows, and the
   exact systems built from structure constants reach it as sparse integer
   rows, with no dense matrix, and `row_space` reduces such rows.  `rref`,
-  `rank` and `inv` are its adapters for ndarrays.  Pivots are of least
-  `bit_size`.  A column index, the set of rows holding each column (the
-  row/column lists of Gustavson, ACM TOMS 4, 1978), is kept through row
-  swaps, fill-in and cancellation, so a pivot step reads and updates only
-  the rows that hold its column;
+  `rank` and `inv` are its adapters for ndarrays.  Exact rows are reduced
+  row by row against the reduced rows so far, with bounded growth; floats
+  are reduced column by column with pivots of largest magnitude;
 - one matrix product, `sparse_mm`, and one Frobenius pairing,
   `sparse_frob`, which skip zero entries; every exact matrix product and
   tensor contraction is one of them, a tensor contraction being a product
@@ -29,7 +27,6 @@ Output ordering is deterministic.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -153,6 +150,20 @@ def sparse_rows(rows, exact: bool) -> list:
     return rows
 
 
+def _subtract(row: dict, f, other: dict) -> dict:
+    """row -= f * other, in place, dropping the entries that cancel."""
+    for c, x in other.items():
+        fx = f * x
+        y = row.get(c)
+        if y is None:
+            row[c] = -fx
+        elif y == fx:
+            del row[c]
+        else:
+            row[c] = y - fx
+    return row
+
+
 def eliminate(rows, exact: bool, tol: float = DEFAULT_TOL):
     """Gauss-Jordan elimination on sparse rows, {column: entry} dicts with
     integer entries on the exact backend (left unmodified); every rank,
@@ -164,70 +175,59 @@ def eliminate(rows, exact: bool, tol: float = DEFAULT_TOL):
     float rows with pivot 1.  The rows after them hold no entry, or on
     floats only entries with `is_zero`.
 
-    The pivot is the remaining row of least `bit_size`, lowest current row
-    position on ties; entries with `is_zero` are neither pivots nor
-    eliminated.  The pivot candidates and the rows to eliminate are read
-    off a column index, and a swap exchanges two positions, not two rows.
-    Exact rows are eliminated fraction-free (Bareiss, Math. Comp. 22, 1968)
-    as primitive integer rows; the reduced echelon form is unique, so
-    dividing each by its pivot at the end gives it."""
-    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    Exact rows are reduced row by row, fraction-free on primitive integer
+    rows: each is reduced once against the reduced rows so far, which hold
+    no pivot column but their own, and what is left, if anything, becomes a
+    pivot row whose leading column is cleared from them.  The rows so far
+    are the reduced echelon form of a prefix of the input, so by Cramer's
+    rule their entries are bounded by minors of that prefix, with no choice
+    of pivot.  Floats go column by column; the pivot is the entry of largest
+    magnitude (least `bit_size`), lowest current position on ties, and
+    entries with `is_zero` are neither pivots nor eliminated."""
     if exact:
-        rows = [_primitive(row) for row in rows]
-    n_rows = len(rows)
-    # rows never move: pos[r] is row r's current position, at[k] the row
-    # at position k, and holding[c] the rows with an entry in column c
-    pos = list(range(n_rows))
-    at = list(range(n_rows))
-    holding = defaultdict(set)
-    for r, row in enumerate(rows):
-        for c in row:
-            holding[c].add(r)
-    pivots = []
-    for col in sorted(holding):
-        top = len(pivots)
-        if top == n_rows:
-            break
-        candidates = [r for r in holding[col]
-                      if pos[r] >= top and not is_zero(rows[r][col], tol)]
-        if not candidates:
-            continue
-        piv = min(candidates, key=lambda r: (bit_size(rows[r][col]), pos[r]))
-        other = at[top]
-        at[top], at[pos[piv]] = piv, other
-        pos[other], pos[piv] = pos[piv], top
-        p = rows[piv]
-        d = p[col]
-        if not exact:
-            for c, x in p.items():
-                p[c] = x / d
-        for r in [r for r in holding[col] if r != piv]:
-            row = rows[r]
-            f = row[col]
-            if is_zero(f, tol):
+        reduced = {}                     # pivot column -> its reduced row
+        for row in rows:
+            row = {c: x for c, x in row.items() if x}
+            hits = [(reduced[c], c, f) for c, f in row.items() if c in reduced]
+            if hits:
+                # the least scale with scale * f / p[c] integral for every hit
+                scale = lcm(*(p[c] // gcd(p[c], f) for p, c, f in hits))
+                row = {c: scale * x for c, x in row.items()}
+                for p, c, f in hits:
+                    _subtract(row, scale * f // p[c], p)
+            if not row:
                 continue
-            if exact:
-                # row <- (d/g) row - (f/g) p, g = gcd(d, f)
-                g = gcd(d, f)
-                scale, f = d // g, f // g
-                if scale != 1:
-                    for c in row:
-                        row[c] *= scale
-            for c, x in p.items():
-                fx = f * x
-                y = row.get(c)
-                if y is None:
-                    row[c] = -fx
-                    holding[c].add(r)
-                elif y == fx:
-                    del row[c]
-                    holding[c].discard(r)
-                else:
-                    row[c] = y - fx
-            if exact:
-                _primitive(row)
+            _primitive(row)
+            lead = min(row)
+            d = row[lead]
+            for p in reduced.values():
+                f = p.get(lead)
+                if f:
+                    # p <- (d/g) p - (f/g) row, g = gcd(d, f)
+                    g = gcd(d, f)
+                    if d != g:
+                        for c in p:
+                            p[c] *= d // g
+                    _primitive(_subtract(p, f // g, row))
+            reduced[lead] = row
+        pivots = sorted(reduced)
+        return [reduced[c] for c in pivots] + [{} for _ in rows[len(pivots):]], pivots
+    rows = [{c: x for c, x in row.items() if x} for row in rows]
+    pivots = []
+    for col in sorted({c for row in rows for c in row}):
+        top = len(pivots)
+        k = min(range(top, len(rows)), default=None,
+                key=lambda k: bit_size(rows[k].get(col, 0.0)))
+        if k is None or is_zero(rows[k].get(col, 0.0), tol):
+            continue
+        p = {c: x / rows[k][col] for c, x in rows[k].items()}
+        rows[k], rows[top] = rows[top], p
+        for row in rows:
+            f = row.get(col)
+            if row is not p and f is not None and not is_zero(f, tol):
+                _subtract(row, f, p)
         pivots.append(col)
-    return [rows[r] for r in at], pivots
+    return rows, pivots
 
 
 def kernel(rows, n_cols: int, exact: bool, tol: float = DEFAULT_TOL) -> list:

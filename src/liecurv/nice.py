@@ -48,13 +48,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
 from .curvature import ricci_killing_zero
 from .errors import DegenerateMetricError, NotNiceBasisError
 from .metric import Metric
 from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
                       rationalize)
-from .structure import StructureTensor, is_lie, is_unimodular, killing_form
+from .structure import StructureTensor, is_lie, is_unimodular
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,7 @@ def _closed_form_is_ricci(a: StructureTensor) -> bool:
     accepts.  There the closed form is the Ricci tensor, so only there does
     the search run Newton; on an exact bracket the trace obstruction
     applies too, and the exact tests below are proofs."""
-    return (is_lie(a) and is_unimodular(a)
-            and linalg.mat_is_zero(killing_form(a), a.tol))
+    return is_lie(a) and is_unimodular(a) and a._killing_zero
 
 
 def _pattern_feasible(a: StructureTensor, pattern) -> bool:

@@ -59,11 +59,10 @@ def rationalize(x: float, max_denominator: int = 10**6) -> Fraction:
     return Fraction(x).limit_denominator(max_denominator)
 
 
-def bit_size(x: Scalar | int) -> float:
-    """Pivot-selection size measure, smaller is better: total bit length of
-    a rational or an integer (cheaper exact pivot; `linalg.eliminate` takes
-    it on the integer rows of its fraction-free elimination), -|x| for a float
-    (stabler pivot)."""
+def bit_size(x: Scalar) -> float:
+    """Pivot-selection size measure, smaller is better: -|x| for a float, the
+    stabler pivot of float `linalg.eliminate`, and the total bit length of a
+    rational, the cheaper pivot of exact `linalg.sylvester_signature`."""
     if isinstance(x, float):
         return -abs(x)
     return x.numerator.bit_length() + x.denominator.bit_length()

@@ -146,6 +146,10 @@ class StructureTensor:
         return _read_only(B)
 
     @cached_property
+    def _killing_zero(self) -> bool:
+        return linalg.mat_is_zero(self._killing_form, self.tol)
+
+    @cached_property
     def _diagonal_certificate(self) -> DiagonalCertificate:
         """Both sides of the Fredholm alternative for the term matrix M.
 
@@ -192,7 +196,7 @@ class StructureTensor:
             nilpotent=nilpotent,
             solvable=derived_series_terminates(self),
             step=len(lcs.dims) if nilpotent else None,
-            killing_zero=linalg.mat_is_zero(killing_form(self), self.tol),
+            killing_zero=self._killing_zero,
             lcs=lcs,
             centre=Z,
             derived=derived,
@@ -443,7 +447,7 @@ def require_unimodular(a: StructureTensor, what: str):
 
 
 def require_killing_zero(a: StructureTensor, what: str):
-    if not linalg.mat_is_zero(killing_form(a), a.tol):
+    if not a._killing_zero:
         raise KillingFormNonzeroError(f"{what} needs an identically zero Killing form")
 
 

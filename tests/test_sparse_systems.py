@@ -4,6 +4,7 @@ brackets, Lie and not, on both backends."""
 
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -226,3 +227,47 @@ def test_eliminate_matches_dense_rref_on_mostly_empty_rows(case):
         assert got == R[r].tolist()
     for v in linalg.kernel(sparse, n_cols, exact):
         assert_in_kernel(M.tolist(), v, exact)
+
+
+@st.composite
+def reordered_systems(draw):
+    """Integer rows, and the same rows permuted with integer combinations of
+    the rows before them interleaved, as defaultdicts that may hold zeros."""
+    n_cols = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n_cols,
+                                  max_size=n_cols), min_size=1, max_size=8))
+    mixed = []
+    for row in draw(st.permutations(rows)):
+        mixed.append({c: x for c, x in enumerate(row) if x})
+        if draw(st.booleans()):
+            combo = defaultdict(int)
+            for k, earlier in zip(draw(st.lists(st.integers(-3, 3),
+                                                min_size=len(mixed),
+                                                max_size=len(mixed))), mixed):
+                for c, x in earlier.items():
+                    combo[c] += k * x
+            mixed.append(combo)
+    return rows, n_cols, mixed
+
+
+@settings(max_examples=300, deadline=None)
+@given(reordered_systems())
+def test_exact_eliminate_does_not_depend_on_the_row_order(case):
+    rows, n_cols, mixed = case
+    before = [(type(row), dict(row)) for row in mixed]
+    reduced, pivots = linalg.eliminate(mixed, True)
+    assert [(type(row), dict(row)) for row in mixed] == before
+    R, pivots_ref = dense_rref(from_rows(rows))
+    assert pivots == pivots_ref and len(reduced) == len(mixed)
+    for r, p in enumerate(pivots):
+        assert all(type(x) is int and x for x in reduced[r].values())
+        assert math.gcd(*reduced[r].values()) == 1
+        got = [Fraction(reduced[r].get(c, 0), reduced[r][p]) for c in range(n_cols)]
+        assert got == R[r].tolist()
+    assert all(row == {} for row in reduced[len(pivots):])
+    kernel = linalg.kernel(mixed, n_cols, True)
+    assert len(kernel) == n_cols - len(pivots)
+    for v in kernel:
+        assert_in_kernel(rows, v, True)
+        assert_in_kernel([[row.get(c, 0) for c in range(n_cols)] for row in mixed],
+                         v, True)

@@ -173,7 +173,8 @@ def induced_pairing(S, shape: str):
 
 def dense_rref(M, tol=DEFAULT_TOL):
     """The dense Gauss-Jordan elimination that the sparse `linalg.eliminate`
-    replaced, kept as its reference: same pivot rule, whole-row arithmetic."""
+    replaced, kept as its reference: whole-row arithmetic, the float pivot
+    rule of `eliminate`; exact output is the unique reduced echelon form."""
 
     def pick_pivot(R, rows, col):
         if linalg.is_float_array(R):
