@@ -16,7 +16,6 @@ pseudo-orthonormal frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotNilpotentError
-from .metric import Metric, gram, pseudo_orthonormal_frame
+from .metric import Metric, gram, pseudo_orthonormal_frame, scaled_gram
 from .scalars import Scalar, format_scalar, is_zero
 from .structure import (StructureTensor, classify, killing_form,
                         require_killing_zero, require_lie, require_unimodular,
@@ -39,9 +38,15 @@ def match_backends(a: StructureTensor, S: Metric):
     return a.to_float(), S.to_float()
 
 
+def _lowered(a: StructureTensor, S: Metric) -> tuple:
+    """cl as a `linalg.scaled` pair."""
+    (C, dc), ((G, dg), _) = a._scaled_array, S._scaled
+    return linalg.contract(C, G), dc * dg
+
+
 def lowered_brackets(a: StructureTensor, S: Metric) -> np.ndarray:
     """cl[i, j, k] = <[e_i, e_j], e_k>."""
-    return linalg.sparse_mm(a.as_array(), S.g)
+    return linalg.unscaled(*_lowered(*match_backends(a, S)))
 
 
 @dataclass(frozen=True)
@@ -51,26 +56,27 @@ class ConnectionCoefficients:
     n: int
     gamma: np.ndarray
 
-    def matrix(self, i: int) -> np.ndarray:
-        """Matrix of nabla_{e_i} acting on vectors (column j holds nabla_{e_i}e_j)."""
-        return self.gamma[i].T
-
     def matrices(self) -> list[np.ndarray]:
-        return [self.matrix(i) for i in range(self.n)]
+        """Matrices of the nabla_{e_i} on vectors (column j holds nabla_{e_i}e_j)."""
+        return [g.T for g in self.gamma]
+
+
+def _connection(a: StructureTensor, S: Metric) -> tuple:
+    """gamma as a `linalg.scaled` pair, from the Koszul formula."""
+    cl, d = _lowered(a, S)
+    # K[i,j,k] = <nabla_{e_i} e_j, e_k>
+    #          = (cl[i,j,k] - cl[j,k,i] + cl[k,i,j]) / 2
+    K, d = linalg.over(cl - np.transpose(cl, (2, 0, 1))
+                       + np.transpose(cl, (1, 2, 0)), d, 2)
+    Gi, di = S._scaled[1]
+    return linalg.contract(K, Gi), d * di
 
 
 def levi_civita(a: StructureTensor, S: Metric) -> ConnectionCoefficients:
     """Unique torsion-free metric connection, from the Koszul formula."""
     require_lie(a, "the Levi-Civita connection")
     a, S = match_backends(a, S)
-    cl = lowered_brackets(a, S)
-    n = a.n
-    half = Fraction(1, 2) if S.exact else 0.5
-    # K[i,j,k] = <nabla_{e_i} e_j, e_k>
-    #          = (cl[i,j,k] - cl[j,k,i] + cl[k,i,j]) / 2
-    K = half * (cl - np.transpose(cl, (2, 0, 1)) + np.transpose(cl, (1, 2, 0)))
-    gamma = linalg.sparse_mm(K, S.ginv)
-    return ConnectionCoefficients(n, gamma)
+    return ConnectionCoefficients(a.n, linalg.unscaled(*_connection(a, S)))
 
 
 @dataclass(frozen=True)
@@ -81,32 +87,42 @@ class CurvatureTensor:
     R: np.ndarray
 
 
-def curvature_operators(a: StructureTensor, S: Metric,
-                        conn: Optional[ConnectionCoefficients] = None):
-    """Matrices of R(e_i, e_j) = G_i G_j - G_j G_i - sum_k a^k_ij G_k for
-    i < j, G_i the matrix of nabla_{e_i}, as a dict {(i, j): matrix}.
-
-    All of them come from one product C P: P stacks the rows G_i G_j (all
-    i, j) and G_k, flattened, and row (i, j) of the sparse coefficient
-    matrix C holds +1 on G_i G_j, -1 on G_j G_i and -a^k_ij on G_k.
-    """
-    a, S = match_backends(a, S)
-    if conn is None:
-        conn = levi_civita(a, S)
+def _operators(a: StructureTensor, S: Metric) -> tuple:
+    """(R, gamma): the stack of R(e_i, e_j), i < j, and the connection, as
+    `linalg.scaled` pairs (see `curvature_operators`)."""
+    require_lie(a, "the Levi-Civita connection")
     n = a.n
-    G = np.stack(conn.matrices())
-    GG = linalg.sparse_mm(G, np.transpose(G, (1, 0, 2)))  # GG[i, :, j] = G[i] G[j]
+    gamma, dg = _connection(a, S)
+    G = np.stack([g.T for g in gamma])                   # G[i] = gamma[i].T
+    GG = linalg.contract(G, np.transpose(G, (1, 0, 2)))  # GG[i, :, j] = G[i] G[j]
     P = np.concatenate([np.transpose(GG, (0, 2, 1, 3)).reshape(n * n, n * n),
-                        G.reshape(n, n * n)])
+                        G.reshape(n, n * n) * dg])        # over dg^2
     pairs = list(combinations(range(n), 2))
     row = {ij: r for r, ij in enumerate(pairs)}
-    C = linalg.zeros((len(pairs), n * n + n), S.exact)
+    coeffs, dc = a._scaled
+    C = np.zeros((len(pairs), n * n + n), dtype=G.dtype)
     for r, (i, j) in enumerate(pairs):
-        C[r, i * n + j], C[r, j * n + i] = 1, -1
-    for (i, j, k), c in a.coeffs.items():
+        C[r, i * n + j], C[r, j * n + i] = dc, -dc
+    for (i, j, k), c in coeffs.items():
         C[row[i, j], n * n + k] = -c
-    ops = linalg.sparse_mm(C, P).reshape(len(pairs), n, n)
-    return dict(zip(pairs, ops)), conn
+    R = linalg.contract(C, P).reshape(len(pairs), n, n)
+    return (R, dc * dg * dg), (gamma, dg)
+
+
+def curvature_operators(a: StructureTensor, S: Metric):
+    """Matrices of R(e_i, e_j) = G_i G_j - G_j G_i - sum_k a^k_ij G_k for
+    i < j, G_i the matrix of nabla_{e_i}, as a dict {(i, j): matrix}, and
+    the connection.
+
+    All of them come from one product C P on integers: P stacks the rows
+    G_i G_j (all i, j) and G_k, flattened, and row (i, j) of the sparse
+    coefficient matrix C holds +1 on G_i G_j, -1 on G_j G_i and -a^k_ij on
+    G_k.
+    """
+    a, S = match_backends(a, S)
+    R, gamma = _operators(a, S)
+    ops = dict(zip(combinations(range(a.n), 2), linalg.unscaled(*R)))
+    return ops, ConnectionCoefficients(a.n, linalg.unscaled(*gamma))
 
 
 def riemann(a: StructureTensor, S: Metric) -> CurvatureTensor:
@@ -133,13 +149,17 @@ class RicciData:
     einstein: Optional[Scalar]
 
     @classmethod
-    def from_form(cls, S: Metric, form: np.ndarray) -> "RicciData":
-        op = linalg.sparse_mm(S.ginv, form)
-        scalar = np.trace(op)
-        lam = op[0, 0]
-        ident = linalg.eye(S.n, S.exact)
-        einstein = lam if linalg.mat_equal(op, lam * ident, S.tol) else None
-        return cls(S.n, form, op, scalar, einstein)
+    def from_form(cls, S: Metric, form: np.ndarray, d: int = 1) -> "RicciData":
+        """From the Ricci form, the `linalg.scaled` pair (form, d); the
+        Einstein test compares the integers of the operator."""
+        Gi, di = S._scaled[1]
+        op = linalg.contract(Gi, form)
+        dev = op.copy()
+        dev[np.diag_indices(S.n)] -= op[0, 0]
+        ric_op = linalg.unscaled(op, di * d)
+        einstein = ric_op[0, 0] if linalg.mat_is_zero(dev, S.tol) else None
+        return cls(S.n, linalg.unscaled(form, d), ric_op,
+                   linalg.unscaled(np.trace(op), di * d), einstein)
 
     def to_json(self) -> dict:
         return {
@@ -150,16 +170,26 @@ class RicciData:
         }
 
 
-def _ad_form_pairings(a: StructureTensor, S: Metric, cl: np.ndarray):
-    """(B3, B5): Gram matrices of the ad(e_j) and the 2-forms de_j^flat.
+def _b_forms(a: StructureTensor, S: Metric):
+    """B1, B3 and B5, then cl and the 2-forms de_j^flat, as scaled pairs.
 
-    B3[j, h] = <ad e_j, ad e_h> on operators, B5[j, h] = <de_j^flat,
-    de_h^flat> on 2-forms.
+    B1[j, h] = tau . (e_j . de_h^flat + e_h . de_j^flat)^sharp, B3[j, h] =
+    <ad e_j, ad e_h> on operators, B5[j, h] = <de_j^flat, de_h^flat> on
+    2-forms.
     """
+    C, dc = a._scaled_array
+    cl, dl = _lowered(a, S)
     # de_j^flat as a 2-form: F_j[p, q] = -<e_j, [e_p, e_q]> = -cl[p, q, j]
     forms = -np.transpose(cl, (2, 0, 1))
-    return (gram(S, [a.ad_basis(j) for j in range(a.n)], "T*T"),
-            gram(S, list(forms), "Lambda2T*"))
+    tau, dt = linalg.scaled(trace_ad(a))
+    if all(is_zero(x, a.tol) for x in tau):
+        B1 = np.zeros((a.n, a.n), dtype=tau.dtype), 1
+    else:
+        Gi, di = S._scaled[1]
+        T1 = linalg.contract(np.transpose(cl, (0, 2, 1)), Gi @ tau)  # sum_q cl[j,q,h] w_q
+        B1 = -(T1 + T1.T), dl * di * dt
+    return (B1, scaled_gram(S, (np.transpose(C, (0, 2, 1)), dc), "T*T"),
+            scaled_gram(S, (forms, dl), "Lambda2T*"), (cl, dl), (forms, dl))
 
 
 def b_forms(a: StructureTensor, S: Metric):
@@ -171,26 +201,16 @@ def b_forms(a: StructureTensor, S: Metric):
     """
     a, S = match_backends(a, S)
     n = a.n
-    cl = lowered_brackets(a, S)
-    tau = trace_ad(a)
-    forms = -np.transpose(cl, (2, 0, 1))
-
-    # B1[j, h] = tau . (e_j . de_h^flat + e_h . de_j^flat)^sharp
-    if all(is_zero(x, a.tol) for x in tau):
-        B1 = linalg.zeros((n, n), S.exact)
-    else:
-        w = S.ginv @ tau
-        T1 = linalg.sparse_mm(np.transpose(cl, (0, 2, 1)), w)  # sum_q cl[j,q,h] w_q
-        B1 = -(T1 + T1.T)
-    B2 = np.outer(tau, tau)
-    B3, B5 = _ad_form_pairings(a, S, cl)
-    B4 = killing_form(a)
+    B1, B3, B5, (cl, dl), (forms, _) = _b_forms(a, S)
+    tau, dt = linalg.scaled(trace_ad(a))
     # B6[j, h] = Tr((ad e_j)^flat_sharp (de_h^flat)^T_sharp) symmetrized
-    U = linalg.sandwich(S.ginv, cl, S.ginv)
+    Gi, di = S._scaled[1]
+    U = linalg.sandwich(Gi, cl, Gi)
     # M1[j, h] = sum_pq U[j, p, q] forms[h, p, q]
-    M1 = linalg.sparse_mm(U.reshape(n, n * n), forms.reshape(n, n * n).T)
-    B6 = M1 + M1.T
-    B = {1: B1, 2: B2, 3: B3, 4: B4, 5: B5, 6: B6}
+    M1 = linalg.contract(U.reshape(n, n * n), forms.reshape(n, n * n).T)
+    B = {1: B1, 2: (np.outer(tau, tau), dt * dt), 3: B3,
+         4: linalg.scaled(killing_form(a)), 5: B5, 6: (M1 + M1.T, di * dl * di * dl)}
+    B = {k: linalg.unscaled(*B[k]) for k in B}
     traces = {k: linalg.sparse_frob(S.ginv, B[k].T) for k in (2, 3, 4)}
     return B, traces
 
@@ -199,10 +219,9 @@ def ricci_general(a: StructureTensor, S: Metric) -> RicciData:
     """Ric = -1/2 B1 + 1/2 B5 - 1/2 B3 - 1/2 B4, valid for any Lie algebra."""
     require_lie(a, "the Ricci tensor")
     a, S = match_backends(a, S)
-    B, _ = b_forms(a, S)
-    half = Fraction(1, 2) if S.exact else 0.5
-    form = half * (-B[1] + B[5] - B[3] - B[4])
-    return RicciData.from_form(S, form)
+    B1, B3, B5, _, _ = _b_forms(a, S)
+    (b1, b5, b3, b4), d = linalg.common(B1, B5, B3, linalg.scaled(killing_form(a)))
+    return RicciData.from_form(S, *linalg.over(-b1 + b5 - b3 - b4, d, 2))
 
 
 def ricci_killing_zero(a: StructureTensor, S: Metric) -> RicciData:
@@ -212,10 +231,9 @@ def ricci_killing_zero(a: StructureTensor, S: Metric) -> RicciData:
     a, S = match_backends(a, S)
     require_unimodular(a, what)
     require_killing_zero(a, what)
-    cl = lowered_brackets(a, S)
-    B3, B5 = _ad_form_pairings(a, S, cl)
-    half = Fraction(1, 2) if S.exact else 0.5
-    return RicciData.from_form(S, half * (B5 - B3))
+    _, B3, B5, _, _ = _b_forms(a, S)
+    (b5, b3), d = linalg.common(B5, B3)
+    return RicciData.from_form(S, *linalg.over(b5 - b3, d, 2))
 
 
 def ricci_index_oracle(a: StructureTensor, S: Metric) -> RicciData:
@@ -255,19 +273,19 @@ def mn_criterion(a: StructureTensor, S: Metric):
     if not rep.is_lie or not rep.nilpotent:
         raise NotNilpotentError("the M/N criterion needs a nilpotent Lie algebra")
     n = a.n
-    carr = a.as_array()
+    C, _ = a._scaled_array
 
-    def null_dim(mats, shape):
+    def null_dim(X, shape):
         """Null-space dimension of the pairing on `shape` restricted to the
-        span of the n x n `mats`."""
-        rows = linalg.sparse_rows([M.reshape(n * n).tolist() for M in mats], a.exact)
+        span of the n x n matrices of the stack X, one scale dropped."""
+        rows = linalg.sparse_rows(X.reshape(n, n * n).tolist(), a.exact)
         span = linalg.row_space(rows, n * n, a.exact, a.tol)
-        basis = [r.reshape(n, n) for r in span]
+        basis = list(span.reshape(len(span), n, n))
         return len(basis) - linalg.rank(gram(S, basis, shape), a.tol)
 
     # ad(g) is spanned by the ad(e_i), d(g*) by the de^k
-    dim_m = null_dim([a.ad_basis(i) for i in range(n)], "T*T")
-    dim_n = null_dim([-carr[:, :, k] for k in range(n)], "Lambda2T*")
+    dim_m = null_dim(np.transpose(C, (0, 2, 1)), "T*T")
+    dim_n = null_dim(-np.transpose(C, (2, 0, 1)), "Lambda2T*")
     dim_derived = rep.derived.shape[0]
     dim_centre = rep.centre.shape[0]
     excluded = dim_m + dim_n >= dim_derived - dim_centre
@@ -280,17 +298,19 @@ def mn_criterion(a: StructureTensor, S: Metric):
     }
 
 
-def _covariant_derivative(level: dict, G: list, n: int, tol: float):
+def _covariant_derivative(level: dict, G, n: int, tol: float):
     """One covariant derivative of a family of operator-valued tensors.
 
-    `level` maps lower-index tuples (..., i, j) to End(T) matrices; yields
-    the (key, matrix) pairs of the result, which has one extra leading lower
-    index, one at a time so that a caller may stop early.
+    `level` maps lower-index tuples (..., i, j) to End(T) matrices, G lists
+    the connection matrices, both on one scale each (integers on the exact
+    backend); yields the (key, matrix) pairs of the result, on the product
+    of those scales, which has one extra leading lower index, one at a time
+    so that a caller may stop early.
     """
     for m in range(n):
         Gm = G[m]
         for idx, M in level.items():
-            D = linalg.sparse_mm(Gm, M) - linalg.sparse_mm(M, Gm)
+            D = Gm @ M - M @ Gm
             for s, isl in enumerate(idx):
                 col = Gm[:, isl]
                 for p in range(n):
@@ -325,8 +345,10 @@ def holonomy_span(a: StructureTensor, S: Metric):
     """
     a, S = match_backends(a, S)
     n = a.n
-    ops, conn = curvature_operators(a, S)
-    G = conn.matrices()
+    # ranks and zero tests do not see one common scale: the denominators go
+    (R, _), (gamma, _) = _operators(a, S)
+    ops = dict(zip(combinations(range(n), 2), R))
+    G = [g.T for g in gamma]
     full_dim = n * (n - 1) // 2
 
     rows = [M.reshape(n * n) for M in ops.values()]

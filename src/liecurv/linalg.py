@@ -1,8 +1,7 @@
 """Linear algebra generic over the exact/float scalar backends.
 
 Exact matrices are numpy object arrays of Fractions; float matrices are
-ordinary float64 arrays.  The exact matrices and tensors here are mostly
-zero, so every exact computation rests on two sparse kernels:
+ordinary float64 arrays.  Two kernels carry every exact computation:
 
 - one Gauss-Jordan elimination, `eliminate`, on sparse rows, {column:
   entry} dicts of their nonzeros; `kernel` returns such rows, and the
@@ -11,16 +10,18 @@ zero, so every exact computation rests on two sparse kernels:
   `rank` and `inv` are its adapters for ndarrays.  Exact rows are reduced
   row by row against the reduced rows so far, with bounded growth; floats
   are reduced column by column with pivots of largest magnitude;
-- one matrix product, `sparse_mm`, and one Frobenius pairing,
-  `sparse_frob`, which skip zero entries; every exact matrix product and
-  tensor contraction is one of them, a tensor contraction being a product
-  of reshaped arrays, and a family of matrices is transformed by one
-  `sandwich` of its stack.  On floats they fall back to BLAS.
+- one product, `contract`, numpy's `@` on 2-D reshapes; a tensor
+  contraction is a product of reshaped arrays, and a family of matrices is
+  transformed by one `sandwich` of its stack.
 
-The exact branches of both kernels compute on Python ints: `as_integers`
-writes a row or an operand as integers over one common denominator, and a
-Fraction is built once per nonzero output entry.  Matrix inputs and
-outputs are Fractions throughout.
+Exact products are int `@` on scaled pairs (N, d): N an object array of
+Python ints over one common denominator d, so numpy's C loop runs with no
+Fraction and no gcd.  `scaled` makes a pair, `common` and `over` add and
+divide pairs, and `unscaled` builds one Fraction per nonzero entry, when a
+public function returns.  A float array is the pair (M, 1), and `over`
+divides its entries, so floats run the same code and sum in the same
+order.  `sparse_mm` and `sparse_frob` are the product and the Frobenius
+pairing on Fraction arrays.
 
 Output ordering is deterministic.
 """
@@ -37,9 +38,10 @@ from .scalars import DEFAULT_TOL, bit_size, is_zero
 
 __all__ = [
     "zeros", "eye", "to_float", "is_float_array",
-    "mat_equal", "mat_is_zero", "as_integers", "sparse_mm", "sandwich",
-    "sparse_frob", "sparse_rows", "eliminate", "kernel", "rref", "rank",
-    "row_space", "inv", "sylvester_signature",
+    "mat_equal", "mat_is_zero", "as_integers", "scaled", "unscaled",
+    "common", "over", "contract", "sparse_mm", "sandwich", "sparse_frob",
+    "sparse_rows", "eliminate", "kernel", "rref", "rank", "row_space", "inv",
+    "sylvester_signature",
 ]
 
 
@@ -78,48 +80,68 @@ def as_integers(xs):
     return [n * (d // e) for n, e in ratios], d
 
 
-def sparse_mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product contracting the last axis of A with the first axis of B, as
-    np.tensordot(A, B, 1): A @ B for matrices.  Zero entries are skipped;
-    floats fall back to BLAS."""
+def scaled(M: np.ndarray) -> tuple:
+    """(N, d) with M == N / d: an exact array as an object array of Python
+    ints over one common denominator d > 0, a float array as (M, 1)."""
+    if is_float_array(M):
+        return M, 1
+    nums, d = as_integers(M.ravel().tolist())
+    return np.array(nums, dtype=object).reshape(M.shape), d
+
+
+def unscaled(N, d):
+    """N / d for a scaled pair, an array or a trace: exact, one Fraction per
+    nonzero entry and one shared Fraction(0) for the zeros; floats divided."""
+    if isinstance(N, int):
+        return Fraction(N, d)
+    if is_float_array(N):
+        return N / d
+    zero = Fraction(0)
+    return np.array([Fraction(x, d) if x else zero for x in N.ravel().tolist()],
+                    dtype=object).reshape(N.shape)
+
+
+def common(*pairs) -> tuple:
+    """Scaled pairs over one denominator, the lcm of theirs: ([N, ...], d)."""
+    d = lcm(*(e for _, e in pairs))
+    return [N if e == d else N * (d // e) for N, e in pairs], d
+
+
+def over(N, d, k: int) -> tuple:
+    """The scaled pair (N, d) divided by the integer k: exact, d times k;
+    floats, the entries divided, so that a float d stays 1."""
+    return (N / k, d) if is_float_array(N) else (N, d * k)
+
+
+def contract(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.tensordot(A, B, 1), the last axis of A with the first axis of B,
+    as one 2-D `@`: numpy's C loop on int object arrays, BLAS on floats."""
     shape = A.shape[:-1] + B.shape[1:]
     A = A.reshape(prod(A.shape[:-1]), A.shape[-1])
     B = B.reshape(B.shape[0], prod(B.shape[1:]))
-    if is_float_array(A) or is_float_array(B):
-        return (np.asarray(A, dtype=float) @ np.asarray(B, dtype=float)).reshape(shape)
-    m, k = A.shape
-    p = B.shape[1]
-    na, da = as_integers(A.ravel().tolist())
-    nb, db = as_integers(B.ravel().tolist())
-    b_rows = [[(j, y) for j, y in enumerate(nb[r * p:(r + 1) * p]) if y]
-              for r in range(k)]
-    d = da * db
-    zero = Fraction(0)
-    C = np.empty((m, p), dtype=object)
-    for i in range(m):
-        c_row = [0] * p
-        for x, b_row in zip(na[i * k:(i + 1) * k], b_rows):
-            if x:
-                for j, y in b_row:
-                    c_row[j] += x * y
-        C[i] = [Fraction(v, d) if v else zero for v in c_row]
-    return C.reshape(shape)
+    return (A @ B).reshape(shape)
+
+
+def sparse_mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """`contract` on two Fraction arrays, or two float arrays, through
+    scaled pairs."""
+    (NA, da), (NB, db) = scaled(A), scaled(B)
+    return unscaled(contract(NA, NB), da * db)
 
 
 def sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
     """The stack of L @ X[j] @ R over the first axis of X, from two
-    `sparse_mm` calls for the whole stack."""
-    LX = sparse_mm(L, np.transpose(X, (1, 0, 2)))          # [p, j, q]
-    return np.transpose(sparse_mm(LX, R), (1, 0, 2))
+    `contract` products for the whole stack; int or float arrays."""
+    LX = contract(L, np.transpose(X, (1, 0, 2)))            # [p, j, q]
+    return np.transpose(contract(LX, R), (1, 0, 2))
 
 
 def sparse_frob(A: np.ndarray, B: np.ndarray):
-    """Frobenius pairing, the sum of A * B over all entries, skipping zeros."""
+    """Frobenius pairing, the sum of A * B over all entries."""
     if is_float_array(A) or is_float_array(B):
         return float(np.sum(A * B))
-    na, da = as_integers(A.ravel().tolist())
-    nb, db = as_integers(B.ravel().tolist())
-    return Fraction(sum(x * y for x, y in zip(na, nb) if x and y), da * db)
+    (NA, da), (NB, db) = scaled(A), scaled(B)
+    return Fraction(np.sum(NA * NB), da * db)
 
 
 def mat_is_zero(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

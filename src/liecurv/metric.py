@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import (DegenerateMetricError, DimensionMismatchError,
                      MetricParseError)
-from .scalars import DEFAULT_TOL, Scalar, format_scalar, is_zero, parse_scalar
+from .scalars import DEFAULT_TOL, Scalar, is_zero, parse_scalar
 
 @dataclass(frozen=True)
 class Metric:
@@ -49,6 +49,11 @@ class Metric:
     def ginv(self) -> np.ndarray:
         return self._ginv
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """g and g^{-1} as `linalg.scaled` pairs (N, d)."""
+        return linalg.scaled(self.g), linalg.scaled(self._ginv)
+
     @classmethod
     def diagonal(cls, entries: Sequence[Scalar], tol: float = DEFAULT_TOL) -> "Metric":
         exact = all(not isinstance(x, float) for x in entries)
@@ -63,20 +68,6 @@ class Metric:
 
     def to_float(self) -> "Metric":
         return Metric(self.n, linalg.to_float(self.g), self.tol)
-
-    def inner(self, v: np.ndarray, w: np.ndarray) -> Scalar:
-        return (v @ self.g @ w)
-
-    def lower(self, v: np.ndarray) -> np.ndarray:
-        """v^flat as a component row of a covector."""
-        return self.g @ v
-
-    def to_json(self) -> dict:
-        return {"n": self.n,
-                "g": [[format_scalar(x) for x in row] for row in self.g]}
-
-    def __str__(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -168,27 +159,37 @@ def parse_json_matrix(data, n: int, exact: bool, what: str) -> np.ndarray:
 
 # --- induced pairings -------------------------------------------------------
 
-def _duals(S: Metric, mats: np.ndarray, shape: str) -> np.ndarray:
-    """The stack of x' with <y, x> = sparse_frob(y, x'), over the first axis
-    of `mats`, on "T*T" or "Lambda2T*": x' = (x*)^T = g x g^{-1} for
-    operators (g is symmetric), as <y, x> = Tr(y o x*), and
+def _duals(S: Metric, mats: tuple, shape: str) -> tuple:
+    """For the stack of a scaled pair (X, d), the scaled pair of the x' with
+    <y, x> = sparse_frob(y, x'), on "T*T" or "Lambda2T*": x' = (x*)^T =
+    g x g^{-1} for operators (g is symmetric), as <y, x> = Tr(y o x*), and
     g^{-1} x g^{-1} / 2 for 2-forms."""
+    X, d = mats
+    (G, dg), (Gi, di) = S._scaled
     if shape == "T*T":
-        return linalg.sandwich(S.g, mats, S.ginv)
+        return linalg.sandwich(G, X, Gi), d * dg * di
     if shape == "Lambda2T*":
-        half = Fraction(1, 2) if S.exact else 0.5
-        return linalg.sandwich(half * S.ginv, mats, S.ginv)
+        L, dl = linalg.over(Gi, di, 2)
+        return linalg.sandwich(L, X, Gi), d * dl * di
     raise ValueError(f"no matrix pairing on tensor shape {shape!r}")
 
 
 def pair_operators(S: Metric, u1: np.ndarray, u2: np.ndarray):
     """Induced pairing on T*⊗T: <u1, u2> = Tr(u1 o u2*)."""
-    return linalg.sparse_frob(u1, _duals(S, u2[None], "T*T")[0])
+    D, d = _duals(S, linalg.scaled(u2[None]), "T*T")
+    return linalg.sparse_frob(u1, linalg.unscaled(D[0], d))
 
 
-def pair_two_forms(S: Metric, alpha: np.ndarray, beta: np.ndarray):
-    """Induced pairing on Lambda^2 T* for antisymmetric component matrices."""
-    return linalg.sparse_frob(alpha, _duals(S, beta[None], "Lambda2T*")[0])
+def scaled_gram(S: Metric, mats: tuple, shape: str) -> tuple:
+    """`gram` of the stack of a scaled pair (X, d), as a scaled pair."""
+    X = np.ascontiguousarray(mats[0])          # the layout of a stack
+    m = len(X)
+    D, d = _duals(S, (X, mats[1]), shape)
+    G = linalg.contract(X.reshape(m, S.n * S.n), D.reshape(m, S.n * S.n).T)
+    if not S.exact:
+        lower = np.tril_indices(m, -1)
+        G[lower] = G.T[lower]
+    return G, mats[1] * d
 
 
 def gram(S: Metric, mats: Sequence[np.ndarray], shape: str) -> np.ndarray:
@@ -199,27 +200,12 @@ def gram(S: Metric, mats: Sequence[np.ndarray], shape: str) -> np.ndarray:
     <y, x> = sparse_frob(y, x'), come from one `linalg.sandwich` L x R of
     the stack: (L, R) = (g, g^{-1}) on operators and (g^{-1} / 2, g^{-1})
     on 2-forms.  G is then one product of the flattened stack with the
-    flattened duals.  The pairing is symmetric, and a float G is made
-    exactly so by mirroring its upper triangle.
+    flattened duals, on integers over one denominator.  The pairing is
+    symmetric, and a float G is made exactly so by mirroring its upper
+    triangle.
     """
-    m = len(mats)
-    X = np.stack(mats) if m else linalg.zeros((0, S.n, S.n), S.exact)
-    D = _duals(S, X, shape)
-    G = linalg.sparse_mm(X.reshape(m, S.n * S.n), D.reshape(m, S.n * S.n).T)
-    if not S.exact:
-        lower = np.tril_indices(m, -1)
-        G[lower] = G.T[lower]
-    return G
-
-
-def pair_bracket_tensors(S: Metric, c1: np.ndarray, c2: np.ndarray):
-    """Induced pairing on Lambda^2 T* ⊗ T for arrays c[i, j, k] (antisym i,j)."""
-    half = Fraction(1, 2) if S.exact else 0.5
-    # lower the vector index of c1, raise its two form indices, then contract
-    t = linalg.sparse_mm(c1, S.g)                                   # [i, j, p]
-    t = linalg.sparse_mm(S.ginv.T, t)                               # [l, j, p]
-    t = linalg.sparse_mm(S.ginv.T, np.transpose(t, (1, 0, 2)))      # [m, l, p]
-    return half * linalg.sparse_frob(t, np.transpose(c2, (1, 0, 2)))
+    X = np.stack(mats) if len(mats) else linalg.zeros((0, S.n, S.n), S.exact)
+    return linalg.unscaled(*scaled_gram(S, linalg.scaled(X), shape))
 
 
 def pseudo_orthonormal_frame(S: Metric):

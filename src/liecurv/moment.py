@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Union
 
@@ -38,8 +37,9 @@ from .structure import StructureTensor
 StructureLike = Union[StructureTensor, np.ndarray]
 
 
-def _c_array(a: StructureLike) -> np.ndarray:
-    return a.as_array() if isinstance(a, StructureTensor) else a
+def _c_scaled(a: StructureLike) -> tuple:
+    return (a._scaled_array if isinstance(a, StructureTensor)
+            else linalg.scaled(a))
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,14 @@ class DualStructureTensor:
         if self.comps.shape != (self.n, self.n, self.n):
             raise DimensionMismatchError(
                 f"component array shape {self.comps.shape} != ({self.n},) * 3")
-        skew = self.comps + np.transpose(self.comps, (1, 0, 2))
-        if not linalg.mat_is_zero(skew, self.tol):
+        N, d = linalg.scaled(self.comps)
+        if not linalg.mat_is_zero(N + np.transpose(N, (1, 0, 2)), self.tol):
             raise ValueError("components are not antisymmetric in the vector pair")
+        object.__setattr__(self, "_scaled", (N, d))
 
     @property
     def exact(self) -> bool:
         return not linalg.is_float_array(self.comps)
-
-    def matrix(self, m: int) -> np.ndarray:
-        return self.comps[m]
 
     def to_json(self) -> dict:
         terms = []
@@ -95,42 +93,51 @@ def q_map(a: StructureLike, S: Metric,
         a, S = match_backends(a, S)
         if require_unimodular:
             structure.require_unimodular(a, "q")
-    c = _c_array(a)
+    C, dc = _c_scaled(a)
     n = S.n
-    if c.shape != (n, n, n):
+    if C.shape != (n, n, n):
         raise DimensionMismatchError(
-            f"bracket array shape {c.shape} incompatible with metric on R^{n}")
+            f"bracket array shape {C.shape} incompatible with metric on R^{n}")
     # comps[m] = sum_i g^{-1}[i, m] u_i*, u_i* = g^{-1} u_i^T g = g^{-1} c[i] g
-    duals = linalg.sandwich(S.ginv, c, S.g)
-    return DualStructureTensor(n, linalg.sparse_mm(S.ginv.T, duals), S.tol)
+    (G, dg), (Gi, di) = S._scaled
+    duals = linalg.sandwich(Gi, C, G)
+    return DualStructureTensor(n, linalg.unscaled(linalg.contract(Gi.T, duals),
+                                                  dc * dg * di * di), S.tol)
+
+
+def _contractions(a: StructureLike, b: DualStructureTensor) -> tuple:
+    """(c1, c2, d): the contractions as integers over one denominator d."""
+    C, dc = _c_scaled(a)
+    N, db = b._scaled
+    n = b.n
+    if C.shape != (n, n, n):
+        raise DimensionMismatchError(
+            f"bracket array shape {C.shape} does not match n={n}")
+    # c1 = [a_1 ... a_n] [b_1; ...; b_n] and c2 = [b_1 ... b_n] [a_1; ...; a_n]
+    # with (a_i)[k, j] = c[i, j, k] and (b_i)[j, l] = comps[i, j, l]
+    c1 = linalg.contract(np.transpose(C, (2, 0, 1)).reshape(n, n * n),
+                         N.reshape(n * n, n))
+    c2 = linalg.contract(np.transpose(N, (1, 0, 2)).reshape(n, n * n),
+                         np.transpose(C, (0, 2, 1)).reshape(n * n, n))
+    return c1, c2, dc * db
 
 
 def contractions(a: StructureLike, b: DualStructureTensor):
     """(c1, c2) = (sum_i a_i o b_i, sum_i b_i o a_i); Tr c1 = Tr c2."""
-    c = _c_array(a)
-    n = b.n
-    if c.shape != (n, n, n):
-        raise DimensionMismatchError(
-            f"bracket array shape {c.shape} does not match n={n}")
-    # c1 = [a_1 ... a_n] [b_1; ...; b_n] and c2 = [b_1 ... b_n] [a_1; ...; a_n]
-    # with (a_i)[k, j] = c[i, j, k] and (b_i)[j, l] = comps[i, j, l]
-    c1 = linalg.sparse_mm(np.transpose(c, (2, 0, 1)).reshape(n, n * n),
-                          b.comps.reshape(n * n, n))
-    c2 = linalg.sparse_mm(np.transpose(b.comps, (1, 0, 2)).reshape(n, n * n),
-                          np.transpose(c, (0, 2, 1)).reshape(n * n, n))
-    return c1, c2
+    c1, c2, d = _contractions(a, b)
+    return linalg.unscaled(c1, d), linalg.unscaled(c2, d)
 
 
 def pairing(a: StructureLike, b: DualStructureTensor) -> Scalar:
     """Invariant pairing <a, b> = Tr c1(a, b)."""
-    c1, _ = contractions(a, b)
-    return np.trace(c1)
+    c1, _, d = _contractions(a, b)
+    return linalg.unscaled(np.trace(c1), d)
 
 
 def moment_map(a: StructureLike, b: DualStructureTensor):
     """(mu, <a, b>) with mu = c1 - 2 c2, the moment map of the GL(n) action."""
-    c1, c2 = contractions(a, b)
-    return c1 - 2 * c2, np.trace(c1)
+    c1, c2, d = _contractions(a, b)
+    return linalg.unscaled(c1 - 2 * c2, d), linalg.unscaled(np.trace(c1), d)
 
 
 def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
@@ -144,11 +151,10 @@ def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
     a, S = match_backends(a, S)
     structure.require_unimodular(a, what)
     structure.require_killing_zero(a, what)
-    c1, c2 = contractions(a, q_map(a, S))
-    quarter = Fraction(1, 4) if S.exact else 0.25
-    half = Fraction(1, 2) if S.exact else 0.5
-    op = quarter * c1 - half * c2
-    return RicciData.from_form(S, linalg.sparse_mm(S.g, op))
+    c1, c2, d = _contractions(a, q_map(a, S))
+    op, d = linalg.over(c1 - 2 * c2, d, 4)
+    G, dg = S._scaled[0]
+    return RicciData.from_form(S, linalg.contract(G, op), dg * d)
 
 
 # --- the gauge action -------------------------------------------------------
@@ -157,11 +163,6 @@ def gauge_metric(g: np.ndarray, S: Metric) -> Metric:
     """Finite action g.S = g^{-T} S g^{-1} (pullback along g^{-1})."""
     ginv = linalg.inv(g, S.tol)
     return Metric(S.n, linalg.sparse_mm(linalg.sparse_mm(ginv.T, S.g), ginv), S.tol)
-
-
-def infinitesimal_metric(X, S: Metric) -> np.ndarray:
-    """Derivative of exp(tX).S at t = 0: -X^T S - S X (a symmetric matrix)."""
-    return linalg.sparse_mm(-X.T, S.g) - linalg.sparse_mm(S.g, X)
 
 
 def gauge_structure(g: np.ndarray, a: StructureTensor) -> StructureTensor:
@@ -193,49 +194,12 @@ def infinitesimal_structure(X, a: StructureLike) -> np.ndarray:
 
     Vanishes exactly when X is a derivation of a.
     """
-    c = _c_array(a)
+    c = linalg.unscaled(*_c_scaled(a))
     mm = linalg.sparse_mm
     t1 = mm(c, X.T)                                   # X[k,m] c[i,j,m]
     t2 = mm(X.T, c)                                   # X[m,i] c[m,j,k]
     t3 = mm(X.T, np.transpose(c, (1, 0, 2)))          # X[m,j] c[i,m,k], as [j,i,k]
     return t1 - t2 - np.transpose(t3, (1, 0, 2))
-
-
-def gauge_dual(g: np.ndarray, b: DualStructureTensor) -> DualStructureTensor:
-    """Finite action on the dual side; equivariance partner of gauge_structure."""
-    ginv = linalg.inv(g, b.tol)
-    t = linalg.sparse_mm(g, b.comps)                           # [k, j', l']
-    t = linalg.sparse_mm(g, np.transpose(t, (1, 0, 2)))        # [j, k, l']
-    t = linalg.sparse_mm(t, ginv)                              # [j, k, l]
-    return DualStructureTensor(b.n, np.transpose(t, (1, 0, 2)), b.tol)
-
-
-def infinitesimal_dual(X, b: DualStructureTensor) -> np.ndarray:
-    """Derivative of exp(tX).b at t = 0, as a raw component array."""
-    c = b.comps
-    mm = linalg.sparse_mm
-    t1 = mm(X, c)                                     # X[i,m] c[m,j,l]
-    t2 = mm(X, np.transpose(c, (1, 0, 2)))            # X[j,m] c[i,m,l], as [j,i,l]
-    t3 = mm(c, X)                                     # c[i,j,m] X[m,l]
-    return t1 + np.transpose(t2, (1, 0, 2)) - t3
-
-
-def dq(a: StructureLike, S: Metric, a_prime: StructureLike,
-       W: np.ndarray) -> DualStructureTensor:
-    """Derivative of q at (a, S) in the direction (a_prime, W), W symmetric.
-
-    Satisfies dq(a, S)(a', X.S) = q(a' - X.a, S) + X.q(a, S) for any X.
-    """
-    mm = linalg.sparse_mm
-    base = q_map(a_prime, S, require_unimodular=False).comps
-    c = _c_array(a)
-    # q(a, S)[m] = sum_i g^{-1}[i, m] u_i*, where g^{-1} moves by
-    # -T = -g^{-1} W g^{-1} and u_i* = g^{-1} c[i] g by g^{-1} (c[i] W - W u_i*)
-    T = mm(mm(S.ginv, W), S.ginv)
-    adj = linalg.sandwich(S.ginv, c, S.g)
-    moved = [mm(S.ginv, mm(c[i], W) - mm(W, u)) for i, u in enumerate(adj)]
-    comps = base - mm(T.T, adj) + mm(S.ginv.T, np.stack(moved))
-    return DualStructureTensor(S.n, comps, S.tol)
 
 
 # --- the scalar functional and criticality ----------------------------------
@@ -244,8 +208,8 @@ def scalar_functional(a: StructureTensor, S: Metric) -> Scalar:
     """s(a, S) = -1/4 <a, q(a, S)>; the scalar curvature when a is in P."""
     a, S = match_backends(a, S)
     structure.require_unimodular(a, "the scalar functional")
-    quarter = Fraction(1, 4) if S.exact else 0.25
-    return -quarter * pairing(a, q_map(a, S))
+    c1, _, d = _contractions(a, q_map(a, S))
+    return linalg.unscaled(-np.trace(c1), 4 * d)
 
 
 def gauge_derivative(a: StructureTensor, S: Metric, X) -> Scalar:
@@ -258,8 +222,7 @@ def gauge_derivative(a: StructureTensor, S: Metric, X) -> Scalar:
     a, S = match_backends(a, S)
     ric = ricci_via_moment(a, S)
     inner = linalg.sparse_frob(ric.ric_op, X.T)
-    quarter = Fraction(1, 4) if S.exact else 0.25
-    alt = quarter * pairing(infinitesimal_structure(X, a), q_map(a, S))
+    alt = pairing(infinitesimal_structure(X, a), q_map(a, S)) / 4
     if not close(inner, alt, S.tol):
         raise AssertionError(
             f"gauge-derivative identities disagree: {inner} vs {alt}")
@@ -338,8 +301,8 @@ def jacobi_tangent_critical(a: StructureTensor, S: Metric) -> dict:
     structure.require_unimodular(a, what)
     structure.require_killing_zero(a, what)
     index = _variable_index(a.n)
-    b = q_map(a, S).comps
-    # <a', q> = sum over i < j, k of a'^k_ij (b[i, j, k] - b[j, i, k])
+    b, _ = q_map(a, S)._scaled
+    # <a', q> = sum over i < j, k of a'^k_ij (b[i, j, k] - b[j, i, k]), scaled
     w = linalg.sparse_rows([[b[i, j, k] - b[j, i, k] for i, j, k in index]], a.exact)
 
     def verdict(rows):

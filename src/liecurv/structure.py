@@ -118,6 +118,16 @@ class StructureTensor:
         return dict(zip(self.coeffs, nums)), d
 
     @cached_property
+    def _scaled_array(self) -> tuple:
+        """`as_array` as the `linalg.scaled` pair (N, d), with c and d as in
+        `_scaled`: N[i, j, k] = c and N[j, i, k] = -c."""
+        coeffs, d = self._scaled
+        N = np.zeros((self.n,) * 3, dtype=object if self.exact else float)
+        for (i, j, k), c in coeffs.items():
+            N[i, j, k], N[j, i, k] = c, -c
+        return _read_only(N), d
+
+    @cached_property
     def _ad(self) -> list:
         """ad[i][k]: the pairs (m, c) with a^m_ik = c / d != 0, c and d as
         in `_scaled`; the nonzeros of column k of ad(e_i)."""
@@ -205,20 +215,12 @@ class StructureTensor:
 
     def as_array(self) -> np.ndarray:
         """Dense components c[i, j, k] = a^k_{ij}."""
-        c = linalg.zeros((self.n, self.n, self.n), self.exact)
-        for (i, j, k), v in self.coeffs.items():
-            c[i, j, k] = v
-            c[j, i, k] = -v
-        return c
+        return linalg.unscaled(*self._scaled_array)
 
     def ad_basis(self, i: int) -> np.ndarray:
-        """Matrix of ad(e_i), read off `_ad`."""
-        M = linalg.zeros((self.n, self.n), self.exact)
-        d = self._scaled[1]
-        for q, col in enumerate(self._ad[i]):
-            for k, c in col:
-                M[k, q] = Fraction(c, d) if self.exact else c
-        return M
+        """Matrix of ad(e_i): ad(e_i)[k, j] = a^k_{ij}."""
+        N, d = self._scaled_array
+        return linalg.unscaled(N[i].T, d)
 
     @cached_property
     def _float_twin(self) -> "StructureTensor":

@@ -16,12 +16,10 @@ from liecurv import linalg
 from liecurv.curvature import (holonomy_span, mn_criterion, ricci_general,
                                ricci_index_oracle, ricci_killing_zero)
 from liecurv.errors import KillingFormNonzeroError
-from liecurv.metric import (Metric, pair_bracket_tensors, parse_metric,
-                            signature)
-from liecurv.moment import (contractions, dq, gauge_dual, gauge_metric,
-                            gauge_structure, infinitesimal_dual,
-                            infinitesimal_metric, infinitesimal_structure,
-                            moment_map, pairing, q_map, ricci_via_moment)
+from liecurv.metric import Metric, parse_metric, signature
+from liecurv.moment import (contractions, gauge_metric, gauge_structure,
+                            infinitesimal_structure, moment_map, pairing,
+                            q_map, ricci_via_moment)
 from liecurv.nice import diagonal_einstein_search
 from liecurv.derivations import (derivation_space, diagonal_derivation_solve,
                                  trace_obstruction)
@@ -29,7 +27,9 @@ from liecurv.structure import classify, parse_structure
 
 from conftest import (random_invertible, random_matrix, random_metric,
                       random_sparse_bracket)
-from tests_helpers import tensor_from_array
+from tests_helpers import (dq, gauge_dual, infinitesimal_dual,
+                           infinitesimal_metric, pair_bracket_tensors,
+                           tensor_from_array)
 
 N8 = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
 N8_METRICS = [

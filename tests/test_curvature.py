@@ -1,24 +1,32 @@
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from liecurv import linalg
 from liecurv.curvature import (b_forms, curvature_operators, holonomy_span,
-                               levi_civita, mn_criterion, ricci_general,
-                               ricci_index_oracle, ricci_killing_zero,
-                               riemann)
+                               levi_civita, lowered_brackets, mn_criterion,
+                               ricci_general, ricci_index_oracle,
+                               ricci_killing_zero, riemann)
 from liecurv.derivations import trace_obstruction
 from liecurv.errors import (KillingFormNonzeroError, NotLieAlgebraError,
                             NotNilpotentError, NotUnimodularError)
-from liecurv.metric import Metric, parse_metric
-from liecurv.moment import jacobi_tangent_critical, ricci_via_moment
-from liecurv.structure import StructureTensor, parse_structure
+from liecurv.metric import Metric, gram, parse_metric
+from liecurv.moment import (contractions, jacobi_tangent_critical, moment_map,
+                            pairing, q_map, ricci_via_moment,
+                            scalar_functional)
+from liecurv.structure import (StructureTensor, is_lie, is_unimodular,
+                               parse_structure)
 
 from conftest import random_sparse_bracket
-from tests_helpers import (besse_check, curvature_symmetries_hold,
-                           pairwise_curvature_operators, trace_vector)
+from tests_helpers import (besse_check, curvature_symmetries_hold, dual,
+                           metric_adjoint, pairwise_curvature_operators,
+                           trace_vector)
 
 HEIS = "(0,0,12)"
 
@@ -218,3 +226,206 @@ def test_holonomy_abelian():
     out = holonomy_span(a, Metric.euclidean(3))
     assert out["span_dim"] == 0 and out["full"] is False
     assert out["locally_symmetric"] is True
+
+
+# --- the scaled-integer layers against dense Fraction oracles ---------------
+
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 5]))
+PROPERTY = settings(max_examples=25, derandomize=True, deadline=None)
+
+
+@st.composite
+def brackets_and_metrics(draw, lie=False):
+    """(a, S): a random antisymmetric rational bracket, Jacobi not required,
+    and a dense rational nondegenerate metric.  With `lie` the bracket is
+    2-step nilpotent (the brackets of the first n - m basis vectors land in
+    the central last m) or almost abelian ([e_0, e_j] = D e_j for a random
+    D, on an abelian ideal), so Lie, and in the second case usually neither
+    unimodular nor of zero Killing form."""
+    n = draw(st.integers(2, 5))
+    if not lie:
+        keys = [(i, j, k) for i, j in combinations(range(n), 2) for k in range(n)]
+    elif draw(st.booleans()):
+        free = n - draw(st.integers(1, n - 1))
+        keys = [(i, j, k) for i, j in combinations(range(free), 2)
+                for k in range(free, n)]
+    else:
+        keys = [(0, j, k) for j in range(1, n) for k in range(1, n)]
+    coeffs = draw(st.dictionaries(st.sampled_from(keys), RATIONALS,
+                                  max_size=2 * n)) if keys else {}
+    g = linalg.zeros((n, n))
+    for i, j in combinations_with_replacement(range(n), 2):
+        g[i, j] = g[j, i] = draw(RATIONALS)
+    assume(linalg.rank(g) == n)
+    return StructureTensor.from_brackets(n, coeffs, exact=True), Metric(n, g)
+
+
+def assert_fractions(*arrays):
+    for M in arrays:
+        assert all(type(x) is Fraction for x in np.asarray(M, dtype=object).flat)
+
+
+def assert_matches(got, want, exact):
+    """Exact: equal entries, all Fractions; floats: float64, close to the
+    exact oracle."""
+    got = np.asarray(got)
+    want = np.asarray(want, dtype=object)
+    assert got.shape == want.shape
+    if exact:
+        assert_fractions(got)
+        assert (got == want).all()
+    else:
+        assert got.dtype == float
+        want = want.astype(float)
+        scale = max([1.0] + [abs(x) for x in want.flat])
+        assert np.allclose(got, want, rtol=0, atol=1e-9 * scale)
+
+
+def dense_oracles(a, S):
+    """The layers' outputs from dense Fraction arrays, one pairing or one
+    product at a time."""
+    n, c, g, gi = a.n, a.as_array(), S.g, S.ginv
+    cl = np.tensordot(c, g, 1)
+    ads = [c[i].T for i in range(n)]                 # ad(e_i)[k, j] = c[i, j, k]
+    forms = [-cl[:, :, j] for j in range(n)]         # de_j^flat
+    tau = np.array([sum(c[i, k, k] for k in range(n)) for i in range(n)])
+    w = gi @ tau
+    T1 = np.array([[sum(cl[j, q, h] * w[q] for q in range(n)) for h in range(n)]
+                   for j in range(n)], dtype=object)
+    M1 = np.array([[np.sum((gi @ cl[j] @ gi) * forms[h]) for h in range(n)]
+                   for j in range(n)], dtype=object)
+
+    def pairings(mats, shape):
+        return np.array([[np.sum(x * dual(S, y, shape)) for y in mats] for x in mats],
+                        dtype=object).reshape(len(mats), len(mats))
+
+    B = {1: -(T1 + T1.T), 2: np.outer(tau, tau),
+         3: np.array([[np.trace(x @ metric_adjoint(S, y)) for y in ads] for x in ads]),
+         4: np.array([[np.trace(x @ y) for y in ads] for x in ads]),
+         5: pairings(forms, "Lambda2T*"), 6: M1 + M1.T}
+    q = sum(gi[i, :, None, None] * metric_adjoint(S, ads[i])[None] for i in range(n))
+    return {"gram_ad": pairings(ads, "T*T"), "B": B, "q": q,
+            "c1": sum(x @ b for x, b in zip(ads, q)),
+            "c2": sum(b @ x for x, b in zip(ads, q))}
+
+
+def dense_curvature(a, S):
+    """The operators R(e_i, e_j), i < j, from the Koszul formula and dense
+    products, and the Ricci form as the trace of x -> R(x, e_j) e_h."""
+    n, c = a.n, a.as_array()
+    cl = np.tensordot(c, S.g, 1)
+    K = (cl - np.transpose(cl, (2, 0, 1)) + np.transpose(cl, (1, 2, 0))) / 2
+    gamma = np.tensordot(K, S.ginv, 1)
+    G = [gamma[i].T for i in range(n)]
+
+    def R(i, j):
+        return G[i] @ G[j] - G[j] @ G[i] - sum(c[i, j, k] * G[k] for k in range(n))
+
+    ric = np.array([[sum(R(i, j)[i, h] for i in range(n)) for h in range(n)]
+                    for j in range(n)], dtype=object)
+    return gamma, {(i, j): R(i, j) for i, j in combinations(range(n), 2)}, ric
+
+
+@PROPERTY
+@given(brackets_and_metrics())
+def test_metric_and_moment_layers_match_dense_oracles(aS):
+    a, S = aS
+    want = dense_oracles(a, S)
+    for a_, S_ in ((a, S), (a.to_float(), S.to_float())):
+        exact = a_.exact
+        assert_matches(gram(S_, [a_.ad_basis(i) for i in range(a.n)], "T*T"),
+                       want["gram_ad"], exact)
+        B, traces = b_forms(a_, S_)
+        for k in range(1, 7):
+            assert_matches(B[k], want["B"][k], exact)
+        for k in (2, 3, 4):
+            assert_matches(traces[k], np.sum(S.ginv * want["B"][k].T), exact)
+        b = q_map(a_, S_, require_unimodular=False)
+        assert_matches(b.comps, want["q"], exact)
+        c1, c2 = contractions(a_, b)
+        assert_matches(c1, want["c1"], exact)
+        assert_matches(c2, want["c2"], exact)
+        mu, pair = moment_map(a_, b)
+        assert_matches(mu, want["c1"] - 2 * want["c2"], exact)
+        assert_matches(pair, np.trace(want["c1"]), exact)
+        assert_matches(pairing(a_, b), np.trace(want["c1"]), exact)
+        assert_matches(lowered_brackets(a_, S_), np.tensordot(a.as_array(), S.g, 1),
+                       exact)
+        if not is_lie(a_):
+            with pytest.raises(NotLieAlgebraError):
+                curvature_operators(a_, S_)
+            with pytest.raises(NotLieAlgebraError):
+                ricci_general(a_, S_)
+
+
+@PROPERTY
+@given(brackets_and_metrics(lie=True))
+def test_curvature_and_ricci_paths_match_dense_oracles(aS):
+    a, S = aS
+    gamma, ops_want, ric = dense_curvature(a, S)
+    op = S.ginv @ ric
+    for a_, S_ in ((a, S), (a.to_float(), S.to_float())):
+        exact = a_.exact
+        assert_matches(levi_civita(a_, S_).gamma, gamma, exact)
+        ops, conn = curvature_operators(a_, S_)
+        assert list(ops) == list(ops_want)
+        assert_matches(conn.gamma, gamma, exact)
+        for key, M in ops.items():
+            assert_matches(M, ops_want[key], exact)
+        special = is_unimodular(a_) and a_._killing_zero
+        for path in (ricci_general, ricci_killing_zero, ricci_via_moment):
+            if path is not ricci_general and not special:
+                with pytest.raises((NotUnimodularError, KillingFormNonzeroError)):
+                    path(a_, S_)
+                continue
+            data = path(a_, S_)
+            assert_matches(data.ric_form, ric, exact)
+            assert_matches(data.ric_op, op, exact)
+            assert_matches(data.scalar, np.trace(op), exact)
+            einstein = linalg.mat_equal(op, op[0, 0] * linalg.eye(a.n))
+            if exact:
+                assert data.einstein == (op[0, 0] if einstein else None)
+                assert_fractions(*([] if data.einstein is None else [data.einstein]))
+            elif einstein:
+                assert data.einstein is not None
+        if special:
+            assert_matches(scalar_functional(a_, S_), np.trace(op), exact)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       st.lists(RATIONALS, min_size=64, max_size=64))
+def test_scaled_pairs_round_trip(shape, values):
+    """unscaled(*scaled(M)) gives M back, one Fraction per entry, for any
+    shape, zero-length axes included; floats come back as (M, 1)."""
+    M = np.array(values[:prod(shape)], dtype=object).reshape(shape)
+    N, d = linalg.scaled(M)
+    assert N.shape == M.shape and type(d) is int and d > 0
+    assert all(type(x) is int for x in N.flat)
+    back = linalg.unscaled(N, d)
+    assert back.shape == M.shape and (back == M).all()
+    assert_fractions(back)
+    F = linalg.to_float(M)
+    NF, dF = linalg.scaled(F)
+    assert NF is F and dF == 1
+    assert (linalg.unscaled(NF, dF) == F).all()
+    # a product over a zero-length inner axis is all zeros, as Fractions
+    E = linalg.sparse_mm(M.reshape(-1, 1)[:, :0], np.zeros((0, 2), dtype=object))
+    assert E.shape == (M.size, 2) and (E == 0).all()
+    assert_fractions(E)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_empty_stacks(exact):
+    S = Metric.euclidean(3, exact)
+    for shape in ("T*T", "Lambda2T*"):
+        G = gram(S, [], shape)
+        assert G.shape == (0, 0) and linalg.is_float_array(G) != exact
+    abelian = StructureTensor(3, {}, exact=exact)
+    assert mn_criterion(abelian, S) == {"dim_M": 0, "dim_N": 0, "dim_derived": 0,
+                                        "dim_centre": 3, "excluded": True}
+    B, traces = b_forms(abelian, S)
+    for M in [*B.values(), *traces.values()]:
+        assert linalg.mat_is_zero(np.asarray(M))
+        if exact:
+            assert_fractions(M)

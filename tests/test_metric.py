@@ -8,15 +8,15 @@ import pytest
 from liecurv import linalg
 from liecurv.errors import DegenerateMetricError, MetricParseError
 from liecurv.curvature import b_forms
-from liecurv.metric import (Metric, gram, pair_bracket_tensors,
-                            pair_operators, pair_two_forms, parse_metric,
+from liecurv.metric import (Metric, gram, pair_operators, parse_metric,
                             pseudo_orthonormal_frame, signature)
 from liecurv.scalars import close
 from liecurv.structure import parse_structure
 
 from conftest import random_matrix, random_metric
-from tests_helpers import (dual, from_rows, induced_pairing, metric_adjoint,
-                           raise_index)
+from tests_helpers import (dual, from_rows, induced_pairing, inner,
+                           lower_index, metric_adjoint, pair_bracket_tensors,
+                           pair_two_forms, raise_index)
 
 
 def test_parse_diag():
@@ -71,7 +71,7 @@ def test_musical_isomorphisms_inverse():
     rng = random.Random(5)
     S = random_metric(rng, 4)
     v = np.array([Fraction(x) for x in (1, -2, 0, 3)], dtype=object)
-    assert all(x == y for x, y in zip(raise_index(S, S.lower(v)), v))
+    assert all(x == y for x, y in zip(raise_index(S, lower_index(S, v)), v))
 
 
 def test_metric_adjoint_property():
@@ -81,7 +81,7 @@ def test_metric_adjoint_property():
         u = random_matrix(rng, 4)
         v = np.array([Fraction(rng.randint(-3, 3)) for _ in range(4)], dtype=object)
         w = np.array([Fraction(rng.randint(-3, 3)) for _ in range(4)], dtype=object)
-        assert S.inner(u @ v, w) == S.inner(v, metric_adjoint(S, u) @ w)
+        assert inner(S, u @ v, w) == inner(S, v, metric_adjoint(S, u) @ w)
 
 
 def test_operator_pairing_euclidean_is_frobenius():

@@ -9,18 +9,18 @@ from liecurv.curvature import ricci_killing_zero
 from liecurv.errors import NotUnimodularError
 from liecurv.metric import Metric, parse_metric
 from liecurv.moment import (DualStructureTensor, contractions,
-                            dq, gauge_derivative, gauge_dual, gauge_metric,
-                            gauge_structure, infinitesimal_dual,
-                            infinitesimal_metric, infinitesimal_structure,
-                            jacobi_tangent_critical, moment_map, pairing,
-                            q_map, ricci_via_moment, scalar_functional)
+                            gauge_derivative, gauge_metric, gauge_structure,
+                            infinitesimal_structure, jacobi_tangent_critical,
+                            moment_map, pairing, q_map, ricci_via_moment,
+                            scalar_functional)
 from liecurv.scalars import is_zero
 from liecurv.structure import is_lie, parse_structure
 
 from conftest import (random_invertible, random_matrix, random_metric,
                       random_sparse_bracket)
 from tests_helpers import (dense_jacobi_linearization,
-                           dense_killing_linearization, dense_nullspace)
+                           dense_killing_linearization, dense_nullspace, dq,
+                           gauge_dual, infinitesimal_dual, infinitesimal_metric)
 
 
 def test_q_map_heisenberg_euclidean():
@@ -29,7 +29,7 @@ def test_q_map_heisenberg_euclidean():
     b = q_map(a, S)
     # with the euclidean metric b_m = ad(e_m)^T
     for m in range(3):
-        assert linalg.mat_equal(b.matrix(m), a.ad_basis(m).T)
+        assert linalg.mat_equal(b.comps[m], a.ad_basis(m).T)
     assert b.comps[0][1, 2] == Fraction(-1)
 
 

@@ -10,8 +10,8 @@ from liecurv import linalg
 from liecurv.curvature import (levi_civita, lowered_brackets,
                                match_backends, ricci_general)
 from liecurv.errors import DimensionMismatchError
-from liecurv.metric import (pair_bracket_tensors, pair_operators,
-                            pair_two_forms)
+from liecurv.metric import pair_operators
+from liecurv.moment import DualStructureTensor, q_map
 from liecurv.scalars import DEFAULT_TOL, bit_size, is_zero
 from liecurv.structure import StructureTensor, killing_form, trace_ad
 
@@ -89,7 +89,7 @@ def besse_check(a: StructureTensor, S, v):
     lowered = lowered_brackets(a, S)
     w = np.tensordot(lowered, v, axes=([2], [0]))     # w[i, j] = <[e_i,e_j], v>
     term3 = quarter * np.trace(S.ginv @ w @ S.ginv @ w.T)
-    besse = term1 - half * (v @ B @ v) + term3 - S.inner(bracket(a, Z, v), v)
+    besse = term1 - half * (v @ B @ v) + term3 - inner(S, bracket(a, Z, v), v)
     return lemma, besse
 
 
@@ -121,6 +121,63 @@ def dual(S, x, shape: str) -> np.ndarray:
     raise ValueError(f"no matrix pairing on tensor shape {shape!r}")
 
 
+def pair_two_forms(S, alpha, beta):
+    """Induced pairing on Lambda^2 T* for antisymmetric component matrices."""
+    return linalg.sparse_frob(alpha, dual(S, beta, "Lambda2T*"))
+
+
+def pair_bracket_tensors(S, c1, c2):
+    """Induced pairing on Lambda^2 T* ⊗ T for arrays c[i, j, k] (antisym i,j)."""
+    # lower the vector index of c1, raise its two form indices, then contract
+    t = linalg.sparse_mm(c1, S.g)                                   # [i, j, p]
+    t = linalg.sparse_mm(S.ginv.T, t)                               # [l, j, p]
+    t = linalg.sparse_mm(S.ginv.T, np.transpose(t, (1, 0, 2)))      # [m, l, p]
+    return linalg.sparse_frob(t, np.transpose(c2, (1, 0, 2))) / 2
+
+
+# --- the gauge action on the dual side and the derivative of q ---------------
+
+def infinitesimal_metric(X, S):
+    """Derivative of exp(tX).S at t = 0: -X^T S - S X (a symmetric matrix)."""
+    return linalg.sparse_mm(-X.T, S.g) - linalg.sparse_mm(S.g, X)
+
+
+def gauge_dual(g, b):
+    """Finite action on the dual side; equivariance partner of gauge_structure."""
+    ginv = linalg.inv(g, b.tol)
+    t = linalg.sparse_mm(g, b.comps)                           # [k, j', l']
+    t = linalg.sparse_mm(g, np.transpose(t, (1, 0, 2)))        # [j, k, l']
+    t = linalg.sparse_mm(t, ginv)                              # [j, k, l]
+    return DualStructureTensor(b.n, np.transpose(t, (1, 0, 2)), b.tol)
+
+
+def infinitesimal_dual(X, b):
+    """Derivative of exp(tX).b at t = 0, as a raw component array."""
+    c = b.comps
+    mm = linalg.sparse_mm
+    t1 = mm(X, c)                                     # X[i,m] c[m,j,l]
+    t2 = mm(X, np.transpose(c, (1, 0, 2)))            # X[j,m] c[i,m,l], as [j,i,l]
+    t3 = mm(c, X)                                     # c[i,j,m] X[m,l]
+    return t1 + np.transpose(t2, (1, 0, 2)) - t3
+
+
+def dq(a, S, a_prime, W):
+    """Derivative of q at (a, S) in the direction (a_prime, W), W symmetric.
+
+    Satisfies dq(a, S)(a', X.S) = q(a' - X.a, S) + X.q(a, S) for any X.
+    """
+    mm = linalg.sparse_mm
+    base = q_map(a_prime, S, require_unimodular=False).comps
+    c = a.as_array() if isinstance(a, StructureTensor) else a
+    # q(a, S)[m] = sum_i g^{-1}[i, m] u_i*, where g^{-1} moves by
+    # -T = -g^{-1} W g^{-1} and u_i* = g^{-1} c[i] g by g^{-1} (c[i] W - W u_i*)
+    T = mm(mm(S.ginv, W), S.ginv)
+    adj = linalg.sandwich(S.ginv, c, S.g)
+    moved = [mm(S.ginv, mm(c[i], W) - mm(W, u)) for i, u in enumerate(adj)]
+    comps = base - mm(T.T, adj) + mm(S.ginv.T, np.stack(moved))
+    return DualStructureTensor(S.n, comps, S.tol)
+
+
 def derivations_contain(der, X, tol=DEFAULT_TOL) -> bool:
     """Exact membership of X in the span of a DerivationSpace's basis."""
     n = der.n
@@ -138,6 +195,16 @@ def curvature_symmetries_hold(R, tol=1e-9) -> bool:
         R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2)),
     ]
     return all(linalg.mat_is_zero(c, tol) for c in checks)
+
+
+def inner(S, v, w):
+    """<v, w> = v^T g w."""
+    return v @ S.g @ w
+
+
+def lower_index(S, v):
+    """v^flat as a component row of a covector."""
+    return S.g @ v
 
 
 def raise_index(S, alpha):
