@@ -278,11 +278,15 @@ def cmd_einstein_search(args):
         elif status.get("reason") == "sign-patterns":
             print("none: no requested sign pattern admits a diagonal "
                   "Einstein metric with lambda != 0 in this basis")
+        elif status.get("reason") == "enumeration":
+            print("none: the complete enumeration finds no diagonal Einstein "
+                  "metric with lambda != 0 and these signs in this basis")
         elif not results:
             print("no diagonal Einstein metric found under the search budget")
         else:
             print(f"found {len(results)} diagonal Einstein "
-                  f"metric{'s' if len(results) > 1 else ''}")
+                  f"metric{'s' if len(results) > 1 else ''}"
+                  f"{'; the list is complete' if 'complete' in status else ''}")
         for r in results:
             print(f"diag({', '.join(format_scalar(x) for x in r.diag)})"
                   f"  lambda = {format_scalar(r.lam)}"
@@ -379,8 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("einstein-search", cmd_einstein_search)
     p.add_argument("--patterns", default="all",
                    help='"all" or semicolon-separated sign lists like "+,+,-"')
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=_count, default=200)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the Newton starts; read only where the "
+                        "exact enumeration does not apply")
+    p.add_argument("--restarts", type=_count, default=200,
+                   help="Newton starts per sign pattern (default 200); read "
+                        "only where the exact enumeration does not apply")
     p = sub.add_parser("catalog", parents=[common])
     p.add_argument("action", choices=("verify",))
     p.add_argument("--path", default=None, help="catalog file (default: shipped)")

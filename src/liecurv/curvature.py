@@ -95,17 +95,13 @@ def _operators(a: StructureTensor, S: Metric) -> tuple:
     gamma, dg = _connection(a, S)
     G = np.stack([g.T for g in gamma])                   # G[i] = gamma[i].T
     GG = linalg.contract(G, np.transpose(G, (1, 0, 2)))  # GG[i, :, j] = G[i] G[j]
-    P = np.concatenate([np.transpose(GG, (0, 2, 1, 3)).reshape(n * n, n * n),
-                        G.reshape(n, n * n) * dg])        # over dg^2
     pairs = list(combinations(range(n), 2))
     row = {ij: r for r, ij in enumerate(pairs)}
+    I, J = (list(x) for x in zip(*pairs))
     coeffs, dc = a._scaled
-    C = np.zeros((len(pairs), n * n + n), dtype=G.dtype)
-    for r, (i, j) in enumerate(pairs):
-        C[r, i * n + j], C[r, j * n + i] = dc, -dc
+    R = (GG[I, :, J] - GG[J, :, I]) * dc                 # over dg^2 dc
     for (i, j, k), c in coeffs.items():
-        C[row[i, j], n * n + k] = -c
-    R = linalg.contract(C, P).reshape(len(pairs), n, n)
+        R[row[i, j]] -= c * dg * G[k]
     return (R, dc * dg * dg), (gamma, dg)
 
 
@@ -114,10 +110,9 @@ def curvature_operators(a: StructureTensor, S: Metric):
     i < j, G_i the matrix of nabla_{e_i}, as a dict {(i, j): matrix}, and
     the connection.
 
-    All of them come from one product C P on integers: P stacks the rows
-    G_i G_j (all i, j) and G_k, flattened, and row (i, j) of the sparse
-    coefficient matrix C holds +1 on G_i G_j, -1 on G_j G_i and -a^k_ij on
-    G_k.
+    All the products G_i G_j come from one product on integers; each
+    R(e_i, e_j) is then assembled from two of them and the G_k of the
+    bracket terms of [e_i, e_j].
     """
     a, S = match_backends(a, S)
     R, gamma = _operators(a, S)

@@ -62,10 +62,6 @@ class Metric:
             g[i, i] = x
         return cls(len(entries), g, tol)
 
-    @classmethod
-    def euclidean(cls, n: int, exact: bool = True) -> "Metric":
-        return cls(n, linalg.eye(n, exact))
-
     def to_float(self) -> "Metric":
         return Metric(self.n, linalg.to_float(self.g), self.tol)
 

@@ -18,23 +18,28 @@ the Jacobian of ric is 1/2 M diag(y) M^T in closed form.  Newton runs on
 the squares divided by a power of two near their largest, which makes its
 thresholds relative to the size of the bracket.
 
-Newton runs only where the closed form is the Ricci tensor: on a Lie
-bracket that is unimodular with zero Killing form, the class
-`ricci_killing_zero` accepts; elsewhere the search returns nothing.  Two
-exact tests come first, on either backend, both read off
+All diagonal Einstein metrics with lambda != 0 of an exact bracket in the
+class `ricci_killing_zero` accepts (Lie, unimodular, zero Killing form:
+there the closed form is the Ricci tensor) are enumerated exactly, once
+per tensor, by `einstein.einstein_metrics` when {y : M y in R 1} has
+dimension at most 3 and the solution set is finite; the search then reads
+that list, and its answer is complete.  Elsewhere -- float brackets,
+larger dimension, or a resultant that vanishes identically -- seeded
+damped Newton searches per sign pattern, outside that class not at all.
+Two exact tests come first, on either backend, both read off
 `StructureTensor._diagonal_certificate`: they read only which terms are
 nonzero, and Newton solves the closed form itself.  If 1 is not in the
 image of M -- exactly when a diagonal derivation of nonzero trace exists
--- no y has 1/2 M y = lambda 1 with lambda != 0; otherwise a sign pattern
-sigma is skipped when no y with M y in R 1 has the signs
+-- no y has 1/2 M y = lambda 1 with lambda != 0; otherwise Newton skips a
+sign pattern sigma when no y with M y in R 1 has the signs
 sign(y_t) = sigma_i sigma_j sigma_k, a linear feasibility question
 decided exactly by Fourier-Motzkin elimination.  On an exact bracket of
-that class they are proofs: by the trace obstruction the first rules out
-every Einstein metric with s != 0; when every requested pattern fails the
-second, no diagonal Einstein metric with lambda != 0 exists in the given
-basis (metrics not diagonal in it are not covered).  `search_status`
-states which of these holds; any other empty result is a statement about
-the search budget only.
+that class these are proofs: the first rules out every Einstein metric
+with s != 0 (the trace obstruction); when every requested pattern fails
+the second, no diagonal Einstein metric with lambda != 0 exists in the
+given basis (metrics not diagonal in it are not covered).
+`search_status` states what the output proves; an empty result of Newton
+is a statement about the search budget only.
 """
 
 from __future__ import annotations
@@ -302,9 +307,13 @@ def diagonal_einstein_search(a: StructureTensor,
                              max_iter: int = 100):
     """Search for diagonal metrics with ric = lambda Id, lambda != 0.
 
-    The empty list is returned at once when 1 is not in the image of M,
-    and before the first Newton run when the closed form is not the Ricci
-    tensor (outside `_closed_form_is_ricci`).  A sign pattern that fails
+    The empty list is returned at once when 1 is not in the image of M.
+    Where `einstein.einstein_metrics` applies, the result is its cached
+    list, which is complete, filtered by the sign pattern; `seed`,
+    `restarts` and `max_iter` are not read.  Elsewhere the seeded Newton
+    search below runs.  The empty list is returned before its first run
+    when the closed form is not the Ricci tensor (outside
+    `_closed_form_is_ricci`).  A sign pattern that fails
     the exact sign test is skipped without a Newton run; its starts are
     still drawn, so the other patterns see the same ones.  Both exact tests
     read only which terms are nonzero, so they apply on either backend.
@@ -334,6 +343,8 @@ def diagonal_einstein_search(a: StructureTensor,
         patterns = _all_patterns(n)
     if a._diagonal_certificate.span is None:
         return []
+    if a._diagonal_einstein is not None:
+        return [r for r in a._diagonal_einstein if r.pattern in patterns]
     rng = random.Random(seed)
     results = []
     seen = set()
@@ -392,19 +403,26 @@ def search_status(a: StructureTensor, sign_patterns, results) -> dict:
     "found" when there are results.  "none" when the empty result is
     proven: with reason "trace-obstruction" and the diagonal derivation of
     nonzero trace as witness, no Einstein metric with s != 0 exists; with
-    reason "sign-patterns", no requested pattern passes the exact sign
-    test, so no diagonal Einstein metric with lambda != 0 exists in this
-    basis.  "budget" otherwise.
+    reason "enumeration", `einstein.einstein_metrics` found none with the
+    requested patterns; with reason "sign-patterns" (where the enumeration
+    does not apply), no requested pattern passes the exact sign test.
+    Either way no diagonal Einstein metric with lambda != 0 and those
+    patterns exists in this basis.  "complete": true, beside "found" or
+    "none", says that the results are all such metrics, from the
+    enumeration; Newton's results never are.  "budget" otherwise.
     """
-    if results:
-        return {"status": "found"}
     if a.exact and _closed_form_is_ricci(a):
         witness = a._diagonal_certificate.witness
         if witness is not None:
             return {"status": "none", "reason": "trace-obstruction",
                     "witness": [format_scalar(x) for x in witness]}
+        if a._diagonal_einstein is not None:
+            if results:
+                return {"status": "found", "complete": True}
+            return {"status": "none", "reason": "enumeration",
+                    "complete": True}
         patterns = [q for p in sign_patterns
                     for q in (_all_patterns(a.n) if p is None else [p])]
-        if not any(_pattern_feasible(a, p) for p in patterns):
+        if not results and not any(_pattern_feasible(a, p) for p in patterns):
             return {"status": "none", "reason": "sign-patterns"}
-    return {"status": "budget"}
+    return {"status": "found" if results else "budget"}

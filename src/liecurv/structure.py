@@ -50,7 +50,9 @@ class DiagonalCertificate(NamedTuple):
     basis of ker M^T as rows of Fractions; `witness`, its first row of
     nonzero sum, or None; `span`, only when there is no witness, a pair
     ((i, j, k), row) per term, the rows of an integer basis of
-    {y : M y in R 1}, and None otherwise."""
+    {y : M y in R 1}, and None otherwise.  The columns of `span` but the
+    last are a basis of ker M; the last has M y = s 1 with s > 0, as s is
+    the last free column of the system that `linalg.kernel` solves."""
 
     basis: np.ndarray
     witness: Optional[np.ndarray]
@@ -191,6 +193,14 @@ class StructureTensor:
         return DiagonalCertificate(basis, None, tuple(zip(terms, span)))
 
     @cached_property
+    def _diagonal_einstein(self) -> Optional[tuple]:
+        """Every diagonal Einstein metric with lambda != 0 on this nice
+        basis, or None where the exact enumeration does not apply; see
+        `einstein.einstein_metrics`."""
+        from .einstein import einstein_metrics   # it imports this module
+        return einstein_metrics(self)
+
+    @cached_property
     def _report(self) -> "ClassifyReport":
         if not is_lie(self):
             return ClassifyReport(is_lie=False)
@@ -246,14 +256,6 @@ class StructureTensor:
                 for i, j, k, c in self.terms()
             ],
         }
-
-    @classmethod
-    def from_json(cls, data, exact=True, tol=DEFAULT_TOL):
-        coeffs = {
-            (b["i"] - 1, b["j"] - 1, b["k"] - 1): parse_scalar(str(b["c"]), exact)
-            for b in data["brackets"]
-        }
-        return cls.from_brackets(data["n"], coeffs, tol, exact)
 
 
 # --- text notation ----------------------------------------------------------

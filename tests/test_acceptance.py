@@ -27,7 +27,7 @@ from liecurv.structure import classify, parse_structure
 
 from conftest import (random_invertible, random_matrix, random_metric,
                       random_sparse_bracket)
-from tests_helpers import (dq, gauge_dual, infinitesimal_dual,
+from tests_helpers import (dq, euclidean, gauge_dual, infinitesimal_dual,
                            infinitesimal_metric, pair_bracket_tensors,
                            tensor_from_array)
 
@@ -273,7 +273,7 @@ def test_criterion_10_negative_controls(capsys, catalog_entries):
             a = entry.parse()
             rep = classify(a)
             if rep.nilpotent and rep.step == 2:
-                out = mn_criterion(a, Metric.euclidean(a.n))
+                out = mn_criterion(a, euclidean(a.n))
                 assert out["excluded"] is True, entry.name
                 step_two += 1
         assert step_two >= 3
@@ -281,4 +281,4 @@ def test_criterion_10_negative_controls(capsys, catalog_entries):
                                         restarts=50) == []
         with pytest.raises(KillingFormNonzeroError):
             ricci_killing_zero(parse_structure("(0,12,-13)"),
-                               Metric.euclidean(3))
+                               euclidean(3))

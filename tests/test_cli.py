@@ -208,16 +208,20 @@ def test_einstein_search_status(capsys):
         ([HEIS], {"status": "none", "reason": "trace-obstruction",
                   "witness": ["1", "0", "1"]},
          "none: the diagonal derivation diag(1, 0, 1) has nonzero trace"),
+        # the exact enumeration: complete, at any budget
         ([n8, "--patterns", "+,+,+,+,+,+,+,+;+,-,+,-,+,-,+,-"],
-         {"status": "none", "reason": "sign-patterns"},
-         "none: no requested sign pattern admits a diagonal Einstein metric"),
-        ([n8, "--restarts", "0"], {"status": "budget"},
-         "no diagonal Einstein metric found under the search budget"),
+         {"status": "none", "reason": "enumeration", "complete": True},
+         "none: the complete enumeration finds no diagonal Einstein metric"),
+        ([n8, "--restarts", "0"], {"status": "found", "complete": True},
+         "found 2 diagonal Einstein metrics; the list is complete\n"),
         # a float bracket proves nothing
         ([HEIS, "--backend", "float", "--restarts", "2"], {"status": "budget"},
          "no diagonal Einstein metric found under the search budget"),
+        ([n8, "--backend", "float", "--restarts", "0"], {"status": "budget"},
+         "no diagonal Einstein metric found under the search budget"),
         ([n8, "--patterns", "+,+,+,+,-,-,+,+", "--restarts", "8"],
-         {"status": "found"}, "found 1 diagonal Einstein metric\n"),
+         {"status": "found", "complete": True},
+         "found 1 diagonal Einstein metric; the list is complete\n"),
     )
     for argv, fields, line in cases:
         code, out, _ = run(capsys, "einstein-search", "--structure", *argv,
@@ -225,7 +229,7 @@ def test_einstein_search_status(capsys):
         payload = json.loads(out)
         assert code == 0
         assert {k: payload[k] for k in payload
-                if k in ("status", "reason", "witness")} == fields
+                if k in ("status", "reason", "witness", "complete")} == fields
         assert (payload["results"] == []) == (fields["status"] != "found")
         code, out, _ = run(capsys, "einstein-search", "--structure", *argv)
         assert code == 0 and out.startswith(line)

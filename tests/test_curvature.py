@@ -25,6 +25,7 @@ from liecurv.structure import (StructureTensor, is_lie, is_unimodular,
 
 from conftest import random_sparse_bracket
 from tests_helpers import (besse_check, curvature_symmetries_hold, dual,
+                           euclidean,
                            metric_adjoint, pairwise_curvature_operators,
                            trace_vector)
 
@@ -33,7 +34,7 @@ HEIS = "(0,0,12)"
 
 def test_heisenberg_connection():
     a = parse_structure(HEIS)
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     conn = levi_civita(a, S)
     half = Fraction(1, 2)
     # nabla_{e1} e2 = -1/2 e3, nabla_{e1} e3 = 1/2 e2, nabla_{e3} e1 = 1/2 e2
@@ -45,7 +46,7 @@ def test_heisenberg_connection():
 
 def test_heisenberg_curvature_components():
     a = parse_structure(HEIS)
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     R = riemann(a, S)
     assert curvature_symmetries_hold(R)
     assert R.R[0, 1, 1, 0] == Fraction(-3, 4)
@@ -55,7 +56,7 @@ def test_heisenberg_curvature_components():
 
 def test_heisenberg_ricci_all_paths():
     a = parse_structure(HEIS)
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     want = [Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)]
     for path in (ricci_general, ricci_killing_zero):
         data = path(a, S)
@@ -79,12 +80,12 @@ def test_ricci_contraction_of_riemann():
 def test_riemann_rejects_non_lie():
     bad = parse_structure("(12,13,0)")
     with pytest.raises(NotLieAlgebraError):
-        riemann(bad, Metric.euclidean(3))
+        riemann(bad, euclidean(3))
 
 
 def test_b_forms_heisenberg():
     a = parse_structure(HEIS)
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     B, traces = b_forms(a, S)
     # |ad e1|^2 = 1, |de^3|^2 = 1
     assert B[3][0, 0] == Fraction(1)
@@ -97,10 +98,10 @@ def test_b_forms_heisenberg():
 
 # every entry point restricted to unimodular brackets with zero Killing form
 KILLING_ZERO_PATHS = (
-    lambda a: ricci_killing_zero(a, Metric.euclidean(a.n)),
+    lambda a: ricci_killing_zero(a, euclidean(a.n)),
     trace_obstruction,
-    lambda a: ricci_via_moment(a, Metric.euclidean(a.n)),
-    lambda a: jacobi_tangent_critical(a, Metric.euclidean(a.n)),
+    lambda a: ricci_via_moment(a, euclidean(a.n)),
+    lambda a: jacobi_tangent_critical(a, euclidean(a.n)),
 )
 
 
@@ -118,7 +119,7 @@ def test_index_oracle_on_non_unimodular():
     # the oracle keeps the term that vanishes for unimodular algebras, so it
     # must agree with the general path even off the unimodular locus
     a = parse_structure("(0,12)")
-    S = Metric.euclidean(2)
+    S = euclidean(2)
     exact = linalg.to_float(ricci_general(a, S).ric_form)
     oracle = np.asarray(ricci_index_oracle(a, S).ric_form, dtype=float)
     assert np.allclose(oracle, exact, atol=1e-8)
@@ -179,10 +180,10 @@ def test_batched_curvature_operators_equal_the_pairwise_form(seed):
 
 def test_trace_vector():
     a = parse_structure("(0,12)")
-    Z = trace_vector(a, Metric.euclidean(2))
+    Z = trace_vector(a, euclidean(2))
     assert Z[0] == Fraction(-1) and Z[1] == Fraction(0)
     uni = parse_structure(HEIS)
-    assert all(x == 0 for x in trace_vector(uni, Metric.euclidean(3)))
+    assert all(x == 0 for x in trace_vector(uni, euclidean(3)))
 
 
 def test_besse_check_random():
@@ -199,7 +200,7 @@ def test_besse_check_random():
 
 def test_mn_criterion_heisenberg():
     a = parse_structure(HEIS)
-    out = mn_criterion(a, Metric.euclidean(3))
+    out = mn_criterion(a, euclidean(3))
     assert out["excluded"] is True
     assert out["dim_derived"] == 1 and out["dim_centre"] == 1
 
@@ -207,7 +208,7 @@ def test_mn_criterion_heisenberg():
 def test_mn_criterion_requires_nilpotent():
     a = parse_structure("(0,12,-13)")
     with pytest.raises(NotNilpotentError):
-        mn_criterion(a, Metric.euclidean(3))
+        mn_criterion(a, euclidean(3))
 
 
 @pytest.mark.parametrize("text, symmetric",
@@ -216,14 +217,14 @@ def test_mn_criterion_requires_nilpotent():
 def test_holonomy_full_span(text, symmetric):
     # so(3) is locally symmetric, so every first derivative gets checked
     a = parse_structure(text)
-    out = holonomy_span(a, Metric.euclidean(3))
+    out = holonomy_span(a, euclidean(3))
     assert out["span_dim"] == 3 and out["full"] is True
     assert out["locally_symmetric"] is symmetric
 
 
 def test_holonomy_abelian():
     a = parse_structure("(0,0,0)")
-    out = holonomy_span(a, Metric.euclidean(3))
+    out = holonomy_span(a, euclidean(3))
     assert out["span_dim"] == 0 and out["full"] is False
     assert out["locally_symmetric"] is True
 
@@ -417,7 +418,7 @@ def test_scaled_pairs_round_trip(shape, values):
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_empty_stacks(exact):
-    S = Metric.euclidean(3, exact)
+    S = euclidean(3, exact)
     for shape in ("T*T", "Lambda2T*"):
         G = gram(S, [], shape)
         assert G.shape == (0, 0) and linalg.is_float_array(G) != exact

@@ -14,7 +14,7 @@ from liecurv.scalars import close
 from liecurv.structure import parse_structure
 
 from conftest import random_matrix, random_metric
-from tests_helpers import (dual, from_rows, induced_pairing, inner,
+from tests_helpers import (dual, euclidean, from_rows, induced_pairing, inner,
                            lower_index, metric_adjoint, pair_bracket_tensors,
                            pair_two_forms, raise_index)
 
@@ -85,7 +85,7 @@ def test_metric_adjoint_property():
 
 
 def test_operator_pairing_euclidean_is_frobenius():
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     rng = random.Random(2)
     u = random_matrix(rng, 3)
     assert pair_operators(S, u, u) == sum(x * x for x in u.flat)
@@ -106,7 +106,7 @@ def test_two_form_pairing_orthonormal_values():
 def test_bracket_tensor_pairing_heisenberg_norm():
     from liecurv.structure import parse_structure
     a = parse_structure("(0,0,12)")
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     c = a.as_array()
     assert pair_bracket_tensors(S, c, c) == Fraction(1)
 
@@ -169,7 +169,7 @@ def test_batched_gram_equals_the_pairwise_definition(shape, seed):
 
 
 def test_induced_pairing_dispatch():
-    S = Metric.euclidean(2)
+    S = euclidean(2)
     with pytest.raises(ValueError):
         induced_pairing(S, "T**")
     f = induced_pairing(S, "T")

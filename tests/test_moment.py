@@ -7,7 +7,7 @@ import pytest
 from liecurv import linalg, moment
 from liecurv.curvature import ricci_killing_zero
 from liecurv.errors import NotUnimodularError
-from liecurv.metric import Metric, parse_metric
+from liecurv.metric import parse_metric
 from liecurv.moment import (DualStructureTensor, contractions,
                             gauge_derivative, gauge_metric, gauge_structure,
                             infinitesimal_structure, jacobi_tangent_critical,
@@ -19,13 +19,14 @@ from liecurv.structure import is_lie, parse_structure
 from conftest import (random_invertible, random_matrix, random_metric,
                       random_sparse_bracket)
 from tests_helpers import (dense_jacobi_linearization,
+                           euclidean,
                            dense_killing_linearization, dense_nullspace, dq,
                            gauge_dual, infinitesimal_dual, infinitesimal_metric)
 
 
 def test_q_map_heisenberg_euclidean():
     a = parse_structure("(0,0,12)")
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     b = q_map(a, S)
     # with the euclidean metric b_m = ad(e_m)^T
     for m in range(3):
@@ -46,7 +47,7 @@ def test_q_map_antisymmetry_random():
 def test_q_requires_unimodular():
     a = parse_structure("(0,12)")
     with pytest.raises(NotUnimodularError):
-        q_map(a, Metric.euclidean(2))
+        q_map(a, euclidean(2))
 
 
 def test_contractions_a_lambda():
@@ -67,7 +68,7 @@ def test_contractions_a_lambda():
 
 def test_moment_map_and_pairing():
     a = parse_structure("(0,0,12)")
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     b = q_map(a, S)
     mu, inner = moment_map(a, b)
     c1, c2 = contractions(a, b)
@@ -95,14 +96,14 @@ def test_ricci_via_moment_matches_curvature():
 
 def test_scalar_functional_heisenberg():
     a = parse_structure("(0,0,12)")
-    assert scalar_functional(a, Metric.euclidean(3)) == Fraction(-1, 2)
+    assert scalar_functional(a, euclidean(3)) == Fraction(-1, 2)
 
 
 def test_gauge_metric_and_structure_consistency():
     # scalar functional is invariant under the simultaneous action
     rng = random.Random(41)
     a = parse_structure("(0,0,12)")
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     for _ in range(5):
         g = random_invertible(rng, 3)
         assert scalar_functional(gauge_structure(g, a), gauge_metric(g, S)) \
@@ -165,7 +166,7 @@ def test_gauge_derivative_traceless_at_einstein():
 
 def test_gauge_derivative_general_value():
     a = parse_structure("(0,0,12)")
-    S = Metric.euclidean(3)
+    S = euclidean(3)
     X = linalg.eye(3)
     # X+s = -2 Tr(ric_op) = -2 s = 1 for the Heisenberg metric
     assert gauge_derivative(a, S, X) == Fraction(1)

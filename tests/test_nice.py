@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -6,14 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liecurv import linalg, nice
+from liecurv import einstein, linalg, nice
 from liecurv.curvature import ricci_general
 from liecurv.derivations import diagonal_derivation_solve
 from liecurv.errors import DegenerateMetricError, NotNiceBasisError
 from liecurv.metric import Metric
 from liecurv.nice import (diagonal_einstein_search, diagonal_ricci,
                           diagonal_ricci_closed_form, nice_basis_check)
-from liecurv.structure import parse_structure
+from liecurv.structure import StructureTensor, parse_structure
 
 from tests_helpers import dense_rref
 
@@ -254,15 +255,21 @@ def test_strictly_solvable_small_systems():
 
 
 def test_pruned_pattern_never_runs_newton(monkeypatch):
+    # on the exact bracket no pattern runs Newton, pruned by the sign test
+    # or not: every answer is a lookup in the enumeration
     def newton(*args):
-        raise AssertionError("Newton ran on a pattern the sign test rules out")
+        raise AssertionError("Newton ran on the exact 8-dim example")
     monkeypatch.setattr(nice, "_newton_from", newton)
+    monkeypatch.setattr(nice, "_pattern_feasible", newton)
     a = parse_structure(N8)
+    known = {tuple(1 if x > 0 else -1 for x in d): d
+             for d in (N8_DIAG, N8_DIAG_2)}
     for p in nice._all_patterns(8):
-        if p not in N8_FEASIBLE:
-            assert diagonal_einstein_search(a, sign_pattern=p, restarts=5) == []
+        results = diagonal_einstein_search(a, sign_pattern=p, restarts=5)
+        assert [r.diag for r in results] == ([known[p]] if p in known else [])
     status = nice.search_status(a, [(1,) * 8], [])
-    assert status == {"status": "none", "reason": "sign-patterns"}
+    assert status == {"status": "none", "reason": "enumeration",
+                      "complete": True}
 
 
 def test_float_bracket_prunes_the_same_patterns_but_proves_nothing(monkeypatch):
@@ -279,8 +286,9 @@ def test_float_bracket_prunes_the_same_patterns_but_proves_nothing(monkeypatch):
 
 def test_prune_keeps_the_search_output(monkeypatch):
     # a skipped pattern still draws its starts, so every later pattern
-    # sees the same ones as without the sign test
-    a = parse_structure(N8)
+    # sees the same ones as without the sign test; on the float bracket,
+    # where Newton still runs
+    a = parse_structure(N8, exact=False)
     pruned = diagonal_einstein_search(a, seed=2, restarts=3)
     monkeypatch.setattr(nice, "_pattern_feasible", lambda a, p: True)
     unpruned = diagonal_einstein_search(a, seed=2, restarts=3)
@@ -289,14 +297,18 @@ def test_prune_keeps_the_search_output(monkeypatch):
 
 
 def test_all_patterns_find_both_catalogued_metrics_within_budget():
+    # one call lists exactly the two catalogued metrics, and says so
     a = parse_structure(N8)
     start = time.monotonic()
     results = diagonal_einstein_search(a)
     assert time.monotonic() - start < 40.0
-    for diag in (N8_DIAG, N8_DIAG_2):
-        assert any(r.exact and r.diag == diag and r.lam == Fraction(7, 15)
-                   for r in results)
-    assert nice.search_status(a, [None], results) == {"status": "found"}
+    assert [(r.pattern, r.diag, r.lam, r.scalar, r.exact) for r in results] == [
+        ((1, 1, -1, -1, -1, 1, -1, -1), N8_DIAG_2, Fraction(7, 15),
+         Fraction(56, 15), True),
+        ((1, 1, 1, 1, -1, -1, 1, 1), N8_DIAG, Fraction(7, 15),
+         Fraction(56, 15), True)]
+    assert nice.search_status(a, [None], results) == {"status": "found",
+                                                      "complete": True}
 
 
 def test_closed_form_is_the_ricci_tensor_on_gated_entries(catalog_entries):
@@ -382,3 +394,124 @@ def test_search_finds_known_metric_on_rescaled_bracket(t, exact):
                    and math.isclose(r.lam, lam, rel_tol=1e-9)
                    and math.isclose(r.scalar, 8 * lam, rel_tol=1e-9)
                    for r in results)
+
+
+def test_enumeration_reads_neither_seed_nor_restarts():
+    outputs = set()
+    for seed in (0, 5):
+        for restarts in (0, 8):
+            results = diagonal_einstein_search(parse_structure(N8), seed=seed,
+                                               restarts=restarts)
+            outputs.add(tuple(str(r.to_json()) for r in results))
+    assert len(outputs) == 1 and len(next(iter(outputs))) == 2
+
+
+def test_enumeration_on_the_bracket_times_100():
+    a = parse_structure("(0,0,0,0,100*12+100*34,100*14-100*23,"
+                        "-100*24+100*35+100*16,-100*13+100*26+100*45)")
+    results = diagonal_einstein_search(a, restarts=0)
+    assert [r.diag for r in results] == [N8_DIAG_2, N8_DIAG]
+    assert all(r.exact and r.lam == Fraction(14000, 3) for r in results)
+    assert nice.search_status(a, [None], results)["complete"] is True
+
+
+def test_enumeration_runs_once_per_tensor(monkeypatch):
+    calls = []
+    original = einstein.einstein_metrics
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(einstein, "einstein_metrics", counting)
+    a = parse_structure(N8)
+    patterns = sorted(N8_FEASIBLE) + [p for p in nice._all_patterns(8)
+                                      if p not in N8_FEASIBLE][:36]
+    assert len(patterns) == 44
+    for p in patterns:
+        results = diagonal_einstein_search(a, sign_pattern=p)
+        nice.search_status(a, [p], results)
+    assert calls == [a]
+
+
+def test_newton_runs_on_an_exact_bracket_where_the_enumeration_does_not_apply(
+        monkeypatch):
+    # as for d > 2: Newton, rationalized candidates, and "sign-patterns"
+    # from the sign test, never "complete"
+    monkeypatch.setattr(einstein, "einstein_metrics", lambda a: None)
+    a = parse_structure(N8)
+    pattern = tuple(1 if x > 0 else -1 for x in N8_DIAG)
+    results = diagonal_einstein_search(a, sign_pattern=pattern, restarts=8)
+    assert [r.diag for r in results if r.exact] == [N8_DIAG]
+    assert nice.search_status(a, [pattern], results) == {"status": "found"}
+    assert nice.search_status(a, [(1,) * 8], []) == {
+        "status": "none", "reason": "sign-patterns"}
+    assert diagonal_einstein_search(a, sign_pattern=pattern, restarts=0) == []
+    assert nice.search_status(a, [pattern], []) == {"status": "budget"}
+
+
+def test_sign_system_without_solution_and_with_a_kernel():
+    # sigma_1 sigma_2 sigma_3 = -1 and = +1 at once: no solution
+    assert einstein._sign_solutions(3, [(0, 1, 2), (0, 1, 2)], [True, False]) == []
+    # sigma_1 sigma_2 sigma_3 = -1 alone: four solutions, a kernel of rank 2
+    sols = einstein._sign_solutions(3, [(0, 1, 2)], [True])
+    assert sorted(sols) == sorted(
+        s for s in itertools.product((1, -1), repeat=3) if s[0] * s[1] * s[2] < 0)
+    # a repeated index counts twice: sigma_1 sigma_2 sigma_2 = sigma_1
+    assert einstein._sign_solutions(2, [(0, 1, 1)], [True]) == [(-1, 1), (-1, -1)]
+
+
+def test_sign_solutions_match_brute_force():
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        terms = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(4)]
+        negative = [rng.random() < 0.5 for _ in terms]
+        want = {s for s in itertools.product((1, -1), repeat=n)
+                if all((s[i] * s[j] * s[k] < 0) == b
+                       for (i, j, k), b in zip(terms, negative))}
+        got = einstein._sign_solutions(n, terms, negative)
+        assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_irrational_points_come_back_as_floats():
+    # d = 1: y = (w, w + 1, 1 - 2w), r = (1, 1, -2), c^2 = (3, 1, 1):
+    # w (w + 1) = 3 (1 - 2w)^2, that is 11 w^2 - 13 w + 3 = 0
+    B = [(1, 0), (1, 1), (-2, 1)]
+    points = einstein._einstein_points(B, [Fraction(3), Fraction(1), Fraction(1)], 1)
+    roots = sorted((13 + s * math.sqrt(37)) / 22 for s in (-1, 1))
+    assert all(isinstance(w, float) for w, in points)
+    assert [w for w, in points] == pytest.approx(roots, rel=1e-15)
+    # d = 2: a rational point, and irrational ones paired through the
+    # resultant in w_0; every returned pair solves both equations
+    B = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]
+    c2 = [Fraction(1), Fraction(1), Fraction(2), Fraction(1)]
+    # y0 = w0, y1 = w1, y2 = 1 - w0, y3 = 1 - w1; r1 = (1, 0, -1, 0) and
+    # r2 = (0, 1, 0, -1): 2 w0 = 1 - w0 and w1 = 1 - w1
+    points = einstein._einstein_points(B, c2, 2)
+    assert points == [(Fraction(1, 3), Fraction(1, 2))]
+
+
+# an 8-dim nice nilpotent bracket with no Jacobi component, so any nonzero
+# coefficients give a Lie algebra; d = 0, one point y
+EIGHT_TERMS = {(0, 1, 6): -1, (0, 3, 5): 1, (0, 5, 7): -1, (1, 2, 4): -1,
+               (1, 4, 7): -1, (2, 3, 7): -1, (2, 4, 6): -1, (3, 5, 6): 1}
+
+
+def test_enumeration_with_d_0_and_a_metric_with_cube_roots():
+    a = StructureTensor(8, {k: Fraction(c) for k, c in EIGHT_TERMS.items()})
+    assert len(a._diagonal_certificate.span[0][1]) == 1
+    (r,) = diagonal_einstein_search(a)
+    assert r.exact and r.diag == (1, 1, 1, 1, Fraction(-7, 3), Fraction(-7, 3),
+                                  Fraction(49, 15), Fraction(49, 15))
+    # a^7_12 = -2: |g| needs cube roots, so the one metric comes back in
+    # floats, and re-verifies through the general Ricci formula
+    b = StructureTensor(8, {k: Fraction(2 * c if k == (0, 1, 6) else c)
+                            for k, c in EIGHT_TERMS.items()})
+    (r,) = diagonal_einstein_search(b)
+    assert not r.exact and r.diag[2] == pytest.approx(2 ** (-2 / 3), rel=1e-14)
+    data = ricci_general(b.to_float(), Metric.diagonal(list(r.diag)))
+    assert data.einstein == pytest.approx(r.lam, rel=1e-12)
+    assert r.scalar == 8 * r.lam
+    assert nice.search_status(b, [None], [r]) == {"status": "found",
+                                                  "complete": True}

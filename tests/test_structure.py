@@ -13,7 +13,7 @@ from liecurv.structure import (StructureTensor, centre, classify, is_lie,
                                lower_central_series, parse_structure,
                                print_structure, subspace_contained, trace_ad)
 
-from tests_helpers import ad_matrix, component
+from tests_helpers import ad_matrix, component, euclidean, structure_from_json
 
 
 def test_parse_heisenberg_sign_convention():
@@ -43,7 +43,7 @@ def test_float_backend_is_carried_without_coefficients(text):
     assert not a.exact and not a.to_float().exact
     assert not parse_structure(text).to_float().exact
     assert parse_structure(text).exact
-    assert not StructureTensor.from_json(a.to_json(), exact=False).exact
+    assert not structure_from_json(a.to_json(), exact=False).exact
     assert all(isinstance(c, float) for c in a.coeffs.values())
     assert killing_form(a).dtype == float and trace_ad(a).dtype == float
     from liecurv.moment import gauge_structure
@@ -173,7 +173,7 @@ def test_centre_and_lcs_of_heisenberg():
 
 def test_json_round_trip():
     a = parse_structure("(0,0,1/2*12,13)")
-    back = StructureTensor.from_json(a.to_json())
+    back = structure_from_json(a.to_json())
     assert back.coeffs == a.coeffs
 
 
@@ -188,7 +188,6 @@ def test_jacobi_defect_runs_once_per_tensor(monkeypatch):
     from liecurv import structure
     from liecurv.curvature import ricci_general
     from liecurv.derivations import derivation_space
-    from liecurv.metric import Metric
     calls = []
     original = structure.jacobi_defect
 
@@ -200,7 +199,7 @@ def test_jacobi_defect_runs_once_per_tensor(monkeypatch):
     a = parse_structure("(0,0,12,13)")
     assert is_lie(a) and classify(a).is_lie
     derivation_space(a)
-    ricci_general(a, Metric.euclidean(4))
+    ricci_general(a, euclidean(4))
     assert is_lie(a)
     assert calls == [a]
 

@@ -10,10 +10,23 @@ from liecurv import linalg
 from liecurv.curvature import (levi_civita, lowered_brackets,
                                match_backends, ricci_general)
 from liecurv.errors import DimensionMismatchError
-from liecurv.metric import pair_operators
+from liecurv.metric import Metric, pair_operators
 from liecurv.moment import DualStructureTensor, q_map
-from liecurv.scalars import DEFAULT_TOL, bit_size, is_zero
+from liecurv.scalars import DEFAULT_TOL, bit_size, is_zero, parse_scalar
 from liecurv.structure import StructureTensor, killing_form, trace_ad
+
+
+def euclidean(n: int, exact: bool = True) -> Metric:
+    """The identity metric on R^n."""
+    return Metric(n, linalg.eye(n, exact))
+
+
+def structure_from_json(data, exact: bool = True,
+                        tol: float = DEFAULT_TOL) -> StructureTensor:
+    """The tensor that `StructureTensor.to_json` wrote."""
+    coeffs = {(b["i"] - 1, b["j"] - 1, b["k"] - 1): parse_scalar(str(b["c"]), exact)
+              for b in data["brackets"]}
+    return StructureTensor.from_brackets(data["n"], coeffs, tol, exact)
 
 
 def tensor_from_array(c):
