@@ -382,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("nice", cmd_nice)
     p = add("einstein-search", cmd_einstein_search)
     p.add_argument("--patterns", default="all",
-                   help='"all" or semicolon-separated sign lists like "+,+,-"')
+                   help='"all" or semicolon-separated sign lists like "+,+,-" '
+                        '(--patterns=-,+,+ when the first sign is -)')
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the Newton starts; read only where the "
                         "exact enumeration does not apply")

@@ -29,8 +29,9 @@ def einstein_metrics(a: StructureTensor) -> Optional[tuple]:
     """Every diagonal Einstein metric with lambda != 0 of an exact nice
     bracket in the class `_closed_form_is_ricci` accepts and with no trace
     witness, sorted as the search sorts; None elsewhere, when
-    {y : M y in R 1} has dimension d + 1 > 3, or when the solution set is
-    not finite.  Read it as `StructureTensor._diagonal_einstein`.
+    {y : M y in R 1} has dimension d + 1 > 3, when the solution set is not
+    finite, or when d = 2 and the resultant has an irrational root.  Read
+    it as `StructureTensor._diagonal_einstein`.
 
     y = B (w, 1), B the span of `StructureTensor._diagonal_certificate`, is
     the chart w_d = 1 of P^d; its hyperplane at infinity is s = 0, that is
@@ -39,8 +40,8 @@ def einstein_metrics(a: StructureTensor) -> Optional[tuple]:
     columns r of B that span ker M, and sign(y_t) = sigma_i sigma_j sigma_k
     has a solution sigma.  Cleared of negative exponents these are d
     polynomial equations in w: none for d = 0; one univariate for d = 1;
-    for d = 2 the roots of their resultant in w_1, then of the gcd of the
-    two at each root.  Each point with no y_t = 0 and each of its sign
+    for d = 2 the roots of their resultant in w_1, all rational, then of the
+    gcd of the two at each root.  Each point with no y_t = 0 and each of its sign
     solutions, normalized to sigma_1 = +1, gives one metric, g_1 = sigma_1;
     exact ones are re-verified through `diagonal_ricci`, float ones (from
     irrational roots) by the closed form's residual, as in the search.
@@ -90,9 +91,8 @@ def einstein_metrics(a: StructureTensor) -> Optional[tuple]:
 def _einstein_points(B, c2, d: int):
     """The real w in R^d with prod_t (y_t / c2_t)^B[t][q] = 1 for q < d,
     y = B (w, 1): Fractions where rational, floats elsewhere; None when the
-    set is not finite.  For an irrational root of the resultant, w_1 is
-    paired with every root of the resultant in w_0, and the caller's
-    residual test keeps the true pairs."""
+    set is not finite, and for d = 2 when the resultant has an irrational
+    root, whose partners would need a gcd over an algebraic extension."""
     one = (0,) * d
     lines = []                                  # y_t as a polynomial in w
     for row in B:
@@ -126,17 +126,10 @@ def _einstein_points(B, c2, d: int):
     res = poly.resultant(f, g) if any(j for h in eqs for _, j in h) else []
     if not res:
         return None
-    points, others = [], None
+    points = []
     for x in poly.real_roots(res):
         if isinstance(x, float):
-            if others is None:
-                res = poly.resultant(*({(j, i): c for (i, j), c in h.items()}
-                                       for h in eqs))
-                if not res:
-                    return None
-                others = poly.real_roots(res)
-            points += [(x, float(z)) for z in others]
-            continue
+            return None
         h = poly.gcd(poly.at(f, x), poly.at(g, x))
         if not h:
             return None

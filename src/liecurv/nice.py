@@ -24,8 +24,9 @@ there the closed form is the Ricci tensor) are enumerated exactly, once
 per tensor, by `einstein.einstein_metrics` when {y : M y in R 1} has
 dimension at most 3 and the solution set is finite; the search then reads
 that list, and its answer is complete.  Elsewhere -- float brackets,
-larger dimension, or a resultant that vanishes identically -- seeded
-damped Newton searches per sign pattern, outside that class not at all.
+larger dimension, a resultant that vanishes identically or (at dimension
+3) has an irrational root -- seeded damped Newton searches per sign
+pattern, outside that class not at all.
 Two exact tests come first, on either backend, both read off
 `StructureTensor._diagonal_certificate`: they read only which terms are
 nonzero, and Newton solves the closed form itself.  If 1 is not in the
@@ -309,8 +310,9 @@ def diagonal_einstein_search(a: StructureTensor,
 
     The empty list is returned at once when 1 is not in the image of M.
     Where `einstein.einstein_metrics` applies, the result is its cached
-    list, which is complete, filtered by the sign pattern; `seed`,
-    `restarts` and `max_iter` are not read.  Elsewhere the seeded Newton
+    list, which is complete, filtered by the sign pattern (a pattern with
+    first sign -1 gets the metrics -g, with -lambda, of the pattern's
+    negation); `seed`, `restarts` and `max_iter` are not read.  Elsewhere the seeded Newton
     search below runs.  The empty list is returned before its first run
     when the closed form is not the Ricci tensor (outside
     `_closed_form_is_ricci`).  A sign pattern that fails
@@ -344,7 +346,12 @@ def diagonal_einstein_search(a: StructureTensor,
     if a._diagonal_certificate.span is None:
         return []
     if a._diagonal_einstein is not None:
-        return [r for r in a._diagonal_einstein if r.pattern in patterns]
+        # the cached metrics have sigma_1 = +1; -g is Einstein with -lambda
+        return [r if s > 0 else EinsteinMetricResult(
+                    tuple(-x for x in r.pattern), tuple(-x for x in r.diag),
+                    -r.lam, -r.scalar, r.exact)
+                for s in (1, -1) for r in a._diagonal_einstein
+                if tuple(s * x for x in r.pattern) in patterns]
     rng = random.Random(seed)
     results = []
     seen = set()

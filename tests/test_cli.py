@@ -222,6 +222,10 @@ def test_einstein_search_status(capsys):
         ([n8, "--patterns", "+,+,+,+,-,-,+,+", "--restarts", "8"],
          {"status": "found", "complete": True},
          "found 1 diagonal Einstein metric; the list is complete\n"),
+        # a first sign -1 gets -g with -lambda
+        ([n8, "--patterns=-,-,+,+,+,-,+,+", "--restarts", "0"],
+         {"status": "found", "complete": True},
+         "found 1 diagonal Einstein metric; the list is complete\n"),
     )
     for argv, fields, line in cases:
         code, out, _ = run(capsys, "einstein-search", "--structure", *argv,

@@ -415,6 +415,20 @@ def test_enumeration_on_the_bracket_times_100():
     assert nice.search_status(a, [None], results)["complete"] is True
 
 
+def test_pattern_with_first_sign_minus_gets_the_negated_metric():
+    # -g is Einstein with -lambda; Newton fixes g_1 = sign_pattern[0]
+    a = parse_structure(N8)
+    pattern = tuple(-1 if x > 0 else 1 for x in N8_DIAG_2)
+    (r,) = diagonal_einstein_search(a, sign_pattern=pattern, restarts=0)
+    assert r.exact and r.pattern == pattern
+    assert r.diag == tuple(-x for x in N8_DIAG_2)
+    assert r.lam == Fraction(-7, 15) and r.scalar == Fraction(-56, 15)
+    assert nice.search_status(a, [pattern], [r]) == {"status": "found",
+                                                     "complete": True}
+    data = ricci_general(a, Metric.diagonal(list(r.diag)))
+    assert data.einstein == r.lam
+
+
 def test_enumeration_runs_once_per_tensor(monkeypatch):
     calls = []
     original = einstein.einstein_metrics
@@ -482,14 +496,24 @@ def test_irrational_points_come_back_as_floats():
     roots = sorted((13 + s * math.sqrt(37)) / 22 for s in (-1, 1))
     assert all(isinstance(w, float) for w, in points)
     assert [w for w, in points] == pytest.approx(roots, rel=1e-15)
-    # d = 2: a rational point, and irrational ones paired through the
-    # resultant in w_0; every returned pair solves both equations
+    # d = 2: y0 = w0, y1 = w1, y2 = 1 - w0, y3 = 1 - w1; r1 = (1, 0, -1, 0)
+    # and r2 = (0, 1, 0, -1): 2 w0 = 1 - w0 and w1 = 1 - w1
     B = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]
     c2 = [Fraction(1), Fraction(1), Fraction(2), Fraction(1)]
-    # y0 = w0, y1 = w1, y2 = 1 - w0, y3 = 1 - w1; r1 = (1, 0, -1, 0) and
-    # r2 = (0, 1, 0, -1): 2 w0 = 1 - w0 and w1 = 1 - w1
     points = einstein._einstein_points(B, c2, 2)
     assert points == [(Fraction(1, 3), Fraction(1, 2))]
+    # d = 2 with the d = 1 equation in w1 and w0 = 1 - w0: the resultant in
+    # w0 has the rational root 1/2, and the gcd there the irrational w1
+    B = [(0, 1, 0), (0, 1, 1), (0, -2, 1), (1, 0, 0), (-1, 0, 1)]
+    c2 = [Fraction(3)] + [Fraction(1)] * 4
+    points = einstein._einstein_points(B, c2, 2)
+    assert all(w0 == Fraction(1, 2) and isinstance(w1, float)
+               for w0, w1 in points)
+    assert [w1 for _, w1 in points] == pytest.approx(roots, rel=1e-15)
+    # the same equations with w0 and w1 swapped: the resultant has the
+    # irrational roots, whose partners the search leaves to Newton
+    B = [(1, 0, 0), (1, 0, 1), (-2, 0, 1), (0, 1, 0), (0, -1, 1)]
+    assert einstein._einstein_points(B, c2, 2) is None
 
 
 # an 8-dim nice nilpotent bracket with no Jacobi component, so any nonzero
