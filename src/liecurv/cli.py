@@ -4,6 +4,10 @@ Inputs are structure/metric literals or paths to files containing them;
 output is human-readable text or JSON (schema version "1").  Exit codes:
 0 success, 1 a checked claim failed (non-Einstein metric, failed catalog
 claim), 2 usage or input errors.
+
+A call imports only the layers its subcommand runs: at module level this
+file imports `errors`, `scalars` and `structure`, which parsing and
+`classify` need, and each `cmd_*` imports its own layer.
 """
 
 from __future__ import annotations
@@ -15,12 +19,7 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from . import catalog as catalog_mod
-from . import curvature, derivations, linalg, moment, nice
 from .errors import LieCurvError
-from .metric import parse_json_matrix, parse_metric
 from .scalars import DEFAULT_TOL, format_scalar
 from .structure import classify, parse_structure, print_structure
 
@@ -72,6 +71,7 @@ class _Inputs:
         if need_metric:
             if mtext is None:
                 raise LieCurvError("this command needs --metric")
+            from .metric import parse_metric
             self.S = parse_metric(mtext, self.a.n, exact=self.exact, tol=self.tol)
 
 
@@ -80,6 +80,15 @@ def _emit(args, payload: dict, text_fn):
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
     else:
         text_fn()
+
+
+def _emit_report(args, command: str, rep: dict) -> int:
+    """A report dict: one `key: value` line per entry, or its JSON."""
+    def text():
+        for k, v in rep.items():
+            print(f"{k}: {v}")
+    _emit(args, {"command": command, "report": rep}, text)
+    return 0
 
 
 def cmd_classify(args):
@@ -94,6 +103,7 @@ def cmd_classify(args):
 
 
 def cmd_ricci(args):
+    from . import curvature
     inp = _Inputs(args)
     data = curvature.ricci_general(inp.a, inp.S)
     def text():
@@ -109,6 +119,7 @@ def cmd_ricci(args):
 
 
 def cmd_bforms(args):
+    from . import curvature
     inp = _Inputs(args)
     B, traces = curvature.b_forms(inp.a, inp.S)
     payload = {"command": "bforms",
@@ -125,6 +136,7 @@ def cmd_bforms(args):
 
 
 def cmd_einstein(args):
+    from . import curvature
     inp = _Inputs(args)
     data = curvature.ricci_general(inp.a, inp.S)
     ok = data.einstein is not None
@@ -140,26 +152,19 @@ def cmd_einstein(args):
 
 
 def cmd_mn(args):
+    from . import curvature
     inp = _Inputs(args)
-    rep = curvature.mn_criterion(inp.a, inp.S)
-    def text():
-        for k, v in rep.items():
-            print(f"{k}: {v}")
-    _emit(args, {"command": "mn", "report": rep}, text)
-    return 0
+    return _emit_report(args, "mn", curvature.mn_criterion(inp.a, inp.S))
 
 
 def cmd_holonomy(args):
+    from . import curvature
     inp = _Inputs(args)
-    rep = curvature.holonomy_span(inp.a, inp.S)
-    def text():
-        for k, v in rep.items():
-            print(f"{k}: {v}")
-    _emit(args, {"command": "holonomy", "report": rep}, text)
-    return 0
+    return _emit_report(args, "holonomy", curvature.holonomy_span(inp.a, inp.S))
 
 
 def cmd_moment(args):
+    from . import moment
     inp = _Inputs(args)
     b = moment.q_map(inp.a, inp.S)
     c1, c2 = moment.contractions(inp.a, b)
@@ -183,6 +188,7 @@ def cmd_moment(args):
 
 
 def cmd_scalar(args):
+    from . import moment
     inp = _Inputs(args)
     s = moment.scalar_functional(inp.a, inp.S)
     _emit(args, {"command": "scalar", "s": format_scalar(s)},
@@ -191,6 +197,8 @@ def cmd_scalar(args):
 
 
 def _parse_direction(text, n, exact):
+    from . import linalg
+    from .metric import parse_json_matrix
     text = _read_arg(text)
     if text == "identity":
         return linalg.eye(n, exact)
@@ -198,6 +206,7 @@ def _parse_direction(text, n, exact):
 
 
 def cmd_gauge_derivative(args):
+    from . import moment
     inp = _Inputs(args)
     X = _parse_direction(args.direction, inp.a.n, inp.exact)
     val = moment.gauge_derivative(inp.a, inp.S, X)
@@ -207,16 +216,13 @@ def cmd_gauge_derivative(args):
 
 
 def cmd_critical(args):
+    from . import moment
     inp = _Inputs(args)
-    rep = moment.jacobi_tangent_critical(inp.a, inp.S)
-    def text():
-        for k, v in rep.items():
-            print(f"{k}: {v}")
-    _emit(args, {"command": "critical", "report": rep}, text)
-    return 0
+    return _emit_report(args, "critical", moment.jacobi_tangent_critical(inp.a, inp.S))
 
 
 def cmd_derivations(args):
+    from . import derivations
     inp = _Inputs(args, need_metric=False)
     der = derivations.derivation_space(inp.a)
     payload = {"command": "derivations", "dim": der.dim,
@@ -229,13 +235,14 @@ def cmd_derivations(args):
             print("all derivations are traceless")
         else:
             print(f"derivation with trace "
-                  f"{format_scalar(np.trace(der.trace_witness))}:")
+                  f"{format_scalar(der.trace_witness.trace())}:")
             _print_matrix(der.trace_witness)
     _emit(args, payload, text)
     return 0
 
 
 def cmd_nice(args):
+    from . import nice
     inp = _Inputs(args, need_metric=False)
     rep = nice.nice_basis_check(inp.a)
     def text():
@@ -260,6 +267,7 @@ def _parse_patterns(text, n):
 
 
 def cmd_einstein_search(args):
+    from . import nice
     inp = _Inputs(args, need_metric=False)
     patterns = _parse_patterns(args.patterns, inp.a.n)
     results = []
@@ -297,10 +305,11 @@ def cmd_einstein_search(args):
 
 
 def cmd_catalog(args):
+    from . import catalog
     if args.action != "verify":
         raise LieCurvError(f"unknown catalog action {args.action!r}")
-    entries = catalog_mod.load_catalog(args.path)
-    reports = catalog_mod.verify_catalog(entries, name_filter=args.filter)
+    entries = catalog.load_catalog(args.path)
+    reports = catalog.verify_catalog(entries, name_filter=args.filter)
     ok = all(r.passed for r in reports)
     payload = {"command": "catalog", "passed": ok,
                "reports": [r.to_json() for r in reports]}

@@ -54,9 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curvature import ricci_killing_zero
 from .errors import DegenerateMetricError, NotNiceBasisError
-from .metric import Metric
 from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
                       rationalize)
 from .structure import StructureTensor, is_lie, is_unimodular
@@ -73,20 +71,24 @@ class NiceReport:
 
 
 def nice_basis_check(a: StructureTensor) -> NiceReport:
-    """Check both nice-basis conditions on the presented basis only."""
+    """Check both nice-basis conditions on the presented basis only; the
+    report is computed once per tensor (`StructureTensor._nice_report`)."""
+    return a._nice_report
+
+
+def _nice_report(a: StructureTensor) -> NiceReport:
     violations = []
     by_pair = {}
+    by_target = {}
     for (i, j, k) in sorted(a.coeffs):
         by_pair.setdefault((i, j), []).append(k)
+        by_target.setdefault(k, []).append((i, j))
     for (i, j), ks in by_pair.items():
         if len(ks) > 1:
             violations.append(
                 ("pair", i + 1, j + 1,
                  f"[e{i+1},e{j+1}] has components on " +
                  ", ".join(f"e{k+1}" for k in ks)))
-    by_target = {}
-    for (i, j, k) in sorted(a.coeffs):
-        by_target.setdefault(k, []).append((i, j))
     for k, pairs in by_target.items():
         for (p, q) in itertools.combinations(pairs, 2):
             shared = set(p) & set(q)
@@ -129,6 +131,8 @@ def diagonal_ricci(a: StructureTensor, diag: Sequence[Scalar],
     Refuses non-nice bases: the point of the computation is the guarantee
     that the Ricci tensor is diagonal, which only the nice conditions give.
     """
+    from .curvature import ricci_killing_zero
+    from .metric import Metric
     report = nice_basis_check(a)
     if not report.is_nice:
         raise NotNiceBasisError(

@@ -193,6 +193,12 @@ class StructureTensor:
         return DiagonalCertificate(basis, None, tuple(zip(terms, span)))
 
     @cached_property
+    def _nice_report(self) -> "NiceReport":
+        """The verdict of `nice.nice_basis_check` on this basis."""
+        from .nice import _nice_report   # it imports this module
+        return _nice_report(self)
+
+    @cached_property
     def _diagonal_einstein(self) -> Optional[tuple]:
         """Every diagonal Einstein metric with lambda != 0 on this nice
         basis, or None where the exact enumeration does not apply; see

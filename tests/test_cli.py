@@ -321,6 +321,37 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+N8 = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
+# what parsing a structure and `classify` need
+BASE = {"liecurv", "liecurv.errors", "liecurv.linalg", "liecurv.scalars",
+        "liecurv.structure"}
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["classify", "--structure", "(0,0,12,13,23)"], set()),
+    (["--output", "json", "ricci", "--structure", HEIS,
+      "--metric", "diag(1,1,1)"], {"curvature", "metric"}),
+    (["derivations", "--structure", "(0,0,12,13,14)"], {"derivations"}),
+    (["nice", "--structure", N8], {"nice"}),
+    (["einstein", "--structure", N8,
+      "--metric", "diag(1,1,1,1,-7/3,-7/3,98/15,98/15)"], {"curvature", "metric"}),
+    (["catalog", "verify", "--filter", "n8-einstein"],
+     {"catalog", "curvature", "derivations", "metric", "moment", "nice"}),
+], ids=["classify", "ricci", "derivations", "nice", "einstein", "catalog"])
+def test_cli_command_loads_only_its_layers(argv, layers):
+    env = {k: v for k, v in os.environ.items() if k != "RICCI_BACKEND"}
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "liecurv.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in proc.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    assert {m for m in loaded if m.split(".")[0] == "liecurv"} == \
+        BASE | {f"liecurv.{layer}" for layer in layers}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--metric", '{"g": 5}'], "metric matrix is not 2x2"),
     (["--metric", "[1,2]"], "metric matrix is not 2x2"),

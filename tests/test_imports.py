@@ -1,37 +1,58 @@
-"""Every module-level import in src/liecurv is read by its module."""
+"""Every import in src/liecurv is read in the scope that makes it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import liecurv
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "liecurv"
 
 
-def unused_imports(source: str) -> list:
-    """Names bound by module-level imports that the module never reads.
+def _imports(scope):
+    """The import statements of a scope, outside the functions nested in it."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            yield from _imports(node)
 
-    An import with `noqa` on one of its lines is exempt, and a name listed
-    in `__all__` counts as read (the re-exports of `__init__`).
+
+def unused_imports(source: str) -> list:
+    """Names bound by imports that their scope never reads.
+
+    A module-level import counts as read anywhere in the module; one inside
+    a function (the lazy imports of a layer) only within that function.  An
+    import with `noqa` on one of its lines is exempt, and a name listed in
+    `__all__` counts as read (the re-exports of `__init__`).
     """
     tree = ast.parse(source)
     lines = source.splitlines()
-    bound = []
     exported = set()
     for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    unused = []
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        if scope is tree:
+            read |= exported
+        for node in _imports(scope):
             if getattr(node, "module", None) == "__future__" or any(
                     "noqa" in line
                     for line in lines[node.lineno - 1:node.end_lineno]):
                 continue
-            bound += [alias.asname or alias.name.split(".")[0]
-                      for alias in node.names]
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [name for name in bound if name not in read | exported]
+            unused += [name for name in (alias.asname or alias.name.split(".")[0]
+                                         for alias in node.names)
+                       if name not in read]
+    return unused
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -47,5 +68,38 @@ def test_unused_import_is_reported():
               "__all__ = ['f']\n"
               "from .x import f\n"
               "def g(x):\n"
-              "    return is_zero(x)\n")
-    assert unused_imports(source) == ["np", "DEFAULT_TOL"]
+              "    return is_zero(x)\n"
+              "def h(x):\n"
+              "    from .curvature import b_forms, ricci_general\n"
+              "    if x:\n"
+              "        import json\n"
+              "    def inner():\n"
+              "        from . import metric\n"
+              "        return ricci_general(x)\n"
+              "    return inner\n"
+              "def k():\n"
+              "    return json, b_forms, metric\n")
+    assert unused_imports(source) == ["np", "DEFAULT_TOL", "b_forms", "json",
+                                      "metric"]
+
+
+@pytest.mark.parametrize("name", liecurv.__all__)
+def test_package_name_resolves_to_its_home_module(name):
+    value = getattr(liecurv, name)
+    assert value.__module__.startswith("liecurv.")
+    assert getattr(importlib.import_module(value.__module__), name) is value
+    assert name in dir(liecurv)
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from liecurv import *", namespace)
+    assert all(namespace[name] is getattr(liecurv, name)
+               for name in liecurv.__all__)
+
+
+def test_unknown_package_attribute_and_submodule_import():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        liecurv.no_such_name
+    from liecurv import catalog
+    assert catalog.load_catalog
