@@ -364,29 +364,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "on Lie groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, metric=False, structure=True):
+    def add(name, fn, metric=False):
         p = sub.add_parser(name, parents=[common])
-        if structure:
-            p.add_argument("--structure", required=True,
-                           help="structure literal or file")
+        p.add_argument("--structure", required=True,
+                       help="structure literal or file")
         if metric:
-            p.add_argument("--metric", required=metric == "required",
+            p.add_argument("--metric", required=True,
                            help="metric literal or file")
         p.set_defaults(fn=fn)
         return p
 
     add("classify", cmd_classify)
-    add("ricci", cmd_ricci, metric="required")
-    add("bforms", cmd_bforms, metric="required")
-    add("einstein", cmd_einstein, metric="required")
-    add("mn", cmd_mn, metric="required")
-    add("holonomy", cmd_holonomy, metric="required")
-    add("moment", cmd_moment, metric="required")
-    add("scalar", cmd_scalar, metric="required")
-    p = add("gauge-derivative", cmd_gauge_derivative, metric="required")
+    add("ricci", cmd_ricci, metric=True)
+    add("bforms", cmd_bforms, metric=True)
+    add("einstein", cmd_einstein, metric=True)
+    add("mn", cmd_mn, metric=True)
+    add("holonomy", cmd_holonomy, metric=True)
+    add("moment", cmd_moment, metric=True)
+    add("scalar", cmd_scalar, metric=True)
+    p = add("gauge-derivative", cmd_gauge_derivative, metric=True)
     p.add_argument("--direction", required=True,
                    help='gl(n) direction: JSON matrix, file, or "identity"')
-    add("critical", cmd_critical, metric="required")
+    add("critical", cmd_critical, metric=True)
     add("derivations", cmd_derivations)
     add("nice", cmd_nice)
     p = add("einstein-search", cmd_einstein_search)

@@ -23,11 +23,10 @@ import numpy as np
 
 from . import linalg
 from .errors import NotNilpotentError
-from .metric import Metric, gram, pseudo_orthonormal_frame, scaled_gram
+from .metric import Metric, pseudo_orthonormal_frame, scaled_gram
 from .scalars import Scalar, format_scalar, is_zero
 from .structure import (StructureTensor, classify, killing_form,
-                        require_killing_zero, require_lie, require_unimodular,
-                        trace_ad)
+                        require_killing_zero_class, require_lie, trace_ad)
 from .structure import is_lie  # noqa: F401  (bench/test_smoke.py traces it here)
 
 
@@ -39,14 +38,9 @@ def match_backends(a: StructureTensor, S: Metric):
 
 
 def _lowered(a: StructureTensor, S: Metric) -> tuple:
-    """cl as a `linalg.scaled` pair."""
+    """cl[i, j, k] = <[e_i, e_j], e_k> as a `linalg.scaled` pair."""
     (C, dc), ((G, dg), _) = a._scaled_array, S._scaled
     return linalg.contract(C, G), dc * dg
-
-
-def lowered_brackets(a: StructureTensor, S: Metric) -> np.ndarray:
-    """cl[i, j, k] = <[e_i, e_j], e_k>."""
-    return linalg.unscaled(*_lowered(*match_backends(a, S)))
 
 
 @dataclass(frozen=True)
@@ -221,11 +215,8 @@ def ricci_general(a: StructureTensor, S: Metric) -> RicciData:
 
 def ricci_killing_zero(a: StructureTensor, S: Metric) -> RicciData:
     """Ric = 1/2 <d v, d w> - 1/2 <ad v, ad w>; needs unimodular, Killing zero."""
-    what = "the Killing-form-zero Ricci formula"
-    require_lie(a, what)
+    require_killing_zero_class(a, "the Killing-form-zero Ricci formula")
     a, S = match_backends(a, S)
-    require_unimodular(a, what)
-    require_killing_zero(a, what)
     _, B3, B5, _, _ = _b_forms(a, S)
     (b5, b3), d = linalg.common(B5, B3)
     return RicciData.from_form(S, *linalg.over(b5 - b3, d, 2))
@@ -272,11 +263,16 @@ def mn_criterion(a: StructureTensor, S: Metric):
 
     def null_dim(X, shape):
         """Null-space dimension of the pairing on `shape` restricted to the
-        span of the n x n matrices of the stack X, one scale dropped."""
+        span of the n x n matrices of the stack X: rank B less rank Gram(B),
+        B the reduced rows of X, each on a scale that no rank sees.  (Gram(X)
+        has that rank too, but a float rank of it can exceed rank B.)"""
         rows = linalg.sparse_rows(X.reshape(n, n * n).tolist(), a.exact)
-        span = linalg.row_space(rows, n * n, a.exact, a.tol)
-        basis = list(span.reshape(len(span), n, n))
-        return len(basis) - linalg.rank(gram(S, basis, shape), a.tol)
+        reduced, pivots = linalg.eliminate(rows, a.exact, a.tol)
+        B = np.zeros((len(pivots), n * n), dtype=C.dtype)
+        for b, row in zip(B, reduced):
+            b[list(row)] = list(row.values())
+        G, _ = scaled_gram(S, (B.reshape(-1, n, n), 1), shape)
+        return len(pivots) - linalg.rank(G, a.tol)
 
     # ad(g) is spanned by the ad(e_i), d(g*) by the de^k
     dim_m = null_dim(np.transpose(C, (0, 2, 1)), "T*T")

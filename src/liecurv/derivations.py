@@ -18,8 +18,8 @@ import numpy as np
 
 from . import linalg
 from .scalars import is_zero
-from .structure import (StructureTensor, require_killing_zero, require_lie,
-                        require_unimodular)
+from .structure import (StructureTensor, require_killing_zero_class,
+                        require_lie)
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,10 @@ def derivation_space(a: StructureTensor) -> DerivationSpace:
 def trace_obstruction(a: StructureTensor) -> dict:
     """Einstein obstruction: a trace != 0 derivation forces s = 0.
 
-    Requires a unimodular bracket with identically zero Killing form (the
-    class on which the obstruction theorem applies).
+    Requires a Lie bracket, unimodular, with identically zero Killing form
+    (the class on which the obstruction theorem applies).
     """
-    require_unimodular(a, "the trace obstruction")
-    require_killing_zero(a, "the trace obstruction")
+    require_killing_zero_class(a, "the trace obstruction")
     der = derivation_space(a)
     return {
         "dim_der": der.dim,

@@ -20,14 +20,14 @@ from fractions import Fraction
 from typing import Optional
 
 from . import linalg, poly
-from .nice import (EinsteinMetricResult, _closed_form, _closed_form_is_ricci,
-                   _search_terms, _verify_exact, nice_basis_check)
-from .structure import StructureTensor
+from .nice import (EinsteinMetricResult, _float_lambda, _search_terms,
+                   _verify_exact, nice_basis_check)
+from .structure import StructureTensor, in_killing_zero_class
 
 
 def einstein_metrics(a: StructureTensor) -> Optional[tuple]:
     """Every diagonal Einstein metric with lambda != 0 of an exact nice
-    bracket in the class `_closed_form_is_ricci` accepts and with no trace
+    bracket in `structure.in_killing_zero_class` and with no trace
     witness, sorted as the search sorts; None elsewhere, when
     {y : M y in R 1} has dimension d + 1 > 3, when the solution set is not
     finite, or when d = 2 and the resultant has an irrational root.  Read
@@ -48,7 +48,7 @@ def einstein_metrics(a: StructureTensor) -> Optional[tuple]:
     """
     span = a._diagonal_certificate.span
     if not (a.exact and span is not None and nice_basis_check(a).is_nice
-            and _closed_form_is_ricci(a)):
+            and in_killing_zero_class(a)):
         return None
     terms = [t for t, _ in span]
     B = [row for _, row in span]
@@ -78,10 +78,8 @@ def einstein_metrics(a: StructureTensor) -> Optional[tuple]:
                         sigma, diag, lam, lam * n, True))
                 continue
             diag = tuple(map(float, diag))
-            ric = _closed_form(n, float_terms, list(diag), 0.5)
-            if abs(ric[0]) >= 1e-8 and \
-                    max(abs(x - ric[0]) for x in ric) <= 1e-10:
-                lam = math.ldexp(ric[0], e)
+            lam = _float_lambda(float_terms, e, list(diag))
+            if lam is not None:
                 results.append(EinsteinMetricResult(
                     sigma, diag, lam, lam * n, False))
     results.sort(key=lambda r: (r.pattern, tuple(map(float, r.diag))))

@@ -6,10 +6,12 @@ ordinary float64 arrays.  Two kernels carry every exact computation:
 - one Gauss-Jordan elimination, `eliminate`, on sparse rows, {column:
   entry} dicts of their nonzeros; `kernel` returns such rows, and the
   exact systems built from structure constants reach it as sparse integer
-  rows, with no dense matrix, and `row_space` reduces such rows.  `rref`,
-  `rank` and `inv` are its adapters for ndarrays.  Exact rows are reduced
-  row by row against the reduced rows so far, with bounded growth; floats
-  are reduced column by column with pivots of largest magnitude;
+  rows, with no dense matrix.  A subspace stays the reduced rows that
+  `eliminate` returns from one elimination to the next; `row_space` makes
+  a Fraction matrix of them only for a public result.  `rref`, `rank` and
+  `inv` are its adapters for ndarrays.  Exact rows are reduced row by row
+  against the reduced rows so far, with bounded growth; floats are reduced
+  column by column with pivots of largest magnitude;
 - one product, `contract`, numpy's `@` on 2-D reshapes; a tensor
   contraction is a product of reshaped arrays, and a family of matrices is
   transformed by one `sandwich` of its stack.
@@ -299,7 +301,9 @@ def rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 def row_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reduced echelon basis, shape (rank, n), of the span of `rows`, which
     may be none: {column: entry} dicts with integer entries on the exact
-    backend, as `kernel` and `sparse_rows` return them."""
+    backend, as `eliminate`, `kernel` and `sparse_rows` return them.  The
+    one place where rows become a Fraction matrix, for the subspaces that a
+    public function returns; between eliminations a subspace stays rows."""
     reduced, pivots = eliminate(rows, exact, tol)
     return _dense(reduced, pivots, (len(pivots), n), exact)
 

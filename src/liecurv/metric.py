@@ -170,14 +170,18 @@ def _duals(S: Metric, mats: tuple, shape: str) -> tuple:
     raise ValueError(f"no matrix pairing on tensor shape {shape!r}")
 
 
-def pair_operators(S: Metric, u1: np.ndarray, u2: np.ndarray):
-    """Induced pairing on T*⊗T: <u1, u2> = Tr(u1 o u2*)."""
-    D, d = _duals(S, linalg.scaled(u2[None]), "T*T")
-    return linalg.sparse_frob(u1, linalg.unscaled(D[0], d))
-
-
 def scaled_gram(S: Metric, mats: tuple, shape: str) -> tuple:
-    """`gram` of the stack of a scaled pair (X, d), as a scaled pair."""
+    """Gram matrix G[i, j] = <X[i], X[j]> of the induced pairing on "T*T"
+    (operators) or "Lambda2T*" (2-forms) for the stack of a scaled pair
+    (X, d), as a scaled pair.
+
+    The duals x' of the whole stack, with <y, x> = sparse_frob(y, x'), come
+    from one `linalg.sandwich` L x R: (L, R) = (g, g^{-1}) on operators and
+    (g^{-1} / 2, g^{-1}) on 2-forms.  G is then one product of the
+    flattened stack with the flattened duals, on integers over one
+    denominator.  The pairing is symmetric, and a float G is made exactly
+    so by mirroring its upper triangle.
+    """
     X = np.ascontiguousarray(mats[0])          # the layout of a stack
     m = len(X)
     D, d = _duals(S, (X, mats[1]), shape)
@@ -186,22 +190,6 @@ def scaled_gram(S: Metric, mats: tuple, shape: str) -> tuple:
         lower = np.tril_indices(m, -1)
         G[lower] = G.T[lower]
     return G, mats[1] * d
-
-
-def gram(S: Metric, mats: Sequence[np.ndarray], shape: str) -> np.ndarray:
-    """Gram matrix G[i, j] = <mats[i], mats[j]> of the induced pairing on
-    "T*T" (operators) or "Lambda2T*" (2-forms), in batched form.
-
-    The matrices are stacked, and the duals x' of all of them, with
-    <y, x> = sparse_frob(y, x'), come from one `linalg.sandwich` L x R of
-    the stack: (L, R) = (g, g^{-1}) on operators and (g^{-1} / 2, g^{-1})
-    on 2-forms.  G is then one product of the flattened stack with the
-    flattened duals, on integers over one denominator.  The pairing is
-    symmetric, and a float G is made exactly so by mirroring its upper
-    triangle.
-    """
-    X = np.stack(mats) if len(mats) else linalg.zeros((0, S.n, S.n), S.exact)
-    return linalg.unscaled(*scaled_gram(S, linalg.scaled(X), shape))
 
 
 def pseudo_orthonormal_frame(S: Metric):

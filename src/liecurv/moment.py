@@ -146,11 +146,8 @@ def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
     Valid on unimodular Lie brackets with identically zero Killing form;
     agrees with the curvature-module Ricci exactly on that class.
     """
-    what = "the moment-map Ricci"
-    structure.require_lie(a, what)
+    structure.require_killing_zero_class(a, "the moment-map Ricci")
     a, S = match_backends(a, S)
-    structure.require_unimodular(a, what)
-    structure.require_killing_zero(a, what)
     c1, c2, d = _contractions(a, q_map(a, S))
     op, d = linalg.over(c1 - 2 * c2, d, 4)
     G, dg = S._scaled[0]
@@ -295,11 +292,8 @@ def jacobi_tangent_critical(a: StructureTensor, S: Metric) -> dict:
     reported alongside, with the same test on [J; K].  J, K and w are
     built as sparse rows.
     """
-    what = "criticality"
-    structure.require_lie(a, what)
+    structure.require_killing_zero_class(a, "criticality")
     a, S = match_backends(a, S)
-    structure.require_unimodular(a, what)
-    structure.require_killing_zero(a, what)
     index = _variable_index(a.n)
     b, _ = q_map(a, S)._scaled
     # <a', q> = sum over i < j, k of a'^k_ij (b[i, j, k] - b[j, i, k]), scaled

@@ -57,7 +57,7 @@ import numpy as np
 from .errors import DegenerateMetricError, NotNiceBasisError
 from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
                       rationalize)
-from .structure import StructureTensor, is_lie, is_unimodular
+from .structure import StructureTensor, in_killing_zero_class
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,6 @@ def _closed_form(n: int, terms, g, half):
         out[i] -= half * c2 * g[k] / (g[j] * g[i])
         out[j] -= half * c2 * g[k] / (g[i] * g[j])
     return out
-
-
-def diagonal_ricci_closed_form(a: StructureTensor, diag: Sequence[Scalar]):
-    """The n diagonal Ricci entries of diag(g) on a nice basis, closed form."""
-    g = list(diag)
-    floating = isinstance(g[0], float)
-    return _closed_form(a.n, _squared_terms(a, floating), g,
-                        0.5 if floating else Fraction(1, 2))
 
 
 def diagonal_ricci(a: StructureTensor, diag: Sequence[Scalar],
@@ -183,6 +175,17 @@ def _search_terms(a: StructureTensor):
             for i, j, k, c2 in squares], e
 
 
+def _float_lambda(terms, e: int, g) -> Optional[float]:
+    """lambda of the float diagonal metric g when it is accepted as
+    Einstein, else None: on the terms and e of `_search_terms`, its closed
+    form ric / 2^e has |ric_1| >= 1e-8 (lambda != 0) and every entry within
+    1e-10 of ric_1; lambda = ric_1 2^e."""
+    ric = _closed_form(len(g), terms, g, 0.5)
+    if abs(ric[0]) < 1e-8 or max(abs(x - ric[0]) for x in ric) > 1e-10:
+        return None
+    return math.ldexp(ric[0], e)
+
+
 def _residual(M, w, u):
     """(residual, y) at u = log|g_i|, i >= 2, with g_1 = +-1 and each u_i
     clamped to [-60, 60]: y = w exp(M^T (0, u)), w_t = sigma_i sigma_j
@@ -241,14 +244,6 @@ def _verify_exact(a: StructureTensor, diag):
     if any(x != lam for x in entries) or lam == 0:
         return None
     return lam
-
-
-def _closed_form_is_ricci(a: StructureTensor) -> bool:
-    """Lie, unimodular, zero Killing form: the class ricci_killing_zero
-    accepts.  There the closed form is the Ricci tensor, so only there does
-    the search run Newton; on an exact bracket the trace obstruction
-    applies too, and the exact tests below are proofs."""
-    return is_lie(a) and is_unimodular(a) and a._killing_zero
 
 
 def _pattern_feasible(a: StructureTensor, pattern) -> bool:
@@ -319,7 +314,7 @@ def diagonal_einstein_search(a: StructureTensor,
     negation); `seed`, `restarts` and `max_iter` are not read.  Elsewhere the seeded Newton
     search below runs.  The empty list is returned before its first run
     when the closed form is not the Ricci tensor (outside
-    `_closed_form_is_ricci`).  A sign pattern that fails
+    `structure.in_killing_zero_class`).  A sign pattern that fails
     the exact sign test is skipped without a Newton run; its starts are
     still drawn, so the other patterns see the same ones.  Both exact tests
     read only which terms are nonzero, so they apply on either backend.
@@ -366,7 +361,7 @@ def diagonal_einstein_search(a: StructureTensor,
                 rng.random()        # the starts its Newton runs would take
             continue
         if terms is None:           # built once, after a pattern passes
-            if not _closed_form_is_ricci(a):
+            if not in_killing_zero_class(a):
                 return []           # Newton would solve a form that is not ric
             terms, e = _search_terms(a)
             M = np.zeros((n, len(terms)))     # column t: e_k - e_i - e_j
@@ -382,27 +377,24 @@ def diagonal_einstein_search(a: StructureTensor,
             g = _newton_from(M, w, pattern, u0, max_iter)
             if g is None:
                 continue
-            ric = _closed_form(n, terms, g, 0.5)      # ric / 2^e
-            if abs(ric[0]) < 1e-8:
-                continue      # Ricci-flat (or nearly): lambda = 0 excluded
+            lam = _float_lambda(terms, e, g)
+            if lam is None:
+                continue
             exact_diag = tuple(rationalize(x) for x in g)
             key = (pattern, exact_diag)
             if key in seen:
                 continue
-            lam = _verify_exact(a, exact_diag)
-            if lam is not None:
+            exact_lam = _verify_exact(a, exact_diag)
+            if exact_lam is not None:
                 seen.add(key)
                 results.append(EinsteinMetricResult(
-                    pattern, exact_diag, lam, lam * n, True))
+                    pattern, exact_diag, exact_lam, exact_lam * n, True))
                 continue
-            residual = np.max(np.abs(np.array(ric) - ric[0]))
-            if residual <= 1e-10:
-                key = (pattern, tuple(round(x, 8) for x in g))
-                if key not in seen:
-                    seen.add(key)
-                    lam = math.ldexp(ric[0], e)
-                    results.append(EinsteinMetricResult(
-                        pattern, tuple(g), lam, lam * n, False))
+            key = (pattern, tuple(round(x, 8) for x in g))
+            if key not in seen:
+                seen.add(key)
+                results.append(EinsteinMetricResult(
+                    pattern, tuple(g), lam, lam * n, False))
     results.sort(key=lambda r: (r.pattern, tuple(map(float, r.diag))))
     return results
 
@@ -422,7 +414,7 @@ def search_status(a: StructureTensor, sign_patterns, results) -> dict:
     "none", says that the results are all such metrics, from the
     enumeration; Newton's results never are.  "budget" otherwise.
     """
-    if a.exact and _closed_form_is_ricci(a):
+    if a.exact and in_killing_zero_class(a):
         witness = a._diagonal_certificate.witness
         if witness is not None:
             return {"status": "none", "reason": "trace-obstruction",

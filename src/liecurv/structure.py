@@ -25,8 +25,9 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (KillingFormNonzeroError, NotLieAlgebraError,
-                     NotUnimodularError, StructureParseError)
+from .errors import (KillingFormNonzeroError, LieCurvError,
+                     NotLieAlgebraError, NotUnimodularError,
+                     StructureParseError)
 from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
                       parse_scalar)
 
@@ -140,10 +141,11 @@ class StructureTensor:
         return ad
 
     @cached_property
-    def _derived(self) -> np.ndarray:
-        """Reduced row basis of the derived algebra [g, g]."""
-        g = linalg.eye(self.n, self.exact)
-        return _read_only(_bracket_span(self, g, g))
+    def _derived(self) -> tuple:
+        """The derived algebra [g, g] as the reduced rows of `_bracket_span`,
+        read by the subspace invariants and never modified."""
+        g = _basis_rows(self)
+        return _bracket_span(self, g, g)
 
     @cached_property
     def _killing_form(self) -> np.ndarray:
@@ -212,10 +214,9 @@ class StructureTensor:
             return ClassifyReport(is_lie=False)
         lcs = lower_central_series(self)
         nilpotent = lcs.dims[-1] == 0
-        Z = centre(self)
-        derived = lcs.spaces[0]
-        for M in (*lcs.spaces, Z):
-            _read_only(M)
+        z, derived = _centre_rows(self), self._derived
+        # Z lies in [g, g] when its rows add no pivot to those of [g, g]
+        rank = len(linalg.eliminate([*derived, *z], self.exact, self.tol)[1])
         return ClassifyReport(
             is_lie=True,
             unimodular=is_unimodular(self),
@@ -224,9 +225,10 @@ class StructureTensor:
             step=len(lcs.dims) if nilpotent else None,
             killing_zero=self._killing_zero,
             lcs=lcs,
-            centre=Z,
-            derived=derived,
-            centre_in_derived=subspace_contained(Z, derived, self.tol),
+            centre=_read_only(linalg.row_space(z, self.n, self.exact,
+                                               self.tol)),
+            derived=lcs.spaces[0],
+            centre_in_derived=rank == len(derived),
         )
 
     def as_array(self) -> np.ndarray:
@@ -310,7 +312,10 @@ def parse_structure(text: str, exact: bool = True,
     coeffs: dict[tuple[int, int, int], Scalar] = {}
     for k, slot in enumerate(slots):
         slot = slot.strip()
-        if slot in ("0", ""):
+        if not slot:
+            raise StructureParseError("empty slot; write 0 for de^k = 0",
+                                      slot=k + 1)
+        if slot == "0":
             continue
         pos = 0
         seen_pairs = set()
@@ -382,16 +387,22 @@ def _read_only(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _bracket_span(a: StructureTensor, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row basis (reduced echelon) of span{[u, v] : u row of U, v row of V}.
+def _basis_rows(a: StructureTensor) -> list:
+    """The basis e_1, ..., e_n as rows of the kind `_bracket_span` takes."""
+    one = 1 if a.exact else 1.0
+    return [{i: one} for i in range(a.n)]
 
-    When V is U, only pairs u < v are bracketed: the rest add nothing by
+
+def _bracket_span(a: StructureTensor, us, vs) -> tuple:
+    """The reduced rows of `linalg.eliminate` that span {[u, v] : u in us,
+    v in vs}, for rows us and vs of the same kind: integer rows on the exact
+    backend, float rows on the float backend.
+
+    When vs is us, only pairs u < v are bracketed: the rest add nothing by
     antisymmetry.  A span does not see the scale of a row, so exact rows
     are bracketed as integer rows through the adjacency `_ad`.
     """
-    us = linalg.sparse_rows(U.tolist(), a.exact)
-    pairs = (combinations(us, 2) if V is U
-             else product(us, linalg.sparse_rows(V.tolist(), a.exact)))
+    pairs = combinations(us, 2) if vs is us else product(us, vs)
     ad = a._ad
     rows = []
     for u, v in pairs:
@@ -401,7 +412,8 @@ def _bracket_span(a: StructureTensor, U: np.ndarray, V: np.ndarray) -> np.ndarra
                 for m, c in ad[i][k]:
                     w[m] += c * x * y
         rows.append(w)
-    return linalg.row_space(rows, a.n, a.exact, a.tol)
+    reduced, pivots = linalg.eliminate(rows, a.exact, a.tol)
+    return tuple(reduced[:len(pivots)])
 
 
 def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
@@ -456,9 +468,24 @@ def require_unimodular(a: StructureTensor, what: str):
         raise NotUnimodularError(f"{what} needs a unimodular bracket")
 
 
-def require_killing_zero(a: StructureTensor, what: str):
+def require_killing_zero_class(a: StructureTensor, what: str):
+    """The class where the closed forms of Ricci hold and the trace
+    obstruction applies: a Lie bracket, unimodular, with identically zero
+    Killing form.  A bracket outside it raises the error of the first of
+    these conditions that it fails."""
+    require_lie(a, what)
+    require_unimodular(a, what)
     if not a._killing_zero:
         raise KillingFormNonzeroError(f"{what} needs an identically zero Killing form")
+
+
+def in_killing_zero_class(a: StructureTensor) -> bool:
+    """Whether `require_killing_zero_class` accepts `a`."""
+    try:
+        require_killing_zero_class(a, "")
+    except LieCurvError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -475,43 +502,33 @@ class SubspaceFlag:
 
 def lower_central_series(a: StructureTensor) -> SubspaceFlag:
     """g^1 = [g, g], g^{i+1} = [g, g^i], until stabilization or zero."""
-    g = linalg.eye(a.n, a.exact)
-    spaces = []
-    current = a._derived
-    while True:
-        spaces.append(current)
-        if current.shape[0] == 0:
+    g = _basis_rows(a)
+    spaces = [a._derived]
+    while spaces[-1]:
+        nxt = _bracket_span(a, g, spaces[-1])
+        if len(nxt) == len(spaces[-1]):
             break
-        nxt = _bracket_span(a, g, current)
-        if nxt.shape[0] == current.shape[0]:
-            break
-        current = nxt
-    return SubspaceFlag(a.n, spaces)
+        spaces.append(nxt)
+    return SubspaceFlag(a.n, [_read_only(linalg.row_space(
+        rows, a.n, a.exact, a.tol)) for rows in spaces])
 
 
 def derived_series_terminates(a: StructureTensor) -> bool:
     """Solvability via the derived series g, [g,g], [[g,g],[g,g]], ..."""
     dim, current = a.n, a._derived
-    while current.shape[0] not in (0, dim):
-        dim, current = current.shape[0], _bracket_span(a, current, current)
-    return current.shape[0] == 0
+    while len(current) not in (0, dim):
+        dim, current = len(current), _bracket_span(a, current, current)
+    return not current
 
 
-def centre(a: StructureTensor) -> np.ndarray:
-    """Row basis of Z = {v : ad(v) = 0}."""
+def _centre_rows(a: StructureTensor) -> list:
+    """Z = {v : ad(v) = 0} as the kernel rows of `linalg.kernel`."""
     n = a.n
     rows = [defaultdict(int) for _ in range(n * n)]   # (k, j): [v, e_j]_k = 0
     for (i, j, k), c in a._scaled[0].items():
         rows[k * n + j][i] += c
         rows[k * n + i][j] -= c
-    return linalg.row_space(linalg.kernel(rows, n, a.exact, a.tol), n,
-                            a.exact, a.tol)
-
-
-def subspace_contained(U: np.ndarray, W: np.ndarray, tol=DEFAULT_TOL) -> bool:
-    """Row space of U contained in row space of W."""
-    stacked = np.concatenate([W, U], axis=0)
-    return linalg.rank(stacked, tol) == linalg.rank(W, tol)
+    return linalg.kernel(rows, n, a.exact, a.tol)
 
 
 @dataclass(frozen=True)

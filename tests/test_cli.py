@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liecurv import nice
@@ -412,6 +412,9 @@ _JSON = st.recursive(
 
 @_FUZZ
 @given(st.text("(),+-*/.0123456789 e", max_size=24))
+@example("(0,0,12,)")
+@example("(,0,12)")
+@example("(0,,0,12)")
 def test_malformed_structure_exits_2(text):
     assume(_fails(lambda: parse_structure(text, exact=True))
            and _fails(lambda: parse_structure(text, exact=False)))

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from liecurv import linalg
 from liecurv.curvature import (b_forms, curvature_operators, holonomy_span,
-                               levi_civita, lowered_brackets, mn_criterion,
-                               ricci_general, ricci_index_oracle,
-                               ricci_killing_zero, riemann)
+                               levi_civita, mn_criterion, ricci_general,
+                               ricci_index_oracle, ricci_killing_zero, riemann)
 from liecurv.derivations import trace_obstruction
 from liecurv.errors import (KillingFormNonzeroError, NotLieAlgebraError,
                             NotNilpotentError, NotUnimodularError)
-from liecurv.metric import Metric, gram, parse_metric
+from liecurv.metric import Metric, parse_metric
 from liecurv.moment import (contractions, jacobi_tangent_critical, moment_map,
                             pairing, q_map, ricci_via_moment,
                             scalar_functional)
@@ -25,9 +24,8 @@ from liecurv.structure import (StructureTensor, is_lie, is_unimodular,
 
 from conftest import random_sparse_bracket
 from tests_helpers import (besse_check, curvature_symmetries_hold, dual,
-                           euclidean,
-                           metric_adjoint, pairwise_curvature_operators,
-                           trace_vector)
+                           euclidean, gram, lowered_brackets, metric_adjoint,
+                           pairwise_curvature_operators, trace_vector)
 
 HEIS = "(0,0,12)"
 

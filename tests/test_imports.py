@@ -1,4 +1,5 @@
-"""Every import in src/liecurv is read in the scope that makes it."""
+"""Every import in src/liecurv is read in the scope that makes it, and
+every public function there is exported or called."""
 
 import ast
 import importlib
@@ -81,6 +82,65 @@ def test_unused_import_is_reported():
               "    return json, b_forms, metric\n")
     assert unused_imports(source) == ["np", "DEFAULT_TOL", "b_forms", "json",
                                       "metric"]
+
+
+def uncalled_functions(sources: dict, modules, exported) -> list:
+    """(path, name) of the public module-level functions of `modules`,
+    paths among the keys of `sources` ({path: source}), that are not in
+    `exported` and that no source reads outside an import: by name, or as
+    an attribute of one of `modules` (`linalg.rank`, not `report.rank`)."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    stems = {path.stem for path in modules}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in stems):
+                read.add(node.attr)
+    uncalled = []
+    for path in modules:
+        uncalled += [(path, node.name) for node in trees[path].body
+                     if isinstance(node, ast.FunctionDef)
+                     and not node.name.startswith("_")
+                     and node.name not in exported and node.name not in read]
+    return uncalled
+
+
+def test_every_public_function_has_a_caller():
+    """No test-only code in src: a public function of src/liecurv is
+    exported by the package or called from src/ or bench/."""
+    bench = SRC.parents[1] / "bench"
+    modules = sorted(SRC.glob("*.py"))
+    sources = {path: path.read_text()
+               for path in modules + sorted(bench.glob("*.py"))}
+    uncalled = uncalled_functions(sources, modules, liecurv.__all__)
+    assert [(path.name, name) for path, name in uncalled] == []
+
+
+def test_uncalled_function_is_reported():
+    a, b, c = Path("a.py"), Path("b.py"), Path("c.py")
+    sources = {a: ("from .b import helper\n"
+                   "def used():\n"
+                   "    return helper()\n"
+                   "def exported():\n"
+                   "    pass\n"
+                   "def test_only():\n"
+                   "    pass\n"
+                   "def same_as_a_field(report):\n"
+                   "    return report.test_only\n"
+                   "def _private():\n"
+                   "    pass\n"),
+               b: ("import a\n"
+                   "def helper():\n"
+                   "    return a.used, a.same_as_a_field\n"
+                   "def imported_only():\n"
+                   "    pass\n"),
+               c: "from b import imported_only\n"}
+    assert uncalled_functions(sources, [a, b], ["exported"]) == [
+        (a, "test_only"), (b, "imported_only")]
 
 
 @pytest.mark.parametrize("name", liecurv.__all__)

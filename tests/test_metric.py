@@ -8,14 +8,15 @@ import pytest
 from liecurv import linalg
 from liecurv.errors import DegenerateMetricError, MetricParseError
 from liecurv.curvature import b_forms
-from liecurv.metric import (Metric, gram, pair_operators, parse_metric,
-                            pseudo_orthonormal_frame, signature)
+from liecurv.metric import (Metric, parse_metric, pseudo_orthonormal_frame,
+                            signature)
 from liecurv.scalars import close
 from liecurv.structure import parse_structure
 
 from conftest import random_matrix, random_metric
-from tests_helpers import (dual, euclidean, from_rows, induced_pairing, inner,
-                           lower_index, metric_adjoint, pair_bracket_tensors,
+from tests_helpers import (dual, euclidean, from_rows, gram, induced_pairing,
+                           inner, lower_index, metric_adjoint,
+                           pair_bracket_tensors, pair_operators,
                            pair_two_forms, raise_index)
 
 

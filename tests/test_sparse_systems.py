@@ -2,6 +2,7 @@
 against the dense versions they replaced (tests_helpers), on random
 brackets, Lie and not, on both backends."""
 
+import itertools
 import math
 import random
 from collections import defaultdict
@@ -12,18 +13,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liecurv import linalg
+from liecurv.curvature import mn_criterion
 from liecurv.derivations import (_derivation_system, derivation_space,
                                  diagonal_derivation_solve)
-from liecurv.moment import gauge_structure
-from liecurv.structure import (StructureTensor, _bracket_span, centre, is_lie,
-                               jacobi_defect, killing_form)
+from liecurv.metric import parse_metric
+from liecurv.moment import gauge_metric, gauge_structure
+from liecurv.structure import (StructureTensor, _bracket_span, classify,
+                               is_lie, jacobi_defect, killing_form,
+                               parse_structure)
 
 from conftest import random_invertible
 from test_linalg import random_kernel_input
-from tests_helpers import (dense_bracket_span, from_rows, dense_centre,
+from tests_helpers import (centre, dense_bracket_span, from_rows, dense_centre,
                            dense_derivation_basis, dense_derivation_system,
                            dense_jacobi_defect, dense_killing_form,
-                           dense_nullspace, dense_row_space, dense_rref)
+                           dense_null_dims, dense_nullspace, dense_row_space,
+                           dense_rref, dense_subspace_invariants, euclidean)
 
 LIE_ENTRIES = ["(0,0,12,13,23)", "a_lambda(lambda=2)", "147E(lambda=1/2)",
                "n8-einstein", "n8-lorentzian"]
@@ -111,13 +116,70 @@ def test_bracket_spans_match_the_dense_brackets(catalog_entries, seed):
                  for _ in range(a.n)] for _ in range(2)]
         V = dense_row_space([[x if a.exact else float(x) for x in row]
                              for row in rows], a.n, a.exact)
+        # the spans take and return rows: one list per matrix, so that
+        # (V, V) passes the same list twice, as the derived series does
+        rows_of = {id(M): linalg.sparse_rows(M.tolist(), a.exact) for M in (g, V)}
         for U, W in ((g, g), (g, V), (V, V)):
-            got, want = _bracket_span(a, U, W), dense_bracket_span(a, U, W)
+            span = _bracket_span(a, rows_of[id(U)], rows_of[id(W)])
+            got = linalg.row_space(span, a.n, a.exact, a.tol)
+            want = dense_bracket_span(a, U, W)
             assert got.shape == want.shape and got.dtype == want.dtype
             if a.exact:
                 assert (got == want).all()
             else:
                 assert all(close(x, y) for x, y in zip(got.flat, want.flat))
+
+
+def dense_integer_basis(rng, n):
+    """A seeded dense integer basis of determinant 1: a unit lower times a
+    unit upper triangular matrix, their other entries in -1..1."""
+    L, U = linalg.eye(n), linalg.eye(n)
+    for i, j in itertools.combinations(range(n), 2):
+        L[j, i] = Fraction(rng.randint(-1, 1))
+        U[i, j] = Fraction(rng.randint(-1, 1))
+    return linalg.sparse_mm(L, U)
+
+
+def pairs_in_two_bases(pairs, seed):
+    """Each (bracket, metrics), the identity metric added, in its own basis
+    and in a seeded dense integer basis, and the float copies of the exact
+    ones."""
+    rng = random.Random(seed)
+    out = []
+    for a, metrics in pairs:
+        metrics = [euclidean(a.n, a.exact), *metrics]
+        g = dense_integer_basis(rng, a.n)
+        if not a.exact:
+            g = linalg.to_float(g)
+        out += [(a, metrics), (gauge_structure(g, a),
+                               [gauge_metric(g, S) for S in metrics])]
+    return out + [(a.to_float(), [S.to_float() for S in metrics])
+                  for a, metrics in out if a.exact]
+
+
+def test_subspace_invariants_and_mn_match_the_dense_oracles(catalog_entries):
+    """lcs, solvability, the centre in [g, g] and the M/N null dimensions
+    against the dense formulas, which build every subspace as a matrix."""
+    pairs = [(e.parse(), [parse_metric(m["metric"], e.dim, e.exact)
+                          for m in e.metrics]) for e in catalog_entries]
+    # every catalog entry is solvable: so(3), sl(2, R) and two extensions
+    pairs += [(parse_structure(s), []) for s in (
+        "(23,-13,12)", "(23,13,12)", "(23,-13,12,0)", "(23,-13,12,0,45)")]
+    checked = 0
+    for a, metrics in pairs_in_two_bases(pairs, 18):
+        rep = classify(a)
+        lcs, solvable, centre_in_derived = dense_subspace_invariants(a)
+        assert rep.lcs.dims == tuple(len(s) for s in lcs)
+        if a.exact:
+            assert all((M == R).all() for M, R in zip(rep.lcs.spaces, lcs))
+        assert rep.solvable == solvable
+        assert rep.centre_in_derived == centre_in_derived
+        if rep.nilpotent:
+            for S in metrics:
+                mn = mn_criterion(a, S)
+                assert (mn["dim_M"], mn["dim_N"]) == dense_null_dims(a, S)
+                checked += 1
+    assert checked == 344
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from liecurv import linalg
 from liecurv.errors import StructureParseError
-from liecurv.structure import (StructureTensor, centre, classify, is_lie,
+from liecurv.structure import (StructureTensor, classify, is_lie,
                                is_unimodular, jacobi_defect, killing_form,
                                lower_central_series, parse_structure,
-                               print_structure, subspace_contained, trace_ad)
+                               print_structure, trace_ad)
 
-from tests_helpers import ad_matrix, component, euclidean, structure_from_json
+from tests_helpers import (ad_matrix, centre, component, euclidean,
+                           structure_from_json, subspace_contained)
 
 
 def test_parse_heisenberg_sign_convention():
@@ -62,6 +63,9 @@ def test_exact_tensor_refuses_float_coefficients():
     "(0,0,12+12)",         # repeated pair in one slot
     "(0,0,14)",            # index out of range
     "(0,0,xy)",            # malformed token
+    "(0,0,12,)",           # empty slot, last
+    "(,0,12)",             # empty slot, first
+    "(0,,0,12)",           # empty slot, inside
 ])
 def test_parse_errors(bad):
     with pytest.raises(StructureParseError):

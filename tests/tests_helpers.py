@@ -7,13 +7,15 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from liecurv import linalg
-from liecurv.curvature import (levi_civita, lowered_brackets,
-                               match_backends, ricci_general)
+from liecurv.curvature import (_lowered, levi_civita, match_backends,
+                               ricci_general)
 from liecurv.errors import DimensionMismatchError
-from liecurv.metric import Metric, pair_operators
+from liecurv.metric import Metric, _duals, scaled_gram
 from liecurv.moment import DualStructureTensor, q_map
+from liecurv.nice import _closed_form, _squared_terms
 from liecurv.scalars import DEFAULT_TOL, bit_size, is_zero, parse_scalar
-from liecurv.structure import StructureTensor, killing_form, trace_ad
+from liecurv.structure import (StructureTensor, _centre_rows, killing_form,
+                               trace_ad)
 
 
 def euclidean(n: int, exact: bool = True) -> Metric:
@@ -42,6 +44,43 @@ def tensor_from_array(c):
 
 
 # --- test-only operations ----------------------------------------------------
+
+def lowered_brackets(a: StructureTensor, S: Metric) -> np.ndarray:
+    """cl[i, j, k] = <[e_i, e_j], e_k>."""
+    return linalg.unscaled(*_lowered(*match_backends(a, S)))
+
+
+def pair_operators(S: Metric, u1: np.ndarray, u2: np.ndarray):
+    """Induced pairing on T*⊗T: <u1, u2> = Tr(u1 o u2*)."""
+    D, d = _duals(S, linalg.scaled(u2[None]), "T*T")
+    return linalg.sparse_frob(u1, linalg.unscaled(D[0], d))
+
+
+def gram(S: Metric, mats, shape: str) -> np.ndarray:
+    """Gram matrix G[i, j] = <mats[i], mats[j]> of the induced pairing on
+    "T*T" or "Lambda2T*", through `metric.scaled_gram` of their stack."""
+    X = np.stack(mats) if len(mats) else linalg.zeros((0, S.n, S.n), S.exact)
+    return linalg.unscaled(*scaled_gram(S, linalg.scaled(X), shape))
+
+
+def diagonal_ricci_closed_form(a: StructureTensor, diag):
+    """The n diagonal Ricci entries of diag(g) on a nice basis, closed form."""
+    g = list(diag)
+    floating = isinstance(g[0], float)
+    return _closed_form(a.n, _squared_terms(a, floating), g,
+                        0.5 if floating else Fraction(1, 2))
+
+
+def centre(a: StructureTensor) -> np.ndarray:
+    """Row basis of Z = {v : ad(v) = 0}, as `structure.classify` gives it."""
+    return linalg.row_space(_centre_rows(a), a.n, a.exact, a.tol)
+
+
+def subspace_contained(U, W, tol=DEFAULT_TOL) -> bool:
+    """Row space of U contained in row space of W."""
+    stacked = np.concatenate([W, U], axis=0)
+    return linalg.rank(stacked, tol) == linalg.rank(W, tol)
+
 
 def from_rows(rows, exact: bool = True) -> np.ndarray:
     """A matrix from nested rows: Fractions, or floats if not exact."""
@@ -126,7 +165,7 @@ def metric_adjoint(S, u) -> np.ndarray:
 def dual(S, x, shape: str) -> np.ndarray:
     """x' with <y, x> = sparse_frob(y, x') on "T*T" or "Lambda2T*", one
     matrix at a time: (x*)^T for operators, g^{-1} x g^{-1} / 2 for
-    2-forms; the pairwise definition that `metric.gram` batches."""
+    2-forms; the pairwise definition that `gram` batches."""
     if shape == "T*T":
         return metric_adjoint(S, x).T
     if shape == "Lambda2T*":
@@ -370,6 +409,43 @@ def dense_bracket_span(a: StructureTensor, U, V) -> np.ndarray:
     pairs = combinations(us, 2) if V is U else product(us, V.tolist())
     rows = [bracket_vectors(a, u, v) for u, v in pairs]
     return dense_row_space(rows, a.n, a.exact, a.tol)
+
+
+def dense_subspace_invariants(a: StructureTensor) -> tuple:
+    """(lcs, solvable, centre_in_derived) of `structure.classify` from dense
+    reduced bases and `dense_bracket_span`: the lcs spaces [g, g],
+    [g, [g, g]], ... until the dimension stops falling; whether the derived
+    series reaches 0; whether the centre lies in [g, g], by two ranks."""
+    g = linalg.eye(a.n, a.exact)
+    derived = dense_bracket_span(a, g, g)
+    lcs = [derived]
+    while len(lcs[-1]):
+        nxt = dense_bracket_span(a, g, lcs[-1])
+        if len(nxt) == len(lcs[-1]):
+            break
+        lcs.append(nxt)
+    dim, current = a.n, derived
+    while len(current) not in (0, dim):
+        dim, current = len(current), dense_bracket_span(a, current, current)
+    return (lcs, len(current) == 0,
+            subspace_contained(dense_centre(a), derived, a.tol))
+
+
+def dense_null_dims(a: StructureTensor, S: Metric) -> tuple:
+    """(dim_M, dim_N) of `curvature.mn_criterion` by the dense formula: a
+    reduced basis of the span of the ad(e_i), resp. the de^k, its Gram
+    matrix under the induced pairing, and the rank of that matrix."""
+    a, S = match_backends(a, S)
+    n = a.n
+    c = a.as_array()
+    dims = []
+    for stack, shape in ((np.transpose(c, (0, 2, 1)), "T*T"),
+                         (-np.transpose(c, (2, 0, 1)), "Lambda2T*")):
+        span = dense_row_space(list(stack.reshape(n, n * n)), n * n, a.exact,
+                               a.tol)
+        basis = list(span.reshape(len(span), n, n))
+        dims.append(len(basis) - linalg.rank(gram(S, basis, shape), a.tol))
+    return tuple(dims)
 
 
 def dense_jacobi_defect(a: StructureTensor) -> dict:
