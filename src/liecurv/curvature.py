@@ -11,6 +11,14 @@ operator is R(x, y) = [nabla_x, nabla_y] - nabla_{[x,y]} and the stored
 components are R[i, j, h, l] = <R(e_i, e_j) e_h, e_l>, so the Ricci tensor
 is the contraction Ric(e_j, e_h) = sum_i eps_i R[i, j, h, i] in a
 pseudo-orthonormal frame.
+
+The infinitesimal holonomy algebra, the span of R(x, y) and all of its
+covariant derivatives, is the closure of the R(e_i, e_j) under [G_m, .],
+G_m the matrix of nabla_{e_m}: (nabla_m T)(s) = [G_m, T(s)] minus values
+of T itself (at s with one slot moved by G_m), which lie in the span
+already.  So the span up to order k + 1 is the span up to order k plus its
+brackets with the G_m; once an order adds nothing, the span is closed
+under every [G_m, .] and no later order adds anything (`holonomy_span`).
 """
 
 from __future__ import annotations
@@ -50,10 +58,6 @@ class ConnectionCoefficients:
     n: int
     gamma: np.ndarray
 
-    def matrices(self) -> list[np.ndarray]:
-        """Matrices of the nabla_{e_i} on vectors (column j holds nabla_{e_i}e_j)."""
-        return [g.T for g in self.gamma]
-
 
 def _connection(a: StructureTensor, S: Metric) -> tuple:
     """gamma as a `linalg.scaled` pair, from the Koszul formula."""
@@ -82,8 +86,15 @@ class CurvatureTensor:
 
 
 def _operators(a: StructureTensor, S: Metric) -> tuple:
-    """(R, gamma): the stack of R(e_i, e_j), i < j, and the connection, as
-    `linalg.scaled` pairs (see `curvature_operators`)."""
+    """(R, gamma): the stack of the matrices of R(e_i, e_j) = G_i G_j -
+    G_j G_i - sum_k a^k_ij G_k for i < j, in the order of `combinations`,
+    G_i the matrix of nabla_{e_i}, and the connection, as `linalg.scaled`
+    pairs.
+
+    All the products G_i G_j come from one product on integers; each
+    R(e_i, e_j) is then assembled from two of them and the G_k of the
+    bracket terms of [e_i, e_j].
+    """
     require_lie(a, "the Levi-Civita connection")
     n = a.n
     gamma, dg = _connection(a, S)
@@ -99,32 +110,24 @@ def _operators(a: StructureTensor, S: Metric) -> tuple:
     return (R, dc * dg * dg), (gamma, dg)
 
 
-def curvature_operators(a: StructureTensor, S: Metric):
-    """Matrices of R(e_i, e_j) = G_i G_j - G_j G_i - sum_k a^k_ij G_k for
-    i < j, G_i the matrix of nabla_{e_i}, as a dict {(i, j): matrix}, and
-    the connection.
-
-    All the products G_i G_j come from one product on integers; each
-    R(e_i, e_j) is then assembled from two of them and the G_k of the
-    bracket terms of [e_i, e_j].
-    """
-    a, S = match_backends(a, S)
-    R, gamma = _operators(a, S)
-    ops = dict(zip(combinations(range(a.n), 2), linalg.unscaled(*R)))
-    return ops, ConnectionCoefficients(a.n, linalg.unscaled(*gamma))
+def _antisymmetric(X: np.ndarray, n: int) -> np.ndarray:
+    """A[i, j] = X[r] and A[j, i] = -X[r] for the r-th pair i < j of
+    `combinations(range(n), 2)`, zero for i = j, from a stack X over the
+    pairs."""
+    I, J = np.triu_indices(n, 1)
+    A = np.zeros((n, n) + X.shape[1:], dtype=X.dtype)
+    A[I, J], A[J, I] = X, -X
+    return A
 
 
 def riemann(a: StructureTensor, S: Metric) -> CurvatureTensor:
     """(0,4) curvature tensor; raises if Jacobi fails."""
     a, S = match_backends(a, S)
-    ops, _ = curvature_operators(a, S)
-    n = a.n
-    R = linalg.zeros((n, n, n, n), S.exact)
-    for (i, j), M in ops.items():
-        low = linalg.sparse_mm(S.g, M)  # low[l, h] = <R(e_i,e_j) e_h, e_l>
-        R[i, j] = low.T
-        R[j, i] = -low.T
-    return CurvatureTensor(n, R)
+    (R, d), _ = _operators(a, S)
+    G, dg = S._scaled[0]
+    # low[r, h, l] = <R(e_i, e_j) e_h, e_l> = sum_k R[r][k, h] g[k, l]
+    low = linalg.contract(np.transpose(R, (0, 2, 1)), G)
+    return CurvatureTensor(a.n, linalg.unscaled(_antisymmetric(low, a.n), d * dg))
 
 
 @dataclass(frozen=True)
@@ -289,84 +292,67 @@ def mn_criterion(a: StructureTensor, S: Metric):
     }
 
 
-def _covariant_derivative(level: dict, G, n: int, tol: float):
-    """One covariant derivative of a family of operator-valued tensors.
-
-    `level` maps lower-index tuples (..., i, j) to End(T) matrices, G lists
-    the connection matrices, both on one scale each (integers on the exact
-    backend); yields the (key, matrix) pairs of the result, on the product
-    of those scales, which has one extra leading lower index, one at a time
-    so that a caller may stop early.
-    """
-    for m in range(n):
-        Gm = G[m]
-        for idx, M in level.items():
-            D = Gm @ M - M @ Gm
-            for s, isl in enumerate(idx):
-                col = Gm[:, isl]
-                for p in range(n):
-                    if is_zero(col[p], tol):
-                        continue
-                    key = _canon_pair(idx[:s] + (p,) + idx[s + 1:])
-                    if key is None:
-                        continue
-                    sign, key = key
-                    if key in level:
-                        D = D - sign * col[p] * level[key]
-            yield (m,) + idx, D
-
-
-def _canon_pair(idx):
-    """Canonicalize the trailing antisymmetric (i, j) pair of an index tuple."""
-    i, j = idx[-2], idx[-1]
-    if i == j:
-        return None
-    if i < j:
-        return 1, idx
-    return -1, idx[:-2] + (j, i)
+def _derivative_vanishes(R, G, tol: float) -> bool:
+    """nabla R = 0, with R the array R[i, j] = R(e_i, e_j) of all pairs and
+    G the connection matrices: (nabla_m R)(e_i, e_j) = [G_m, R(e_i, e_j)]
+    - R(G_m e_i, e_j) - R(e_i, G_m e_j) for every m and i < j, stopping at
+    the first nonzero matrix."""
+    pairs = list(combinations(range(len(G)), 2))
+    for Gm in G:
+        for i, j in pairs:
+            D = (Gm @ R[i, j] - R[i, j] @ Gm - linalg.contract(Gm[:, i], R[:, j])
+                 - linalg.contract(Gm[:, j], R[i]))
+            if not linalg.mat_is_zero(D, tol):
+                return False
+    return True
 
 
 def holonomy_span(a: StructureTensor, S: Metric):
     """Infinitesimal holonomy: span of R(x, y) and its covariant derivatives.
 
     full means the span is all of so(p, q); locally_symmetric means the
-    first covariant derivative of R vanishes.  Adds one order of covariant
-    derivatives at a time until an order adds no dimension or the span is
-    full; the span can grow at most n(n-1)/2 times, so this ends.
+    first covariant derivative of R vanishes.  For an End(T)-valued tensor
+    T, (nabla_m T)(s) = [G_m, T(s)] less terms of T itself, G_m the matrix
+    of nabla_{e_m}, so the span of the derivatives up to order k + 1 is
+    that up to order k plus its brackets with the G_m (Kobayashi-Nomizu I,
+    ch. II): the span is the closure of the R(e_i, e_j) under [G_m, .].
+    Each order brackets only the matrices that raised the rank at the last
+    one: the brackets of a matrix of an earlier order lie in the span
+    already, and a matrix that did not raise the rank is a combination of
+    those that did and of earlier ones.  It stops when the span is full or
+    when an order adds no dimension: the span is then closed under every
+    [G_m, .], so no later order can add one.
+
+    A matrix X of so(p, q) is ranked by its coordinates, the entries above
+    the diagonal of the antisymmetric g X, so no rank exceeds n(n-1)/2, and
+    X counts as zero when they are.  Each order is one elimination with the
+    coordinates as columns, whose pivots name the matrices that raise the
+    rank.  Exact coordinates are integers; float ones are scaled to unit
+    max-abs, which no rank sees.
     """
     a, S = match_backends(a, S)
     n = a.n
     # ranks and zero tests do not see one common scale: the denominators go
     (R, _), (gamma, _) = _operators(a, S)
-    ops = dict(zip(combinations(range(n), 2), R))
-    G = [g.T for g in gamma]
-    full_dim = n * (n - 1) // 2
-
-    rows = [M.reshape(n * n) for M in ops.values()]
-    span_dim = linalg.rank(np.stack(rows), a.tol)
-
-    if span_dim >= full_dim:
-        # already maximal: only the local-symmetry question remains, and a
-        # single nonzero first derivative settles it
-        locally_symmetric = all(linalg.mat_is_zero(D, a.tol) for _, D
-                                in _covariant_derivative(ops, G, n, a.tol))
-        return {"span_dim": int(span_dim), "full": True,
-                "locally_symmetric": bool(locally_symmetric)}
-
-    current = dict(_covariant_derivative(ops, G, n, a.tol))
-    locally_symmetric = all(linalg.mat_is_zero(M, a.tol)
-                            for M in current.values())
-    while True:
-        new_rows = rows + [M.reshape(n * n) for M in current.values()
-                           if not linalg.mat_is_zero(M, a.tol)]
-        new_dim = linalg.rank(np.stack(new_rows), a.tol) if new_rows else 0
-        grew = new_dim > span_dim
-        span_dim, rows = new_dim, new_rows
-        if span_dim >= full_dim or not grew:
+    G = np.transpose(gamma, (0, 2, 1))
+    g = S._scaled[0][0]
+    I, J = np.triu_indices(n, 1)
+    full_dim = len(I)
+    span, new = [], list(R)    # span: (X, coordinates of X) for each X kept
+    while new:
+        coords = ((X, (g @ X)[I, J]) for X in new)
+        cols = span + [(X, v if a.exact else v / np.abs(v).max())
+                       for X, v in coords if not linalg.mat_is_zero(v, a.tol)]
+        rows = [{c: v[p] for c, (_, v) in enumerate(cols) if v[p]}
+                for p in range(full_dim)]
+        pivots = linalg.eliminate(rows, a.exact, a.tol)[1]
+        grown = [cols[c][0] for c in pivots if c >= len(span)]
+        span = [cols[c] for c in pivots]
+        if len(span) == full_dim:
             break
-        current = dict(_covariant_derivative(current, G, n, a.tol))
+        new = [Gm @ X - X @ Gm for Gm in G for X in grown]
     return {
-        "span_dim": int(span_dim),
-        "full": bool(span_dim == full_dim),
-        "locally_symmetric": bool(locally_symmetric),
+        "span_dim": len(span),
+        "full": len(span) == full_dim,
+        "locally_symmetric": _derivative_vanishes(_antisymmetric(R, n), G, a.tol),
     }

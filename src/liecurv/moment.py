@@ -63,10 +63,6 @@ class DualStructureTensor:
             raise ValueError("components are not antisymmetric in the vector pair")
         object.__setattr__(self, "_scaled", (N, d))
 
-    @property
-    def exact(self) -> bool:
-        return not linalg.is_float_array(self.comps)
-
     def to_json(self) -> dict:
         terms = []
         for m in range(self.n):

@@ -201,7 +201,10 @@ def _jacobian(M, y):
     return 0.5 * (A[1:] - A[0])
 
 
-def _newton_from(M, w, signs, u0, max_iter: int):
+_NEWTON_STEPS = 100      # per start
+
+
+def _newton_from(M, w, signs, u0):
     """Damped Newton on u = log|g_i| (i >= 2; g_1 fixed to signs[0])."""
     def gvec(u):
         g = [float(signs[0])]
@@ -211,7 +214,7 @@ def _newton_from(M, w, signs, u0, max_iter: int):
 
     u = np.array(u0, dtype=float)
     F, y = _residual(M, w, u)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         norm = abs(F).max()
         if norm < 1e-13:
             return gvec(u)
@@ -303,16 +306,15 @@ def _all_patterns(n: int):
 
 def diagonal_einstein_search(a: StructureTensor,
                              sign_pattern: Optional[Sequence[int]] = None,
-                             seed: int = 0, restarts: int = 200,
-                             max_iter: int = 100):
+                             seed: int = 0, restarts: int = 200):
     """Search for diagonal metrics with ric = lambda Id, lambda != 0.
 
     The empty list is returned at once when 1 is not in the image of M.
     Where `einstein.einstein_metrics` applies, the result is its cached
     list, which is complete, filtered by the sign pattern (a pattern with
     first sign -1 gets the metrics -g, with -lambda, of the pattern's
-    negation); `seed`, `restarts` and `max_iter` are not read.  Elsewhere the seeded Newton
-    search below runs.  The empty list is returned before its first run
+    negation); `seed` and `restarts` are not read.  Elsewhere the seeded
+    Newton search below runs.  The empty list is returned before its first run
     when the closed form is not the Ricci tensor (outside
     `structure.in_killing_zero_class`).  A sign pattern that fails
     the exact sign test is skipped without a Newton run; its starts are
@@ -374,7 +376,7 @@ def diagonal_einstein_search(a: StructureTensor,
                        for i, j, k, _ in terms]
         for _ in range(restarts):
             u0 = [rng.uniform(-2, 2) for _ in range(n - 1)]
-            g = _newton_from(M, w, pattern, u0, max_iter)
+            g = _newton_from(M, w, pattern, u0)
             if g is None:
                 continue
             lam = _float_lambda(terms, e, g)

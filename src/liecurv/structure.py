@@ -235,11 +235,6 @@ class StructureTensor:
         """Dense components c[i, j, k] = a^k_{ij}."""
         return linalg.unscaled(*self._scaled_array)
 
-    def ad_basis(self, i: int) -> np.ndarray:
-        """Matrix of ad(e_i): ad(e_i)[k, j] = a^k_{ij}."""
-        N, d = self._scaled_array
-        return linalg.unscaled(N[i].T, d)
-
     @cached_property
     def _float_twin(self) -> "StructureTensor":
         return StructureTensor(self.n, self.coeffs, self.tol, exact=False)
@@ -364,7 +359,7 @@ def print_structure(a: StructureTensor) -> str:
             if kk != k:
                 continue
             coeff = -c  # back to d-notation
-            sign = "-" if (coeff < 0 if not isinstance(coeff, float) else coeff < 0) else "+"
+            sign = "-" if coeff < 0 else "+"
             mag = -coeff if sign == "-" else coeff
             pair = f"{i + 1}{j + 1}" if a.n <= 9 else f"({i + 1},{j + 1})"
             body = pair if mag == 1 else f"{format_scalar(mag)}*{pair}"

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liecurv import linalg
-from liecurv.curvature import (b_forms, curvature_operators, holonomy_span,
-                               levi_civita, mn_criterion, ricci_general,
-                               ricci_index_oracle, ricci_killing_zero, riemann)
+from liecurv.curvature import (b_forms, holonomy_span, levi_civita,
+                               mn_criterion, ricci_general, ricci_index_oracle,
+                               ricci_killing_zero, riemann)
 from liecurv.derivations import trace_obstruction
 from liecurv.errors import (KillingFormNonzeroError, NotLieAlgebraError,
                             NotNilpotentError, NotUnimodularError)
@@ -22,9 +22,10 @@ from liecurv.moment import (contractions, jacobi_tangent_critical, moment_map,
 from liecurv.structure import (StructureTensor, is_lie, is_unimodular,
                                parse_structure)
 
-from conftest import random_sparse_bracket
-from tests_helpers import (besse_check, curvature_symmetries_hold, dual,
-                           euclidean, gram, lowered_brackets, metric_adjoint,
+from conftest import random_metric, random_sparse_bracket
+from tests_helpers import (ad_basis, besse_check, curvature_operators,
+                           curvature_symmetries_hold, dual, euclidean, gram,
+                           holonomy_tower, lowered_brackets, metric_adjoint,
                            pairwise_curvature_operators, trace_vector)
 
 HEIS = "(0,0,12)"
@@ -227,6 +228,66 @@ def test_holonomy_abelian():
     assert out["locally_symmetric"] is True
 
 
+def test_holonomy_span_equals_the_tower(catalog_entries):
+    """The closure under [G_m, .] spans what the covariant derivatives of R
+    span, order by order: on every exact Lie catalog entry with each of its
+    metrics (the identity if none), and with a seeded indefinite
+    non-diagonal metric."""
+    rng = random.Random(19)
+    for e in catalog_entries:
+        if not e.exact or not e.claims.get("is_lie", True):
+            continue
+        a = e.parse()
+        metrics = [parse_metric(m["metric"], e.dim) for m in e.metrics]
+        for S in (metrics or [euclidean(e.dim)]) + [random_metric(rng, e.dim)]:
+            assert holonomy_span(a, S) == holonomy_tower(a, S)[1], e.name
+
+
+def test_holonomy_closure_reaches_the_third_order():
+    """A span that grows 10 -> 14 -> 15 (full): two orders of brackets."""
+    a = parse_structure("(0,0,2*12,0,0,45)")
+    S = parse_metric("[[1,0,0,1,2,2],[0,1,0,2,2,0],[0,0,-2,2,1,0],"
+                     "[1,2,2,3,2,0],[2,2,1,2,1,1],[2,0,0,0,1,2]]", 6)
+    for a_, S_ in ((a, S), (a.to_float(), S.to_float())):
+        dims, want = holonomy_tower(a_, S_)
+        assert dims == [10, 14, 15]
+        assert holonomy_span(a_, S_) == want == {
+            "span_dim": 15, "full": True, "locally_symmetric": False}
+
+
+# brackets of dimension 5 in dense integer bases, with their metrics pulled
+# back: curvature matrices with entries near 10^4, and the span they give
+DENSE_HOLONOMY = [
+    ("(-2*12+4*13-14*14+34*15+4*25-8*35+28*45,"
+     "-2*12+4*13-13*14+32*15+2*24-4*34+32*45,"
+     "2*12-4*13+10*14-26*15-8*24+12*25+16*34-24*35-44*45,"
+     "12-2*13+8*14-19*15+2*24-6*25-4*34+12*35-10*45,"
+     "14-2*15+2*24-4*25-4*34+8*35+4*45)",
+     "[[1,2,-4,14,-32],[2,5,-10,34,-79],[-4,-10,21,-70,164],"
+     "[14,34,-70,237,-552],[-32,-79,164,-552,1290]]", 6),
+    ("(2*12+4*13+12*14-30*15+4*23+8*24-20*25-8*34+20*35,"
+     "-12-2*13-6*14+15*15-2*23-4*24+10*25+4*34-10*35,"
+     "2*12+4*13+12*14-30*15+4*23+8*24-20*25-8*34+20*35,"
+     "2*12+4*13+12*14-30*15+4*23+8*24-20*25-8*34+20*35,"
+     "12+2*13+6*14-15*15+2*23+4*24-10*25-4*34+10*35)",
+     "[[1,2,2,8,-20],[2,5,6,22,-55],[2,6,9,30,-76],"
+     "[8,22,30,105,-264],[-20,-55,-76,-264,666]]", 3),
+]
+
+
+@pytest.mark.parametrize("text, metric, span_dim", DENSE_HOLONOMY,
+                         ids=["span-6", "span-3"])
+def test_float_holonomy_rank_does_not_see_matrix_scale(text, metric, span_dim):
+    """The float span is the exact one.  Rows of raw entries under an
+    absolute tolerance gave 17 for the first, above dim so(p, q) = 10;
+    coordinates on so(p, q) that are not scaled to unit max-abs gave 5 for
+    the second."""
+    want = {"span_dim": span_dim, "full": False, "locally_symmetric": False}
+    for exact in (True, False):
+        a = parse_structure(text, exact)
+        assert holonomy_span(a, parse_metric(metric, 5, exact)) == want
+
+
 # --- the scaled-integer layers against dense Fraction oracles ---------------
 
 RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 5]))
@@ -332,7 +393,7 @@ def test_metric_and_moment_layers_match_dense_oracles(aS):
     want = dense_oracles(a, S)
     for a_, S_ in ((a, S), (a.to_float(), S.to_float())):
         exact = a_.exact
-        assert_matches(gram(S_, [a_.ad_basis(i) for i in range(a.n)], "T*T"),
+        assert_matches(gram(S_, [ad_basis(a_, i) for i in range(a.n)], "T*T"),
                        want["gram_ad"], exact)
         B, traces = b_forms(a_, S_)
         for k in range(1, 7):
@@ -371,6 +432,14 @@ def test_curvature_and_ricci_paths_match_dense_oracles(aS):
         assert_matches(conn.gamma, gamma, exact)
         for key, M in ops.items():
             assert_matches(M, ops_want[key], exact)
+        # R[i, j, h, l] = <R(e_i, e_j) e_h, e_l>, antisymmetric in (i, j)
+        low = {key: (S.g @ M).T for key, M in ops_want.items()}
+        zero = linalg.zeros((a.n, a.n))
+        assert_matches(riemann(a_, S_).R,
+                       [[low[i, j] if i < j else -low[j, i] if i > j else zero
+                         for j in range(a.n)] for i in range(a.n)], exact)
+        if exact:
+            assert holonomy_span(a_, S_) == holonomy_tower(a_, S_)[1]
         special = is_unimodular(a_) and a_._killing_zero
         for path in (ricci_general, ricci_killing_zero, ricci_via_moment):
             if path is not ricci_general and not special:

@@ -1,5 +1,6 @@
-"""Every import in src/liecurv is read in the scope that makes it, and
-every public function there is exported or called."""
+"""Every import in src/liecurv is read in the scope that makes it, every
+public function there is exported or called, and every public method is
+read."""
 
 import ast
 import importlib
@@ -141,6 +142,57 @@ def test_uncalled_function_is_reported():
                c: "from b import imported_only\n"}
     assert uncalled_functions(sources, [a, b], ["exported"]) == [
         (a, "test_only"), (b, "imported_only")]
+
+
+def unread_methods(sources: dict, modules) -> list:
+    """(path, class, name) of the public methods and properties of the
+    module-level classes of `modules`, paths among the keys of `sources`,
+    whose name no source reads as an attribute (`x.name`, of any object)."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [(path, cls.name, node.name) for path in modules
+            for cls in trees[path].body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_every_public_method_is_read():
+    """No test-only methods in src: each public method or property of a
+    class in src/liecurv is read as an attribute in src/ or bench/."""
+    bench = SRC.parents[1] / "bench"
+    modules = sorted(SRC.glob("*.py"))
+    sources = {path: path.read_text()
+               for path in modules + sorted(bench.glob("*.py"))}
+    assert [(path.name, cls, name) for path, cls, name
+            in unread_methods(sources, modules)] == []
+
+
+def test_unread_method_is_reported():
+    a, b = Path("a.py"), Path("b.py")
+    sources = {a: ("class T:\n"
+                   "    n: int\n"
+                   "    def used(self):\n"
+                   "        return self.prop\n"
+                   "    @property\n"
+                   "    def prop(self):\n"
+                   "        pass\n"
+                   "    @classmethod\n"
+                   "    def build(cls):\n"
+                   "        pass\n"
+                   "    def test_only(self):\n"
+                   "        pass\n"
+                   "    def __str__(self):\n"
+                   "        pass\n"
+                   "def f(t):\n"
+                   "    return t.used()\n"),
+               b: ("from a import T\n"
+                   "class U:\n"
+                   "    def other(self):\n"
+                   "        self.build = 1\n")}
+    assert unread_methods(sources, [a, b]) == [(a, "T", "build"),
+                                               (a, "T", "test_only"),
+                                               (b, "U", "other")]
 
 
 @pytest.mark.parametrize("name", liecurv.__all__)

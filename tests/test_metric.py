@@ -14,8 +14,8 @@ from liecurv.scalars import close
 from liecurv.structure import parse_structure
 
 from conftest import random_matrix, random_metric
-from tests_helpers import (dual, euclidean, from_rows, gram, induced_pairing,
-                           inner, lower_index, metric_adjoint,
+from tests_helpers import (ad_basis, dual, euclidean, from_rows, gram,
+                           induced_pairing, inner, lower_index, metric_adjoint,
                            pair_bracket_tensors, pair_operators,
                            pair_two_forms, raise_index)
 
@@ -124,7 +124,7 @@ def test_gram_equals_pairwise_pairings(exact, text, null):
     n = a.n
     c = a.as_array()
     g, ginv = S.g, S.ginv
-    ads = [a.ad_basis(j) for j in range(n)]
+    ads = [ad_basis(a, j) for j in range(n)]
     d_forms = [-c[:, :, k] for k in range(n)]                 # de^k
     flats = [-np.tensordot(c, g[:, j], axes=([2], [0])) for j in range(n)]
     cases = [

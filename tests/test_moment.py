@@ -18,7 +18,7 @@ from liecurv.structure import is_lie, parse_structure
 
 from conftest import (random_invertible, random_matrix, random_metric,
                       random_sparse_bracket)
-from tests_helpers import (dense_jacobi_linearization,
+from tests_helpers import (ad_basis, dense_jacobi_linearization,
                            euclidean,
                            dense_killing_linearization, dense_nullspace, dq,
                            gauge_dual, infinitesimal_dual, infinitesimal_metric)
@@ -30,7 +30,7 @@ def test_q_map_heisenberg_euclidean():
     b = q_map(a, S)
     # with the euclidean metric b_m = ad(e_m)^T
     for m in range(3):
-        assert linalg.mat_equal(b.comps[m], a.ad_basis(m).T)
+        assert linalg.mat_equal(b.comps[m], ad_basis(a, m).T)
     assert b.comps[0][1, 2] == Fraction(-1)
 
 

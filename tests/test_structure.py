@@ -13,7 +13,7 @@ from liecurv.structure import (StructureTensor, classify, is_lie,
                                lower_central_series, parse_structure,
                                print_structure, trace_ad)
 
-from tests_helpers import (ad_matrix, centre, component, euclidean,
+from tests_helpers import (ad_basis, ad_matrix, centre, component, euclidean,
                            structure_from_json, subspace_contained)
 
 
@@ -122,7 +122,7 @@ def test_ad_matrix_matches_bracket():
     e1 = linalg.zeros(3)
     e1[0] = Fraction(1)
     ad1 = ad_matrix(a, e1)
-    assert linalg.mat_equal(ad1, a.ad_basis(0))
+    assert linalg.mat_equal(ad1, ad_basis(a, 0))
     # [e1, e2] = -e2, [e1, e3] = e3
     assert ad1[1, 1] == Fraction(-1)
     assert ad1[2, 2] == Fraction(1)

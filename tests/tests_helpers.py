@@ -7,8 +7,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from liecurv import linalg
-from liecurv.curvature import (_lowered, levi_civita, match_backends,
-                               ricci_general)
+from liecurv.curvature import (ConnectionCoefficients, _lowered, _operators,
+                               levi_civita, match_backends, ricci_general)
 from liecurv.errors import DimensionMismatchError
 from liecurv.metric import Metric, _duals, scaled_gram
 from liecurv.moment import DualStructureTensor, q_map
@@ -69,6 +69,26 @@ def diagonal_ricci_closed_form(a: StructureTensor, diag):
     floating = isinstance(g[0], float)
     return _closed_form(a.n, _squared_terms(a, floating), g,
                         0.5 if floating else Fraction(1, 2))
+
+
+def ad_basis(a: StructureTensor, i: int) -> np.ndarray:
+    """Matrix of ad(e_i): ad(e_i)[k, j] = a^k_{ij}."""
+    N, d = a._scaled_array
+    return linalg.unscaled(N[i].T, d)
+
+
+def connection_matrices(conn: ConnectionCoefficients) -> list:
+    """Matrices of the nabla_{e_i} on vectors (column j holds nabla_{e_i}e_j)."""
+    return [g.T for g in conn.gamma]
+
+
+def curvature_operators(a: StructureTensor, S: Metric):
+    """Matrices of R(e_i, e_j), i < j, as a dict {(i, j): matrix}, and the
+    connection: the stacks of `curvature._operators` as Fractions."""
+    a, S = match_backends(a, S)
+    R, gamma = _operators(a, S)
+    ops = dict(zip(combinations(range(a.n), 2), linalg.unscaled(*R)))
+    return ops, ConnectionCoefficients(a.n, linalg.unscaled(*gamma))
 
 
 def centre(a: StructureTensor) -> np.ndarray:
@@ -147,9 +167,9 @@ def besse_check(a: StructureTensor, S, v):
 
 def pairwise_curvature_operators(a: StructureTensor, S) -> dict:
     """R(e_i, e_j) = G_i G_j - G_j G_i - sum_k a^k_ij G_k one pair (i < j)
-    at a time: the form that `curvature.curvature_operators` batches."""
+    at a time: the form that `curvature_operators` batches."""
     a, S = match_backends(a, S)
-    G = levi_civita(a, S).matrices()
+    G = connection_matrices(levi_civita(a, S))
     ops = {(i, j): G[i] @ G[j] - G[j] @ G[i]
            for i, j in combinations(range(a.n), 2)}
     for (i, j, k), c in a.coeffs.items():
@@ -286,6 +306,86 @@ def induced_pairing(S, shape: str):
                          f"expected one of {TENSOR_SHAPES}")
     fn = table[shape]
     return lambda x, y: fn(S, x, y)
+
+
+# --- the covariant-derivative tower of the holonomy span ---------------------
+
+def _canon_pair(idx):
+    """Canonicalize the trailing antisymmetric (i, j) pair of an index tuple."""
+    i, j = idx[-2], idx[-1]
+    if i == j:
+        return None
+    if i < j:
+        return 1, idx
+    return -1, idx[:-2] + (j, i)
+
+
+def _covariant_derivative(level: dict, G, n: int, tol: float):
+    """One covariant derivative of a family of operator-valued tensors.
+
+    `level` maps lower-index tuples (..., i, j) to End(T) matrices, G lists
+    the connection matrices, both on one scale each (integers on the exact
+    backend); yields the (key, matrix) pairs of the result, on the product
+    of those scales, which has one extra leading lower index, one at a time
+    so that a caller may stop early.
+    """
+    for m in range(n):
+        Gm = G[m]
+        for idx, M in level.items():
+            D = Gm @ M - M @ Gm
+            for s, isl in enumerate(idx):
+                col = Gm[:, isl]
+                for p in range(n):
+                    if is_zero(col[p], tol):
+                        continue
+                    key = _canon_pair(idx[:s] + (p,) + idx[s + 1:])
+                    if key is None:
+                        continue
+                    sign, key = key
+                    if key in level:
+                        D = D - sign * col[p] * level[key]
+            yield (m,) + idx, D
+
+
+def holonomy_tower(a: StructureTensor, S: Metric) -> tuple:
+    """`curvature.holonomy_span` as the tower of covariant derivatives of R,
+    kept as its reference: order k is the family nabla^k R of End(T)-valued
+    tensors, keyed by index tuples that grow n-fold per order, and the span
+    of all orders so far is ranked after each one, until an order adds no
+    dimension or the span is full.  Returns (dims, report): the span
+    dimension after each order computed, and the dict of `holonomy_span`."""
+    a, S = match_backends(a, S)
+    n = a.n
+    (R, _), (gamma, _) = _operators(a, S)
+    ops = dict(zip(combinations(range(n), 2), R))
+    G = [g.T for g in gamma]
+    full_dim = n * (n - 1) // 2
+
+    rows = [M.reshape(n * n) for M in ops.values()]
+    span_dim = linalg.rank(np.stack(rows), a.tol)
+    dims = [span_dim]
+
+    if span_dim >= full_dim:
+        locally_symmetric = all(linalg.mat_is_zero(D, a.tol) for _, D
+                                in _covariant_derivative(ops, G, n, a.tol))
+        return dims, {"span_dim": int(span_dim), "full": True,
+                      "locally_symmetric": bool(locally_symmetric)}
+
+    current = dict(_covariant_derivative(ops, G, n, a.tol))
+    locally_symmetric = all(linalg.mat_is_zero(M, a.tol)
+                            for M in current.values())
+    while True:
+        new_rows = rows + [M.reshape(n * n) for M in current.values()
+                           if not linalg.mat_is_zero(M, a.tol)]
+        new_dim = linalg.rank(np.stack(new_rows), a.tol) if new_rows else 0
+        grew = new_dim > span_dim
+        span_dim, rows = new_dim, new_rows
+        dims.append(span_dim)
+        if span_dim >= full_dim or not grew:
+            break
+        current = dict(_covariant_derivative(current, G, n, a.tol))
+    return dims, {"span_dim": int(span_dim), "full": bool(span_dim == full_dim),
+                  "locally_symmetric": bool(locally_symmetric)}
 
 
 # --- dense oracles of the sparse exact systems -------------------------------
@@ -464,8 +564,8 @@ def dense_jacobi_defect(a: StructureTensor) -> dict:
 
 
 def dense_killing_form(a: StructureTensor) -> np.ndarray:
-    """B(e_i, e_j) = Tr(ad e_i ad e_j) from the matrices ad_basis(i)."""
-    ads = [a.ad_basis(i) for i in range(a.n)]
+    """B(e_i, e_j) = Tr(ad e_i ad e_j) from the matrices ad_basis(a, i)."""
+    ads = [ad_basis(a, i) for i in range(a.n)]
     B = linalg.zeros((a.n, a.n), a.exact)
     for i in range(a.n):
         for j in range(i, a.n):
@@ -501,9 +601,9 @@ def dense_jacobi_linearization(a: StructureTensor, index) -> np.ndarray:
 
 def dense_killing_linearization(a: StructureTensor, index) -> np.ndarray:
     """Matrix of a' -> d/dt Killing(a + t a') at t = 0 from the matrices
-    ad_basis(v), rows over pairs u <= v, columns as `index`."""
+    ad_basis(a, v), rows over pairs u <= v, columns as `index`."""
     n = a.n
-    ads = [a.ad_basis(i) for i in range(n)]
+    ads = [ad_basis(a, i) for i in range(n)]
     cols = {}
     for (i, j, k), col in index.items():
         entries = linalg.zeros((n, n), a.exact)
