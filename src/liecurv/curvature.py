@@ -202,9 +202,9 @@ def b_forms(a: StructureTensor, S: Metric):
     M1 = linalg.contract(U.reshape(n, n * n), forms.reshape(n, n * n).T)
     B = {1: B1, 2: (np.outer(tau, tau), dt * dt), 3: B3,
          4: linalg.scaled(killing_form(a)), 5: B5, 6: (M1 + M1.T, di * dl * di * dl)}
-    B = {k: linalg.unscaled(*B[k]) for k in B}
-    traces = {k: linalg.sparse_frob(S.ginv, B[k].T) for k in (2, 3, 4)}
-    return B, traces
+    # Tr(g^{-1} B) = sum of g^{-1} * B^T
+    traces = {k: linalg.unscaled(np.sum(Gi * B[k][0].T), di * B[k][1]) for k in (2, 3, 4)}
+    return {k: linalg.unscaled(*B[k]) for k in B}, traces
 
 
 def ricci_general(a: StructureTensor, S: Metric) -> RicciData:

@@ -22,8 +22,8 @@ Fraction and no gcd.  `scaled` makes a pair, `common` and `over` add and
 divide pairs, and `unscaled` builds one Fraction per nonzero entry, when a
 public function returns.  A float array is the pair (M, 1), and `over`
 divides its entries, so floats run the same code and sum in the same
-order.  `sparse_mm` and `sparse_frob` are the product and the Frobenius
-pairing on Fraction arrays.
+order.  The exact signature is read off the characteristic polynomial of
+N, which `contract` builds on integers.
 
 Output ordering is deterministic.
 """
@@ -36,12 +36,12 @@ from math import gcd, lcm, prod
 import numpy as np
 
 from .errors import DegenerateMetricError
-from .scalars import DEFAULT_TOL, bit_size, is_zero
+from .scalars import DEFAULT_TOL, is_zero
 
 __all__ = [
     "zeros", "eye", "to_float", "is_float_array",
     "mat_equal", "mat_is_zero", "as_integers", "scaled", "unscaled",
-    "common", "over", "contract", "sparse_mm", "sandwich", "sparse_frob",
+    "common", "over", "contract", "sandwich",
     "sparse_rows", "eliminate", "kernel", "rref", "rank", "row_space", "inv",
     "sylvester_signature",
 ]
@@ -124,26 +124,11 @@ def contract(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A @ B).reshape(shape)
 
 
-def sparse_mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """`contract` on two Fraction arrays, or two float arrays, through
-    scaled pairs."""
-    (NA, da), (NB, db) = scaled(A), scaled(B)
-    return unscaled(contract(NA, NB), da * db)
-
-
 def sandwich(L: np.ndarray, X: np.ndarray, R: np.ndarray) -> np.ndarray:
     """The stack of L @ X[j] @ R over the first axis of X, from two
     `contract` products for the whole stack; int or float arrays."""
     LX = contract(L, np.transpose(X, (1, 0, 2)))            # [p, j, q]
     return np.transpose(contract(LX, R), (1, 0, 2))
-
-
-def sparse_frob(A: np.ndarray, B: np.ndarray):
-    """Frobenius pairing, the sum of A * B over all entries."""
-    if is_float_array(A) or is_float_array(B):
-        return float(np.sum(A * B))
-    (NA, da), (NB, db) = scaled(A), scaled(B)
-    return Fraction(np.sum(NA * NB), da * db)
 
 
 def mat_is_zero(M: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -206,7 +191,7 @@ def eliminate(rows, exact: bool, tol: float = DEFAULT_TOL):
     are the reduced echelon form of a prefix of the input, so by Cramer's
     rule their entries are bounded by minors of that prefix, with no choice
     of pivot.  Floats go column by column; the pivot is the entry of largest
-    magnitude (least `bit_size`), lowest current position on ties, and
+    magnitude, lowest current position on ties, and
     entries with `is_zero` are neither pivots nor eliminated."""
     if exact:
         reduced = {}                     # pivot column -> its reduced row
@@ -241,7 +226,7 @@ def eliminate(rows, exact: bool, tol: float = DEFAULT_TOL):
     for col in sorted({c for row in rows for c in row}):
         top = len(pivots)
         k = min(range(top, len(rows)), default=None,
-                key=lambda k: bit_size(rows[k].get(col, 0.0)))
+                key=lambda k: -abs(rows[k].get(col, 0.0)))
         if k is None or is_zero(rows[k].get(col, 0.0), tol):
             continue
         p = {c: x / rows[k][col] for c, x in rows[k].items()}
@@ -321,10 +306,12 @@ def inv(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 def sylvester_signature(g: np.ndarray, tol: float = DEFAULT_TOL):
     """Signature (p, q) of a nondegenerate symmetric matrix.
 
-    Exact backend: symmetric elimination (LDL^T with symmetric pivoting); an
-    isotropic diagonal is handled by a row+column addition, which is a
-    congruence and therefore signature-preserving.  Float backend: eigenvalue
-    signs.
+    Exact backend: g = N / d with N integral, and the characteristic
+    polynomial det(x I - N) = sum_k c_k x^(n-k) from the Faddeev-LeVerrier
+    recursion M_1 = I, c_k = -Tr(N M_k) / k, M_(k+1) = N M_k + c_k I, whose
+    division is exact.  A real symmetric matrix has only real eigenvalues,
+    so by Descartes' rule p is the number of sign changes of (c_0, ..., c_n);
+    g is degenerate exactly when c_n = 0.  Float backend: eigenvalue signs.
     """
     n = g.shape[0]
     if is_float_array(g):
@@ -333,33 +320,15 @@ def sylvester_signature(g: np.ndarray, tol: float = DEFAULT_TOL):
             raise DegenerateMetricError("numerically degenerate symmetric matrix")
         p = int(np.sum(w > 0))
         return p, n - p
-    G = g.copy()
-    active = list(range(n))
-    p = q = 0
-    while active:
-        diag = [i for i in active if G[i, i] != 0]
-        if diag:
-            i = min(diag, key=lambda k: (bit_size(G[k, k]), k))
-        else:
-            pair = [(i, j) for i in active for j in active if i < j and G[i, j] != 0]
-            if not pair:
-                raise DegenerateMetricError("symmetric matrix is degenerate")
-            i, j = min(pair, key=lambda ij: (bit_size(G[ij[0], ij[1]]), ij))
-            for k in active:
-                G[i, k] = G[i, k] + G[j, k]
-            for k in active:
-                G[k, i] = G[k, i] + G[k, j]
-        if G[i, i] > 0:
-            p += 1
-        else:
-            q += 1
-        active.remove(i)
-        for r in active:
-            if G[r, i] != 0:
-                f = G[r, i] / G[i, i]
-                for c in active:
-                    G[r, c] = G[r, c] - f * G[i, c]
-                G[r, i] = Fraction(0)
-        for c in active:
-            G[i, c] = Fraction(0)
-    return p, q
+    N, _ = scaled(g)
+    I = np.eye(n, dtype=object)
+    M, c = I, [1]
+    for k in range(1, n + 1):
+        NM = contract(N, M)
+        c.append(-np.trace(NM) // k)
+        M = NM + c[-1] * I
+    if c[-1] == 0:
+        raise DegenerateMetricError("symmetric matrix is degenerate")
+    c = [x for x in c if x]
+    p = sum(x * y < 0 for x, y in zip(c, c[1:]))
+    return p, n - p

@@ -24,7 +24,8 @@ from .scalars import DEFAULT_TOL, Scalar, is_zero, parse_scalar
 
 @dataclass(frozen=True)
 class Metric:
-    """Nondegenerate symmetric scalar product on R^n."""
+    """Nondegenerate symmetric scalar product on R^n; `ginv`, the inverse
+    of g, is computed on construction, which checks nondegeneracy."""
 
     n: int
     g: np.ndarray
@@ -37,7 +38,7 @@ class Metric:
         if not linalg.mat_equal(self.g, self.g.T, self.tol):
             raise MetricParseError("metric matrix is not symmetric")
         try:
-            object.__setattr__(self, "_ginv", linalg.inv(self.g, self.tol))
+            object.__setattr__(self, "ginv", linalg.inv(self.g, self.tol))
         except DegenerateMetricError:
             raise DegenerateMetricError("metric is degenerate")
 
@@ -45,14 +46,10 @@ class Metric:
     def exact(self) -> bool:
         return not linalg.is_float_array(self.g)
 
-    @property
-    def ginv(self) -> np.ndarray:
-        return self._ginv
-
     @cached_property
     def _scaled(self) -> tuple:
         """g and g^{-1} as `linalg.scaled` pairs (N, d)."""
-        return linalg.scaled(self.g), linalg.scaled(self._ginv)
+        return linalg.scaled(self.g), linalg.scaled(self.ginv)
 
     @classmethod
     def diagonal(cls, entries: Sequence[Scalar], tol: float = DEFAULT_TOL) -> "Metric":
@@ -157,9 +154,9 @@ def parse_json_matrix(data, n: int, exact: bool, what: str) -> np.ndarray:
 
 def _duals(S: Metric, mats: tuple, shape: str) -> tuple:
     """For the stack of a scaled pair (X, d), the scaled pair of the x' with
-    <y, x> = sparse_frob(y, x'), on "T*T" or "Lambda2T*": x' = (x*)^T =
-    g x g^{-1} for operators (g is symmetric), as <y, x> = Tr(y o x*), and
-    g^{-1} x g^{-1} / 2 for 2-forms."""
+    <y, x> the sum of y * x' over all entries, on "T*T" or "Lambda2T*":
+    x' = (x*)^T = g x g^{-1} for operators (g is symmetric), as
+    <y, x> = Tr(y o x*), and g^{-1} x g^{-1} / 2 for 2-forms."""
     X, d = mats
     (G, dg), (Gi, di) = S._scaled
     if shape == "T*T":
@@ -175,9 +172,9 @@ def scaled_gram(S: Metric, mats: tuple, shape: str) -> tuple:
     (operators) or "Lambda2T*" (2-forms) for the stack of a scaled pair
     (X, d), as a scaled pair.
 
-    The duals x' of the whole stack, with <y, x> = sparse_frob(y, x'), come
-    from one `linalg.sandwich` L x R: (L, R) = (g, g^{-1}) on operators and
-    (g^{-1} / 2, g^{-1}) on 2-forms.  G is then one product of the
+    The duals x' of the whole stack, with <y, x> the sum of y * x' over all
+    entries, come from one `linalg.sandwich` L x R: (L, R) = (g, g^{-1}) on
+    operators and (g^{-1} / 2, g^{-1}) on 2-forms.  G is then one product of the
     flattened stack with the flattened duals, on integers over one
     denominator.  The pairing is symmetric, and a float G is made exactly
     so by mirroring its upper triangle.

@@ -59,7 +59,10 @@ class DualStructureTensor:
             raise DimensionMismatchError(
                 f"component array shape {self.comps.shape} != ({self.n},) * 3")
         N, d = linalg.scaled(self.comps)
-        if not linalg.mat_is_zero(N + np.transpose(N, (1, 0, 2)), self.tol):
+        tol = self.tol
+        if linalg.is_float_array(N):        # relative to the largest entry
+            tol *= max(1.0, np.max(np.abs(N)))
+        if not linalg.mat_is_zero(N + np.transpose(N, (1, 0, 2)), tol):
             raise ValueError("components are not antisymmetric in the vector pair")
         object.__setattr__(self, "_scaled", (N, d))
 
@@ -77,18 +80,15 @@ class DualStructureTensor:
 
 # --- the q map and its contractions ----------------------------------------
 
-def q_map(a: StructureLike, S: Metric,
-          require_unimodular: bool = True) -> DualStructureTensor:
+def q_map(a: StructureLike, S: Metric) -> DualStructureTensor:
     """The metric dual q(a, S) = S^{-1} e^i (x) S^{-1} a_i^T S.
 
-    Linear in a.  The unimodularity precondition applies when `a` is a
-    bracket meant to describe a metric Lie algebra; pass
-    require_unimodular=False to evaluate the bare bilinear formula.
+    Linear in a.  A bracket is meant to describe a metric Lie algebra and
+    must be unimodular; a raw component array is the bare bilinear formula.
     """
     if isinstance(a, StructureTensor):
         a, S = match_backends(a, S)
-        if require_unimodular:
-            structure.require_unimodular(a, "q")
+        structure.require_unimodular(a, "q")
     C, dc = _c_scaled(a)
     n = S.n
     if C.shape != (n, n, n):
@@ -154,32 +154,30 @@ def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
 
 def gauge_metric(g: np.ndarray, S: Metric) -> Metric:
     """Finite action g.S = g^{-T} S g^{-1} (pullback along g^{-1})."""
-    ginv = linalg.inv(g, S.tol)
-    return Metric(S.n, linalg.sparse_mm(linalg.sparse_mm(ginv.T, S.g), ginv), S.tol)
+    Gi, di = linalg.scaled(linalg.inv(g, S.tol))
+    G, dg = S._scaled[0]
+    return Metric(S.n, linalg.unscaled(linalg.contract(linalg.contract(Gi.T, G), Gi),
+                                       di * dg * di), S.tol)
 
 
 def gauge_structure(g: np.ndarray, a: StructureTensor) -> StructureTensor:
     """Finite action (g.a)(x, y) = g [g^{-1} x, g^{-1} y].
 
-    (g.a)^k_ij = sum over p < q, m of a^m_pq g[k, m] times the 2x2 minor
-    ginv[p, i] ginv[q, j] - ginv[q, i] ginv[p, j].
+    (g.a)^k_ij = sum over m of g[k, m] (ginv^T a^m ginv)[i, j], a^m the
+    matrix of the a^m_pq; float when g or a is.
     """
-    n = a.n
-    ginv = linalg.inv(g, a.tol)
-    out = {}
-    for (p, q, m), c in a.coeffs.items():
-        col = [(k, c * g[k, m]) for k in range(n) if not is_zero(g[k, m], a.tol)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                minor = ginv[p, i] * ginv[q, j] - ginv[q, i] * ginv[p, j]
-                if is_zero(minor, a.tol):
-                    continue
-                for k, x in col:
-                    out[(i, j, k)] = out.get((i, j, k), 0) + minor * x
-    # a float tensor stays float when it gauges to zero; otherwise the
-    # coefficients tell whether g was exact too
-    return StructureTensor.from_brackets(n, dict(sorted(out.items())), a.tol,
-                                         None if a.exact else False)
+    exact = a.exact and not linalg.is_float_array(g)
+    if not exact:
+        g, a = linalg.to_float(g), a.to_float()
+    (G, dg), (Gi, di) = linalg.scaled(g), linalg.scaled(linalg.inv(g, a.tol))
+    C, dc = a._scaled_array
+    A = linalg.sandwich(Gi.T, np.transpose(C, (2, 0, 1)), Gi)     # [m, i, j]
+    N = linalg.contract(np.transpose(A, (1, 2, 0)), G.T)          # [i, j, k]
+    i, j = np.triu_indices(a.n, 1)
+    T = linalg.unscaled(N[i, j], dc * dg * di * di)               # [i < j, k]
+    coeffs = {(p, q, k): x for p, q, row in zip(i.tolist(), j.tolist(), T.tolist())
+              for k, x in enumerate(row) if x}
+    return StructureTensor.from_brackets(a.n, coeffs, a.tol, exact)
 
 
 def infinitesimal_structure(X, a: StructureLike) -> np.ndarray:
@@ -187,12 +185,11 @@ def infinitesimal_structure(X, a: StructureLike) -> np.ndarray:
 
     Vanishes exactly when X is a derivation of a.
     """
-    c = linalg.unscaled(*_c_scaled(a))
-    mm = linalg.sparse_mm
-    t1 = mm(c, X.T)                                   # X[k,m] c[i,j,m]
-    t2 = mm(X.T, c)                                   # X[m,i] c[m,j,k]
-    t3 = mm(X.T, np.transpose(c, (1, 0, 2)))          # X[m,j] c[i,m,k], as [j,i,k]
-    return t1 - t2 - np.transpose(t3, (1, 0, 2))
+    (C, dc), (Y, dx) = _c_scaled(a), linalg.scaled(X.T)
+    t1 = linalg.contract(C, Y)                            # X[k,m] c[i,j,m]
+    t2 = linalg.contract(Y, C)                            # X[m,i] c[m,j,k]
+    t3 = linalg.contract(Y, np.transpose(C, (1, 0, 2)))   # X[m,j] c[i,m,k], as [j,i,k]
+    return linalg.unscaled(t1 - t2 - np.transpose(t3, (1, 0, 2)), dc * dx)
 
 
 # --- the scalar functional and criticality ----------------------------------
@@ -214,7 +211,7 @@ def gauge_derivative(a: StructureTensor, S: Metric, X) -> Scalar:
     """
     a, S = match_backends(a, S)
     ric = ricci_via_moment(a, S)
-    inner = linalg.sparse_frob(ric.ric_op, X.T)
+    inner = np.sum(ric.ric_op * X.T)
     alt = pairing(infinitesimal_structure(X, a), q_map(a, S)) / 4
     if not close(inner, alt, S.tol):
         raise AssertionError(

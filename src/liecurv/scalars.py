@@ -1,8 +1,11 @@
 """Scalar backend: exact rationals (fractions.Fraction) or IEEE doubles.
 
 Every matrix/tensor in this package holds either Fraction entries (exact
-backend) or Python floats (float backend); the algorithms are written to be
-generic over the two.  Zero/equality tests go through ``is_zero``/``close``,
+backend) or Python floats (float backend) where a public function takes or
+returns it; the algorithms are written to be generic over the two.  Inside,
+exact products, eliminations and the signature run on Python integers over a
+common denominator (``linalg.scaled``), so no pivot or size measure on
+rationals is needed.  Zero/equality tests go through ``is_zero``/``close``,
 which take the float comparison tolerance into account.
 """
 
@@ -58,11 +61,3 @@ def rationalize(x: float, max_denominator: int = 10**6) -> Fraction:
     """Continued-fraction reconstruction of a float as a small rational."""
     return Fraction(x).limit_denominator(max_denominator)
 
-
-def bit_size(x: Scalar) -> float:
-    """Pivot-selection size measure, smaller is better: -|x| for a float, the
-    stabler pivot of float `linalg.eliminate`, and the total bit length of a
-    rational, the cheaper pivot of exact `linalg.sylvester_signature`."""
-    if isinstance(x, float):
-        return -abs(x)
-    return x.numerator.bit_length() + x.denominator.bit_length()

@@ -195,8 +195,7 @@ def test_criterion_8_property_suite(capsys):
             # moment identity <mu(a,b), X> = <Xa, b>, no Jacobi assumed
             a = random_sparse_bracket(rng, n)
             S = random_metric(rng, n)
-            b = q_map(random_sparse_bracket(rng, n), S,
-                      require_unimodular=False)
+            b = q_map(random_sparse_bracket(rng, n), S)
             X = random_matrix(rng, n)
             mu, _ = moment_map(a, b)
             assert np.trace(mu @ X) == pairing(
@@ -206,17 +205,15 @@ def test_criterion_8_property_suite(capsys):
             a1 = random_sparse_bracket(rng, n)
             a2 = random_sparse_bracket(rng, n)
             S = random_metric(rng, n)
-            assert pairing(a1, q_map(a2, S, require_unimodular=False)) \
-                == pairing(a2, q_map(a1, S, require_unimodular=False))
+            assert pairing(a1, q_map(a2, S)) == pairing(a2, q_map(a1, S))
         for _ in range(500):
             # finite equivariance q(g.a, g.S) = g.q(a, S)
             c = random_sparse_bracket(rng, n)
             S = random_metric(rng, n)
             g = random_invertible(rng, n)
             a = tensor_from_array(c)
-            lhs = q_map(gauge_structure(g, a).as_array(), gauge_metric(g, S),
-                        require_unimodular=False)
-            rhs = gauge_dual(g, q_map(c, S, require_unimodular=False))
+            lhs = q_map(gauge_structure(g, a).as_array(), gauge_metric(g, S))
+            rhs = gauge_dual(g, q_map(c, S))
             assert linalg.mat_is_zero(lhs.comps - rhs.comps)
         for _ in range(500):
             # dq(a,S)(a', X.S) = q(a' - X.a, S) + X.q(a, S)
@@ -226,10 +223,8 @@ def test_criterion_8_property_suite(capsys):
             aprime = random_sparse_bracket(rng, n)
             W = infinitesimal_metric(X, S)
             lhs = dq(c, S, aprime, W).comps
-            rhs = q_map(aprime - infinitesimal_structure(X, c), S,
-                        require_unimodular=False).comps \
-                + infinitesimal_dual(X, q_map(c, S,
-                                              require_unimodular=False))
+            rhs = q_map(aprime - infinitesimal_structure(X, c), S).comps \
+                + infinitesimal_dual(X, q_map(c, S))
             assert linalg.mat_is_zero(lhs - rhs)
         # float cross-check of dq by central finite differences; metrics are
         # kept well-conditioned so the difference quotient stays accurate
@@ -243,10 +238,8 @@ def test_criterion_8_property_suite(capsys):
             aprime = linalg.to_float(random_sparse_bracket(rng, n))
             S = Metric(n, gmat)
             exact_dir = dq(c, S, aprime, W).comps
-            plus = q_map(c + h * aprime, Metric(n, gmat + h * W),
-                         require_unimodular=False).comps
-            minus = q_map(c - h * aprime, Metric(n, gmat - h * W),
-                          require_unimodular=False).comps
+            plus = q_map(c + h * aprime, Metric(n, gmat + h * W)).comps
+            minus = q_map(c - h * aprime, Metric(n, gmat - h * W)).comps
             fd = (plus - minus) / (2 * h)
             assert np.max(np.abs(fd - exact_dir.astype(float))) <= 1e-6
 

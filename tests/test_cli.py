@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 from liecurv import nice
 from liecurv.cli import main
 from liecurv.metric import parse_metric
-from liecurv.structure import parse_structure
+from liecurv.moment import gauge_metric, gauge_structure
+from liecurv.scalars import format_scalar
+from liecurv.structure import parse_structure, print_structure
+
+from tests_helpers import dense_basis_instances, euclidean
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -433,3 +437,21 @@ def test_malformed_metric_exits_2(text):
     assert code == 2
     assert "error:" in err and "Traceback" not in err
 
+
+
+def test_float_scalar_on_a_dense_basis(capsys, catalog_entries):
+    """12457D in three dense integer bases: the float backend gives the
+    exact s = -7/2 to 1e-9 instead of rejecting its own q as not
+    antisymmetric (exit 2 on the second basis)."""
+    bases = [(a, g) for name, a, g in dense_basis_instances(catalog_entries)
+             if name == "12457D"]
+    assert len(bases) == 3
+    for a, g in bases:
+        ga, gS = gauge_structure(g, a), gauge_metric(g, euclidean(a.n))
+        argv = ["scalar", "--structure", print_structure(ga), "--metric",
+                json.dumps([[format_scalar(x) for x in row] for row in gS.g])]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "s = -7/2\n"
+        code, out, err = run(capsys, "--backend", "float", *argv)
+        assert code == 0, err
+        assert abs(float(out.removeprefix("s = ")) + 3.5) <= 3.5e-9

@@ -400,7 +400,7 @@ def test_metric_and_moment_layers_match_dense_oracles(aS):
             assert_matches(B[k], want["B"][k], exact)
         for k in (2, 3, 4):
             assert_matches(traces[k], np.sum(S.ginv * want["B"][k].T), exact)
-        b = q_map(a_, S_, require_unimodular=False)
+        b = q_map(a_.as_array(), S_)
         assert_matches(b.comps, want["q"], exact)
         c1, c2 = contractions(a_, b)
         assert_matches(c1, want["c1"], exact)
@@ -478,7 +478,8 @@ def test_scaled_pairs_round_trip(shape, values):
     assert NF is F and dF == 1
     assert (linalg.unscaled(NF, dF) == F).all()
     # a product over a zero-length inner axis is all zeros, as Fractions
-    E = linalg.sparse_mm(M.reshape(-1, 1)[:, :0], np.zeros((0, 2), dtype=object))
+    E = linalg.unscaled(linalg.contract(N.reshape(-1, 1)[:, :0],
+                                        np.zeros((0, 2), dtype=object)), d)
     assert E.shape == (M.size, 2) and (E == 0).all()
     assert_fractions(E)
 

@@ -12,7 +12,7 @@ from liecurv.derivations import derivation_space
 from liecurv.errors import DegenerateMetricError
 from liecurv.scalars import close, parse_scalar
 
-from tests_helpers import dense_rref, from_rows
+from tests_helpers import dense_rref, from_rows, ldl_signature
 
 
 def test_zeros_and_eye_backends():
@@ -213,6 +213,71 @@ def test_signature_float_matches_exact():
     assert linalg.sylvester_signature(linalg.to_float(g)) == exact
 
 
+def random_symmetric(rng, kind):
+    """A seeded exact symmetric matrix, n in 1..8: sparse or dense rational
+    entries ("random"), the same with a zero diagonal, hyperbolic planes
+    and a diagonal moved by an integer congruence, or one of these made
+    degenerate by a repeated row and column."""
+    n = rng.randint(1, 8)
+    g = linalg.zeros((n, n))
+    if kind == "hyperbolic":
+        i = 0
+        while i < n:
+            if i + 1 < n and rng.random() < 0.6:
+                g[i, i + 1] = g[i + 1, i] = Fraction(rng.choice([-3, -1, 1, 2]))
+                i += 2
+            else:
+                g[i, i] = Fraction(rng.choice([-2, -1, 1, 3]))
+                i += 1
+        P = linalg.eye(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                P[i, j] = Fraction(rng.randint(-2, 2))
+        order = list(range(n))
+        rng.shuffle(order)
+        P = P[order]
+        return P.T @ g @ P
+    density = rng.choice([0.3, 1.0])
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < density:
+                g[i, j] = g[j, i] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    if kind == "zero-diagonal":
+        for i in range(n):
+            g[i, i] = Fraction(0)
+    if kind == "degenerate" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        g[j] = g[i]
+        g[:, j] = g[:, i]
+    return g
+
+
+@pytest.mark.parametrize("kind", ["random", "zero-diagonal", "hyperbolic",
+                                  "degenerate"])
+@pytest.mark.parametrize("seed", range(3))
+def test_signature_matches_the_ldl_oracle(kind, seed):
+    """The characteristic polynomial and Descartes' rule give the signature
+    of the symmetric elimination; both raise on a degenerate matrix."""
+    rng = random.Random(f"{kind}:{seed}")
+    raised = 0
+    for _ in range(60):
+        g = random_symmetric(rng, kind)
+        g_in = g.copy()
+        try:
+            want = ldl_signature(g)
+        except DegenerateMetricError:
+            raised += 1
+            with pytest.raises(DegenerateMetricError):
+                linalg.sylvester_signature(g)
+            continue
+        assert linalg.sylvester_signature(g) == want
+        assert (g == g_in).all()
+    if kind == "degenerate":
+        assert raised >= 50
+    elif kind == "hyperbolic":
+        assert raised == 0
+
+
 def random_product_input(kind, seed):
     """Seeded operands (A, B, C) for the product A.B and the pairing <A, C>:
     exact sparse/dense, with zero rows and columns, with big pairwise coprime
@@ -258,14 +323,17 @@ def random_product_input(kind, seed):
                                   "float-sparse"])
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_product_matches_dense_oracle(kind, seed):
+    """`contract` on scaled pairs, unscaled, is the product of the arrays,
+    and the sum of the product of the integers is the Frobenius pairing."""
     A, B, C = random_product_input(kind, seed)
     A_in, B_in = A.copy(), B.copy()
-    got = linalg.sparse_mm(A, B)
+    (NA, da), (NB, db), (NC, dc) = map(linalg.scaled, (A, B, C))
+    got = linalg.unscaled(linalg.contract(NA, NB), da * db)
     want = np.tensordot(A, B, 1) if kind.startswith("tensor") else A @ B
     assert (A == A_in).all() and (B == B_in).all()
     assert got.shape == want.shape and got.dtype == want.dtype
     assert (got == want).all()
-    frob = linalg.sparse_frob(A, C)
+    frob = linalg.unscaled(np.sum(NA * NC), da * dc)
     assert frob == np.sum(A * C)
     if kind.startswith("float"):
         assert isinstance(frob, float)

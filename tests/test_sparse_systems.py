@@ -137,7 +137,7 @@ def dense_integer_basis(rng, n):
     for i, j in itertools.combinations(range(n), 2):
         L[j, i] = Fraction(rng.randint(-1, 1))
         U[i, j] = Fraction(rng.randint(-1, 1))
-    return linalg.sparse_mm(L, U)
+    return L @ U
 
 
 def pairs_in_two_bases(pairs, seed):

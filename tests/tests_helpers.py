@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: test-only operations, and the dense
 versions that the sparse exact systems replaced, kept as their oracles."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -9,13 +10,13 @@ import numpy as np
 from liecurv import linalg
 from liecurv.curvature import (ConnectionCoefficients, _lowered, _operators,
                                levi_civita, match_backends, ricci_general)
-from liecurv.errors import DimensionMismatchError
+from liecurv.errors import DegenerateMetricError, DimensionMismatchError
 from liecurv.metric import Metric, _duals, scaled_gram
 from liecurv.moment import DualStructureTensor, q_map
 from liecurv.nice import _closed_form, _squared_terms
-from liecurv.scalars import DEFAULT_TOL, bit_size, is_zero, parse_scalar
-from liecurv.structure import (StructureTensor, _centre_rows, killing_form,
-                               trace_ad)
+from liecurv.scalars import DEFAULT_TOL, is_zero, parse_scalar
+from liecurv.structure import (StructureTensor, _centre_rows, is_lie,
+                               is_unimodular, killing_form, trace_ad)
 
 
 def euclidean(n: int, exact: bool = True) -> Metric:
@@ -29,6 +30,42 @@ def structure_from_json(data, exact: bool = True,
     coeffs = {(b["i"] - 1, b["j"] - 1, b["k"] - 1): parse_scalar(str(b["c"]), exact)
               for b in data["brackets"]}
     return StructureTensor.from_brackets(data["n"], coeffs, tol, exact)
+
+
+def mm(A, B):
+    """The product of the last axis of A with the first axis of B, on
+    Fraction or float arrays: the reference for `linalg.contract`."""
+    return np.tensordot(A, B, 1)
+
+
+def bit_size(x) -> int:
+    """Total bit length of a rational: the cheaper exact pivot of the
+    oracles below."""
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def unit_upper_basis(rng, n: int) -> np.ndarray:
+    """A unit upper triangular integer matrix, entries above the diagonal
+    in -2..2: a dense integral change of basis of determinant 1."""
+    g = linalg.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i, j] = Fraction(rng.randint(-2, 2))
+    return g
+
+
+def dense_basis_instances(entries, each: int = 3, seed: int = 0):
+    """(name, a, g) for the exact unimodular Lie brackets among catalog
+    `entries`, in their order, each with `each` bases `unit_upper_basis`
+    drawn from one random.Random(seed)."""
+    rng = random.Random(seed)
+    for e in entries:
+        if not e.exact:
+            continue
+        a = e.parse()
+        if is_lie(a) and is_unimodular(a):
+            for _ in range(each):
+                yield e.name, a, unit_upper_basis(rng, a.n)
 
 
 def tensor_from_array(c):
@@ -53,7 +90,7 @@ def lowered_brackets(a: StructureTensor, S: Metric) -> np.ndarray:
 def pair_operators(S: Metric, u1: np.ndarray, u2: np.ndarray):
     """Induced pairing on T*⊗T: <u1, u2> = Tr(u1 o u2*)."""
     D, d = _duals(S, linalg.scaled(u2[None]), "T*T")
-    return linalg.sparse_frob(u1, linalg.unscaled(D[0], d))
+    return np.sum(u1 * linalg.unscaled(D[0], d))
 
 
 def gram(S: Metric, mats, shape: str) -> np.ndarray:
@@ -179,54 +216,53 @@ def pairwise_curvature_operators(a: StructureTensor, S) -> dict:
 
 def metric_adjoint(S, u) -> np.ndarray:
     """u* = g^{-1} u^T g, with <u v, w> = <v, u* w>."""
-    return linalg.sparse_mm(linalg.sparse_mm(S.ginv, u.T), S.g)
+    return mm(mm(S.ginv, u.T), S.g)
 
 
 def dual(S, x, shape: str) -> np.ndarray:
-    """x' with <y, x> = sparse_frob(y, x') on "T*T" or "Lambda2T*", one
+    """x' with <y, x> = np.sum(y * x') on "T*T" or "Lambda2T*", one
     matrix at a time: (x*)^T for operators, g^{-1} x g^{-1} / 2 for
     2-forms; the pairwise definition that `gram` batches."""
     if shape == "T*T":
         return metric_adjoint(S, x).T
     if shape == "Lambda2T*":
-        return linalg.sparse_mm(linalg.sparse_mm(S.ginv, x), S.ginv) / 2
+        return mm(mm(S.ginv, x), S.ginv) / 2
     raise ValueError(f"no matrix pairing on tensor shape {shape!r}")
 
 
 def pair_two_forms(S, alpha, beta):
     """Induced pairing on Lambda^2 T* for antisymmetric component matrices."""
-    return linalg.sparse_frob(alpha, dual(S, beta, "Lambda2T*"))
+    return np.sum(alpha * dual(S, beta, "Lambda2T*"))
 
 
 def pair_bracket_tensors(S, c1, c2):
     """Induced pairing on Lambda^2 T* ⊗ T for arrays c[i, j, k] (antisym i,j)."""
     # lower the vector index of c1, raise its two form indices, then contract
-    t = linalg.sparse_mm(c1, S.g)                                   # [i, j, p]
-    t = linalg.sparse_mm(S.ginv.T, t)                               # [l, j, p]
-    t = linalg.sparse_mm(S.ginv.T, np.transpose(t, (1, 0, 2)))      # [m, l, p]
-    return linalg.sparse_frob(t, np.transpose(c2, (1, 0, 2))) / 2
+    t = mm(c1, S.g)                                   # [i, j, p]
+    t = mm(S.ginv.T, t)                               # [l, j, p]
+    t = mm(S.ginv.T, np.transpose(t, (1, 0, 2)))      # [m, l, p]
+    return np.sum(t * np.transpose(c2, (1, 0, 2))) / 2
 
 
 # --- the gauge action on the dual side and the derivative of q ---------------
 
 def infinitesimal_metric(X, S):
     """Derivative of exp(tX).S at t = 0: -X^T S - S X (a symmetric matrix)."""
-    return linalg.sparse_mm(-X.T, S.g) - linalg.sparse_mm(S.g, X)
+    return mm(-X.T, S.g) - mm(S.g, X)
 
 
 def gauge_dual(g, b):
     """Finite action on the dual side; equivariance partner of gauge_structure."""
     ginv = linalg.inv(g, b.tol)
-    t = linalg.sparse_mm(g, b.comps)                           # [k, j', l']
-    t = linalg.sparse_mm(g, np.transpose(t, (1, 0, 2)))        # [j, k, l']
-    t = linalg.sparse_mm(t, ginv)                              # [j, k, l]
+    t = mm(g, b.comps)                                # [k, j', l']
+    t = mm(g, np.transpose(t, (1, 0, 2)))             # [j, k, l']
+    t = mm(t, ginv)                                   # [j, k, l]
     return DualStructureTensor(b.n, np.transpose(t, (1, 0, 2)), b.tol)
 
 
 def infinitesimal_dual(X, b):
     """Derivative of exp(tX).b at t = 0, as a raw component array."""
     c = b.comps
-    mm = linalg.sparse_mm
     t1 = mm(X, c)                                     # X[i,m] c[m,j,l]
     t2 = mm(X, np.transpose(c, (1, 0, 2)))            # X[j,m] c[i,m,l], as [j,i,l]
     t3 = mm(c, X)                                     # c[i,j,m] X[m,l]
@@ -238,8 +274,7 @@ def dq(a, S, a_prime, W):
 
     Satisfies dq(a, S)(a', X.S) = q(a' - X.a, S) + X.q(a, S) for any X.
     """
-    mm = linalg.sparse_mm
-    base = q_map(a_prime, S, require_unimodular=False).comps
+    base = q_map(a_prime, S).comps
     c = a.as_array() if isinstance(a, StructureTensor) else a
     # q(a, S)[m] = sum_i g^{-1}[i, m] u_i*, where g^{-1} moves by
     # -T = -g^{-1} W g^{-1} and u_i* = g^{-1} c[i] g by g^{-1} (c[i] W - W u_i*)
@@ -389,6 +424,66 @@ def holonomy_tower(a: StructureTensor, S: Metric) -> tuple:
 
 
 # --- dense oracles of the sparse exact systems -------------------------------
+
+def ldl_signature(g) -> tuple:
+    """Signature (p, q) of a nondegenerate exact symmetric matrix by
+    symmetric elimination (LDL^T with symmetric pivoting, least `bit_size`
+    first): the loop that the characteristic polynomial of
+    `linalg.sylvester_signature` replaced, kept as its reference.  An
+    isotropic diagonal is handled by a row+column addition, which is a
+    congruence and therefore signature-preserving."""
+    n = g.shape[0]
+    G = g.copy()
+    active = list(range(n))
+    p = q = 0
+    while active:
+        diag = [i for i in active if G[i, i] != 0]
+        if diag:
+            i = min(diag, key=lambda k: (bit_size(G[k, k]), k))
+        else:
+            pair = [(i, j) for i in active for j in active if i < j and G[i, j] != 0]
+            if not pair:
+                raise DegenerateMetricError("symmetric matrix is degenerate")
+            i, j = min(pair, key=lambda ij: (bit_size(G[ij[0], ij[1]]), ij))
+            for k in active:
+                G[i, k] = G[i, k] + G[j, k]
+            for k in active:
+                G[k, i] = G[k, i] + G[k, j]
+        if G[i, i] > 0:
+            p += 1
+        else:
+            q += 1
+        active.remove(i)
+        for r in active:
+            if G[r, i] != 0:
+                f = G[r, i] / G[i, i]
+                for c in active:
+                    G[r, c] = G[r, c] - f * G[i, c]
+                G[r, i] = Fraction(0)
+        for c in active:
+            G[i, c] = Fraction(0)
+    return p, q
+
+
+def minor_gauge_structure(g, a: StructureTensor) -> StructureTensor:
+    """(g.a)^k_ij = sum over p < q, m of a^m_pq g[k, m] times the 2x2 minor
+    ginv[p, i] ginv[q, j] - ginv[q, i] ginv[p, j]: the loop that the
+    products of `moment.gauge_structure` replaced, kept as its reference."""
+    n = a.n
+    ginv = linalg.inv(g, a.tol)
+    out = {}
+    for (p, q, m), c in a.coeffs.items():
+        col = [(k, c * g[k, m]) for k in range(n) if not is_zero(g[k, m], a.tol)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                minor = ginv[p, i] * ginv[q, j] - ginv[q, i] * ginv[p, j]
+                if is_zero(minor, a.tol):
+                    continue
+                for k, x in col:
+                    out[(i, j, k)] = out.get((i, j, k), 0) + minor * x
+    return StructureTensor.from_brackets(n, dict(sorted(out.items())), a.tol,
+                                         None if a.exact else False)
+
 
 def dense_rref(M, tol=DEFAULT_TOL):
     """The dense Gauss-Jordan elimination that the sparse `linalg.eliminate`
@@ -569,7 +664,7 @@ def dense_killing_form(a: StructureTensor) -> np.ndarray:
     B = linalg.zeros((a.n, a.n), a.exact)
     for i in range(a.n):
         for j in range(i, a.n):
-            B[i, j] = B[j, i] = linalg.sparse_frob(ads[i], ads[j].T)
+            B[i, j] = B[j, i] = np.sum(ads[i] * ads[j].T)
     return B
 
 
