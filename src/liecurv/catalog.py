@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from . import curvature, derivations, linalg, moment, nice, structure
+from . import curvature, derivations, moment, nice, structure
 from .errors import CatalogSchemaError, LieCurvError
 from .metric import parse_metric, signature
 from .scalars import close, is_zero, parse_scalar
@@ -211,7 +211,7 @@ def _check_metric_claims(entry, a, spec):
             continue
         if claim == "ricci_flat":
             ric = ric or curvature.ricci_general(a, S)
-            computed = linalg.mat_is_zero(ric.ric_form, S.tol)
+            computed = ric.einstein == 0    # Ricci-flat: Einstein, lambda = 0
         elif claim == "signature":
             sig = signature(S)
             computed = [sig.p, sig.q]

@@ -355,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="scalar backend (default: exact, or $RICCI_BACKEND)")
     common.add_argument("--tolerance", type=_tolerance,
-                        default=argparse.SUPPRESS)
+                        default=argparse.SUPPRESS,
+                        help="float zero and rank threshold, relative to the "
+                             f"operand's scale (default: {DEFAULT_TOL:g})")
     common.add_argument("--output", choices=("text", "json"),
                         default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(

@@ -141,15 +141,22 @@ class RicciData:
     einstein: Optional[Scalar]
 
     @classmethod
-    def from_form(cls, S: Metric, form: np.ndarray, d: int = 1) -> "RicciData":
-        """From the Ricci form, the `linalg.scaled` pair (form, d); the
-        Einstein test compares the integers of the operator."""
+    def from_form(cls, S: Metric, terms: np.ndarray, d: int = 1) -> "RicciData":
+        """From the Ricci form as the sum of the stack `terms`, a
+        `linalg.scaled` pair (terms, d).  The Einstein test compares the
+        integers of the operator; on floats it is relative to the size of
+        the terms, so no scale of g moves it, and a form that cancels to
+        rounding reads lambda = 0.0."""
         Gi, di = S._scaled[1]
+        form = np.sum(terms, axis=0)
         op = linalg.contract(Gi, form)
         dev = op.copy()
         dev[np.diag_indices(S.n)] -= op[0, 0]
+        tol = S.tol * (1 if S.exact else np.max(np.abs(Gi) @ np.abs(terms).sum(0)))
         ric_op = linalg.unscaled(op, di * d)
-        einstein = ric_op[0, 0] if linalg.mat_is_zero(dev, S.tol) else None
+        einstein = None
+        if linalg.mat_is_zero(dev, tol):
+            einstein = 0.0 if not S.exact and abs(op[0, 0]) <= tol else ric_op[0, 0]
         return cls(S.n, linalg.unscaled(form, d), ric_op,
                    linalg.unscaled(np.trace(op), di * d), einstein)
 
@@ -213,7 +220,7 @@ def ricci_general(a: StructureTensor, S: Metric) -> RicciData:
     a, S = match_backends(a, S)
     B1, B3, B5, _, _ = _b_forms(a, S)
     (b1, b5, b3, b4), d = linalg.common(B1, B5, B3, linalg.scaled(killing_form(a)))
-    return RicciData.from_form(S, *linalg.over(-b1 + b5 - b3 - b4, d, 2))
+    return RicciData.from_form(S, *linalg.over(np.stack([-b1, b5, -b3, -b4]), d, 2))
 
 
 def ricci_killing_zero(a: StructureTensor, S: Metric) -> RicciData:
@@ -222,7 +229,7 @@ def ricci_killing_zero(a: StructureTensor, S: Metric) -> RicciData:
     a, S = match_backends(a, S)
     _, B3, B5, _, _ = _b_forms(a, S)
     (b5, b3), d = linalg.common(B5, B3)
-    return RicciData.from_form(S, *linalg.over(b5 - b3, d, 2))
+    return RicciData.from_form(S, *linalg.over(np.stack([b5, -b3]), d, 2))
 
 
 def ricci_index_oracle(a: StructureTensor, S: Metric) -> RicciData:
@@ -241,15 +248,14 @@ def ricci_index_oracle(a: StructureTensor, S: Metric) -> RicciData:
     c = np.einsum("pqm,ms,sr->pqr", br, g, F)
     e = eps.astype(float)
     ee = np.einsum("i,k->ik", e, e)
-    ric = (0.5 * np.einsum("ik,iki,kjh->jh", ee, c, c)
-           + 0.5 * np.einsum("ik,iki,khj->jh", ee, c, c)
-           + 0.25 * np.einsum("ik,ikh,ikj->jh", ee, c, c)
-           - 0.5 * np.einsum("ik,ijk,khi->jh", ee, c, c)
-           + 0.5 * np.einsum("ik,iki,jhk->jh", ee, c, c)
-           - 0.5 * np.einsum("ik,ijk,ihk->jh", ee, c, c))
-    Finv = np.linalg.inv(F)
-    form = Finv.T @ ric @ Finv
-    return RicciData.from_form(S, form)
+    ric = np.stack([0.5 * np.einsum("ik,iki,kjh->jh", ee, c, c),
+                    0.5 * np.einsum("ik,iki,khj->jh", ee, c, c),
+                    0.25 * np.einsum("ik,ikh,ikj->jh", ee, c, c),
+                    -0.5 * np.einsum("ik,ijk,khi->jh", ee, c, c),
+                    0.5 * np.einsum("ik,iki,jhk->jh", ee, c, c),
+                    -0.5 * np.einsum("ik,ijk,ihk->jh", ee, c, c)])
+    Finv = linalg.inv(F, S.tol)
+    return RicciData.from_form(S, Finv.T @ ric @ Finv)
 
 
 def mn_criterion(a: StructureTensor, S: Metric):
@@ -267,15 +273,26 @@ def mn_criterion(a: StructureTensor, S: Metric):
     def null_dim(X, shape):
         """Null-space dimension of the pairing on `shape` restricted to the
         span of the n x n matrices of the stack X: rank B less rank Gram(B),
-        B the reduced rows of X, each on a scale that no rank sees.  (Gram(X)
-        has that rank too, but a float rank of it can exceed rank B.)"""
+        B the reduced rows of X, on the exact backend integer rows on a
+        scale that no rank sees.  (Gram(X) has that rank too, but a float
+        rank of it can exceed rank B.)  A float entry of Gram(B) within tol
+        of the size of its terms, |B| (|L| |B| |R|)^T for the duals L B R
+        of `metric.scaled_gram`, is zero, as a float rank is relative."""
         rows = linalg.sparse_rows(X.reshape(n, n * n).tolist(), a.exact)
-        reduced, pivots = linalg.eliminate(rows, a.exact, a.tol)
-        B = np.zeros((len(pivots), n * n), dtype=C.dtype)
-        for b, row in zip(B, reduced):
-            b[list(row)] = list(row.values())
+        if a.exact:
+            reduced, pivots = linalg.eliminate(rows)
+            B = np.zeros((len(pivots), n * n), dtype=object)
+            for b, row in zip(B, reduced):
+                b[list(row)] = list(row.values())
+        else:
+            B = linalg.row_space(rows, n * n, False, a.tol)
         G, _ = scaled_gram(S, (B.reshape(-1, n, n), 1), shape)
-        return len(pivots) - linalg.rank(G, a.tol)
+        if not a.exact:
+            (g, _), (gi, _) = S._scaled
+            L, R = (g, gi) if shape == "T*T" else (gi / 2, gi)
+            size = linalg.sandwich(np.abs(L), np.abs(B).reshape(-1, n, n), np.abs(R))
+            G[np.abs(G) <= a.tol * np.abs(B) @ size.reshape(len(B), n * n).T] = 0.0
+        return len(B) - linalg.rank(G, a.tol)
 
     # ad(g) is spanned by the ad(e_i), d(g*) by the de^k
     dim_m = null_dim(np.transpose(C, (0, 2, 1)), "T*T")
@@ -325,10 +342,9 @@ def holonomy_span(a: StructureTensor, S: Metric):
 
     A matrix X of so(p, q) is ranked by its coordinates, the entries above
     the diagonal of the antisymmetric g X, so no rank exceeds n(n-1)/2, and
-    X counts as zero when they are.  Each order is one elimination with the
-    coordinates as columns, whose pivots name the matrices that raise the
-    rank.  Exact coordinates are integers; float ones are scaled to unit
-    max-abs, which no rank sees.
+    X counts as zero when they are.  Each order is one rank, exact on
+    integer coordinates or by `linalg.svd_rank`, with the coordinates as
+    columns, whose pivots name the matrices that raise the rank.
     """
     a, S = match_backends(a, S)
     n = a.n
@@ -336,16 +352,16 @@ def holonomy_span(a: StructureTensor, S: Metric):
     (R, _), (gamma, _) = _operators(a, S)
     G = np.transpose(gamma, (0, 2, 1))
     g = S._scaled[0][0]
+    tol = a.tol * np.abs(g).max()       # coordinates scale with g, X does not
     I, J = np.triu_indices(n, 1)
     full_dim = len(I)
     span, new = [], list(R)    # span: (X, coordinates of X) for each X kept
     while new:
         coords = ((X, (g @ X)[I, J]) for X in new)
-        cols = span + [(X, v if a.exact else v / np.abs(v).max())
-                       for X, v in coords if not linalg.mat_is_zero(v, a.tol)]
+        cols = span + [(X, v) for X, v in coords if not linalg.mat_is_zero(v, tol)]
         rows = [{c: v[p] for c, (_, v) in enumerate(cols) if v[p]}
                 for p in range(full_dim)]
-        pivots = linalg.eliminate(rows, a.exact, a.tol)[1]
+        pivots = linalg.pivot_columns(rows, len(cols), a.exact, a.tol)
         grown = [cols[c][0] for c in pivots if c >= len(span)]
         span = [cols[c] for c in pivots]
         if len(span) == full_dim:

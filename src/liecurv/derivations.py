@@ -75,8 +75,8 @@ def derivation_space(a: StructureTensor) -> DerivationSpace:
     """
     require_lie(a, "the derivation space")
     n = a.n
-    null = linalg.kernel(_derivation_system(a), n * n, a.exact, a.tol)
-    basis = tuple(B.reshape(n, n) for B in linalg.row_space(null, n * n, a.exact, a.tol))
+    basis = tuple(B.reshape(n, n) for B in linalg.null_space(
+        _derivation_system(a), n * n, a.exact, a.tol))
     witness = next((B for B in basis if not is_zero(np.trace(B), a.tol)), None)
     return DerivationSpace(n, basis, witness)
 

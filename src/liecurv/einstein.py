@@ -150,7 +150,7 @@ def _log_solve(a: StructureTensor, terms) -> list:
         rows.append(row)
     rows += [{next(m for m, x in enumerate(v) if x): 1}
              for v in a._diagonal_certificate.basis]
-    reduced, _ = linalg.eliminate(rows, True)
+    reduced, _ = linalg.eliminate(rows)
     out = []
     for m, row in zip(range(n), reduced):     # the pivots are 0, ..., n - 1
         s = 1 if row[m] > 0 else -1

@@ -3,15 +3,14 @@
 Exact matrices are numpy object arrays of Fractions; float matrices are
 ordinary float64 arrays.  Two kernels carry every exact computation:
 
-- one Gauss-Jordan elimination, `eliminate`, on sparse rows, {column:
-  entry} dicts of their nonzeros; `kernel` returns such rows, and the
-  exact systems built from structure constants reach it as sparse integer
-  rows, with no dense matrix.  A subspace stays the reduced rows that
-  `eliminate` returns from one elimination to the next; `row_space` makes
-  a Fraction matrix of them only for a public result.  `rref`, `rank` and
-  `inv` are its adapters for ndarrays.  Exact rows are reduced row by row
-  against the reduced rows so far, with bounded growth; floats are reduced
-  column by column with pivots of largest magnitude;
+- one Gauss-Jordan elimination, `eliminate`, on sparse integer rows,
+  {column: entry} dicts of their nonzeros; `kernel` returns such rows, and
+  the exact systems built from structure constants reach it with no dense
+  matrix.  A subspace stays the reduced rows that `eliminate` returns from
+  one elimination to the next; `row_space` makes a Fraction matrix of them
+  only for a public result.  `rank` and `inv` are its adapters for
+  ndarrays.  Rows are reduced row by row against the reduced rows so far,
+  with bounded growth;
 - one product, `contract`, numpy's `@` on 2-D reshapes; a tensor
   contraction is a product of reshaped arrays, and a family of matrices is
   transformed by one `sandwich` of its stack.
@@ -24,6 +23,11 @@ public function returns.  A float array is the pair (M, 1), and `over`
 divides its entries, so floats run the same code and sum in the same
 order.  The exact signature is read off the characteristic polynomial of
 N, which `contract` builds on integers.
+
+Floats have no elimination: every float rank, kernel, row space, pivot set
+and inverse comes from one SVD, `svd_rank`, so float zero and rank
+decisions are relative to the operand's scale.  A float public basis is the
+reduced echelon form of the orthonormal one: the exact output to rounding.
 
 Output ordering is deterministic.
 """
@@ -42,8 +46,8 @@ __all__ = [
     "zeros", "eye", "to_float", "is_float_array",
     "mat_equal", "mat_is_zero", "as_integers", "scaled", "unscaled",
     "common", "over", "contract", "sandwich",
-    "sparse_rows", "eliminate", "kernel", "rref", "rank", "row_space", "inv",
-    "sylvester_signature",
+    "sparse_rows", "eliminate", "kernel", "svd_rank", "pivot_columns", "rank",
+    "row_space", "null_space", "inv", "sylvester_signature",
 ]
 
 
@@ -173,134 +177,188 @@ def _subtract(row: dict, f, other: dict) -> dict:
     return row
 
 
-def eliminate(rows, exact: bool, tol: float = DEFAULT_TOL):
-    """Gauss-Jordan elimination on sparse rows, {column: entry} dicts with
-    integer entries on the exact backend (left unmodified); every rank,
-    kernel, row space and inverse here goes through it.
+def eliminate(rows):
+    """Gauss-Jordan elimination on sparse integer rows, {column: entry}
+    dicts (left unmodified); every exact rank, kernel, row space and
+    inverse here goes through it.
 
     Returns (reduced, pivots).  For r < len(pivots), reduced[r] is row r of
-    the reduced row echelon form, its pivot in column pivots[r] (ascending):
-    exact rows as primitive integer rows, to be divided by that pivot,
-    float rows with pivot 1.  The rows after them hold no entry, or on
-    floats only entries with `is_zero`.
+    the reduced row echelon form, its pivot in column pivots[r] (ascending),
+    as a primitive integer row, to be divided by that pivot.  The rows after
+    them hold no entry.
 
-    Exact rows are reduced row by row, fraction-free on primitive integer
-    rows: each is reduced once against the reduced rows so far, which hold
-    no pivot column but their own, and what is left, if anything, becomes a
+    Rows are reduced row by row, fraction-free on primitive integer rows:
+    each is reduced once against the reduced rows so far, which hold no
+    pivot column but their own, and what is left, if anything, becomes a
     pivot row whose leading column is cleared from them.  The rows so far
     are the reduced echelon form of a prefix of the input, so by Cramer's
     rule their entries are bounded by minors of that prefix, with no choice
-    of pivot.  Floats go column by column; the pivot is the entry of largest
-    magnitude, lowest current position on ties, and
-    entries with `is_zero` are neither pivots nor eliminated."""
-    if exact:
-        reduced = {}                     # pivot column -> its reduced row
-        for row in rows:
-            row = {c: x for c, x in row.items() if x}
-            hits = [(reduced[c], c, f) for c, f in row.items() if c in reduced]
-            if hits:
-                # the least scale with scale * f / p[c] integral for every hit
-                scale = lcm(*(p[c] // gcd(p[c], f) for p, c, f in hits))
-                row = {c: scale * x for c, x in row.items()}
-                for p, c, f in hits:
-                    _subtract(row, scale * f // p[c], p)
-            if not row:
-                continue
-            _primitive(row)
-            lead = min(row)
-            d = row[lead]
-            for p in reduced.values():
-                f = p.get(lead)
-                if f:
-                    # p <- (d/g) p - (f/g) row, g = gcd(d, f)
-                    g = gcd(d, f)
-                    if d != g:
-                        for c in p:
-                            p[c] *= d // g
-                    _primitive(_subtract(p, f // g, row))
-            reduced[lead] = row
-        pivots = sorted(reduced)
-        return [reduced[c] for c in pivots] + [{} for _ in rows[len(pivots):]], pivots
-    rows = [{c: x for c, x in row.items() if x} for row in rows]
-    pivots = []
-    for col in sorted({c for row in rows for c in row}):
-        top = len(pivots)
-        k = min(range(top, len(rows)), default=None,
-                key=lambda k: -abs(rows[k].get(col, 0.0)))
-        if k is None or is_zero(rows[k].get(col, 0.0), tol):
+    of pivot."""
+    reduced = {}                         # pivot column -> its reduced row
+    for row in rows:
+        row = {c: x for c, x in row.items() if x}
+        hits = [(reduced[c], c, f) for c, f in row.items() if c in reduced]
+        if hits:
+            # the least scale with scale * f / p[c] integral for every hit
+            scale = lcm(*(p[c] // gcd(p[c], f) for p, c, f in hits))
+            row = {c: scale * x for c, x in row.items()}
+            for p, c, f in hits:
+                _subtract(row, scale * f // p[c], p)
+        if not row:
             continue
-        p = {c: x / rows[k][col] for c, x in rows[k].items()}
-        rows[k], rows[top] = rows[top], p
-        for row in rows:
-            f = row.get(col)
-            if row is not p and f is not None and not is_zero(f, tol):
-                _subtract(row, f, p)
-        pivots.append(col)
-    return rows, pivots
+        _primitive(row)
+        lead = min(row)
+        d = row[lead]
+        for p in reduced.values():
+            f = p.get(lead)
+            if f:
+                # p <- (d/g) p - (f/g) row, g = gcd(d, f)
+                g = gcd(d, f)
+                if d != g:
+                    for c in p:
+                        p[c] *= d // g
+                _primitive(_subtract(p, f // g, row))
+        reduced[lead] = row
+    pivots = sorted(reduced)
+    return [reduced[c] for c in pivots] + [{} for _ in rows[len(pivots):]], pivots
 
 
-def kernel(rows, n_cols: int, exact: bool, tol: float = DEFAULT_TOL) -> list:
-    """Sparse basis of the right kernel of the matrix with these rows (as
-    for `eliminate`) and n_cols columns: per free column f, ascending, e_f
-    minus the reduced rows' entries in column f placed at their pivots;
-    exact rows as primitive integer rows, positive in f, their last column.
-    A float pivot row is not divided again: its pivot may have drifted from 1
-    by eliminating with a later pivot row that held an `is_zero` entry."""
-    reduced, pivots = eliminate(rows, exact, tol)
+def kernel(rows, n_cols: int) -> list:
+    """Sparse basis of the right kernel of the matrix with these integer
+    rows (as for `eliminate`) and n_cols columns: per free column f,
+    ascending, e_f minus the reduced rows' entries in column f placed at
+    their pivots, as a primitive integer row, positive in f, its last
+    column."""
+    reduced, pivots = eliminate(rows)
     basis = []
     for f in sorted(set(range(n_cols)) - set(pivots)):
         hits = [(p, row) for p, row in zip(pivots, reduced) if f in row]
-        if exact:
-            d = lcm(*(row[p] for p, row in hits))
-            v = {f: d}
-            v.update((p, -row[f] * (d // row[p])) for p, row in hits)
-            basis.append(_primitive(v))
-        else:
-            v = {f: 1.0}
-            v.update((p, -row[f]) for p, row in hits)
-            basis.append(v)
+        d = lcm(*(row[p] for p, row in hits))
+        v = {f: d}
+        v.update((p, -row[f] * (d // row[p])) for p, row in hits)
+        basis.append(_primitive(v))
     return basis
 
 
-def _dense(reduced, pivots, shape, exact: bool) -> np.ndarray:
-    """The first shape[0] rows of `eliminate` as a matrix."""
-    R = zeros(shape, exact)
+def svd_rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """(U, s, Vh, pivots) of a float matrix M, m x n: numpy's SVD, with Vh
+    n x n, and the pivot columns; every float rank, kernel, row space, pivot
+    set and inverse here comes from it.  A singular value at or below
+    tol * sigma_max counts as zero, so no scale of M moves the rank
+    r = len(pivots) (Golub and Van Loan, Matrix Computations, 5.4); Vh[:r]
+    spans the row space and Vh[r:] the kernel.  The pivots are the columns
+    that raise the rank of a prefix."""
+    M = np.asarray(M, dtype=float)
+    full = M.shape[0] < M.shape[1]
+    try:
+        U, s, Vh = np.linalg.svd(M, full_matrices=full)
+    except np.linalg.LinAlgError:   # LAPACK's gesdd fails on a few; M^T = V S U^T
+        V, s, Ut = np.linalg.svd(M.T, full_matrices=full)
+        U, Vh = Ut.T, V.T
+    r = np.sum(s > tol * s.max(initial=0.0))
+    return U, s, Vh, _pivots(s[:r, None] * Vh[:r], tol)
+
+
+def _pivots(W: np.ndarray, tol: float) -> list:
+    """The columns that raise the rank of a prefix of W, whose rows are
+    orthogonal with norms s_1 >= ... >= s_r, the columns of M in the basis
+    of the left singular vectors: each at a distance above
+    t = min(tol s_1, s_r / (2 sqrt n)) from the span of the pivots before
+    it.  Rounding stays below t, and a direction that no pivot reaches is
+    at least s_r / sqrt n from some column, so there are r pivots."""
+    s = np.linalg.norm(W, axis=1)
+    t = min(tol * s.max(initial=0), s.min(initial=np.inf) / (2 * W.shape[1] ** 0.5))
+    Q, pivots = np.zeros((len(W), 0)), []
+    for j, v in enumerate(W.T):
+        if len(pivots) == len(W):
+            break
+        v = v - Q @ (Q.T @ v)
+        v = v - Q @ (Q.T @ v)           # Gram-Schmidt twice is enough
+        norm = np.sqrt(v @ v)
+        if norm > t:
+            Q = np.column_stack([Q, v / norm])
+            pivots.append(j)
+    return pivots
+
+
+def _echelon(W: np.ndarray, pivots: list, tol: float) -> np.ndarray:
+    """W[:, P]^-1 W for the pivots P of W: the reduced echelon basis of the
+    row space of W, an entry at or below tol times the largest of its row
+    set to 0."""
+    B = np.linalg.solve(W[:, pivots], W) if pivots else W
+    B[np.abs(B) <= tol * np.abs(B).max(axis=1, keepdims=True)] = 0.0
+    B[range(len(pivots)), pivots] = 1.0
+    return B
+
+
+def _float_matrix(rows, n: int) -> np.ndarray:
+    """Float rows, {column: entry} dicts, as an array with n columns."""
+    M = np.zeros((len(rows), n))
+    for r, row in enumerate(rows):
+        M[r, list(row)] = list(row.values())
+    return M
+
+
+def pivot_columns(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> list:
+    """The pivot columns of the matrix with these rows, as `row_space`
+    takes them, and n columns; its rank is their number."""
+    if exact:
+        return eliminate(rows)[1]
+    return svd_rank(_float_matrix(rows, n), tol)[3]
+
+
+def _dense(reduced, pivots, shape) -> np.ndarray:
+    """The first shape[0] rows of `eliminate` as a Fraction matrix."""
+    R = zeros(shape)
     for r, row in enumerate(reduced[:shape[0]]):
         for c, x in row.items():
-            R[r, c] = Fraction(x, row[pivots[r]]) if exact else x
+            R[r, c] = Fraction(x, row[pivots[r]])
     return R
 
 
-def rref(M: np.ndarray, tol: float = DEFAULT_TOL):
-    """Reduced row echelon form of a matrix; returns (R, pivot_columns)."""
-    exact = not is_float_array(M)
-    reduced, pivots = eliminate(sparse_rows(M.tolist(), exact), exact, tol)
-    return _dense(reduced, pivots, M.shape, exact), pivots
-
-
 def rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    exact = not is_float_array(M)
-    return len(eliminate(sparse_rows(M.tolist(), exact), exact, tol)[1])
+    if is_float_array(M):
+        return len(svd_rank(M, tol)[3])
+    return len(eliminate(sparse_rows(M.tolist(), True))[1])
 
 
 def row_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reduced echelon basis, shape (rank, n), of the span of `rows`, which
-    may be none: {column: entry} dicts with integer entries on the exact
-    backend, as `eliminate`, `kernel` and `sparse_rows` return them.  The
-    one place where rows become a Fraction matrix, for the subspaces that a
+    may be none: {column: entry} dicts, integers on the exact backend as
+    `eliminate`, `kernel` and `sparse_rows` return them.  The one place
+    where exact rows become a Fraction matrix, for the subspaces that a
     public function returns; between eliminations a subspace stays rows."""
-    reduced, pivots = eliminate(rows, exact, tol)
-    return _dense(reduced, pivots, (len(pivots), n), exact)
+    if exact:
+        reduced, pivots = eliminate(rows)
+        return _dense(reduced, pivots, (len(pivots), n))
+    _, s, Vh, pivots = svd_rank(_float_matrix(rows, n), tol)
+    return _echelon(s[:len(pivots), None] * Vh[:len(pivots)], pivots, tol)
+
+
+def null_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Reduced echelon basis, shape (n - rank, n), of the kernel of the
+    matrix with these rows, as `row_space` takes them, and n columns."""
+    if exact:
+        return row_space(kernel(rows, n), n, True)
+    W = svd_rank(_float_matrix(rows, n), tol)
+    W = W[2][len(W[3]):]
+    return _echelon(W, _pivots(W, tol), tol)
 
 
 def inv(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """M^-1: exact, the right half of the reduced echelon form [I, M^-1] of
+    [M, I]; floats from `svd_rank`."""
     n = M.shape[0]
-    exact = not is_float_array(M)
-    aug = np.concatenate([M.copy(), eye(n, exact)], axis=1)
-    R, pivots = rref(aug, tol)
-    if pivots[:n] != list(range(n)):
+    if not is_float_array(M):
+        R = row_space(sparse_rows(np.concatenate([M, eye(n)], 1).tolist(), True),
+                      2 * n, True)
+        if (R[:, :n] != eye(n)).any():
+            raise DegenerateMetricError("matrix is singular")
+        return R[:, n:]
+    U, s, Vh, pivots = svd_rank(M, tol)
+    if len(pivots) < n:
         raise DegenerateMetricError("matrix is singular")
-    return R[:, n:]
+    return (Vh.T / s) @ U.T
 
 
 def sylvester_signature(g: np.ndarray, tol: float = DEFAULT_TOL):
@@ -311,12 +369,13 @@ def sylvester_signature(g: np.ndarray, tol: float = DEFAULT_TOL):
     recursion M_1 = I, c_k = -Tr(N M_k) / k, M_(k+1) = N M_k + c_k I, whose
     division is exact.  A real symmetric matrix has only real eigenvalues,
     so by Descartes' rule p is the number of sign changes of (c_0, ..., c_n);
-    g is degenerate exactly when c_n = 0.  Float backend: eigenvalue signs.
+    g is degenerate exactly when c_n = 0.  Float backend: eigenvalue signs,
+    degenerate when some |eigenvalue| is at or below tol times the largest.
     """
     n = g.shape[0]
     if is_float_array(g):
         w = np.linalg.eigvalsh(np.asarray(g, dtype=float))
-        if np.min(np.abs(w)) <= tol:
+        if np.min(np.abs(w)) <= tol * np.max(np.abs(w)):
             raise DegenerateMetricError("numerically degenerate symmetric matrix")
         p = int(np.sum(w > 0))
         return p, n - p

@@ -104,7 +104,8 @@ def parse_metric(text: str, n: int, exact: bool = True,
         if len(entries) != n:
             raise MetricParseError(
                 f"diag has {len(entries)} entries, expected {n}")
-        if any(is_zero(x, tol) for x in entries):
+        top = max(map(abs, entries))
+        if any(is_zero(x, tol * top) for x in entries):
             raise MetricParseError("diagonal metric with a zero entry is degenerate")
         return Metric.diagonal(entries, tol)
     if text.startswith("[") or text.startswith("{"):
@@ -190,10 +191,11 @@ def scaled_gram(S: Metric, mats: tuple, shape: str) -> tuple:
 
 
 def pseudo_orthonormal_frame(S: Metric):
-    """Frame F with F^T g F = diag(eps), eps sorted +1 first (float backend)."""
+    """Frame F with F^T g F = diag(eps), eps sorted +1 first (float backend);
+    degenerate when some |eigenvalue| is at or below tol times the largest."""
     g = np.asarray(linalg.to_float(S.g), dtype=float)
     w, Q = np.linalg.eigh(g)
-    if np.min(np.abs(w)) <= S.tol:
+    if np.min(np.abs(w)) <= S.tol * np.max(np.abs(w)):
         raise DegenerateMetricError("numerically degenerate metric")
     order = np.argsort(w < 0, kind="stable")  # positives first, stable
     w, Q = w[order], Q[:, order]

@@ -145,9 +145,10 @@ def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
     structure.require_killing_zero_class(a, "the moment-map Ricci")
     a, S = match_backends(a, S)
     c1, c2, d = _contractions(a, q_map(a, S))
-    op, d = linalg.over(c1 - 2 * c2, d, 4)
     G, dg = S._scaled[0]
-    return RicciData.from_form(S, linalg.contract(G, op), dg * d)
+    terms, d = linalg.over(np.stack([linalg.contract(G, c1),
+                                     linalg.contract(G, -2 * c2)]), d, 4)
+    return RicciData.from_form(S, terms, dg * d)
 
 
 # --- the gauge action -------------------------------------------------------
@@ -291,10 +292,14 @@ def jacobi_tangent_critical(a: StructureTensor, S: Metric) -> dict:
     b, _ = q_map(a, S)._scaled
     # <a', q> = sum over i < j, k of a'^k_ij (b[i, j, k] - b[j, i, k]), scaled
     w = linalg.sparse_rows([[b[i, j, k] - b[j, i, k] for i, j, k in index]], a.exact)
+    if not a.exact and w[0]:     # to unit max-abs: w scales with g, J does not
+        top = max(map(abs, w[0].values()))
+        w = [{c: x / top for c, x in w[0].items()}]
 
     def verdict(rows):
-        r = len(linalg.eliminate(rows, a.exact, a.tol)[1])
-        return len(index) - r, len(linalg.eliminate(rows + w, a.exact, a.tol)[1]) == r
+        r = len(linalg.pivot_columns(rows, len(index), a.exact, a.tol))
+        return len(index) - r, len(linalg.pivot_columns(
+            rows + w, len(index), a.exact, a.tol)) == r
 
     J = _jacobi_rows(a, index)
     tangent_dim, critical = verdict(J)

@@ -6,7 +6,8 @@ returns it; the algorithms are written to be generic over the two.  Inside,
 exact products, eliminations and the signature run on Python integers over a
 common denominator (``linalg.scaled``), so no pivot or size measure on
 rationals is needed.  Zero/equality tests go through ``is_zero``/``close``,
-which take the float comparison tolerance into account.
+which take the float comparison tolerance into account; float zero and
+rank decisions scale it by the size of their operand.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Union
 
 Scalar = Union[Fraction, float]
 
-#: default float-backend tolerance: absolute in ``is_zero``, relative in ``close``
+#: default float-backend tolerance, relative: callers of ``is_zero`` scale it
 DEFAULT_TOL = 1e-9
 
 

@@ -180,8 +180,7 @@ class StructureTensor:
             col[k] += 1
             col[i] -= 1
             col[j] -= 1
-        basis = _read_only(linalg.row_space(linalg.kernel(cols, self.n, True),
-                                            self.n, True))
+        basis = _read_only(linalg.null_space(cols, self.n, True))
         witness = next((v for v in basis if sum(v)), None)
         if witness is not None:
             return DiagonalCertificate(basis, witness, None)
@@ -190,7 +189,7 @@ class StructureTensor:
         for t, col in enumerate(cols):
             for i, x in col.items():
                 rows[i][t] = x
-        null = linalg.kernel(rows, s + 1, True)    # (y, s) with M y = s 1
+        null = linalg.kernel(rows, s + 1)          # (y, s) with M y = s 1
         span = zip(*([v.get(t, 0) for t in range(s)] for v in null))
         return DiagonalCertificate(basis, None, tuple(zip(terms, span)))
 
@@ -214,9 +213,10 @@ class StructureTensor:
             return ClassifyReport(is_lie=False)
         lcs = lower_central_series(self)
         nilpotent = lcs.dims[-1] == 0
-        z, derived = _centre_rows(self), self._derived
+        centre = linalg.null_space(_centre_system(self), self.n, self.exact, self.tol)
+        z, derived = linalg.sparse_rows(centre.tolist(), self.exact), self._derived
         # Z lies in [g, g] when its rows add no pivot to those of [g, g]
-        rank = len(linalg.eliminate([*derived, *z], self.exact, self.tol)[1])
+        rank = len(linalg.pivot_columns([*derived, *z], self.n, self.exact, self.tol))
         return ClassifyReport(
             is_lie=True,
             unimodular=is_unimodular(self),
@@ -225,8 +225,7 @@ class StructureTensor:
             step=len(lcs.dims) if nilpotent else None,
             killing_zero=self._killing_zero,
             lcs=lcs,
-            centre=_read_only(linalg.row_space(z, self.n, self.exact,
-                                               self.tol)),
+            centre=_read_only(centre),
             derived=lcs.spaces[0],
             centre_in_derived=rank == len(derived),
         )
@@ -389,15 +388,18 @@ def _basis_rows(a: StructureTensor) -> list:
 
 
 def _bracket_span(a: StructureTensor, us, vs) -> tuple:
-    """The reduced rows of `linalg.eliminate` that span {[u, v] : u in us,
-    v in vs}, for rows us and vs of the same kind: integer rows on the exact
-    backend, float rows on the float backend.
+    """Reduced rows that span {[u, v] : u in us, v in vs}, for rows us and
+    vs of the same kind: on the exact backend the integer rows of
+    `linalg.eliminate`, on the float backend the float rows of the reduced
+    echelon basis of `linalg.row_space`.
 
     When vs is us, only pairs u < v are bracketed: the rest add nothing by
     antisymmetry.  A span does not see the scale of a row, so exact rows
-    are bracketed as integer rows through the adjacency `_ad`.
+    are bracketed as integer rows through the adjacency `_ad`.  A float
+    rank is relative, so a float row within tol of the size of its terms,
+    at most max |a| sum |u| sum |v|, is left out: it vanishes to rounding.
     """
-    pairs = combinations(us, 2) if vs is us else product(us, vs)
+    pairs = list(combinations(us, 2) if vs is us else product(us, vs))
     ad = a._ad
     rows = []
     for u, v in pairs:
@@ -407,8 +409,14 @@ def _bracket_span(a: StructureTensor, us, vs) -> tuple:
                 for m, c in ad[i][k]:
                     w[m] += c * x * y
         rows.append(w)
-    reduced, pivots = linalg.eliminate(rows, a.exact, a.tol)
-    return tuple(reduced[:len(pivots)])
+    if a.exact:
+        reduced, pivots = linalg.eliminate(rows)
+        return tuple(reduced[:len(pivots)])
+    top = a.tol * max(map(abs, a.coeffs.values()), default=0.0)
+    rows = [w for w, (u, v) in zip(rows, pairs) if max(map(abs, w.values()), default=0)
+            > top * sum(map(abs, u.values())) * sum(map(abs, v.values()))]
+    return tuple(linalg.sparse_rows(linalg.row_space(rows, a.n, False, a.tol)
+                                    .tolist(), False))
 
 
 def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
@@ -501,7 +509,7 @@ def lower_central_series(a: StructureTensor) -> SubspaceFlag:
     spaces = [a._derived]
     while spaces[-1]:
         nxt = _bracket_span(a, g, spaces[-1])
-        if len(nxt) == len(spaces[-1]):
+        if len(nxt) >= len(spaces[-1]):
             break
         spaces.append(nxt)
     return SubspaceFlag(a.n, [_read_only(linalg.row_space(
@@ -511,19 +519,19 @@ def lower_central_series(a: StructureTensor) -> SubspaceFlag:
 def derived_series_terminates(a: StructureTensor) -> bool:
     """Solvability via the derived series g, [g,g], [[g,g],[g,g]], ..."""
     dim, current = a.n, a._derived
-    while len(current) not in (0, dim):
+    while 0 < len(current) < dim:
         dim, current = len(current), _bracket_span(a, current, current)
     return not current
 
 
-def _centre_rows(a: StructureTensor) -> list:
-    """Z = {v : ad(v) = 0} as the kernel rows of `linalg.kernel`."""
+def _centre_system(a: StructureTensor) -> list:
+    """The rows of ad(v) = 0, whose kernel is the centre Z."""
     n = a.n
     rows = [defaultdict(int) for _ in range(n * n)]   # (k, j): [v, e_j]_k = 0
     for (i, j, k), c in a._scaled[0].items():
         rows[k * n + j][i] += c
         rows[k * n + i][j] -= c
-    return linalg.kernel(rows, n, a.exact, a.tol)
+    return rows
 
 
 @dataclass(frozen=True)

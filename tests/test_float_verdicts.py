@@ -1,0 +1,131 @@
+"""Float verdicts against the exact backend: they must not depend on the
+overall scale of the metric, and float criticality must not depend on the
+basis."""
+
+import json
+import math
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liecurv.catalog import load_catalog
+from liecurv.cli import main
+from liecurv.curvature import holonomy_span, ricci_general
+from liecurv.metric import Metric, parse_metric, signature
+from liecurv.moment import gauge_metric, gauge_structure, jacobi_tangent_critical
+from liecurv.structure import in_killing_zero_class
+
+from tests_helpers import dense_basis_instances, euclidean
+
+N8 = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
+N8_DIAG = ("1", "1", "1", "1", "-7/3", "-7/3", "98/15", "98/15")
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_heisenberg_scaled_up_is_not_einstein(capsys):
+    """ric = diag(-1, -1, 1) / 2e10: an absolute tolerance read it as
+    Einstein with lambda = -5e-11."""
+    code, out = run(capsys, "--backend", "float", "einstein", "--structure",
+                    "(0,0,12)", "--metric", "diag(1e10,1e10,1e10)")
+    assert code == 1 and "not Einstein" in out
+
+
+def test_n8_einstein_scaled_down_is_einstein(capsys):
+    """The catalogued 8-dim Einstein metric times 1e-8, in decimals: an
+    absolute tolerance read it as not Einstein."""
+    diag = ",".join(repr(float(Fraction(x)) * 1e-8) for x in N8_DIAG)
+    code, out = run(capsys, "--backend", "float", "--output", "json", "einstein",
+                    "--structure", N8, "--metric", f"diag({diag})")
+    assert code == 0
+    lam = float(json.loads(out)["report"]["einstein"])
+    assert math.isclose(lam, 7 / 15 * 1e8, rel_tol=1e-9)
+
+
+# indices into dense_basis_instances(catalog, seed 0) where float
+# criticality disagreed with exact when its ranks came from Gauss-Jordan
+# elimination with an absolute pivot tolerance (87 of the 204 Killing-zero
+# instances with dim <= 7): 147E(lambda=2), 1357M(lambda=2), (lambda=-1)
+# and 12457N_1 in their three bases, and the 22 that read a false
+# `critical` or `critical_killing` true; then 12457G in the basis where
+# numpy's SVD (LAPACK gesdd) does not converge on J, so `svd_rank` takes J^T
+KNOWN = (51, 52, 53, 60, 61, 62, 63, 64, 65, 150, 151, 152,
+         70, 71, 75, 89, 91, 96, 98, 101, 124, 137, 140, 164, 171, 180, 183,
+         188, 191, 193, 194, 195, 208, 158)
+
+
+def test_float_criticality_on_dense_bases_is_exact(catalog_entries):
+    """Float `jacobi_tangent_critical` in a dense integer basis, with the
+    identity metric pulled back, against exact in the catalog basis: the
+    verdict is gauge invariant.  The known instances and a seeded sample
+    of the other Killing-zero instances with dim <= 7."""
+    cases = [(i, name, a, g) for i, (name, a, g)
+             in enumerate(dense_basis_instances(catalog_entries))
+             if a.n <= 7 and in_killing_zero_class(a)]
+    rest = [c for c in cases if c[0] not in KNOWN]
+    cases = [c for c in cases if c[0] in KNOWN] + random.Random(21).sample(rest, 12)
+    exact = {}
+    for i, name, a, g in cases:
+        if name not in exact:
+            exact[name] = jacobi_tangent_critical(a, euclidean(a.n))
+        ga, gS = gauge_structure(g, a), gauge_metric(g, euclidean(a.n))
+        assert jacobi_tangent_critical(ga.to_float(), gS.to_float()) == \
+            exact[name], (i, name)
+
+
+PAIRS = [(e.name, k) for e in load_catalog() if e.exact
+         for k in range(len(e.metrics))]
+
+
+@lru_cache(maxsize=None)
+def exact_verdicts(name, k):
+    """(lambda or None, signature, criticality or None) of the k-th metric
+    of a catalog entry, on the exact backend."""
+    entry = next(e for e in load_catalog() if e.name == name)
+    a = entry.parse()
+    S = parse_metric(entry.metrics[k]["metric"], a.n)
+    critical = jacobi_tangent_critical(a, S) if in_killing_zero_class(a) else None
+    return a, S, ricci_general(a, S).einstein, signature(S), critical
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(st.sampled_from(PAIRS), st.integers(-8, 8))
+def test_float_verdicts_do_not_see_the_scale_of_the_metric(pair, k):
+    """With g scaled by 10^k the float backend gives the exact verdicts:
+    Einstein or not, lambda scaled by 10^-k, Ricci-flat (lambda = 0), the
+    signature, and the Jacobi tangent dimensions and criticality."""
+    a, S, lam, sig, critical = exact_verdicts(*pair)
+    a = a.to_float()
+    S = Metric(a.n, S.to_float().g * 10.0 ** k)
+    got = ricci_general(a, S).einstein
+    assert (got is None) == (lam is None)
+    if lam is not None:
+        assert (got == 0) == (lam == 0)
+        assert math.isclose(got, float(lam) * 10.0 ** -k, rel_tol=1e-9)
+    assert signature(S) == sig
+    if critical is not None:
+        assert jacobi_tangent_critical(a, S) == critical
+
+
+def test_float_holonomy_does_not_see_the_scale_of_the_metric(catalog_entries):
+    """The zero test on the coordinates g X of a holonomy matrix X is
+    relative to g; an absolute one read every matrix as zero with the
+    metric of n8-einstein scaled by 1e-12."""
+    checked = 0
+    for e in catalog_entries:
+        a = e.parse()
+        for spec in e.metrics:
+            if e.exact and "holonomy_full" in spec.get("claims", {}):
+                S = parse_metric(spec["metric"], a.n)
+                want = holonomy_span(a, S)
+                for k in (-12, 12):
+                    scaled = Metric(a.n, S.to_float().g * 10.0 ** k)
+                    assert holonomy_span(a.to_float(), scaled) == want, (e.name, k)
+                checked += 1
+    assert checked == 4

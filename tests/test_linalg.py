@@ -12,7 +12,7 @@ from liecurv.derivations import derivation_space
 from liecurv.errors import DegenerateMetricError
 from liecurv.scalars import close, parse_scalar
 
-from tests_helpers import dense_rref, from_rows, ldl_signature
+from tests_helpers import dense_rref, from_rows, ldl_signature, rref
 
 
 def test_zeros_and_eye_backends():
@@ -26,14 +26,14 @@ def test_zeros_and_eye_backends():
 
 def test_rref_known():
     M = from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    R, pivots = linalg.rref(M)
+    R, pivots = rref(M)
     assert pivots == [0, 1]
     assert linalg.rank(M) == 2
 
 
 def test_nullspace_is_kernel_and_ordered():
     M = from_rows([[1, 2, 0, 1], [0, 0, 1, 1]])
-    basis = linalg.kernel(linalg.sparse_rows(M.tolist(), True), 4, True)
+    basis = linalg.kernel(linalg.sparse_rows(M.tolist(), True), 4)
     assert len(basis) == 2
     for v in basis:
         assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in M.tolist())
@@ -108,8 +108,9 @@ def random_kernel_input(kind, seed):
             data[rng.randrange(rows)] = list(data[rng.randrange(rows)])
     if kind == "float-low-rank":
         basis = data[:2]
-        data = [[rng.uniform(-2, 2) * x + rng.uniform(-2, 2) * y
-                 for x, y in zip(*basis)] for _ in range(rows)]
+        data = [[s * x + t * y for x, y in zip(*basis)]
+                for s, t in ((rng.uniform(-2, 2), rng.uniform(-2, 2))
+                             for _ in range(rows))]
     if kind == "float-tiny":
         col = rng.randrange(cols)
         for r in range(rows):
@@ -117,25 +118,60 @@ def random_kernel_input(kind, seed):
     return from_rows(data, exact)
 
 
+def constructed_rank(kind, M):
+    """(rank, pivots) that a float kind of `random_kernel_input` was built
+    with: (2, [0, 1]) for the low-rank kind, whose exact rank rounding
+    raises; otherwise those of its exact entries, thirds for the ties and
+    the entries at or below 1e-9 of the tiny kind as zeros."""
+    if kind == "float-low-rank":
+        return 2, [0, 1]
+    R = from_rows([[Fraction(x).limit_denominator(3) if kind == "float-ties"
+                    else Fraction(x) if abs(x) > 1e-9 else Fraction(0)
+                    for x in row] for row in M.tolist()])
+    pivots = rref(R)[1]
+    return len(pivots), pivots
+
+
+def assert_float_rank_contract(M, rank, pivots, tol=1e-9):
+    """The float rank of M is `rank`; its row space is the reduced echelon
+    basis with these pivots; its kernel basis has n - rank vectors v, each
+    with |M v| <= tol |M| |v| (2-norms)."""
+    rows, n = linalg.sparse_rows(M.tolist(), False), M.shape[1]
+    assert linalg.rank(M, tol) == rank
+    assert linalg.pivot_columns(rows, n, False, tol) == pivots
+    B = linalg.row_space(rows, n, False, tol)
+    assert B.shape == (rank, n) and B.dtype == float
+    assert (B[:, pivots] == np.eye(rank)).all()
+    assert all(not B[r, :p].any() for r, p in enumerate(pivots))
+    Z = linalg.null_space(rows, n, False, tol)
+    assert Z.shape == (n - rank, n)
+    norm = np.linalg.norm(M, 2) if M.size else 0.0
+    for v in Z:
+        assert np.linalg.norm(M @ v) <= tol * norm * np.linalg.norm(v)
+
+
 @pytest.mark.parametrize("kind", ["sparse", "dense", "degenerate",
                                   "big-denominators", "float", "float-sparse",
                                   "float-low-rank", "float-ties", "float-tiny"])
 @pytest.mark.parametrize("seed", range(6))
 def test_rref_matches_dense_oracle(kind, seed):
+    """Exact: `rref` is the dense Gauss-Jordan oracle's and `kernel` is in
+    the kernel.  Float: the rank contract of `svd_rank`."""
     M = random_kernel_input(kind, seed)
     M_in = M.copy()
-    R, pivots = linalg.rref(M)
+    if linalg.is_float_array(M):
+        assert_float_rank_contract(M, *constructed_rank(kind, M))
+        assert (M == M_in).all()
+        return
+    R, pivots = rref(M)
     assert (M == M_in).all()
     R_ref, pivots_ref = dense_rref(M)
     assert pivots == pivots_ref
     assert R.shape == R_ref.shape and R.dtype == R_ref.dtype
-    # equal values; floats may differ only in the sign of a zero
     assert [[type(x) for x in row] for row in R.tolist()] == \
         [[type(x) for x in row] for row in R_ref.tolist()]
     assert (R == R_ref).all()
-    if linalg.is_float_array(M):
-        return
-    kernel = linalg.kernel(linalg.sparse_rows(M.tolist(), True), M.shape[1], True)
+    kernel = linalg.kernel(linalg.sparse_rows(M.tolist(), True), M.shape[1])
     assert len(kernel) == M.shape[1] - len(pivots)
     for v in kernel:
         assert all(sum(row[c] * x for c, x in v.items()) == 0 for row in M.tolist())

@@ -23,12 +23,14 @@ from liecurv.structure import (StructureTensor, _bracket_span, classify,
                                parse_structure)
 
 from conftest import random_invertible
-from test_linalg import random_kernel_input
+from test_linalg import (assert_float_rank_contract, constructed_rank,
+                         random_kernel_input)
 from tests_helpers import (centre, dense_bracket_span, from_rows, dense_centre,
                            dense_derivation_basis, dense_derivation_system,
                            dense_jacobi_defect, dense_killing_form,
                            dense_null_dims, dense_nullspace, dense_row_space,
-                           dense_rref, dense_subspace_invariants, euclidean)
+                           dense_rref, dense_subspace_invariants, euclidean,
+                           rref)
 
 LIE_ENTRIES = ["(0,0,12,13,23)", "a_lambda(lambda=2)", "147E(lambda=1/2)",
                "n8-einstein", "n8-lorentzian"]
@@ -62,6 +64,17 @@ def close(x, y, rel=1e-12):
     return abs(x - y) <= rel * max(1.0, abs(x), abs(y))
 
 
+def assert_same_basis(got, want, exact):
+    """Equal arrays on the exact backend; on floats, where the SVD and the
+    dense Gauss-Jordan oracle round differently, the same shape and entries
+    within 1e-9 relative."""
+    assert got.shape == want.shape
+    if exact:
+        assert (got == want).all()
+    else:
+        assert all(close(x, y, 1e-9) for x, y in zip(got.flat, want.flat))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_derivations_match_the_dense_system(catalog_entries, seed):
     for a in brackets(catalog_entries, seed):
@@ -74,26 +87,25 @@ def test_derivations_match_the_dense_system(catalog_entries, seed):
             for c, x in row.items():
                 S[r, c] = Fraction(x, d) if a.exact else x
         assert (S == M).all()
-        sparse = linalg.row_space(linalg.kernel(_derivation_system(a), n * n,
-                                                a.exact, a.tol),
-                                  n * n, a.exact, a.tol)
+        sparse = linalg.null_space(_derivation_system(a), n * n, a.exact, a.tol)
         dense = dense_row_space(dense_nullspace(M, a.tol), n * n, a.exact, a.tol)
-        assert sparse.shape == dense.shape and (sparse == dense).all()
+        assert_same_basis(sparse, dense, a.exact)
         if is_lie(a):
             der = derivation_space(a)
             basis, witness = dense_derivation_basis(a)
             assert len(der.basis) == len(basis)
-            assert all((B == C).all() for B, C in zip(der.basis, basis))
+            for B, C in zip(der.basis, basis):
+                assert_same_basis(B, C, a.exact)
             assert (der.trace_witness is None) == (witness is None)
             if witness is not None:
-                assert (der.trace_witness == witness).all()
+                assert_same_basis(der.trace_witness, witness, a.exact)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_centre_and_diagonal_solve_match_the_dense_systems(catalog_entries, seed):
     for a in brackets(catalog_entries, seed):
         Z, Z_ref = centre(a), dense_centre(a)
-        assert Z.shape == Z_ref.shape and (Z == Z_ref).all()
+        assert_same_basis(Z, Z_ref, a.exact)
         assert Z.dtype == Z_ref.dtype
         # x_i + x_j = x_k per term, as one dense matrix
         sol = diagonal_derivation_solve(a)
@@ -159,25 +171,40 @@ def pairs_in_two_bases(pairs, seed):
 
 def test_subspace_invariants_and_mn_match_the_dense_oracles(catalog_entries):
     """lcs, solvability, the centre in [g, g] and the M/N null dimensions
-    against the dense formulas, which build every subspace as a matrix."""
+    against the dense formulas, which build every subspace as a matrix; the
+    float copy of an exact pair against the exact results, which the dense
+    float formulas, ranked under an absolute tolerance, miss on 2 of them."""
     pairs = [(e.parse(), [parse_metric(m["metric"], e.dim, e.exact)
                           for m in e.metrics]) for e in catalog_entries]
     # every catalog entry is solvable: so(3), sl(2, R) and two extensions
     pairs += [(parse_structure(s), []) for s in (
         "(23,-13,12)", "(23,13,12)", "(23,-13,12,0)", "(23,-13,12,0,45)")]
+    cases = pairs_in_two_bases(pairs, 18)
+    copies = sum(a.exact for a, _ in cases)       # the float copies, last
+    twin = dict(zip((id(a) for a, _ in cases[-copies:]),
+                    ((a, ms) for a, ms in cases[:-copies] if a.exact)))
     checked = 0
-    for a, metrics in pairs_in_two_bases(pairs, 18):
+    for a, metrics in cases:
         rep = classify(a)
-        lcs, solvable, centre_in_derived = dense_subspace_invariants(a)
-        assert rep.lcs.dims == tuple(len(s) for s in lcs)
-        if a.exact:
-            assert all((M == R).all() for M, R in zip(rep.lcs.spaces, lcs))
-        assert rep.solvable == solvable
-        assert rep.centre_in_derived == centre_in_derived
+        if id(a) in twin:
+            ref, ref_metrics = twin[id(a)]
+            assert rep.to_json() == classify(ref).to_json()
+        else:
+            lcs, solvable, centre_in_derived = dense_subspace_invariants(a)
+            assert rep.lcs.dims == tuple(len(s) for s in lcs)
+            if a.exact:
+                assert all((M == R).all() for M, R in zip(rep.lcs.spaces, lcs))
+            assert rep.solvable == solvable
+            assert rep.centre_in_derived == centre_in_derived
         if rep.nilpotent:
-            for S in metrics:
+            for k, S in enumerate(metrics):
                 mn = mn_criterion(a, S)
-                assert (mn["dim_M"], mn["dim_N"]) == dense_null_dims(a, S)
+                if id(a) in twin:
+                    want = mn_criterion(ref, ref_metrics[k])
+                    want = want["dim_M"], want["dim_N"]
+                else:
+                    want = dense_null_dims(a, S)
+                assert (mn["dim_M"], mn["dim_N"]) == want
                 checked += 1
     assert checked == 344
 
@@ -208,50 +235,38 @@ def test_jacobi_defect_and_killing_form_match_the_dense_versions(catalog_entries
                                   "float-low-rank", "float-ties", "float-tiny"])
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_rows_give_the_dense_results(kind, seed):
+    """Exact: the rows of `eliminate`, `row_space` and `kernel` are those of
+    the dense oracle.  Float: the rank contract of `linalg.svd_rank`."""
     M = random_kernel_input(kind, seed)
-    exact = not linalg.is_float_array(M)
-    rows = linalg.sparse_rows(M.tolist(), exact)
-    reduced, pivots = linalg.eliminate(rows, exact)
+    if linalg.is_float_array(M):
+        assert_float_rank_contract(M, *constructed_rank(kind, M))
+        return
+    rows = linalg.sparse_rows(M.tolist(), True)
+    reduced, pivots = linalg.eliminate(rows)
     R, pivots_ref = dense_rref(M)
     assert pivots == pivots_ref
     for r, p in enumerate(pivots):
-        got = [Fraction(reduced[r].get(c, 0), reduced[r][p]) if exact
-               else reduced[r].get(c, 0.0) for c in range(M.shape[1])]
+        got = [Fraction(reduced[r].get(c, 0), reduced[r][p])
+               for c in range(M.shape[1])]
         assert got == R[r].tolist()
-    basis = linalg.row_space(rows, M.shape[1], exact)
+    basis = linalg.row_space(rows, M.shape[1], True)
     assert (basis == R[:len(pivots)]).all()
-    kernel = linalg.kernel(rows, M.shape[1], exact)
+    kernel = linalg.kernel(rows, M.shape[1])
     null = dense_nullspace(M)
     free = sorted(set(range(M.shape[1])) - set(pivots))
     assert len(kernel) == len(null) == len(free)
     for f, v, w in zip(free, kernel, null):
         assert w[f] == 1 and all(w[c] * v[f] == x for c, x in v.items())
         assert all(w[c] == 0 for c in range(M.shape[1]) if c not in v)
-        assert_in_kernel(M.tolist(), v, exact)
-        if exact:
-            assert all(type(x) is int for x in v.values())
-            assert math.gcd(*v.values()) == 1 and v[f] > 0
+        assert_in_kernel(M.tolist(), v)
+        assert all(type(x) is int for x in v.values())
+        assert math.gcd(*v.values()) == 1 and v[f] > 0
 
 
-def assert_in_kernel(rows, v, exact):
-    """M v = 0 for the sparse vector v: exactly, or to 1e-7 of the size of v
-    on floats, where entries below the tolerance are not eliminated."""
-    scale = max(1.0, max(abs(x) for x in v.values()))
+def assert_in_kernel(rows, v):
+    """M v = 0 for the sparse vector v, exactly."""
     for row in rows:
-        y = sum(row[c] * x for c, x in v.items())
-        assert y == 0 if exact else abs(y) <= 1e-7 * scale
-
-
-def test_float_kernel_after_a_pivot_drifts_off_one():
-    # -1e-12 is below the tolerance, so the second row keeps it when it
-    # becomes the pivot row of column 1, and eliminating with it moves the
-    # first row's pivot off 1
-    M = [[1.0, 1.0, 1.0], [-1e-12, 1.0, 0.0]]
-    reduced, pivots = linalg.eliminate(linalg.sparse_rows(M, False), False)
-    assert pivots == [0, 1] and reduced[0][0] != 1.0
-    [v] = linalg.kernel(linalg.sparse_rows(M, False), 3, False)
-    assert_in_kernel(M, v, False)
-    assert v[2] == 1.0 and abs(v[0] + 1) < 1e-9 and abs(v.get(1, 0.0)) < 1e-9
+        assert sum(row[c] * x for c, x in v.items()) == 0
 
 
 @st.composite
@@ -272,23 +287,35 @@ def mostly_empty_rows(draw):
     return rows, n_cols, exact
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(mostly_empty_rows())
 @example(([[1.0, 1.0, 1.0], [-1e-12, 1.0, 0.0]], 3, False))
 def test_eliminate_matches_dense_rref_on_mostly_empty_rows(case):
+    """Exact: `eliminate` gives the dense oracle's rows.  Float: the rank
+    contract, with the rank and pivots of the rational entries when no
+    entry is below the tolerance; with one, an entry that small is no
+    longer zero on its own, as a float rank is relative."""
     rows, n_cols, exact = case
     rows = rows or [[0] * n_cols]
     M = from_rows(rows, exact)
     sparse = linalg.sparse_rows(M.tolist(), exact)
-    reduced, pivots = linalg.eliminate(sparse, exact)
+    if not exact:
+        if all(abs(x) > 1e-9 or not x for row in rows for x in row):
+            pivots = rref(from_rows([[Fraction(x).limit_denominator(6)
+                                             for x in row] for row in rows]))[1]
+        else:
+            pivots = linalg.pivot_columns(sparse, n_cols, False)
+        assert_float_rank_contract(M, len(pivots), pivots)
+        return
+    reduced, pivots = linalg.eliminate(sparse)
     R, pivots_ref = dense_rref(M)
     assert pivots == pivots_ref and len(reduced) == len(rows)
     for r, row in enumerate(reduced):
-        got = [Fraction(row.get(c, 0), row[pivots[r]]) if exact and r < len(pivots)
+        got = [Fraction(row.get(c, 0), row[pivots[r]]) if r < len(pivots)
                else row.get(c, 0) for c in range(n_cols)]
         assert got == R[r].tolist()
-    for v in linalg.kernel(sparse, n_cols, exact):
-        assert_in_kernel(M.tolist(), v, exact)
+    for v in linalg.kernel(sparse, n_cols):
+        assert_in_kernel(M.tolist(), v)
 
 
 @st.composite
@@ -312,12 +339,12 @@ def reordered_systems(draw):
     return rows, n_cols, mixed
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(reordered_systems())
 def test_exact_eliminate_does_not_depend_on_the_row_order(case):
     rows, n_cols, mixed = case
     before = [(type(row), dict(row)) for row in mixed]
-    reduced, pivots = linalg.eliminate(mixed, True)
+    reduced, pivots = linalg.eliminate(mixed)
     assert [(type(row), dict(row)) for row in mixed] == before
     R, pivots_ref = dense_rref(from_rows(rows))
     assert pivots == pivots_ref and len(reduced) == len(mixed)
@@ -327,9 +354,9 @@ def test_exact_eliminate_does_not_depend_on_the_row_order(case):
         got = [Fraction(reduced[r].get(c, 0), reduced[r][p]) for c in range(n_cols)]
         assert got == R[r].tolist()
     assert all(row == {} for row in reduced[len(pivots):])
-    kernel = linalg.kernel(mixed, n_cols, True)
+    kernel = linalg.kernel(mixed, n_cols)
     assert len(kernel) == n_cols - len(pivots)
     for v in kernel:
-        assert_in_kernel(rows, v, True)
+        assert_in_kernel(rows, v)
         assert_in_kernel([[row.get(c, 0) for c in range(n_cols)] for row in mixed],
-                         v, True)
+                         v)

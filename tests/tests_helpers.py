@@ -15,7 +15,7 @@ from liecurv.metric import Metric, _duals, scaled_gram
 from liecurv.moment import DualStructureTensor, q_map
 from liecurv.nice import _closed_form, _squared_terms
 from liecurv.scalars import DEFAULT_TOL, is_zero, parse_scalar
-from liecurv.structure import (StructureTensor, _centre_rows, is_lie,
+from liecurv.structure import (StructureTensor, _centre_system, is_lie,
                                is_unimodular, killing_form, trace_ad)
 
 
@@ -130,7 +130,7 @@ def curvature_operators(a: StructureTensor, S: Metric):
 
 def centre(a: StructureTensor) -> np.ndarray:
     """Row basis of Z = {v : ad(v) = 0}, as `structure.classify` gives it."""
-    return linalg.row_space(_centre_rows(a), a.n, a.exact, a.tol)
+    return linalg.null_space(_centre_system(a), a.n, a.exact, a.tol)
 
 
 def subspace_contained(U, W, tol=DEFAULT_TOL) -> bool:
@@ -483,6 +483,13 @@ def minor_gauge_structure(g, a: StructureTensor) -> StructureTensor:
                     out[(i, j, k)] = out.get((i, j, k), 0) + minor * x
     return StructureTensor.from_brackets(n, dict(sorted(out.items())), a.tol,
                                          None if a.exact else False)
+
+
+def rref(M: np.ndarray):
+    """Reduced row echelon form of an exact matrix through
+    `linalg.eliminate`; returns (R, pivot_columns)."""
+    reduced, pivots = linalg.eliminate(linalg.sparse_rows(M.tolist(), True))
+    return linalg._dense(reduced, pivots, M.shape), pivots
 
 
 def dense_rref(M, tol=DEFAULT_TOL):
