@@ -179,10 +179,10 @@ def _check_algebra_claims(entry: CatalogEntry, a: StructureTensor):
         elif claim == "diagonal_relations":
             # each relation sum_i f_i x_i = 0 holds on every solution x
             basis = derivations.diagonal_derivation_solve(a).basis
-            computed = all(
-                is_zero(sum(parse_scalar(str(f), a.exact) * x
-                            for f, x in zip(functional, v)), a.tol)
-                for functional in expected for v in basis)
+            functionals = [[parse_scalar(str(f), a.exact) for f in functional]
+                           for functional in expected]
+            computed = all(is_zero(sum(f * x for f, x in zip(functional, v)), a.tol)
+                           for functional in functionals for v in basis)
             expected = True
         else:  # pragma: no cover - schema check rules this out
             computed = None

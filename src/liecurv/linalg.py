@@ -6,11 +6,13 @@ ordinary float64 arrays.  Two kernels carry every exact computation:
 - one Gauss-Jordan elimination, `eliminate`, on sparse integer rows,
   {column: entry} dicts of their nonzeros; `kernel` returns such rows, and
   the exact systems built from structure constants reach it with no dense
-  matrix.  A subspace stays the reduced rows that `eliminate` returns from
-  one elimination to the next; `row_space` makes a Fraction matrix of them
-  only for a public result.  `rank` and `inv` are its adapters for
-  ndarrays.  Rows are reduced row by row against the reduced rows so far,
-  with bounded growth;
+  matrix.  Rows with a single entry are taken first, as unit pivots; the
+  rest are reduced row by row against the reduced rows so far, with
+  bounded growth.  A subspace stays the reduced rows that `eliminate`
+  returns from one elimination to the next; `to_matrix` makes a Fraction
+  matrix straight from them only for a public result.  A null space is
+  one elimination, with the columns reversed so that the kernel basis
+  comes out reduced.  `rank` and `inv` are its adapters for ndarrays;
 - one product, `contract`, numpy's `@` on 2-D reshapes; a tensor
   contraction is a product of reshaped arrays, and a family of matrices is
   transformed by one `sandwich` of its stack.
@@ -47,7 +49,7 @@ __all__ = [
     "mat_equal", "mat_is_zero", "as_integers", "scaled", "unscaled",
     "common", "over", "contract", "sandwich",
     "sparse_rows", "eliminate", "kernel", "svd_rank", "pivot_columns", "rank",
-    "row_space", "null_space", "inv", "sylvester_signature",
+    "to_matrix", "row_space", "null_space", "inv", "sylvester_signature",
 ]
 
 
@@ -187,21 +189,31 @@ def eliminate(rows):
     as a primitive integer row, to be divided by that pivot.  The rows after
     them hold no entry.
 
-    Rows are reduced row by row, fraction-free on primitive integer rows:
-    each is reduced once against the reduced rows so far, which hold no
-    pivot column but their own, and what is left, if anything, becomes a
-    pivot row whose leading column is cleared from them.  The rows so far
-    are the reduced echelon form of a prefix of the input, so by Cramer's
-    rule their entries are bounded by minors of that prefix, with no choice
-    of pivot."""
+    Rows with one nonzero entry are taken first (singleton presolve, as in
+    Andersen and Andersen, Presolving in linear programming, 1995): each is
+    the unit pivot {c: 1}, its column is dropped from the other rows, and
+    this repeats while new single-entry rows appear.  The rest are reduced
+    row by row, fraction-free on primitive integer rows: each is reduced
+    once against the reduced rows so far, which hold no pivot column but
+    their own, and what is left, if anything, becomes a pivot row whose
+    leading column is cleared from them.  The rows so far are the reduced
+    echelon form of a prefix of the input, so by Cramer's rule their
+    entries are bounded by minors of that prefix, with no choice of pivot."""
+    units = set()
+    left = [{c: x for c, x in row.items() if x} for row in rows if row]
+    while new := {c for row in left if len(row) == 1 for c in row}:
+        units |= new
+        left = [row if new.isdisjoint(row) else
+                {c: x for c, x in row.items() if c not in new}
+                for row in left if len(row) > 1]
     reduced = {}                         # pivot column -> its reduced row
-    for row in rows:
-        row = {c: x for c, x in row.items() if x}
+    for row in left:
         hits = [(reduced[c], c, f) for c, f in row.items() if c in reduced]
         if hits:
             # the least scale with scale * f / p[c] integral for every hit
             scale = lcm(*(p[c] // gcd(p[c], f) for p, c, f in hits))
-            row = {c: scale * x for c, x in row.items()}
+            if scale > 1:
+                row = {c: scale * x for c, x in row.items()}
             for p, c, f in hits:
                 _subtract(row, scale * f // p[c], p)
         if not row:
@@ -219,16 +231,17 @@ def eliminate(rows):
                         p[c] *= d // g
                 _primitive(_subtract(p, f // g, row))
         reduced[lead] = row
+    reduced.update((c, {c: 1}) for c in units)
     pivots = sorted(reduced)
     return [reduced[c] for c in pivots] + [{} for _ in rows[len(pivots):]], pivots
 
 
 def kernel(rows, n_cols: int) -> list:
     """Sparse basis of the right kernel of the matrix with these integer
-    rows (as for `eliminate`) and n_cols columns: per free column f,
-    ascending, e_f minus the reduced rows' entries in column f placed at
-    their pivots, as a primitive integer row, positive in f, its last
-    column."""
+    rows (as for `eliminate`) and n_cols columns, from one elimination: per
+    free column f, ascending, e_f minus the reduced rows' entries in column
+    f placed at their pivots, as a primitive integer row, positive in f, its
+    last column (its first in `null_space`, which reverses the columns)."""
     reduced, pivots = eliminate(rows)
     basis = []
     for f in sorted(set(range(n_cols)) - set(pivots)):
@@ -291,29 +304,27 @@ def _echelon(W: np.ndarray, pivots: list, tol: float) -> np.ndarray:
     return B
 
 
-def _float_matrix(rows, n: int) -> np.ndarray:
-    """Float rows, {column: entry} dicts, as an array with n columns."""
-    M = np.zeros((len(rows), n))
-    for r, row in enumerate(rows):
-        M[r, list(row)] = list(row.values())
-    return M
-
-
 def pivot_columns(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> list:
     """The pivot columns of the matrix with these rows, as `row_space`
     takes them, and n columns; its rank is their number."""
     if exact:
         return eliminate(rows)[1]
-    return svd_rank(_float_matrix(rows, n), tol)[3]
+    return svd_rank(to_matrix(rows, n, False), tol)[3]
 
 
-def _dense(reduced, pivots, shape) -> np.ndarray:
-    """The first shape[0] rows of `eliminate` as a Fraction matrix."""
-    R = zeros(shape)
-    for r, row in enumerate(reduced[:shape[0]]):
-        for c, x in row.items():
-            R[r, c] = Fraction(x, row[pivots[r]])
-    return R
+def to_matrix(rows, n: int, exact: bool) -> np.ndarray:
+    """Rows, {column: entry} dicts, as a matrix with n columns: float rows
+    as they are, exact rows of a reduced echelon basis each divided by its
+    pivot, its leading entry.  The one place where exact rows become a
+    Fraction matrix, for the subspaces that a public function returns;
+    between eliminations a subspace stays rows."""
+    M = zeros((len(rows), n), exact)
+    for r, row in enumerate(rows):
+        if exact:
+            d = row[min(row)]
+            row = {c: Fraction(x, d) for c, x in row.items()}
+        M[r, list(row)] = list(row.values())
+    return M
 
 
 def rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -325,24 +336,29 @@ def rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 def row_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Reduced echelon basis, shape (rank, n), of the span of `rows`, which
     may be none: {column: entry} dicts, integers on the exact backend as
-    `eliminate`, `kernel` and `sparse_rows` return them.  The one place
-    where exact rows become a Fraction matrix, for the subspaces that a
-    public function returns; between eliminations a subspace stays rows."""
+    `eliminate`, `kernel` and `sparse_rows` return them."""
     if exact:
         reduced, pivots = eliminate(rows)
-        return _dense(reduced, pivots, (len(pivots), n))
-    _, s, Vh, pivots = svd_rank(_float_matrix(rows, n), tol)
+        return to_matrix(reduced[:len(pivots)], n, True)
+    _, s, Vh, pivots = svd_rank(to_matrix(rows, n, False), tol)
     return _echelon(s[:len(pivots), None] * Vh[:len(pivots)], pivots, tol)
 
 
-def null_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Reduced echelon basis, shape (n - rank, n), of the kernel of the
-    matrix with these rows, as `row_space` takes them, and n columns."""
+def null_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> tuple:
+    """(B, rows of B): the reduced echelon basis B, shape (n - rank, n), of
+    the kernel of the matrix with these rows, as `row_space` takes them,
+    and n columns.  Exact: one elimination, `kernel` with the columns
+    reversed (c -> n - 1 - c), whose vectors then lead at their own free
+    columns, zero at the others: primitive integer rows of B."""
     if exact:
-        return row_space(kernel(rows, n), n, True)
-    W = svd_rank(_float_matrix(rows, n), tol)
+        last = n - 1
+        basis = kernel([{last - c: x for c, x in row.items()} for row in rows if row], n)
+        basis = [{last - c: x for c, x in v.items()} for v in reversed(basis)]
+        return to_matrix(basis, n, True), basis
+    W = svd_rank(to_matrix(rows, n, False), tol)
     W = W[2][len(W[3]):]
-    return _echelon(W, _pivots(W, tol), tol)
+    B = _echelon(W, _pivots(W, tol), tol)
+    return B, sparse_rows(B.tolist(), False)
 
 
 def inv(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

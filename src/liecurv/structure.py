@@ -41,8 +41,9 @@ def _freeze(coeffs, tol):
             raise ValueError(f"bracket [e{i+1},e{i+1}] must vanish")
         if i > j:
             i, j, c = j, i, -c
-        if not is_zero(c, tol):
-            out[(i, j, k)] = out.get((i, j, k), type(c)(0)) + c
+        out[(i, j, k)] = out.get((i, j, k), type(c)(0)) + c
+    if any(isinstance(c, float) for c in out.values()):    # zero: <= tol max |c|
+        tol *= max(map(abs, out.values()))
     return {key: c for key, c in out.items() if not is_zero(c, tol)}
 
 
@@ -148,6 +149,11 @@ class StructureTensor:
         return _bracket_span(self, g, g)
 
     @cached_property
+    def _top(self) -> float:
+        """max |a^k_ij|, the scale of float zero tests on the bracket."""
+        return 0.0 if self.exact else max(map(abs, self.coeffs.values()), default=0.0)
+
+    @cached_property
     def _killing_form(self) -> np.ndarray:
         # B_ij = Tr(ad e_i ad e_j) = sum over k, m of a^k_im a^m_jk
         ad, dd = self._ad, self._scaled[1] ** 2
@@ -161,7 +167,7 @@ class StructureTensor:
 
     @cached_property
     def _killing_zero(self) -> bool:
-        return linalg.mat_is_zero(self._killing_form, self.tol)
+        return linalg.mat_is_zero(self._killing_form, self.tol * self._top ** 2)
 
     @cached_property
     def _diagonal_certificate(self) -> DiagonalCertificate:
@@ -180,8 +186,9 @@ class StructureTensor:
             col[k] += 1
             col[i] -= 1
             col[j] -= 1
-        basis = _read_only(linalg.null_space(cols, self.n, True))
-        witness = next((v for v in basis if sum(v)), None)
+        basis, xs = linalg.null_space(cols, self.n, True)
+        witness = next((x for x, v in zip(_read_only(basis), xs)
+                        if sum(v.values())), None)
         if witness is not None:
             return DiagonalCertificate(basis, witness, None)
         s = len(terms)                       # the column of s in (y, s)
@@ -213,8 +220,8 @@ class StructureTensor:
             return ClassifyReport(is_lie=False)
         lcs = lower_central_series(self)
         nilpotent = lcs.dims[-1] == 0
-        centre = linalg.null_space(_centre_system(self), self.n, self.exact, self.tol)
-        z, derived = linalg.sparse_rows(centre.tolist(), self.exact), self._derived
+        centre, z = linalg.null_space(_centre_system(self), self.n, self.exact, self.tol)
+        derived = self._derived
         # Z lies in [g, g] when its rows add no pivot to those of [g, g]
         rank = len(linalg.pivot_columns([*derived, *z], self.n, self.exact, self.tol))
         return ClassifyReport(
@@ -412,7 +419,7 @@ def _bracket_span(a: StructureTensor, us, vs) -> tuple:
     if a.exact:
         reduced, pivots = linalg.eliminate(rows)
         return tuple(reduced[:len(pivots)])
-    top = a.tol * max(map(abs, a.coeffs.values()), default=0.0)
+    top = a.tol * a._top
     rows = [w for w, (u, v) in zip(rows, pairs) if max(map(abs, w.values()), default=0)
             > top * sum(map(abs, u.values())) * sum(map(abs, v.values()))]
     return tuple(linalg.sparse_rows(linalg.row_space(rows, a.n, False, a.tol)
@@ -425,7 +432,7 @@ def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
     Returns the nonzero components on triples i < j < k; empty iff `a`
     satisfies the Jacobi identity.
     """
-    ad, dd = a._ad, a._scaled[1] ** 2
+    ad, dd, tol = a._ad, a._scaled[1] ** 2, a.tol * a._top ** 2
     defect = {}
     for i, j, k in combinations(range(a.n), 3):
         v = defaultdict(int)
@@ -434,7 +441,7 @@ def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
             for m, c in ad[p][q]:
                 for l, c2 in ad[m][r]:
                     v[l] += c * c2
-        if not all(is_zero(x, a.tol) for x in v.values()):
+        if not all(is_zero(x, tol) for x in v.values()):
             defect[(i, j, k)] = J = linalg.zeros(a.n, a.exact)
             for l, x in v.items():
                 J[l] = Fraction(x, dd) if a.exact else x
@@ -456,7 +463,7 @@ def trace_ad(a: StructureTensor) -> np.ndarray:
 
 
 def is_unimodular(a: StructureTensor) -> bool:
-    return all(is_zero(x, a.tol) for x in trace_ad(a))
+    return all(is_zero(x, a.tol * a._top) for x in trace_ad(a))
 
 
 # --- preconditions: `what` names the operation in the error message --------
@@ -512,8 +519,8 @@ def lower_central_series(a: StructureTensor) -> SubspaceFlag:
         if len(nxt) >= len(spaces[-1]):
             break
         spaces.append(nxt)
-    return SubspaceFlag(a.n, [_read_only(linalg.row_space(
-        rows, a.n, a.exact, a.tol)) for rows in spaces])
+    return SubspaceFlag(a.n, [_read_only(linalg.to_matrix(rows, a.n, a.exact))
+                              for rows in spaces])
 
 
 def derived_series_terminates(a: StructureTensor) -> bool:

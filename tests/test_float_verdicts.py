@@ -1,6 +1,6 @@
 """Float verdicts against the exact backend: they must not depend on the
-overall scale of the metric, and float criticality must not depend on the
-basis."""
+overall scale of the metric or of the bracket, and float criticality must
+not depend on the basis."""
 
 import json
 import math
@@ -8,15 +8,18 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecurv.catalog import load_catalog
 from liecurv.cli import main
 from liecurv.curvature import holonomy_span, ricci_general
+from liecurv.derivations import derivation_space
 from liecurv.metric import Metric, parse_metric, signature
 from liecurv.moment import gauge_metric, gauge_structure, jacobi_tangent_critical
-from liecurv.structure import in_killing_zero_class
+from liecurv.structure import (StructureTensor, classify, in_killing_zero_class,
+                               is_lie, parse_structure)
 
 from tests_helpers import dense_basis_instances, euclidean
 
@@ -46,6 +49,35 @@ def test_n8_einstein_scaled_down_is_einstein(capsys):
     assert code == 0
     lam = float(json.loads(out)["report"]["einstein"])
     assert math.isclose(lam, 7 / 15 * 1e8, rel_tol=1e-9)
+
+
+def test_heisenberg_scaled_down_classifies_as_heisenberg(capsys):
+    """A bracket times c != 0 is isomorphic to it: zero tests absolute on
+    the coefficients read (0,0,1e-10*12) as (0,0,0), abelian, of step 1."""
+    reports = [json.loads(run(capsys, "--backend", "float", "--output", "json",
+                              "classify", "--structure", s)[1])["report"]
+               for s in ("(0,0,12)", "(0,0,0.0000000001*12)")]
+    assert reports[0] == reports[1] and reports[1]["step"] == 2
+
+
+@pytest.mark.parametrize("k", [-10, 10])
+def test_float_verdicts_do_not_see_the_scale_of_the_bracket(catalog_entries, k):
+    """Every exact catalog bracket, so(3) and sl(2, R), its coefficients
+    times 10^k as floats: the exact classification, Killing-zero class and,
+    for a Lie bracket, dim Der(g) and its trace verdict.  With absolute zero
+    tests 71 of these 144 cases differed."""
+    brackets = [e.parse() for e in catalog_entries if e.exact]
+    brackets += [parse_structure(s) for s in ("(23,-13,12)", "(23,13,12)")]
+    for a in brackets:
+        b = StructureTensor.from_brackets(
+            a.n, {key: float(c) * 10.0 ** k for key, c in a.coeffs.items()},
+            a.tol, exact=False)
+        assert classify(b).to_json() == classify(a).to_json(), (str(a), k)
+        assert in_killing_zero_class(b) == in_killing_zero_class(a)
+        if is_lie(a):
+            want, got = derivation_space(a), derivation_space(b)
+            assert (got.dim, got.has_nonzero_trace) == (want.dim,
+                                                        want.has_nonzero_trace)
 
 
 # indices into dense_basis_instances(catalog, seed 0) where float

@@ -143,8 +143,9 @@ def assert_float_rank_contract(M, rank, pivots, tol=1e-9):
     assert B.shape == (rank, n) and B.dtype == float
     assert (B[:, pivots] == np.eye(rank)).all()
     assert all(not B[r, :p].any() for r, p in enumerate(pivots))
-    Z = linalg.null_space(rows, n, False, tol)
+    Z, zrows = linalg.null_space(rows, n, False, tol)
     assert Z.shape == (n - rank, n)
+    assert (linalg.to_matrix(zrows, n, False) == Z).all()
     norm = np.linalg.norm(M, 2) if M.size else 0.0
     for v in Z:
         assert np.linalg.norm(M @ v) <= tol * norm * np.linalg.norm(v)

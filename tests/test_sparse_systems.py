@@ -87,9 +87,15 @@ def test_derivations_match_the_dense_system(catalog_entries, seed):
             for c, x in row.items():
                 S[r, c] = Fraction(x, d) if a.exact else x
         assert (S == M).all()
-        sparse = linalg.null_space(_derivation_system(a), n * n, a.exact, a.tol)
+        sparse, rows = linalg.null_space(_derivation_system(a), n * n, a.exact,
+                                         a.tol)
         dense = dense_row_space(dense_nullspace(M, a.tol), n * n, a.exact, a.tol)
         assert_same_basis(sparse, dense, a.exact)
+        assert (linalg.to_matrix(rows, n * n, a.exact) == sparse).all()
+        if a.exact:
+            # primitive integer rows, positive at their pivots
+            assert all(type(x) is int for v in rows for x in v.values())
+            assert all(math.gcd(*v.values()) == 1 and v[min(v)] > 0 for v in rows)
         if is_lie(a):
             der = derivation_space(a)
             basis, witness = dense_derivation_basis(a)
@@ -287,9 +293,19 @@ def mostly_empty_rows(draw):
     return rows, n_cols, exact
 
 
+# single-entry rows that cascade (the first row is single once column 1 is
+# taken, the last once columns 0 and 2 are), duplicate single-entry rows
+CASCADE = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 2, 3, 0], [1, 0, 5, 7]]
+DUPLICATES = [[0, 3, 0], [0, -2, 0], [1, 1, 1], [0, 3, 0]]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mostly_empty_rows())
 @example(([[1.0, 1.0, 1.0], [-1e-12, 1.0, 0.0]], 3, False))
+@example((CASCADE, 4, True))
+@example((DUPLICATES, 3, True))
+@example(([[0, 0, 0], [2, 0, 4], [0, 0, 0]], 3, True))
+@example(([[0, 0], [0, 0]], 2, True))
 def test_eliminate_matches_dense_rref_on_mostly_empty_rows(case):
     """Exact: `eliminate` gives the dense oracle's rows.  Float: the rank
     contract, with the rank and pivots of the rational entries when no
@@ -341,6 +357,11 @@ def reordered_systems(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(reordered_systems())
+@example((CASCADE, 4, [{0: 1, 2: 5, 3: 7}, {1: 2, 2: 3}, {0: 1, 1: 1},
+                       defaultdict(int, {1: 1, 3: 0}), {1: 1}]))
+@example((DUPLICATES, 3, [{1: 3}, {1: -2}, {0: 1, 1: 1, 2: 1}, {1: 3},
+                          defaultdict(int, {1: 0, 2: -1, 0: -1})]))
+@example(([[0, 0, 0], [0, 0, 0]], 3, [{}, defaultdict(int, {0: 0})]))
 def test_exact_eliminate_does_not_depend_on_the_row_order(case):
     rows, n_cols, mixed = case
     before = [(type(row), dict(row)) for row in mixed]

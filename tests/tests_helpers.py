@@ -130,7 +130,7 @@ def curvature_operators(a: StructureTensor, S: Metric):
 
 def centre(a: StructureTensor) -> np.ndarray:
     """Row basis of Z = {v : ad(v) = 0}, as `structure.classify` gives it."""
-    return linalg.null_space(_centre_system(a), a.n, a.exact, a.tol)
+    return linalg.null_space(_centre_system(a), a.n, a.exact, a.tol)[0]
 
 
 def subspace_contained(U, W, tol=DEFAULT_TOL) -> bool:
@@ -489,7 +489,9 @@ def rref(M: np.ndarray):
     """Reduced row echelon form of an exact matrix through
     `linalg.eliminate`; returns (R, pivot_columns)."""
     reduced, pivots = linalg.eliminate(linalg.sparse_rows(M.tolist(), True))
-    return linalg._dense(reduced, pivots, M.shape), pivots
+    R = linalg.zeros(M.shape)
+    R[:len(pivots)] = linalg.to_matrix(reduced[:len(pivots)], M.shape[1], True)
+    return R, pivots
 
 
 def dense_rref(M, tol=DEFAULT_TOL):
