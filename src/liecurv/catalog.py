@@ -199,15 +199,11 @@ def _check_metric_claims(entry, a, spec):
     for claim in sorted(spec.get("claims", {})):
         expected = spec["claims"][claim]
         prefix = f"{name}: {claim}"
-        if claim == "einstein_lambda":
+        if claim in ("einstein_lambda", "scalar"):
             ric = ric or curvature.ricci_general(a, S)
-            passed = _scalar_matches(expected, ric.einstein, entry.exact, S.tol)
-            checks.append(ClaimCheck(prefix, expected, ric.einstein, passed))
-            continue
-        if claim == "scalar":
-            ric = ric or curvature.ricci_general(a, S)
-            passed = _scalar_matches(expected, ric.scalar, entry.exact, S.tol)
-            checks.append(ClaimCheck(prefix, expected, ric.scalar, passed))
+            computed = ric.einstein if claim == "einstein_lambda" else ric.scalar
+            passed = _scalar_matches(expected, computed, entry.exact, S.tol)
+            checks.append(ClaimCheck(prefix, expected, computed, passed))
             continue
         if claim == "ricci_flat":
             ric = ric or curvature.ricci_general(a, S)
@@ -224,11 +220,13 @@ def _check_metric_claims(entry, a, spec):
         elif claim == "critical":
             computed = moment.jacobi_tangent_critical(a, S)["critical"]
         elif claim == "q_terms":
-            got = moment.q_map(a, S).to_json()["terms"]
-            want = [{"m": t["m"], "l": t["l"], "j": t["j"],
-                     "c": str(t["c"])} for t in expected]
-            computed = sorted(got, key=lambda t: (t["m"], t["l"], t["j"])) == \
-                sorted(want, key=lambda t: (t["m"], t["l"], t["j"]))
+            # the same nonzero terms, float coefficients equal to tol
+            q = moment.q_map(a, S)
+            got = {(t["m"], t["l"], t["j"]) for t in q.to_json()["terms"]}
+            want = {(t["m"], t["l"], t["j"]): t["c"] for t in expected}
+            computed = got == want.keys() and len(want) == len(expected) and all(
+                _scalar_matches(c, q.comps[m - 1, j - 1, l - 1], entry.exact, S.tol)
+                for (m, l, j), c in want.items())
             expected = True
         else:  # pragma: no cover
             computed = None

@@ -13,6 +13,7 @@ file imports `errors`, `scalars` and `structure`, which parsing and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -49,28 +50,21 @@ def _print_matrix(M, indent="  "):
 
 
 class _Inputs:
-    """Resolved structure/metric/backend for one invocation."""
+    """Resolved structure/metric/backend for one invocation; the metric is
+    read where the subcommand declares --metric, which is then required."""
 
-    def __init__(self, args, need_metric=True):
-        backend = args.backend or os.environ.get("RICCI_BACKEND") or "exact"
-        if backend not in ("exact", "float"):
-            raise LieCurvError(f"unknown backend {backend!r}")
+    def __init__(self, args):
         stext = _read_arg(args.structure)
-        mtext = _read_arg(args.metric) if need_metric and args.metric else None
-        if backend == "exact":
-            texts = [stext] + ([mtext] if mtext else [])
-            if any(_DECIMAL.search(t or "") for t in texts):
-                print("warning: decimal literals in input; using float backend",
-                      file=sys.stderr)
-                backend = "float"
-        self.exact = backend == "exact"
-        self.backend = backend
+        mtext = _read_arg(args.metric) if hasattr(args, "metric") else None
+        self.exact = args.backend == "exact"
+        if self.exact and any(_DECIMAL.search(t or "") for t in (stext, mtext)):
+            print("warning: decimal literals in input; using float backend",
+                  file=sys.stderr)
+            self.exact = False
         self.tol = args.tolerance
         self.a = parse_structure(stext, exact=self.exact, tol=self.tol)
         self.S = None
-        if need_metric:
-            if mtext is None:
-                raise LieCurvError("this command needs --metric")
+        if mtext is not None:
             from .metric import parse_metric
             self.S = parse_metric(mtext, self.a.n, exact=self.exact, tol=self.tol)
 
@@ -92,7 +86,7 @@ def _emit_report(args, command: str, rep: dict) -> int:
 
 
 def cmd_classify(args):
-    inp = _Inputs(args, need_metric=False)
+    inp = _Inputs(args)
     rep = classify(inp.a).to_json()
     def text():
         print(f"structure {print_structure(inp.a)}")
@@ -223,7 +217,7 @@ def cmd_critical(args):
 
 def cmd_derivations(args):
     from . import derivations
-    inp = _Inputs(args, need_metric=False)
+    inp = _Inputs(args)
     der = derivations.derivation_space(inp.a)
     payload = {"command": "derivations", "dim": der.dim,
                "has_nonzero_trace": der.has_nonzero_trace,
@@ -243,7 +237,7 @@ def cmd_derivations(args):
 
 def cmd_nice(args):
     from . import nice
-    inp = _Inputs(args, need_metric=False)
+    inp = _Inputs(args)
     rep = nice.nice_basis_check(inp.a)
     def text():
         print(f"nice basis: {rep.is_nice}")
@@ -268,7 +262,7 @@ def _parse_patterns(text, n):
 
 def cmd_einstein_search(args):
     from . import nice
-    inp = _Inputs(args, need_metric=False)
+    inp = _Inputs(args)
     patterns = _parse_patterns(args.patterns, inp.a.n)
     results = []
     for pattern in patterns:
@@ -306,9 +300,9 @@ def cmd_einstein_search(args):
 
 def cmd_catalog(args):
     from . import catalog
-    if args.action != "verify":
-        raise LieCurvError(f"unknown catalog action {args.action!r}")
     entries = catalog.load_catalog(args.path)
+    if args.backend == "float":
+        entries = [dataclasses.replace(e, backend="float") for e in entries]
     reports = catalog.verify_catalog(entries, name_filter=args.filter)
     ok = all(r.passed for r in reports)
     payload = {"command": "catalog", "passed": ok,
@@ -414,11 +408,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    for name, default in (("backend", None), ("tolerance", DEFAULT_TOL),
-                          ("output", "text")):
+    for name, default in (("backend", os.environ.get("RICCI_BACKEND") or "exact"),
+                          ("tolerance", DEFAULT_TOL), ("output", "text")):
         if not hasattr(args, name):
             setattr(args, name, default)
     try:
+        if args.backend not in ("exact", "float"):
+            raise LieCurvError(f"unknown backend {args.backend!r}")
         return args.fn(args)
     except (LieCurvError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

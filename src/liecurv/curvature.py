@@ -352,7 +352,10 @@ def holonomy_span(a: StructureTensor, S: Metric):
     (R, _), (gamma, _) = _operators(a, S)
     G = np.transpose(gamma, (0, 2, 1))
     g = S._scaled[0][0]
-    tol = a.tol * np.abs(g).max()       # coordinates scale with g, X does not
+    # a float zero test is relative to the size of its terms: products of
+    # k + 2 G_m at order k (times g in coordinates), of 3 G_m in nabla R
+    size = 1 if a.exact else np.abs(G).max()
+    tol = a.tol * np.abs(g).max() * size ** 2
     I, J = np.triu_indices(n, 1)
     full_dim = len(I)
     span, new = [], list(R)    # span: (X, coordinates of X) for each X kept
@@ -367,8 +370,10 @@ def holonomy_span(a: StructureTensor, S: Metric):
         if len(span) == full_dim:
             break
         new = [Gm @ X - X @ Gm for Gm in G for X in grown]
+        tol *= size
     return {
         "span_dim": len(span),
         "full": len(span) == full_dim,
-        "locally_symmetric": _derivative_vanishes(_antisymmetric(R, n), G, a.tol),
+        "locally_symmetric": _derivative_vanishes(_antisymmetric(R, n), G,
+                                                  a.tol * size ** 3),
     }

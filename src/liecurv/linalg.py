@@ -254,13 +254,13 @@ def kernel(rows, n_cols: int) -> list:
 
 
 def svd_rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
-    """(U, s, Vh, pivots) of a float matrix M, m x n: numpy's SVD, with Vh
-    n x n, and the pivot columns; every float rank, kernel, row space, pivot
-    set and inverse here comes from it.  A singular value at or below
-    tol * sigma_max counts as zero, so no scale of M moves the rank
-    r = len(pivots) (Golub and Van Loan, Matrix Computations, 5.4); Vh[:r]
-    spans the row space and Vh[r:] the kernel.  The pivots are the columns
-    that raise the rank of a prefix."""
+    """(U, s, Vh, r) of a float matrix M, m x n: numpy's SVD, with Vh
+    n x n, and the rank r; every float rank, kernel, row space, pivot set
+    and inverse here comes from it.  A singular value at or below
+    tol * sigma_max counts as zero, so no scale of M moves r (Golub and
+    Van Loan, Matrix Computations, 5.4); Vh[:r] spans the row space and
+    Vh[r:] the kernel, and `_pivots` of s[:r, None] * Vh[:r] are the
+    columns that raise the rank of a prefix."""
     M = np.asarray(M, dtype=float)
     full = M.shape[0] < M.shape[1]
     try:
@@ -268,8 +268,7 @@ def svd_rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     except np.linalg.LinAlgError:   # LAPACK's gesdd fails on a few; M^T = V S U^T
         V, s, Ut = np.linalg.svd(M.T, full_matrices=full)
         U, Vh = Ut.T, V.T
-    r = np.sum(s > tol * s.max(initial=0.0))
-    return U, s, Vh, _pivots(s[:r, None] * Vh[:r], tol)
+    return U, s, Vh, int(np.sum(s > tol * s.max(initial=0.0)))
 
 
 def _pivots(W: np.ndarray, tol: float) -> list:
@@ -294,10 +293,11 @@ def _pivots(W: np.ndarray, tol: float) -> list:
     return pivots
 
 
-def _echelon(W: np.ndarray, pivots: list, tol: float) -> np.ndarray:
-    """W[:, P]^-1 W for the pivots P of W: the reduced echelon basis of the
-    row space of W, an entry at or below tol times the largest of its row
-    set to 0."""
+def _echelon(W: np.ndarray, tol: float) -> np.ndarray:
+    """W[:, P]^-1 W for the pivots P of W, as `_pivots` finds them: the
+    reduced echelon basis of the row space of W, an entry at or below tol
+    times the largest of its row set to 0."""
+    pivots = _pivots(W, tol)
     B = np.linalg.solve(W[:, pivots], W) if pivots else W
     B[np.abs(B) <= tol * np.abs(B).max(axis=1, keepdims=True)] = 0.0
     B[range(len(pivots)), pivots] = 1.0
@@ -309,7 +309,8 @@ def pivot_columns(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> list:
     takes them, and n columns; its rank is their number."""
     if exact:
         return eliminate(rows)[1]
-    return svd_rank(to_matrix(rows, n, False), tol)[3]
+    _, s, Vh, r = svd_rank(to_matrix(rows, n, False), tol)
+    return _pivots(s[:r, None] * Vh[:r], tol)
 
 
 def to_matrix(rows, n: int, exact: bool) -> np.ndarray:
@@ -329,7 +330,7 @@ def to_matrix(rows, n: int, exact: bool) -> np.ndarray:
 
 def rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     if is_float_array(M):
-        return len(svd_rank(M, tol)[3])
+        return svd_rank(M, tol)[3]
     return len(eliminate(sparse_rows(M.tolist(), True))[1])
 
 
@@ -340,8 +341,8 @@ def row_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray
     if exact:
         reduced, pivots = eliminate(rows)
         return to_matrix(reduced[:len(pivots)], n, True)
-    _, s, Vh, pivots = svd_rank(to_matrix(rows, n, False), tol)
-    return _echelon(s[:len(pivots), None] * Vh[:len(pivots)], pivots, tol)
+    _, s, Vh, r = svd_rank(to_matrix(rows, n, False), tol)
+    return _echelon(s[:r, None] * Vh[:r], tol)
 
 
 def null_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> tuple:
@@ -355,9 +356,8 @@ def null_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> tuple:
         basis = kernel([{last - c: x for c, x in row.items()} for row in rows if row], n)
         basis = [{last - c: x for c, x in v.items()} for v in reversed(basis)]
         return to_matrix(basis, n, True), basis
-    W = svd_rank(to_matrix(rows, n, False), tol)
-    W = W[2][len(W[3]):]
-    B = _echelon(W, _pivots(W, tol), tol)
+    _, _, Vh, r = svd_rank(to_matrix(rows, n, False), tol)
+    B = _echelon(Vh[r:], tol)
     return B, sparse_rows(B.tolist(), False)
 
 
@@ -371,8 +371,8 @@ def inv(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         if (R[:, :n] != eye(n)).any():
             raise DegenerateMetricError("matrix is singular")
         return R[:, n:]
-    U, s, Vh, pivots = svd_rank(M, tol)
-    if len(pivots) < n:
+    U, s, Vh, r = svd_rank(M, tol)
+    if r < n:
         raise DegenerateMetricError("matrix is singular")
     return (Vh.T / s) @ U.T
 

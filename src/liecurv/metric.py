@@ -20,7 +20,8 @@ import numpy as np
 from . import linalg
 from .errors import (DegenerateMetricError, DimensionMismatchError,
                      MetricParseError)
-from .scalars import DEFAULT_TOL, Scalar, is_zero, parse_scalar
+from .scalars import (COEFF, DEFAULT_TOL, Scalar, is_zero, parse_scalar,
+                      signed_coeff)
 
 @dataclass(frozen=True)
 class Metric:
@@ -35,7 +36,9 @@ class Metric:
         if self.g.shape != (self.n, self.n):
             raise DimensionMismatchError(
                 f"metric matrix shape {self.g.shape} != ({self.n}, {self.n})")
-        if not linalg.mat_equal(self.g, self.g.T, self.tol):
+        # a float g is symmetric to tol relative to its largest entry
+        top = 1 if self.exact else np.abs(self.g).max(initial=0.0)
+        if not linalg.mat_equal(self.g, self.g.T, self.tol * top):
             raise MetricParseError("metric matrix is not symmetric")
         try:
             object.__setattr__(self, "ginv", linalg.inv(self.g, self.tol))
@@ -81,11 +84,7 @@ def signature(S: Metric) -> Signature:
 # --- parsing ----------------------------------------------------------------
 
 _METRIC_TERM = re.compile(
-    r"""(?P<sign>[+-]?)\s*
-        (?P<coeff>\d+(?:\.\d+)?(?:/\d+)?)?\s*\*?\s*
-        e(?P<i>\d+)\s*(?P<op>[.⊙⊗ox])\s*e(?P<j>\d+)\s*""",
-    re.VERBOSE,
-)
+    COEFF + r"e(?P<i>\d+)\s*[.⊙⊗ox]\s*e(?P<j>\d+)\s*")
 
 
 def parse_metric(text: str, n: int, exact: bool = True,
@@ -124,16 +123,12 @@ def parse_metric(text: str, n: int, exact: bool = True,
             raise MetricParseError(
                 f"malformed metric term at position {pos}: {text[pos:pos+12]!r}")
         pos = m.end()
-        coeff = parse_scalar(m.group("coeff") or "1", exact)
-        if m.group("sign") == "-":
-            coeff = -coeff
+        coeff = signed_coeff(m, exact)
         i, j = int(m.group("i")) - 1, int(m.group("j")) - 1
         if not (0 <= i < n and 0 <= j < n):
             raise MetricParseError(f"index out of range 1..{n} in {m.group(0).strip()!r}")
-        if i == j:
-            g[i, i] += coeff
-        else:
-            g[i, j] += coeff
+        g[i, j] += coeff
+        if i != j:
             g[j, i] += coeff
     return Metric(n, g, tol)
 

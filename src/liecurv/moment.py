@@ -61,18 +61,20 @@ class DualStructureTensor:
         N, d = linalg.scaled(self.comps)
         tol = self.tol
         if linalg.is_float_array(N):        # relative to the largest entry
-            tol *= max(1.0, np.max(np.abs(N)))
+            tol *= np.max(np.abs(N))
         if not linalg.mat_is_zero(N + np.transpose(N, (1, 0, 2)), tol):
             raise ValueError("components are not antisymmetric in the vector pair")
         object.__setattr__(self, "_scaled", (N, d))
+        object.__setattr__(self, "_zero_tol", tol)
 
     def to_json(self) -> dict:
+        """The nonzero components, float ones above tol times the largest."""
         terms = []
         for m in range(self.n):
             for j in range(self.n):
                 for l in range(self.n):
                     c = self.comps[m, j, l]
-                    if not is_zero(c, self.tol):
+                    if not is_zero(c, self._zero_tol):
                         terms.append({"m": m + 1, "l": l + 1, "j": j + 1,
                                       "c": format_scalar(c)})
         return {"n": self.n, "terms": terms}

@@ -12,6 +12,7 @@ rank decisions scale it by the size of their operand.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -47,6 +48,18 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a numeric literal: {text!r}") from exc
     return value if exact else float(value)
+
+
+#: the sign and coefficient that open a term of a structure or metric
+#: literal, such as "-", "+3*" or "1/2"
+COEFF = r"(?P<sign>[+-]?)\s*(?P<coeff>\d+(?:\.\d+)?(?:/\d+)?)?\s*\*?\s*"
+
+
+def signed_coeff(m: re.Match, exact: bool) -> Scalar:
+    """The coefficient of a term matched by a pattern that opens with
+    `COEFF`, 1 when it has none, negated after a "-"."""
+    coeff = parse_scalar(m["coeff"] or "1", exact)
+    return -coeff if m["sign"] == "-" else coeff
 
 
 def format_scalar(x: Scalar) -> str:

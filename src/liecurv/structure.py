@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,8 +28,8 @@ from . import linalg
 from .errors import (KillingFormNonzeroError, LieCurvError,
                      NotLieAlgebraError, NotUnimodularError,
                      StructureParseError)
-from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
-                      parse_scalar)
+from .scalars import (COEFF, DEFAULT_TOL, Scalar, format_scalar, is_zero,
+                      signed_coeff)
 
 MAX_DIM = 16
 
@@ -270,33 +270,12 @@ class StructureTensor:
 # --- text notation ----------------------------------------------------------
 
 _TERM = re.compile(
-    r"""(?P<sign>[+-]?)\s*
-        (?P<coeff>\d+(?:\.\d+)?(?:/\d+)?)?\s*\*?\s*
-        (?:
+    COEFF + r"""(?:
             (?P<pair>\d\d)
           | \(\s*(?P<pi>\d+)\s*,\s*(?P<pj>\d+)\s*\)
         )\s*""",
     re.VERBOSE,
 )
-
-
-def _split_slots(text: str) -> list[str]:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1]
-    slots, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            slots.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    slots.append("".join(cur))
-    return slots
 
 
 def parse_structure(text: str, exact: bool = True,
@@ -306,7 +285,13 @@ def parse_structure(text: str, exact: bool = True,
     Slot k lists de^k as a sum of coeff * e^i ^ e^j terms; two-digit tokens
     are only allowed for n <= 9.  Each term contributes a^k_{ij} = -coeff.
     """
-    slots = _split_slots(text)
+    text = text.strip()
+    if text.startswith("(") and text.endswith(")"):
+        text = text[1:-1]
+    # slots end at the commas outside parentheses, at depth 0
+    depth = accumulate((c == "(") - (c == ")") for c in text)
+    cuts = [i for i, (c, d) in enumerate(zip(text, depth)) if c == "," and not d]
+    slots = [text[i + 1:j] for i, j in zip([-1, *cuts], [*cuts, len(text)])]
     n = len(slots)
     if not 2 <= n <= MAX_DIM:
         raise StructureParseError(f"need between 2 and {MAX_DIM} slots, got {n}")
@@ -319,7 +304,6 @@ def parse_structure(text: str, exact: bool = True,
         if slot == "0":
             continue
         pos = 0
-        seen_pairs = set()
         while pos < len(slot):
             m = _TERM.match(slot, pos)
             if not m or m.end() == pos:
@@ -327,58 +311,39 @@ def parse_structure(text: str, exact: bool = True,
                     f"malformed token at position {pos}", slot=k + 1,
                     token=slot[pos:pos + 8])
             pos = m.end()
-            coeff = parse_scalar(m.group("coeff") or "1", exact)
-            if m.group("sign") == "-":
-                coeff = -coeff
-            if m.group("pair"):
-                if n > 9:
-                    raise StructureParseError(
-                        "two-digit pairs need n <= 9; use (i,j)", slot=k + 1,
-                        token=m.group("pair"))
-                i, j = int(m.group("pair")[0]), int(m.group("pair")[1])
-            else:
-                i, j = int(m.group("pi")), int(m.group("pj"))
+            coeff = signed_coeff(m, exact)
+            if m["pair"] and n > 9:
+                raise StructureParseError(
+                    "two-digit pairs need n <= 9; use (i,j)", slot=k + 1,
+                    token=m["pair"])
+            i, j = map(int, m["pair"] or m.group("pi", "pj"))
+            token = m[0].strip()
             if not (1 <= i <= n and 1 <= j <= n):
                 raise StructureParseError(
-                    f"index out of range 1..{n}", slot=k + 1, token=m.group(0).strip())
+                    f"index out of range 1..{n}", slot=k + 1, token=token)
             if i == j:
                 raise StructureParseError(
-                    "repeated index in wedge pair", slot=k + 1, token=m.group(0).strip())
-            pair = (min(i, j), max(i, j))
-            if pair in seen_pairs:
-                raise StructureParseError(
-                    f"repeated index pair {pair}", slot=k + 1, token=m.group(0).strip())
-            seen_pairs.add(pair)
+                    "repeated index in wedge pair", slot=k + 1, token=token)
             if i > j:
                 i, j, coeff = j, i, -coeff
+            if (i - 1, j - 1, k) in coeffs:
+                raise StructureParseError(
+                    f"repeated index pair {(i, j)}", slot=k + 1, token=token)
             # de^k = sum coeff e^ij  <=>  a^k_ij = -coeff
             coeffs[(i - 1, j - 1, k)] = -coeff
     return StructureTensor.from_brackets(n, coeffs, tol, exact)
 
 
 def print_structure(a: StructureTensor) -> str:
-    """Canonical inverse of parse_structure."""
-    slots = []
-    for k in range(a.n):
-        parts = []
-        for i, j, kk, c in a.terms():
-            if kk != k:
-                continue
-            coeff = -c  # back to d-notation
-            sign = "-" if coeff < 0 else "+"
-            mag = -coeff if sign == "-" else coeff
-            pair = f"{i + 1}{j + 1}" if a.n <= 9 else f"({i + 1},{j + 1})"
-            body = pair if mag == 1 else f"{format_scalar(mag)}*{pair}"
-            parts.append((sign, body))
-        if not parts:
-            slots.append("0")
-        else:
-            first_sign, first_body = parts[0]
-            out = ("-" if first_sign == "-" else "") + first_body
-            for sign, body in parts[1:]:
-                out += sign + body
-            slots.append(out)
-    return "(" + ",".join(slots) + ")"
+    """Canonical inverse of parse_structure: slot k holds the terms of de^k
+    by (i, j), each a sign, then "c*" unless |c| = 1, then ij, or (i,j)
+    above dimension 9; no leading "+", and 0 when it has none."""
+    slots = [""] * a.n
+    for i, j, k, c in a.terms():
+        pair = f"{i + 1}{j + 1}" if a.n <= 9 else f"({i + 1},{j + 1})"
+        sign, mag = ("+", -c) if c < 0 else ("-", c)    # de^k carries -a^k_ij
+        slots[k] += sign + (pair if mag == 1 else f"{format_scalar(mag)}*{pair}")
+    return "(" + ",".join(s.removeprefix("+") or "0" for s in slots) + ")"
 
 
 # --- Lie-theoretic predicates ----------------------------------------------

@@ -297,6 +297,26 @@ def test_catalog_verify_filter(capsys):
     assert doc["passed"] is True and doc["reports"]
 
 
+def test_catalog_verify_runs_on_the_float_backend(capsys, monkeypatch):
+    """--backend float, or RICCI_BACKEND=float, verifies every entry on
+    floats: all pass, and the report holds float values where the exact
+    one holds rationals."""
+    code, out, _ = run(capsys, "--backend", "float", "catalog", "verify",
+                       "--output", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True and len(doc["reports"]) == 71
+    computed = [c["computed"] for r in doc["reports"] for c in r["checks"]]
+    assert any(isinstance(x, float) for x in computed)
+    assert out.encode() != (Path(SRC).parent / "bench" / "golden"
+                            / "catalog_verify.json").read_bytes()
+    monkeypatch.setenv("RICCI_BACKEND", "float")
+    code, out, _ = run(capsys, "catalog", "verify", "--filter", "n8-einstein",
+                       "--output", "json")
+    lam = [c["computed"] for r in json.loads(out)["reports"] for c in r["checks"]
+           if c["claim"].endswith("einstein_lambda")]
+    assert code == 0 and lam and all(isinstance(x, float) for x in lam)
+
+
 def test_catalog_verify_failure_exit_code(capsys, tmp_path):
     bad = {"name": "wrong", "dim": 3, "structure": "(0,0,12)",
            "claims": {"unimodular": False}}
@@ -419,6 +439,9 @@ _JSON = st.recursive(
 @example("(0,0,12,)")
 @example("(,0,12)")
 @example("(0,,0,12)")
+@example("((0,0,12)")
+@example("(0,0,(1,2)")
+@example("(0,0,1.6/3*12)")
 def test_malformed_structure_exits_2(text):
     assume(_fails(lambda: parse_structure(text, exact=True))
            and _fails(lambda: parse_structure(text, exact=False)))
@@ -430,6 +453,7 @@ def test_malformed_structure_exits_2(text):
 @_FUZZ
 @given(st.text("diag(),[]{}\"ng:0123456789-+/.e* ", max_size=30)
        | _JSON.map(json.dumps))
+@example("")
 def test_malformed_metric_exits_2(text):
     assume(_fails(lambda: parse_metric(text, 3, exact=True))
            and _fails(lambda: parse_metric(text, 3, exact=False)))

@@ -145,6 +145,37 @@ def test_float_verdicts_do_not_see_the_scale_of_the_metric(pair, k):
         assert jacobi_tangent_critical(a, S) == critical
 
 
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4])
+def test_float_holonomy_does_not_see_the_scale_of_the_bracket(c):
+    """A bracket times c is isomorphic to it with g / c^2, so the exact
+    verdicts hold: Heisenberg spans so(3) and is not locally symmetric, the
+    flat (0,-13,12) spans nothing.  Tests absolute in the bracket read
+    Heisenberg at 1e-4 as locally symmetric and at 1e-8 as spanning 0."""
+    S = parse_metric("diag(1,1,1)", 3, exact=False)
+    for text, want in (("(0,0,12)", (3, True, False)), ("(0,-13,12)", (0, False, True))):
+        a = parse_structure(text)
+        b = StructureTensor.from_brackets(
+            3, {key: float(x) * c for key, x in a.coeffs.items()}, a.tol, exact=False)
+        hol = holonomy_span(b, S)
+        assert (hol["span_dim"], hol["full"], hol["locally_symmetric"]) == want, text
+
+
+def test_float_q_terms_do_not_see_the_scale_of_the_metric(capsys):
+    """q(a, g) of Heisenberg has the same two terms with g scaled by 1e10,
+    each scaled by 1e-10: an absolute zero test listed none."""
+    terms = {}
+    for scale in ("1", "1e10"):
+        code, out = run(capsys, "--backend", "float", "--output", "json", "moment",
+                        "--structure", "(0,0,12)",
+                        "--metric", f"diag({scale},{scale},{scale})")
+        assert code == 0
+        terms[scale] = {(t["m"], t["l"], t["j"]): float(t["c"])
+                        for t in json.loads(out)["q"]["terms"]}
+    assert len(terms["1"]) == 2 and terms["1e10"].keys() == terms["1"].keys()
+    for key, c in terms["1"].items():
+        assert math.isclose(terms["1e10"][key], c * 1e-10, rel_tol=1e-9)
+
+
 def test_float_holonomy_does_not_see_the_scale_of_the_metric(catalog_entries):
     """The zero test on the coordinates g X of a holonomy matrix X is
     relative to g; an absolute one read every matrix as zero with the

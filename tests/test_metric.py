@@ -57,9 +57,13 @@ def test_parse_malformed_term():
 
 
 def test_asymmetric_matrix_rejected():
-    g = from_rows([[1, 2], [0, 1]])
-    with pytest.raises(MetricParseError):
-        Metric(2, g)
+    """Exact, and float to tol relative to the largest entry: an absolute
+    test kept the tiny asymmetric g and rejected the large symmetric one."""
+    for g in (from_rows([[1, 2], [0, 1]]), np.array([[1e-10, 5e-10], [0.0, 1e-10]])):
+        with pytest.raises(MetricParseError):
+            Metric(2, g)
+    g = np.array([[1e10, 1.0], [1.0 + 1e-8, 1e10]])
+    assert Metric(2, g).g is g
 
 
 def test_degenerate_rejected():

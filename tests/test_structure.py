@@ -87,16 +87,27 @@ def test_two_digit_pairs_rejected_above_nine():
     assert component(a, 0, 1, 9) == Fraction(-1)
 
 
+#: inputs whose canonical print differs: terms go by (i, j) in each slot
+_PRINTED = {"(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)":
+            "(0,0,0,0,12+34,14-23,16-24+35,-13+26+45)"}
+
+
 @pytest.mark.parametrize("text", [
     "(0,0,12)",
     "(0,0,12,13,23)",
     "(0,12,-13)",
     "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)",
     "(0,0,1/2*12+2*13,0)",
+    "(0,0,0,0,0,0,0,0,0,-(1,2)+3/2*(2,10),(1,10)-(4,5))",
+    "(0,0,0.5*12-2.25*13,0)",
+    "(-12+1/3*23,0,0)",
 ])
 def test_print_parse_round_trip(text):
-    a = parse_structure(text)
+    """The printer's bytes: the canonical form of each input, ij pairs up
+    to dimension 9 and (i,j) above, floats by repr, no leading "+"."""
+    a = parse_structure(text, exact="." not in text)
     assert parse_structure(print_structure(a)).coeffs == a.coeffs
+    assert print_structure(a) == _PRINTED.get(text, text)
 
 
 @st.composite
