@@ -32,8 +32,8 @@ import numpy as np
 from . import linalg
 from .errors import NotNilpotentError
 from .metric import Metric, pseudo_orthonormal_frame, scaled_gram
-from .scalars import Scalar, format_scalar, is_zero
-from .structure import (StructureTensor, classify, killing_form,
+from .scalars import Scalar, format_scalar
+from .structure import (StructureTensor, classify, is_unimodular, killing_form,
                         require_killing_zero_class, require_lie, trace_ad)
 from .structure import is_lie  # noqa: F401  (bench/test_smoke.py traces it here)
 
@@ -181,7 +181,7 @@ def _b_forms(a: StructureTensor, S: Metric):
     # de_j^flat as a 2-form: F_j[p, q] = -<e_j, [e_p, e_q]> = -cl[p, q, j]
     forms = -np.transpose(cl, (2, 0, 1))
     tau, dt = linalg.scaled(trace_ad(a))
-    if all(is_zero(x, a.tol) for x in tau):
+    if is_unimodular(a):
         B1 = np.zeros((a.n, a.n), dtype=tau.dtype), 1
     else:
         Gi, di = S._scaled[1]

@@ -104,7 +104,7 @@ def diagonal_derivation_solve(a: StructureTensor) -> DerivationSpace:
     nonzero a^k_ij.  The basis holds the vectors x, read off
     `StructureTensor._diagonal_certificate`, as floats on the float
     backend."""
-    basis, witness, _ = a._diagonal_certificate
+    _, basis, witness, _ = a._diagonal_certificate
     if not a.exact:
         basis = linalg.to_float(basis)
         witness = None if witness is None else linalg.to_float(witness)

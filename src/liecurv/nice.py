@@ -9,10 +9,12 @@ diagonal metric has diagonal Ricci tensor, with the closed form
           - 1/2 sum_{i,j} (a^j_{ki})^2 g_j / (g_i g_k),
 
 that is ric = 1/2 M y, where the term t = (i, j, k) gives M the column
-e_k - e_i - e_j and y_t = (a^k_{ij})^2 g_k / (g_i g_j).  This turns the
-Einstein condition into n rational equations in the n diagonal entries --
-the system the damped-Newton search solves per sign pattern before
-rationalizing and re-verifying candidates exactly.  In u = log|g| the
+e_k - e_i - e_j and y_t = (a^k_{ij})^2 g_k / (g_i g_j), the terms in the
+order of `coeffs`; `StructureTensor._diagonal_certificate` keeps the rows
+of M^T, built once per tensor.  This turns the Einstein condition into
+n rational equations in the n diagonal entries -- the system the
+damped-Newton search solves per sign pattern before rationalizing and
+re-verifying candidates exactly.  In u = log|g| the
 terms are y = w exp(M^T u), w_t = sigma_i sigma_j sigma_k (a^k_ij)^2, so
 the Jacobian of ric is 1/2 M diag(y) M^T in closed form.  Newton runs on
 the squares divided by a power of two near their largest, which makes its
@@ -54,9 +56,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMetricError, NotNiceBasisError
-from .scalars import (DEFAULT_TOL, Scalar, format_scalar, is_zero,
-                      rationalize)
+from .errors import NotNiceBasisError
+from .scalars import DEFAULT_TOL, Scalar, format_scalar, rationalize
 from .structure import StructureTensor, in_killing_zero_class
 
 
@@ -100,6 +101,15 @@ def _nice_report(a: StructureTensor) -> NiceReport:
     return NiceReport(not violations, tuple(violations))
 
 
+def require_nice(a: StructureTensor, what: str):
+    """Raise NotNiceBasisError, naming the violations, unless the presented
+    basis of `a` is nice; `what` names the operation in the message."""
+    report = nice_basis_check(a)
+    if not report.is_nice:
+        raise NotNiceBasisError(f"{what} needs a nice basis: " + "; ".join(
+            str(v[-1]) for v in report.violations))
+
+
 def _squared_terms(a: StructureTensor, floating: bool):
     """(i, j, k, (a^k_ij)^2) per term; squared exactly, then converted."""
     return [(i, j, k, float(c * c) if floating else c * c)
@@ -125,12 +135,7 @@ def diagonal_ricci(a: StructureTensor, diag: Sequence[Scalar],
     """
     from .curvature import ricci_killing_zero
     from .metric import Metric
-    report = nice_basis_check(a)
-    if not report.is_nice:
-        raise NotNiceBasisError(
-            "basis is not nice: " + "; ".join(str(v[-1]) for v in report.violations))
-    if any(is_zero(x, tol) for x in diag):
-        raise DegenerateMetricError("diagonal metric with a zero entry")
+    require_nice(a, "the diagonal Ricci tensor")
     S = Metric.diagonal(list(diag), tol)
     data = ricci_killing_zero(a, S)
     form = data.ric_form
@@ -175,15 +180,27 @@ def _search_terms(a: StructureTensor):
             for i, j, k, c2 in squares], e
 
 
-def _float_lambda(terms, e: int, g) -> Optional[float]:
-    """lambda of the float diagonal metric g when it is accepted as
-    Einstein, else None: on the terms and e of `_search_terms`, its closed
-    form ric / 2^e has |ric_1| >= 1e-8 (lambda != 0) and every entry within
-    1e-10 of ric_1; lambda = ric_1 2^e."""
-    ric = _closed_form(len(g), terms, g, 0.5)
-    if abs(ric[0]) < 1e-8 or max(abs(x - ric[0]) for x in ric) > 1e-10:
-        return None
-    return math.ldexp(ric[0], e)
+def _einstein_result(a: StructureTensor, terms, e: int, pattern, diag):
+    """The verified result for the candidate diag(diag) of sign pattern
+    `pattern`, or None.  Exact when every entry is a nonzero Fraction and
+    `diagonal_ricci` gives ric = lambda Id, lambda != 0.  Float otherwise:
+    on the terms and e of `_search_terms`, the closed form ric / 2^e has
+    |ric_1| >= 1e-8 (lambda != 0) and every entry within 1e-10 of ric_1;
+    lambda = ric_1 2^e."""
+    if all(isinstance(x, Fraction) for x in diag):
+        if 0 in diag:               # a tiny float rationalizes to 0
+            return None
+        ric, _ = diagonal_ricci(a, diag)
+        if ric[0] == 0 or any(x != ric[0] for x in ric):
+            return None
+        lam, exact = ric[0], True
+    else:
+        diag = tuple(map(float, diag))
+        ric = _closed_form(a.n, terms, diag, 0.5)
+        if abs(ric[0]) < 1e-8 or max(abs(x - ric[0]) for x in ric) > 1e-10:
+            return None
+        lam, exact = math.ldexp(ric[0], e), False
+    return EinsteinMetricResult(pattern, tuple(diag), lam, lam * a.n, exact)
 
 
 def _residual(M, w, u):
@@ -239,16 +256,6 @@ def _newton_from(M, w, signs, u0):
     return gvec(u) if abs(F).max() < 1e-13 else None
 
 
-def _verify_exact(a: StructureTensor, diag):
-    if any(x == 0 for x in diag):
-        return None
-    entries, _ = diagonal_ricci(a, diag)
-    lam = entries[0]
-    if any(x != lam for x in entries) or lam == 0:
-        return None
-    return lam
-
-
 def _pattern_feasible(a: StructureTensor, pattern) -> bool:
     """Whether some y with M y = 2 lambda 1, lambda != 0, has the signs
     sign(y_t) = pattern_i pattern_j pattern_k that the metric's signs force.
@@ -264,7 +271,7 @@ def _pattern_feasible(a: StructureTensor, pattern) -> bool:
         return False
     return _strictly_solvable(
         [row if pattern[i] * pattern[j] * pattern[k] > 0 else
-         tuple(-x for x in row) for (i, j, k), row in span])
+         tuple(-x for x in row) for (i, j, k), row in zip(a.coeffs, span)])
 
 
 # Fourier-Motzkin can grow doubly exponentially; past this many new rows in
@@ -331,9 +338,7 @@ def diagonal_einstein_search(a: StructureTensor,
     not change which metrics are found.  `search_status` says whether an
     empty list is a proof or a budget statement.
     """
-    report = nice_basis_check(a)
-    if not report.is_nice:
-        raise NotNiceBasisError("the diagonal search needs a nice basis")
+    require_nice(a, "the diagonal search")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     n = a.n
@@ -366,11 +371,8 @@ def diagonal_einstein_search(a: StructureTensor,
             if not in_killing_zero_class(a):
                 return []           # Newton would solve a form that is not ric
             terms, e = _search_terms(a)
-            M = np.zeros((n, len(terms)))     # column t: e_k - e_i - e_j
-            for t, (i, j, k, _) in enumerate(terms):
-                M[k, t] += 1
-                M[i, t] -= 1
-                M[j, t] -= 1
+            M = np.array([[row.get(m, 0) for row in a._diagonal_certificate.rows]
+                          for m in range(n)], dtype=float)
             squares = np.array([c2 for *_, c2 in terms])
         w = squares * [pattern[i] * pattern[j] * pattern[k]
                        for i, j, k, _ in terms]
@@ -379,24 +381,19 @@ def diagonal_einstein_search(a: StructureTensor,
             g = _newton_from(M, w, pattern, u0)
             if g is None:
                 continue
-            lam = _float_lambda(terms, e, g)
-            if lam is None:
+            found = _einstein_result(a, terms, e, pattern, g)
+            if found is None:
                 continue
-            exact_diag = tuple(rationalize(x) for x in g)
-            key = (pattern, exact_diag)
+            # the exact re-check is a full Ricci computation: look up first
+            key = (pattern, tuple(map(rationalize, g)))
             if key in seen:
                 continue
-            exact_lam = _verify_exact(a, exact_diag)
-            if exact_lam is not None:
-                seen.add(key)
-                results.append(EinsteinMetricResult(
-                    pattern, exact_diag, exact_lam, exact_lam * n, True))
-                continue
-            key = (pattern, tuple(round(x, 8) for x in g))
+            exact = _einstein_result(a, terms, e, pattern, key[1])
+            if exact is None:
+                key = (pattern, tuple(round(x, 8) for x in g))
             if key not in seen:
                 seen.add(key)
-                results.append(EinsteinMetricResult(
-                    pattern, tuple(g), lam, lam * n, False))
+                results.append(found if exact is None else exact)
     results.sort(key=lambda r: (r.pattern, tuple(map(float, r.diag))))
     return results
 

@@ -48,14 +48,16 @@ def _freeze(coeffs, tol):
 
 
 class DiagonalCertificate(NamedTuple):
-    """`StructureTensor._diagonal_certificate`: `basis`, the reduced echelon
-    basis of ker M^T as rows of Fractions; `witness`, its first row of
-    nonzero sum, or None; `span`, only when there is no witness, a pair
-    ((i, j, k), row) per term, the rows of an integer basis of
+    """`StructureTensor._diagonal_certificate`: `rows`, the rows of M^T,
+    {m: entry} per term in the order of `coeffs`; `basis`, the reduced
+    echelon basis of ker M^T as rows of Fractions; `witness`, its first row
+    of nonzero sum, or None; `span`, only when there is no witness, a row
+    per term in the order of `coeffs`, the rows of an integer basis of
     {y : M y in R 1}, and None otherwise.  The columns of `span` but the
     last are a basis of ker M; the last has M y = s 1 with s > 0, as s is
     the last free column of the system that `linalg.kernel` solves."""
 
+    rows: tuple
     basis: np.ndarray
     witness: Optional[np.ndarray]
     span: Optional[tuple]
@@ -167,22 +169,23 @@ class StructureTensor:
 
     @cached_property
     def _killing_zero(self) -> bool:
-        return linalg.mat_is_zero(self._killing_form, self.tol * self._top ** 2)
+        B = self._killing_form      # exact: numpy's truthiness, no is_zero
+        return not B.any() if self.exact else linalg.mat_is_zero(
+            B, self.tol * self._top ** 2)
 
     @cached_property
     def _diagonal_certificate(self) -> DiagonalCertificate:
         """Both sides of the Fredholm alternative for the term matrix M.
 
         On a nice basis ric = 1/2 M y for diag(g): M is the n x m matrix
-        whose column for the term (i, j, k) of sorted(coeffs) is
+        whose column for the term (i, j, k), in the order of `coeffs`, is
         e_k - e_i - e_j, and y_t = (a^k_ij)^2 g_k / (g_i g_j).  Either some x
         in ker M^T -- x_k = x_i + x_j per term, the diagonal derivations
         diag(x) -- has nonzero sum, or 1 is in the image of M.  M reads only
         which terms are nonzero, so this is exact on either backend.
         """
-        terms = sorted(self.coeffs)
-        cols = [defaultdict(int) for _ in terms]      # the rows of M^T
-        for col, (i, j, k) in zip(cols, terms):
+        cols = tuple(defaultdict(int) for _ in self.coeffs)  # rows of M^T
+        for col, (i, j, k) in zip(cols, self.coeffs):
             col[k] += 1
             col[i] -= 1
             col[j] -= 1
@@ -190,15 +193,15 @@ class StructureTensor:
         witness = next((x for x, v in zip(_read_only(basis), xs)
                         if sum(v.values())), None)
         if witness is not None:
-            return DiagonalCertificate(basis, witness, None)
-        s = len(terms)                       # the column of s in (y, s)
+            return DiagonalCertificate(cols, basis, witness, None)
+        s = len(cols)                        # the column of s in (y, s)
         rows = [defaultdict(int, {s: -1}) for _ in range(self.n)]
         for t, col in enumerate(cols):
             for i, x in col.items():
                 rows[i][t] = x
         null = linalg.kernel(rows, s + 1)          # (y, s) with M y = s 1
         span = zip(*([v.get(t, 0) for t in range(s)] for v in null))
-        return DiagonalCertificate(basis, None, tuple(zip(terms, span)))
+        return DiagonalCertificate(cols, basis, None, tuple(span))
 
     @cached_property
     def _nice_report(self) -> "NiceReport":
@@ -337,12 +340,15 @@ def parse_structure(text: str, exact: bool = True,
 def print_structure(a: StructureTensor) -> str:
     """Canonical inverse of parse_structure: slot k holds the terms of de^k
     by (i, j), each a sign, then "c*" unless |c| = 1, then ij, or (i,j)
-    above dimension 9; no leading "+", and 0 when it has none."""
+    above dimension 9; no leading "+", and 0 when it has none.  Floats are
+    written without an exponent, which the parser does not read."""
+    fmt = format_scalar if a.exact else lambda x: np.format_float_positional(
+        x, unique=True, trim="0")
     slots = [""] * a.n
     for i, j, k, c in a.terms():
         pair = f"{i + 1}{j + 1}" if a.n <= 9 else f"({i + 1},{j + 1})"
         sign, mag = ("+", -c) if c < 0 else ("-", c)    # de^k carries -a^k_ij
-        slots[k] += sign + (pair if mag == 1 else f"{format_scalar(mag)}*{pair}")
+        slots[k] += sign + (pair if mag == 1 else f"{fmt(mag)}*{pair}")
     return "(" + ",".join(s.removeprefix("+") or "0" for s in slots) + ")"
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from liecurv import nice
+from liecurv import einstein, nice
 from liecurv.cli import main
 from liecurv.metric import parse_metric
 from liecurv.moment import gauge_metric, gauge_structure
@@ -278,6 +278,54 @@ def test_einstein_search_repeated_patterns_searched_once(capsys):
     # first occurrences keep their order
     assert [r["pattern"] for r in json.loads(outs[0])["results"]] == \
         [[1, 1, 1, 1, -1, -1, 1, 1], [1, 1, -1, -1, -1, 1, -1, -1]]
+
+
+SPLIT = "(24,0,0,0,0,35)"
+SPLIT_METRIC = "e1.e4+e2.e5+e3.e6"
+N8 = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["classify", "--structure", "(0,0,12,13,24)"],
+     ["structure (0,0,12,13,24)", "  is_lie: False"]),
+    # a reversed pair is a sign: e^2 ^ e^1 = -e^1 ^ e^2
+    (["classify", "--structure", "(0,0,21)"],
+     ["structure (0,0,-12)", "  is_lie: True", "  step: 2"]),
+    (["ricci", "--structure", SPLIT, "--metric", SPLIT_METRIC],
+     ["ricci tensor:", "  0  0  0  0  0  0", "ricci operator:",
+      "scalar curvature: 0", "einstein: lambda = 0"]),
+    (["bforms", "--structure", HEIS, "--metric", "diag(1,1,1)"],
+     ["B1:", "B3:", "  1  0  0", "B6:", "tr B2: 0", "tr B3: 2", "tr B4: 0"]),
+    (["moment", "--structure", HEIS, "--metric", "diag(1,1,1)"],
+     ["c1:", "  0  0  2", "c2:", "mu = c1 - 2 c2:", "  -2   0  0",
+      "<a, q(a,S)> = 2", "s = -1/2"]),
+    (["derivations", "--structure", HEIS],
+     ["dim Der = 6", "derivation with trace 2:", "  1  0  0", "  0  0  1"]),
+    (["derivations", "--structure", "(23,-13,12)"],
+     ["dim Der = 3", "all derivations are traceless"]),
+    (["nice", "--structure", "(0,0,0,12,14,15+23+24)"],
+     ["nice basis: False",
+      "  source pairs (2, 3) and (2, 4) of e6 share an index"]),
+    (["mn", "--structure", SPLIT, "--metric", SPLIT_METRIC],
+     ["dim_M: 4", "dim_N: 2", "dim_derived: 2", "dim_centre: 2",
+      "excluded: True"]),
+    (["holonomy", "--structure", SPLIT, "--metric", SPLIT_METRIC],
+     ["span_dim: 1", "full: False", "locally_symmetric: True"]),
+    (["critical", "--structure", SPLIT, "--metric", SPLIT_METRIC],
+     ["tangent_dim: 50", "critical: True", "tangent_dim_killing: 44",
+      "critical_killing: True"]),
+    (["einstein-search", "--structure", N8, "--patterns", "+,+,+,+,+,+,+,+"],
+     ["none: no requested sign pattern admits a diagonal Einstein metric "
+      "with lambda != 0 in this basis"]),
+])
+def test_text_output(capsys, monkeypatch, argv, lines):
+    # with the exact enumeration off, which only einstein-search reads, the
+    # search answers from the sign test, as where the enumeration fails
+    monkeypatch.setattr(einstein, "einstein_metrics", lambda a: None)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    printed = out.splitlines()
+    assert all(line in printed for line in lines), out
 
 
 def test_mn_and_holonomy(capsys):

@@ -160,6 +160,17 @@ def test_float_holonomy_does_not_see_the_scale_of_the_bracket(c):
         assert (hol["span_dim"], hol["full"], hol["locally_symmetric"]) == want, text
 
 
+@pytest.mark.parametrize("c", [1e-10, 1.0, 1e4])
+def test_float_b1_does_not_see_the_scale_of_the_bracket(c):
+    """(0, c*12), [e1, e2] = -c e2, is not unimodular for any c != 0, and
+    diag(1, 1) is Einstein with lambda = -c^2.  An absolute zero test on tr ad dropped
+    B1 at c = 1e-10 and read ric = diag(-1e-20, 0)."""
+    a = parse_structure(f"(0,{c:.10f}*12)", exact=False)
+    data = ricci_general(a, parse_metric("diag(1,1)", 2, exact=False))
+    assert data.einstein is not None
+    assert math.isclose(data.einstein, -c * c, rel_tol=1e-9)
+
+
 def test_float_q_terms_do_not_see_the_scale_of_the_metric(capsys):
     """q(a, g) of Heisenberg has the same two terms with g scaled by 1e10,
     each scaled by 1e-10: an absolute zero test listed none."""

@@ -74,6 +74,16 @@ def test_diagonal_ricci_guards():
                        [Fraction(1), Fraction(0), Fraction(1)])
 
 
+@pytest.mark.parametrize("t", [1e-10, 1.0, 1e10])
+def test_diagonal_ricci_does_not_see_the_scale_of_the_metric(t):
+    # diag(t, t, t) is nondegenerate at every t != 0, as Metric.diagonal
+    # decides; an absolute zero test refused t = 1e-10
+    entries, off = diagonal_ricci(parse_structure("(0,0,12)", exact=False),
+                                  [t] * 3)
+    assert entries == pytest.approx([-0.5 / t, -0.5 / t, 0.5 / t], rel=1e-12)
+    assert off == 0
+
+
 def test_diagonal_ricci_values():
     entries, off = diagonal_ricci(parse_structure("(0,0,12)"),
                                   [Fraction(1)] * 3)
@@ -525,7 +535,7 @@ EIGHT_TERMS = {(0, 1, 6): -1, (0, 3, 5): 1, (0, 5, 7): -1, (1, 2, 4): -1,
 
 def test_enumeration_with_d_0_and_a_metric_with_cube_roots():
     a = StructureTensor(8, {k: Fraction(c) for k, c in EIGHT_TERMS.items()})
-    assert len(a._diagonal_certificate.span[0][1]) == 1
+    assert len(a._diagonal_certificate.span[0]) == 1
     (r,) = diagonal_einstein_search(a)
     assert r.exact and r.diag == (1, 1, 1, 1, Fraction(-7, 3), Fraction(-7, 3),
                                   Fraction(49, 15), Fraction(49, 15))

@@ -104,10 +104,18 @@ _PRINTED = {"(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)":
 ])
 def test_print_parse_round_trip(text):
     """The printer's bytes: the canonical form of each input, ij pairs up
-    to dimension 9 and (i,j) above, floats by repr, no leading "+"."""
+    to dimension 9 and (i,j) above, floats positional, no leading "+"."""
     a = parse_structure(text, exact="." not in text)
     assert parse_structure(print_structure(a)).coeffs == a.coeffs
     assert print_structure(a) == _PRINTED.get(text, text)
+
+
+@pytest.mark.parametrize("c", [1e-05, 1e16, 1.2345e20, 5e-324])
+def test_printed_float_structure_parses_back(c):
+    """repr writes 1e-05, and the coefficient grammar reads no exponent."""
+    a = StructureTensor.from_brackets(3, {(0, 1, 2): c, (1, 2, 0): -c},
+                                      exact=False)
+    assert parse_structure(print_structure(a), exact=False) == a
 
 
 @st.composite
