@@ -3,7 +3,7 @@
 Inputs are structure/metric literals or paths to files containing them;
 output is human-readable text or JSON (schema version "1").  Exit codes:
 0 success, 1 a checked claim failed (non-Einstein metric, failed catalog
-claim), 2 usage or input errors.
+claim), 2 usage or input errors, and float overflow.
 
 A call imports only the layers its subcommand runs: at module level this
 file imports `errors`, `scalars` and `structure`, which parsing and
@@ -416,6 +416,9 @@ def main(argv=None) -> int:
         if args.backend not in ("exact", "float"):
             raise LieCurvError(f"unknown backend {args.backend!r}")
         return args.fn(args)
+    except OverflowError as exc:    # Python's, or FloatOverflowError
+        print(f"error: float overflow: {exc}; rescale the input", file=sys.stderr)
+        return 2
     except (LieCurvError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

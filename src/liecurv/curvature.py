@@ -297,8 +297,8 @@ def mn_criterion(a: StructureTensor, S: Metric):
     # ad(g) is spanned by the ad(e_i), d(g*) by the de^k
     dim_m = null_dim(np.transpose(C, (0, 2, 1)), "T*T")
     dim_n = null_dim(-np.transpose(C, (2, 0, 1)), "Lambda2T*")
-    dim_derived = rep.derived.shape[0]
-    dim_centre = rep.centre.shape[0]
+    dim_derived = rep.derived.dim
+    dim_centre = rep.centre.dim
     excluded = dim_m + dim_n >= dim_derived - dim_centre
     return {
         "dim_M": dim_m,

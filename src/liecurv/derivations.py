@@ -25,45 +25,59 @@ from .structure import (StructureTensor, require_killing_zero_class,
 @dataclass(frozen=True)
 class DerivationSpace:
     """Derivations as a reduced-echelon basis: n x n matrices for Der(g),
-    the vectors x of X = diag(x) for the diagonal ones."""
+    the vectors x of X = diag(x) for the diagonal ones, of `shape`.  `span`
+    keeps the basis flattened, as rows, and `witness` is the index of its
+    first element of nonzero trace, or None; the matrices are built from
+    the rows on first read."""
 
-    n: int
-    basis: tuple
-    trace_witness: Optional[np.ndarray]
+    shape: tuple
+    span: linalg.Subspace
+    witness: Optional[int]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.span.dim
 
     @property
     def has_nonzero_trace(self) -> bool:
-        return self.trace_witness is not None
+        return self.witness is not None
+
+    @property
+    def basis(self) -> tuple:
+        return tuple(X.reshape(self.shape) for X in self.span.matrix)
+
+    @property
+    def trace_witness(self) -> Optional[np.ndarray]:
+        return None if self.witness is None else self.basis[self.witness]
 
 
 def _derivation_system(a: StructureTensor) -> list:
     """Sparse rows, {column: entry}, of the linear system on X (flattened
-    row-major, n^2 unknowns), on the exact backend scaled to integers.
+    row-major, n^2 unknowns), on the exact backend scaled to integers, with
+    the columns reversed as `linalg.null_space` takes them: X[l, m] is
+    column n^2 - 1 - (l n + m).
 
     One equation per (i < j, l), in that order: the e_l component of
     X[e_i, e_j] - [Xe_i, e_j] - [e_i, Xe_j].
     """
     n = a.n
+    last = n * n - 1
     pair = {ij: p for p, ij in enumerate(combinations(range(n), 2))}
     rows = [defaultdict(int) for _ in range(len(pair) * n)]
     for (p, q, m), c in a._scaled[0].items():
         # X[e_p, e_q] picks up X[l, m] a^m_pq
         for l in range(n):
-            rows[pair[p, q] * n + l][l * n + m] += c
+            rows[pair[p, q] * n + l][last - l * n - m] += c
         # [X e_i, e_j] picks up X[k, i] a^l_kj, with (k, j) = (p, q) or (q, p)
         for i in range(q):
-            rows[pair[i, q] * n + m][p * n + i] -= c
+            rows[pair[i, q] * n + m][last - p * n - i] -= c
         for i in range(p):
-            rows[pair[i, p] * n + m][q * n + i] += c
+            rows[pair[i, p] * n + m][last - q * n - i] += c
         # [e_i, X e_j] picks up X[k, j] a^l_ik, with (i, k) = (p, q) or (q, p)
         for j in range(p + 1, n):
-            rows[pair[p, j] * n + m][q * n + j] -= c
+            rows[pair[p, j] * n + m][last - q * n - j] -= c
         for j in range(q + 1, n):
-            rows[pair[q, j] * n + m][p * n + j] += c
+            rows[pair[q, j] * n + m][last - p * n - j] += c
     return rows
 
 
@@ -76,11 +90,10 @@ def derivation_space(a: StructureTensor) -> DerivationSpace:
     """
     require_lie(a, "the derivation space")
     n = a.n
-    B, rows = linalg.null_space(_derivation_system(a), n * n, a.exact, a.tol)
-    basis = tuple(X.reshape(n, n) for X in B)
-    witness = next((X for X, v in zip(basis, rows) if not is_zero(
+    span = linalg.null_space(_derivation_system(a), n * n, a.exact, a.tol)
+    witness = next((r for r, v in enumerate(span.rows) if not is_zero(
         sum(v.get(i * (n + 1), 0) for i in range(n)), a.tol)), None)
-    return DerivationSpace(n, basis, witness)
+    return DerivationSpace((n, n), span, witness)
 
 
 def trace_obstruction(a: StructureTensor) -> dict:
@@ -101,11 +114,13 @@ def trace_obstruction(a: StructureTensor) -> dict:
 
 def diagonal_derivation_solve(a: StructureTensor) -> DerivationSpace:
     """The diagonal derivations X = diag(x): x_i + x_j = x_k for every
-    nonzero a^k_ij.  The basis holds the vectors x, read off
+    nonzero a^k_ij.  The basis holds the vectors x, the kernel of
     `StructureTensor._diagonal_certificate`, as floats on the float
-    backend."""
-    _, basis, witness, _ = a._diagonal_certificate
+    backend: each row divided by its leading entry, as `linalg.to_matrix`
+    divides an exact one."""
+    cert = a._diagonal_certificate
+    span = cert.kernel
     if not a.exact:
-        basis = linalg.to_float(basis)
-        witness = None if witness is None else linalg.to_float(witness)
-    return DerivationSpace(a.n, tuple(basis), witness)
+        span = linalg.Subspace(tuple({c: x / v[min(v)] for c, x in v.items()}
+                                     for v in span.rows), a.n, False)
+    return DerivationSpace((a.n,), span, cert.witness)

@@ -134,7 +134,7 @@ def _log_solve(a: StructureTensor) -> list:
     n = a.n
     cert = a._diagonal_certificate
     rows = [{**row, n + t: -1} for t, row in enumerate(cert.rows)]
-    rows += [{next(m for m, x in enumerate(v) if x): 1} for v in cert.basis]
+    rows += [{min(v): 1} for v in cert.kernel.rows]
     reduced, _ = linalg.eliminate(rows)
     out = []
     for m, row in zip(range(n), reduced):     # the pivots are 0, ..., n - 1

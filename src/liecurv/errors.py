@@ -49,6 +49,10 @@ class NotNiceBasisError(LieCurvError):
     """The presented basis violates the nice-basis conditions."""
 
 
+class FloatOverflowError(LieCurvError, OverflowError):
+    """A float result is inf or nan where a number is due."""
+
+
 class CatalogSchemaError(LieCurvError):
     """A catalog line does not conform to the JSON-lines entry schema."""
 

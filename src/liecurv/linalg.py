@@ -9,10 +9,11 @@ ordinary float64 arrays.  Two kernels carry every exact computation:
   matrix.  Rows with a single entry are taken first, as unit pivots; the
   rest are reduced row by row against the reduced rows so far, with
   bounded growth.  A subspace stays the reduced rows that `eliminate`
-  returns from one elimination to the next; `to_matrix` makes a Fraction
-  matrix straight from them only for a public result.  A null space is
-  one elimination, with the columns reversed so that the kernel basis
-  comes out reduced.  `rank` and `inv` are its adapters for ndarrays;
+  returns from one elimination to the next, and a public result keeps
+  them too, as a `Subspace`, which makes its Fraction matrix with
+  `to_matrix` only when it is read.  A null space is one elimination of
+  rows with their columns reversed, so that the kernel basis comes out
+  reduced.  `rank` and `inv` are its adapters for ndarrays;
 - one product, `contract`, numpy's `@` on 2-D reshapes; a tensor
   contraction is a product of reshaped arrays, and a family of matrices is
   transformed by one `sandwich` of its stack.
@@ -36,7 +37,9 @@ Output ordering is deterministic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -49,7 +52,7 @@ __all__ = [
     "mat_equal", "mat_is_zero", "as_integers", "scaled", "unscaled",
     "common", "over", "contract", "sandwich",
     "sparse_rows", "eliminate", "kernel", "svd_rank", "pivot_columns", "rank",
-    "to_matrix", "row_space", "null_space", "inv", "sylvester_signature",
+    "to_matrix", "Subspace", "row_space", "null_space", "inv", "sylvester_signature",
 ]
 
 
@@ -317,8 +320,8 @@ def to_matrix(rows, n: int, exact: bool) -> np.ndarray:
     """Rows, {column: entry} dicts, as a matrix with n columns: float rows
     as they are, exact rows of a reduced echelon basis each divided by its
     pivot, its leading entry.  The one place where exact rows become a
-    Fraction matrix, for the subspaces that a public function returns;
-    between eliminations a subspace stays rows."""
+    Fraction matrix, when a `Subspace` or `row_space` is read; between
+    eliminations a subspace stays rows."""
     M = zeros((len(rows), n), exact)
     for r, row in enumerate(rows):
         if exact:
@@ -326,6 +329,29 @@ def to_matrix(rows, n: int, exact: bool) -> np.ndarray:
             row = {c: Fraction(x, d) for c, x in row.items()}
         M[r, list(row)] = list(row.values())
     return M
+
+
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of the n-vectors as the rows of its reduced echelon basis,
+    {column: entry} dicts: exact, primitive integer rows, as `eliminate`,
+    `kernel` and `null_space` give them; float rows as they are.  `matrix`,
+    that basis as a read-only matrix of shape (dim, n), is built from them
+    by `to_matrix` on first read and kept."""
+
+    rows: tuple
+    n: int
+    exact: bool
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        M = to_matrix(self.rows, self.n, self.exact)
+        M.setflags(write=False)
+        return M
 
 
 def rank(M: np.ndarray, tol: float = DEFAULT_TOL) -> int:
@@ -345,20 +371,19 @@ def row_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> np.ndarray
     return _echelon(s[:r, None] * Vh[:r], tol)
 
 
-def null_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> tuple:
-    """(B, rows of B): the reduced echelon basis B, shape (n - rank, n), of
-    the kernel of the matrix with these rows, as `row_space` takes them,
-    and n columns.  Exact: one elimination, `kernel` with the columns
-    reversed (c -> n - 1 - c), whose vectors then lead at their own free
-    columns, zero at the others: primitive integer rows of B."""
+def null_space(rows, n: int, exact: bool, tol: float = DEFAULT_TOL) -> Subspace:
+    """The kernel of the matrix with n columns whose rows are `rows`, as
+    `row_space` takes them, with their columns reversed (c -> n - 1 - c):
+    the order in which one exact elimination, `kernel`, gives vectors that
+    lead at their own free columns, zero at the others, the rows of the
+    reduced echelon basis, shape (n - rank, n), in the usual order."""
     if exact:
         last = n - 1
-        basis = kernel([{last - c: x for c, x in row.items()} for row in rows if row], n)
-        basis = [{last - c: x for c, x in v.items()} for v in reversed(basis)]
-        return to_matrix(basis, n, True), basis
-    _, _, Vh, r = svd_rank(to_matrix(rows, n, False), tol)
-    B = _echelon(Vh[r:], tol)
-    return B, sparse_rows(B.tolist(), False)
+        basis = [{last - c: x for c, x in v.items()} for v in reversed(kernel(rows, n))]
+    else:
+        _, _, Vh, r = svd_rank(to_matrix(rows, n, False)[:, ::-1], tol)
+        basis = sparse_rows(_echelon(Vh[r:], tol).tolist(), False)
+    return Subspace(tuple(basis), n, exact)
 
 
 def inv(M: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -414,10 +414,11 @@ def search_status(a: StructureTensor, sign_patterns, results) -> dict:
     enumeration; Newton's results never are.  "budget" otherwise.
     """
     if a.exact and in_killing_zero_class(a):
-        witness = a._diagonal_certificate.witness
-        if witness is not None:
+        cert = a._diagonal_certificate
+        if cert.witness is not None:
             return {"status": "none", "reason": "trace-obstruction",
-                    "witness": [format_scalar(x) for x in witness]}
+                    "witness": [format_scalar(x)
+                                for x in cert.kernel.matrix[cert.witness]]}
         if a._diagonal_einstein is not None:
             if results:
                 return {"status": "found", "complete": True}

@@ -12,9 +12,12 @@ rank decisions scale it by the size of their operand.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Union
+
+from .errors import FloatOverflowError
 
 Scalar = Union[Fraction, float]
 
@@ -63,8 +66,11 @@ def signed_coeff(m: re.Match, exact: bool) -> Scalar:
 
 
 def format_scalar(x: Scalar) -> str:
-    """Canonical text form; rationals as "p/q", floats via repr."""
+    """Canonical text form; rationals as "p/q", floats via repr.  An inf or
+    nan float is never printed as an answer: it raises FloatOverflowError."""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise FloatOverflowError(f"a result is {float(x)!r}")
         # plain-float repr also for numpy float subclasses
         return repr(float(x))
     x = Fraction(x)

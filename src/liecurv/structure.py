@@ -41,7 +41,9 @@ def _freeze(coeffs, tol):
             raise ValueError(f"bracket [e{i+1},e{i+1}] must vanish")
         if i > j:
             i, j, c = j, i, -c
-        out[(i, j, k)] = out.get((i, j, k), type(c)(0)) + c
+        # a key repeats only when both (i, j, k) and (j, i, k) are given
+        key = (i, j, k)
+        out[key] = out[key] + c if key in out else c
     if any(isinstance(c, float) for c in out.values()):    # zero: <= tol max |c|
         tol *= max(map(abs, out.values()))
     return {key: c for key, c in out.items() if not is_zero(c, tol)}
@@ -49,17 +51,17 @@ def _freeze(coeffs, tol):
 
 class DiagonalCertificate(NamedTuple):
     """`StructureTensor._diagonal_certificate`: `rows`, the rows of M^T,
-    {m: entry} per term in the order of `coeffs`; `basis`, the reduced
-    echelon basis of ker M^T as rows of Fractions; `witness`, its first row
-    of nonzero sum, or None; `span`, only when there is no witness, a row
-    per term in the order of `coeffs`, the rows of an integer basis of
+    {m: entry} per term in the order of `coeffs`; `kernel`, ker M^T, the
+    diagonal derivations; `witness`, the index of its first row of nonzero
+    sum, or None; `span`, only when there is no witness, a row per term in
+    the order of `coeffs`, the rows of an integer basis of
     {y : M y in R 1}, and None otherwise.  The columns of `span` but the
     last are a basis of ker M; the last has M y = s 1 with s > 0, as s is
     the last free column of the system that `linalg.kernel` solves."""
 
     rows: tuple
-    basis: np.ndarray
-    witness: Optional[np.ndarray]
+    kernel: linalg.Subspace
+    witness: Optional[int]
     span: Optional[tuple]
 
 
@@ -156,22 +158,27 @@ class StructureTensor:
         return 0.0 if self.exact else max(map(abs, self.coeffs.values()), default=0.0)
 
     @cached_property
+    def _killing_sums(self) -> tuple:
+        """The Killing form B_ij = Tr(ad e_i ad e_j) = sum over k, m of
+        a^k_im a^m_jk as the `linalg.scaled` pair (N, d^2), c and d as in
+        `_scaled`: N_ij sums c^k_im c^m_jk."""
+        ad, n = self._ad, self.n
+        N = np.zeros((n, n), dtype=object if self.exact else float)
+        for i in range(n):
+            for j in range(i, n):
+                N[i, j] = N[j, i] = sum(c * c2 for m in range(n) for k, c in ad[i][m]
+                                        for m2, c2 in ad[j][k] if m2 == m)
+        return N, self._scaled[1] ** 2
+
+    @cached_property
     def _killing_form(self) -> np.ndarray:
-        # B_ij = Tr(ad e_i ad e_j) = sum over k, m of a^k_im a^m_jk
-        ad, dd = self._ad, self._scaled[1] ** 2
-        B = linalg.zeros((self.n, self.n), self.exact)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                x = sum(c * c2 for m in range(self.n) for k, c in ad[i][m]
-                        for m2, c2 in ad[j][k] if m2 == m)
-                B[i, j] = B[j, i] = Fraction(x, dd) if self.exact else x
-        return _read_only(B)
+        return _read_only(linalg.unscaled(*self._killing_sums))
 
     @cached_property
     def _killing_zero(self) -> bool:
-        B = self._killing_form      # exact: numpy's truthiness, no is_zero
-        return not B.any() if self.exact else linalg.mat_is_zero(
-            B, self.tol * self._top ** 2)
+        N, _ = self._killing_sums   # exact: numpy's truthiness, no is_zero
+        return not N.any() if self.exact else linalg.mat_is_zero(
+            N, self.tol * self._top ** 2)
 
     @cached_property
     def _diagonal_certificate(self) -> DiagonalCertificate:
@@ -189,11 +196,13 @@ class StructureTensor:
             col[k] += 1
             col[i] -= 1
             col[j] -= 1
-        basis, xs = linalg.null_space(cols, self.n, True)
-        witness = next((x for x, v in zip(_read_only(basis), xs)
-                        if sum(v.values())), None)
+        last = self.n - 1
+        kernel = linalg.null_space([{last - m: x for m, x in col.items()}
+                                    for col in cols], self.n, True)
+        witness = next((r for r, v in enumerate(kernel.rows) if sum(v.values())),
+                       None)
         if witness is not None:
-            return DiagonalCertificate(cols, basis, witness, None)
+            return DiagonalCertificate(cols, kernel, witness, None)
         s = len(cols)                        # the column of s in (y, s)
         rows = [defaultdict(int, {s: -1}) for _ in range(self.n)]
         for t, col in enumerate(cols):
@@ -201,7 +210,7 @@ class StructureTensor:
                 rows[i][t] = x
         null = linalg.kernel(rows, s + 1)          # (y, s) with M y = s 1
         span = zip(*([v.get(t, 0) for t in range(s)] for v in null))
-        return DiagonalCertificate(cols, basis, None, tuple(span))
+        return DiagonalCertificate(cols, kernel, None, tuple(span))
 
     @cached_property
     def _nice_report(self) -> "NiceReport":
@@ -223,10 +232,11 @@ class StructureTensor:
             return ClassifyReport(is_lie=False)
         lcs = lower_central_series(self)
         nilpotent = lcs.dims[-1] == 0
-        centre, z = linalg.null_space(_centre_system(self), self.n, self.exact, self.tol)
+        centre = linalg.null_space(_centre_system(self), self.n, self.exact, self.tol)
         derived = self._derived
         # Z lies in [g, g] when its rows add no pivot to those of [g, g]
-        rank = len(linalg.pivot_columns([*derived, *z], self.n, self.exact, self.tol))
+        rank = len(linalg.pivot_columns([*derived, *centre.rows], self.n,
+                                        self.exact, self.tol))
         return ClassifyReport(
             is_lie=True,
             unimodular=is_unimodular(self),
@@ -235,7 +245,7 @@ class StructureTensor:
             step=len(lcs.dims) if nilpotent else None,
             killing_zero=self._killing_zero,
             lcs=lcs,
-            centre=_read_only(centre),
+            centre=centre,
             derived=lcs.spaces[0],
             centre_in_derived=rank == len(derived),
         )
@@ -471,14 +481,13 @@ def in_killing_zero_class(a: StructureTensor) -> bool:
 
 @dataclass(frozen=True)
 class SubspaceFlag:
-    """Descending chain of subspaces, each given by a row-space basis matrix."""
+    """Descending chain of subspaces, each a `linalg.Subspace`."""
 
-    n: int
-    spaces: Sequence[np.ndarray]  # each of shape (dim, n), rref rows
+    spaces: Sequence[linalg.Subspace]
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(s.shape[0] for s in self.spaces)
+        return tuple(s.dim for s in self.spaces)
 
 
 def lower_central_series(a: StructureTensor) -> SubspaceFlag:
@@ -490,8 +499,7 @@ def lower_central_series(a: StructureTensor) -> SubspaceFlag:
         if len(nxt) >= len(spaces[-1]):
             break
         spaces.append(nxt)
-    return SubspaceFlag(a.n, [_read_only(linalg.to_matrix(rows, a.n, a.exact))
-                              for rows in spaces])
+    return SubspaceFlag(tuple(linalg.Subspace(rows, a.n, a.exact) for rows in spaces))
 
 
 def derived_series_terminates(a: StructureTensor) -> bool:
@@ -503,12 +511,14 @@ def derived_series_terminates(a: StructureTensor) -> bool:
 
 
 def _centre_system(a: StructureTensor) -> list:
-    """The rows of ad(v) = 0, whose kernel is the centre Z."""
+    """The rows of ad(v) = 0, whose kernel is the centre Z, with the columns
+    reversed as `linalg.null_space` takes them: v_i is column n - 1 - i."""
     n = a.n
+    last = n - 1
     rows = [defaultdict(int) for _ in range(n * n)]   # (k, j): [v, e_j]_k = 0
     for (i, j, k), c in a._scaled[0].items():
-        rows[k * n + j][i] += c
-        rows[k * n + i][j] -= c
+        rows[k * n + j][last - i] += c
+        rows[k * n + i][last - j] -= c
     return rows
 
 
@@ -521,8 +531,8 @@ class ClassifyReport:
     step: Optional[int] = None
     killing_zero: Optional[bool] = None
     lcs: Optional[SubspaceFlag] = None
-    centre: Optional[np.ndarray] = None
-    derived: Optional[np.ndarray] = None
+    centre: Optional[linalg.Subspace] = None
+    derived: Optional[linalg.Subspace] = None
     centre_in_derived: Optional[bool] = None
 
     def to_json(self) -> dict:
@@ -536,8 +546,8 @@ class ClassifyReport:
             "step": self.step,
             "killing_zero": self.killing_zero,
             "lcs_dims": list(self.lcs.dims),
-            "centre_dim": int(self.centre.shape[0]),
-            "derived_dim": int(self.derived.shape[0]),
+            "centre_dim": self.centre.dim,
+            "derived_dim": self.derived.dim,
             "centre_in_derived": self.centre_in_derived,
         })
         return out

@@ -83,3 +83,53 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         "# header comment", "",
         json.dumps({"name": "h", "dim": 3, "structure": "(0,0,12)"})])
     assert len(entries) == 1 and entries[0].line == 3
+
+
+def test_algebra_claims_build_no_fraction_matrix(catalog_entries, monkeypatch):
+    """The algebra claims read dimensions, verdicts and integer rows, so
+    they build no Fraction matrix: no exact `linalg.to_matrix` call (a float
+    one is the input of an SVD) and no exact Killing form.  Only
+    der_strictly_lower_triangular reads the basis of Der(g).  The matrices
+    of the results are built on first read, once: a second read builds
+    nothing."""
+    from liecurv import linalg
+    from liecurv.catalog import _check_algebra_claims
+    from liecurv.derivations import derivation_space, diagonal_derivation_solve
+    from liecurv.structure import classify, is_lie, killing_form
+
+    built = []
+    to_matrix = linalg.to_matrix
+
+    def counting(rows, n, exact):
+        built.append(exact)
+        return to_matrix(rows, n, exact)
+
+    monkeypatch.setattr(linalg, "to_matrix", counting)
+    entries = [e for e in catalog_entries
+               if "der_strictly_lower_triangular" not in e.claims]
+    assert len(entries) == 65
+    for entry in entries:
+        a = entry.parse()
+        built.clear()
+        checks = _check_algebra_claims(entry, a)
+        assert checks and all(c.passed for c in checks), entry.name
+        assert True not in built, entry.name
+        assert "_killing_form" not in a.__dict__ or not a.exact, entry.name
+        # the first read builds the matrices, the second builds nothing
+        results = [diagonal_derivation_solve(a)]
+        spaces = []
+        if is_lie(a):
+            rep = classify(a)
+            results.append(derivation_space(a))
+            spaces = [*rep.lcs.spaces, rep.centre, rep.derived]
+        for reads in range(2):
+            built.clear()
+            for der in results:
+                der.basis, der.trace_witness
+            for space in spaces:
+                space.matrix
+            assert killing_form(a) is killing_form(a)
+            if reads:
+                assert built == [], entry.name
+            elif a.exact:
+                assert True in built, entry.name

@@ -450,6 +450,28 @@ def test_tolerance_must_be_finite_and_nonnegative(capsys, tol):
     assert "error: argument --tolerance" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, power", [
+    ("classify", 155), ("ricci", 155), ("einstein", 155), ("scalar", 155),
+    ("scalar", 154), ("moment", 155)])
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float_overflow_exits_2_and_prints_no_inf(capsys, command, power, output):
+    """(0,0,c*12) with c = 10^155 overflows the squares of the bracket, and
+    the scalar curvature from c = 10^154: a message, never inf as an answer.
+    The grammar reads no exponent, so c is written out."""
+    metric = [] if command == "classify" else ["--metric", "diag(1,1,1)"]
+    code, out, err = run(capsys, "--backend", "float", "--output", output, command,
+                         "--structure", f"(0,0,{10 ** power}*12)", *metric)
+    assert code == 2 and out == ""
+    assert "error: float overflow" in err and "Traceback" not in err
+
+
+def test_float_results_below_overflow_still_print(capsys):
+    code, out, _ = run(capsys, "--backend", "float", "ricci", "--structure",
+                       f"(0,0,{10 ** 154}*12)", "--metric", "diag(1,1,1)")
+    assert code == 0 and "scalar curvature: -5e+307" in out
+
+
 def test_zero_tolerance_is_allowed(capsys):
     code, out, _ = run(capsys, "--backend", "float", "--tolerance", "0",
                        "classify", "--structure", HEIS)

@@ -18,6 +18,7 @@ from liecurv.derivations import (_derivation_system, derivation_space,
                                  diagonal_derivation_solve)
 from liecurv.metric import parse_metric
 from liecurv.moment import gauge_metric, gauge_structure
+from liecurv.scalars import is_zero
 from liecurv.structure import (StructureTensor, _bracket_span, classify,
                                is_lie, jacobi_defect, killing_form,
                                parse_structure)
@@ -79,19 +80,19 @@ def assert_same_basis(got, want, exact):
 def test_derivations_match_the_dense_system(catalog_entries, seed):
     for a in brackets(catalog_entries, seed):
         n = a.n
-        # the same rows up to the common denominator of the coefficients
+        # the same rows up to the common denominator of the coefficients,
+        # the sparse ones with their columns reversed
         M = dense_derivation_system(a)
-        d = a._scaled[1]
+        d, last = a._scaled[1], n * n - 1
         S = linalg.zeros(M.shape, a.exact)
         for r, row in enumerate(_derivation_system(a)):
             for c, x in row.items():
-                S[r, c] = Fraction(x, d) if a.exact else x
+                S[r, last - c] = Fraction(x, d) if a.exact else x
         assert (S == M).all()
-        sparse, rows = linalg.null_space(_derivation_system(a), n * n, a.exact,
-                                         a.tol)
+        span = linalg.null_space(_derivation_system(a), n * n, a.exact, a.tol)
         dense = dense_row_space(dense_nullspace(M, a.tol), n * n, a.exact, a.tol)
-        assert_same_basis(sparse, dense, a.exact)
-        assert (linalg.to_matrix(rows, n * n, a.exact) == sparse).all()
+        assert_same_basis(span.matrix, dense, a.exact)
+        rows = span.rows
         if a.exact:
             # primitive integer rows, positive at their pivots
             assert all(type(x) is int for v in rows for x in v.values())
@@ -123,6 +124,55 @@ def test_centre_and_diagonal_solve_match_the_dense_systems(catalog_entries, seed
         ref = dense_row_space(dense_nullspace(M, a.tol), a.n, a.exact, a.tol)
         assert len(sol.basis) == len(ref)
         assert all((v == w).all() for v, w in zip(sol.basis, ref))
+
+
+def test_matrices_built_on_read_match_the_dense_oracles(catalog_entries):
+    """Every catalog entry, and the float copy of each exact one: the
+    matrices that its results build from their rows when first read, equal
+    to the dense oracles, which build them as matrices from the start: the
+    basis of Der(g) and its trace witness, the lcs spaces, the centre,
+    [g, g], the Killing form and the diagonal derivations."""
+    cases = [e.parse() for e in catalog_entries]
+    checked = 0
+    for a in cases + [a.to_float() for a in cases if a.exact]:
+        B = killing_form(a)
+        B_ref = dense_killing_form(a)
+        assert all(close(x, y) for x, y in zip(B.flat, B_ref.flat))
+        assert B.dtype == B_ref.dtype
+        # x_i + x_j = x_k per term
+        M = linalg.zeros((len(a.coeffs), a.n), a.exact)
+        for row, (i, j, k) in zip(M, a.coeffs):
+            row[i] += 1
+            row[j] += 1
+            row[k] -= 1
+        ref = dense_row_space(dense_nullspace(M, a.tol), a.n, a.exact, a.tol)
+        sol = diagonal_derivation_solve(a)
+        assert len(sol.basis) == len(ref)
+        for v, w in zip(sol.basis, ref):
+            assert_same_basis(v, w, a.exact)
+        witness = next((w for w in ref if not is_zero(sum(w), a.tol)), None)
+        assert (sol.trace_witness is None) == (witness is None)
+        if witness is not None:
+            assert_same_basis(sol.trace_witness, witness, a.exact)
+        if not is_lie(a):
+            continue
+        rep = classify(a)
+        lcs, _, _ = dense_subspace_invariants(a)
+        assert len(rep.lcs.spaces) == len(lcs)
+        for space, R in zip(rep.lcs.spaces, lcs):
+            assert_same_basis(space.matrix, R, a.exact)
+        assert_same_basis(rep.derived.matrix, lcs[0], a.exact)
+        assert_same_basis(rep.centre.matrix, dense_centre(a), a.exact)
+        der = derivation_space(a)
+        basis, witness = dense_derivation_basis(a)
+        assert len(der.basis) == len(basis)
+        for X, Y in zip(der.basis, basis):
+            assert_same_basis(X, Y, a.exact)
+        assert (der.trace_witness is None) == (witness is None)
+        if witness is not None:
+            assert_same_basis(der.trace_witness, witness, a.exact)
+        checked += 1
+    assert checked == 2 * len(cases) - 1
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -199,7 +249,7 @@ def test_subspace_invariants_and_mn_match_the_dense_oracles(catalog_entries):
             lcs, solvable, centre_in_derived = dense_subspace_invariants(a)
             assert rep.lcs.dims == tuple(len(s) for s in lcs)
             if a.exact:
-                assert all((M == R).all() for M, R in zip(rep.lcs.spaces, lcs))
+                assert all((M.matrix == R).all() for M, R in zip(rep.lcs.spaces, lcs))
             assert rep.solvable == solvable
             assert rep.centre_in_derived == centre_in_derived
         if rep.nilpotent:

@@ -130,7 +130,7 @@ def curvature_operators(a: StructureTensor, S: Metric):
 
 def centre(a: StructureTensor) -> np.ndarray:
     """Row basis of Z = {v : ad(v) = 0}, as `structure.classify` gives it."""
-    return linalg.null_space(_centre_system(a), a.n, a.exact, a.tol)[0]
+    return linalg.null_space(_centre_system(a), a.n, a.exact, a.tol).matrix
 
 
 def subspace_contained(U, W, tol=DEFAULT_TOL) -> bool:
@@ -287,8 +287,7 @@ def dq(a, S, a_prime, W):
 
 def derivations_contain(der, X, tol=DEFAULT_TOL) -> bool:
     """Exact membership of X in the span of a DerivationSpace's basis."""
-    n = der.n
-    rows = np.stack([B.reshape(n * n) for B in der.basis + (X,)])
+    rows = np.stack([B.ravel() for B in der.basis + (X,)])
     return linalg.rank(rows, tol) == der.dim
 
 
