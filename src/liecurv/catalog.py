@@ -95,6 +95,14 @@ def _require(cond, msg, line):
         raise CatalogSchemaError(msg, line)
 
 
+def _is_literal(x) -> bool:
+    try:
+        parse_scalar(str(x))
+    except ValueError:
+        return False
+    return True
+
+
 def load_catalog(path=None) -> list:
     """Parse the JSON-lines catalog; schema violations carry line numbers."""
     if path is None:
@@ -142,6 +150,11 @@ def load_catalog(path=None) -> list:
             raise CatalogSchemaError(f"structure does not parse: {exc}", lineno)
         _require(a.n == entries[-1].dim,
                  f"dim {entries[-1].dim} != parsed dimension {a.n}", lineno)
+        relations = claims.get("diagonal_relations", [])
+        _require(isinstance(relations, list) and all(
+            isinstance(f, list) and len(f) == a.n and all(map(_is_literal, f))
+            for f in relations),
+            f"diagonal_relations must be lists of {a.n} numeric literals", lineno)
     return entries
 
 
@@ -167,8 +180,10 @@ def _check_algebra_claims(entry: CatalogEntry, a: StructureTensor):
         elif claim == "nice_basis":
             computed = nice.nice_basis_check(a).is_nice
         elif claim == "der_in_sl":
-            der = der or derivations.derivation_space(a)
-            computed = not der.has_nonzero_trace
+            if "der_strictly_lower_triangular" in entry.claims:
+                der = derivations.derivation_space(a)    # read again below
+            computed = not (der.has_nonzero_trace if der
+                            else derivations.has_trace_derivation(a))
         elif claim == "der_strictly_lower_triangular":
             der = der or derivations.derivation_space(a)
             computed = all(
@@ -182,8 +197,7 @@ def _check_algebra_claims(entry: CatalogEntry, a: StructureTensor):
             rows = derivations.diagonal_derivation_solve(a).span.rows
             functionals = [[parse_scalar(str(f), a.exact) for f in functional]
                            for functional in expected]
-            computed = all(is_zero(sum(f[i] * x for i, x in v.items() if i < len(f)),
-                                   a.tol)
+            computed = all(is_zero(sum(f[i] * x for i, x in v.items()), a.tol)
                            for f in functionals for v in rows)
             expected = True
         else:  # pragma: no cover - schema check rules this out

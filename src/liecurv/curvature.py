@@ -219,7 +219,7 @@ def ricci_general(a: StructureTensor, S: Metric) -> RicciData:
     require_lie(a, "the Ricci tensor")
     a, S = match_backends(a, S)
     B1, B3, B5, _, _ = _b_forms(a, S)
-    (b1, b5, b3, b4), d = linalg.common(B1, B5, B3, linalg.scaled(killing_form(a)))
+    (b1, b5, b3, b4), d = linalg.common(B1, B5, B3, a._killing_sums)
     return RicciData.from_form(S, *linalg.over(np.stack([-b1, b5, -b3, -b4]), d, 2))
 
 

@@ -5,6 +5,9 @@ For a unimodular Lie algebra with identically zero Killing form, the
 existence of a derivation with nonzero trace rules out Einstein metrics of
 nonzero scalar curvature, so the space Der(g) -- an exact kernel of a
 linear system in the n^2 matrix entries -- is itself a curvature invariant.
+`has_trace_derivation` answers whether one exists, from a diagonal
+derivation of nonzero trace where there is one, and builds Der(g) only
+where there is none.
 """
 
 from __future__ import annotations
@@ -94,6 +97,16 @@ def derivation_space(a: StructureTensor) -> DerivationSpace:
     witness = next((r for r, v in enumerate(span.rows) if not is_zero(
         sum(v.get(i * (n + 1), 0) for i in range(n)), a.tol)), None)
     return DerivationSpace((n, n), span, witness)
+
+
+def has_trace_derivation(a: StructureTensor) -> bool:
+    """Whether some derivation of `a` has nonzero trace.  A diagonal
+    derivation of nonzero trace, the witness of
+    `StructureTensor._diagonal_certificate`, is exact in any basis and
+    answers yes; only without one is Der(g) built."""
+    require_lie(a, "the derivation space")
+    return (a._diagonal_certificate.witness is not None
+            or derivation_space(a).has_nonzero_trace)
 
 
 def trace_obstruction(a: StructureTensor) -> dict:

@@ -43,11 +43,19 @@ def parse_scalar(text: str, exact: bool = True) -> Scalar:
     """Parse a rational ("p/q", "7") or decimal ("1.25") literal.
 
     With ``exact`` the result is a Fraction (decimals are converted exactly);
-    otherwise a float.
+    otherwise a float.  A literal of ASCII digits with an optional sign and
+    denominator is read with `int`, which is faster than `Fraction`'s
+    regular expression; `Fraction` reads the rest.
     """
     text = text.strip()
+    num, slash, den = text.partition("/")
     try:
-        value = Fraction(text)
+        # int() rejects a second sign, as Fraction does
+        if text.isascii() and num.lstrip("+-").isdigit() and (
+                not slash or den.isdigit()):
+            value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        else:
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a numeric literal: {text!r}") from exc
     return value if exact else float(value)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, product
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,20 +49,33 @@ def _freeze(coeffs, tol):
     return {key: c for key, c in out.items() if not is_zero(c, tol)}
 
 
-class DiagonalCertificate(NamedTuple):
+@dataclass(frozen=True)
+class DiagonalCertificate:
     """`StructureTensor._diagonal_certificate`: `rows`, the rows of M^T,
     {m: entry} per term in the order of `coeffs`; `kernel`, ker M^T, the
     diagonal derivations; `witness`, the index of its first row of nonzero
-    sum, or None; `span`, only when there is no witness, a row per term in
-    the order of `coeffs`, the rows of an integer basis of
-    {y : M y in R 1}, and None otherwise.  The columns of `span` but the
-    last are a basis of ker M; the last has M y = s 1 with s > 0, as s is
-    the last free column of the system that `linalg.kernel` solves."""
+    sum, or None.  `span`, built on first read and kept, is None when there
+    is a witness, and otherwise a row per term in the order of `coeffs`,
+    the rows of an integer basis of {y : M y in R 1}.  The columns of
+    `span` but the last are a basis of ker M; the last has M y = s 1 with
+    s > 0, as s is the last free column of the system that `linalg.kernel`
+    solves."""
 
     rows: tuple
     kernel: linalg.Subspace
     witness: Optional[int]
-    span: Optional[tuple]
+
+    @cached_property
+    def span(self) -> Optional[tuple]:
+        if self.witness is not None:
+            return None
+        s = len(self.rows)                   # the column of s in (y, s)
+        rows = [defaultdict(int, {s: -1}) for _ in range(self.kernel.n)]
+        for t, col in enumerate(self.rows):
+            for i, x in col.items():
+                rows[i][t] = x
+        null = linalg.kernel(rows, s + 1)          # (y, s) with M y = s 1
+        return tuple(zip(*([v.get(t, 0) for t in range(s)] for v in null)))
 
 
 @dataclass(frozen=True)
@@ -168,7 +181,7 @@ class StructureTensor:
             for j in range(i, n):
                 N[i, j] = N[j, i] = sum(c * c2 for m in range(n) for k, c in ad[i][m]
                                         for m2, c2 in ad[j][k] if m2 == m)
-        return N, self._scaled[1] ** 2
+        return _read_only(N), self._scaled[1] ** 2
 
     @cached_property
     def _killing_form(self) -> np.ndarray:
@@ -201,16 +214,7 @@ class StructureTensor:
                                     for col in cols], self.n, True)
         witness = next((r for r, v in enumerate(kernel.rows) if sum(v.values())),
                        None)
-        if witness is not None:
-            return DiagonalCertificate(cols, kernel, witness, None)
-        s = len(cols)                        # the column of s in (y, s)
-        rows = [defaultdict(int, {s: -1}) for _ in range(self.n)]
-        for t, col in enumerate(cols):
-            for i, x in col.items():
-                rows[i][t] = x
-        null = linalg.kernel(rows, s + 1)          # (y, s) with M y = s 1
-        span = zip(*([v.get(t, 0) for t in range(s)] for v in null))
-        return DiagonalCertificate(cols, kernel, None, tuple(span))
+        return DiagonalCertificate(cols, kernel, witness)
 
     @cached_property
     def _nice_report(self) -> "NiceReport":

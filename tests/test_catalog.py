@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,21 @@ def test_schema_error_reports_line(tmp_path):
       "backend": "symbolic"}, "backend must be"),
     ({"name": "x", "dim": 4, "structure": "(0,0,12)"}, "parsed dimension"),
     ({"name": "x", "dim": 3, "structure": "(0,0,99)"}, "does not parse"),
+    ({"name": "x", "dim": 3, "structure": "(0,0,12)",
+      "claims": {"diagonal_relations": [["1", "1", "-1", "0"]]}},
+     "diagonal_relations must be lists of 3 numeric literals"),
+    ({"name": "x", "dim": 3, "structure": "(0,0,12)",
+      "claims": {"diagonal_relations": [["1", "1"]]}},
+     "diagonal_relations must be lists of 3 numeric literals"),
+    ({"name": "x", "dim": 3, "structure": "(0,0,12)",
+      "claims": {"diagonal_relations": [["1", "x", "-1"]]}},
+     "diagonal_relations must be lists of 3 numeric literals"),
+    ({"name": "x", "dim": 3, "structure": "(0,0,12)",
+      "claims": {"diagonal_relations": "1,1,-1"}},
+     "diagonal_relations must be lists of 3 numeric literals"),
+    ({"name": "x", "dim": 3, "structure": "(0,0,12)",
+      "claims": {"diagonal_relations": ["1", "1", "-1"]}},
+     "diagonal_relations must be lists of 3 numeric literals"),
 ])
 def test_schema_violations(tmp_path, bad, what):
     with pytest.raises(CatalogSchemaError) as err:
@@ -133,3 +149,49 @@ def test_algebra_claims_build_no_fraction_matrix(catalog_entries, monkeypatch):
                 assert built == [], entry.name
             elif a.exact:
                 assert True in built, entry.name
+
+
+def test_der_in_sl_builds_der_g_only_without_a_diagonal_witness(
+        catalog_entries, monkeypatch):
+    """A diagonal derivation of nonzero trace answers der_in_sl: the
+    algebra claims build Der(g), through `_derivation_system`, on no entry
+    that has one, and at most once on any other, also where
+    der_strictly_lower_triangular reads it again.  The (y, s) span of the
+    diagonal certificate, which only the Einstein layer reads, stays
+    unbuilt."""
+    from liecurv import derivations
+    from liecurv.catalog import _check_algebra_claims
+    from liecurv.nice import diagonal_einstein_search
+
+    calls = []
+    system = derivations._derivation_system
+
+    def counting(a):
+        calls.append(a)
+        return system(a)
+
+    monkeypatch.setattr(derivations, "_derivation_system", counting)
+    answered = 0
+    for entry in catalog_entries:
+        a = entry.parse()
+        calls.clear()
+        checks = _check_algebra_claims(entry, a)
+        assert checks and all(c.passed for c in checks), entry.name
+        cert = a._diagonal_certificate
+        if "der_in_sl" in entry.claims and cert.witness is not None:
+            answered += 1
+            assert calls == [], entry.name
+        assert len(calls) <= 1, entry.name
+        assert "span" not in cert.__dict__, entry.name
+    assert answered == 52
+    # the Einstein layer builds the span on first read
+    entry = next(e for e in catalog_entries if e.name == "n8-einstein")
+    a = entry.parse()
+    _check_algebra_claims(entry, a)
+    assert a._diagonal_certificate.witness is None
+    assert "span" not in a._diagonal_certificate.__dict__
+    found = {r.diag for r in diagonal_einstein_search(a) if r.exact}
+    assert {(1, 1, 1, 1, Fraction(-7, 3), Fraction(-7, 3), Fraction(98, 15),
+             Fraction(98, 15)),
+            (1, 1, -1, -1, Fraction(-7, 3), Fraction(7, 3), Fraction(-98, 15),
+             Fraction(-98, 15))} <= found

@@ -6,7 +6,7 @@ import pytest
 
 from liecurv import linalg
 from liecurv.derivations import (derivation_space, diagonal_derivation_solve,
-                                 trace_obstruction)
+                                 has_trace_derivation, trace_obstruction)
 from liecurv.errors import (KillingFormNonzeroError, NotLieAlgebraError,
                             NotUnimodularError)
 from liecurv.moment import infinitesimal_structure
@@ -40,6 +40,11 @@ def test_basis_elements_are_derivations():
 def test_derivation_space_rejects_non_lie():
     with pytest.raises(NotLieAlgebraError):
         derivation_space(parse_structure("(12,13,0)"))
+    # also where a diagonal derivation of nonzero trace exists
+    a = parse_structure("(0,0,12,23,14)")
+    assert a._diagonal_certificate.witness is not None
+    with pytest.raises(NotLieAlgebraError, match="the derivation space"):
+        has_trace_derivation(a)
 
 
 def test_trace_obstruction_nilpotent():

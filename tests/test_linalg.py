@@ -414,3 +414,24 @@ def test_invariants_survive_a_dense_integral_basis(catalog_entries, name,
     assert (gric.einstein, gric.scalar) == (ric.einstein, ric.scalar)
     if name == "n8-einstein":
         assert gric.einstein == Fraction(7, 15)
+
+
+@pytest.mark.parametrize("text", [
+    "7", "-7", "+7", "0", "-0", "007", " -1/3 ", "+2/4", "-6/4", "10/5",
+    "1/0", "-1/0", "0/0", "1_0", "1_0/3", "٣", "٣/4", "1e3",
+    "1.25", "-.5", "3 / 4", "3/-4", "3/+4", "1/", "/2", "+", "-", "+-1", "--1",
+    "", "x", "1/2/3", "²", "12" * 30 + "/7",
+])
+def test_parse_scalar_agrees_with_fraction(text):
+    """The fast path for ASCII integers and p/q gives the value of
+    `Fraction(text)`, or fails where it fails, on either Python version
+    (3.11 reads "1_0" as 10, 3.10 does not)."""
+    try:
+        want = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match="not a numeric literal"):
+            parse_scalar(text)
+        return
+    got = parse_scalar(text)
+    assert type(got) is Fraction and got == want
+    assert parse_scalar(text, exact=False) == float(want)

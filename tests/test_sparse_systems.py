@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from liecurv import linalg
 from liecurv.curvature import mn_criterion
 from liecurv.derivations import (_derivation_system, derivation_space,
-                                 diagonal_derivation_solve)
+                                 diagonal_derivation_solve,
+                                 has_trace_derivation)
 from liecurv.metric import parse_metric
 from liecurv.moment import gauge_metric, gauge_structure
 from liecurv.scalars import is_zero
@@ -263,6 +264,22 @@ def test_subspace_invariants_and_mn_match_the_dense_oracles(catalog_entries):
                 assert (mn["dim_M"], mn["dim_N"]) == want
                 checked += 1
     assert checked == 344
+
+
+def test_trace_derivation_from_the_diagonal_certificate_matches_der_g(
+        catalog_entries):
+    """Whether a derivation of nonzero trace exists, read off a diagonal
+    one where there is one, is what Der(g) says: on every Lie catalog
+    entry, its float copy and both again in a dense integer basis, where
+    the diagonal derivations of the catalog basis are no longer diagonal."""
+    pairs = [(e.parse(), []) for e in catalog_entries]
+    cases = [a for a, _ in pairs_in_two_bases([p for p in pairs if is_lie(p[0])], 27)]
+    seen = set()
+    for a in cases:
+        want = derivation_space(a).has_nonzero_trace
+        assert has_trace_derivation(a) == want
+        seen.add((a._diagonal_certificate.witness is not None, want))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -232,15 +232,15 @@ def test_float_twin_is_built_once(monkeypatch):
     from liecurv.curvature import ricci_general
     from liecurv.metric import parse_metric
     calls = []
-    original = StructureTensor.__dict__["_killing_form"].func
+    original = StructureTensor.__dict__["_killing_sums"].func
 
     def counting(self):
         calls.append(self)
         return original(self)
 
     prop = cached_property(counting)
-    prop.__set_name__(StructureTensor, "_killing_form")
-    monkeypatch.setattr(StructureTensor, "_killing_form", prop)
+    prop.__set_name__(StructureTensor, "_killing_sums")
+    monkeypatch.setattr(StructureTensor, "_killing_sums", prop)
     a = parse_structure("(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)")
     S = parse_metric("diag(1,1,1,1,-7/3,-7/3,98/15,98/15)", 8, exact=False)
     for _ in range(3):
