@@ -10,7 +10,7 @@ reported per claim, never exceptions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
@@ -35,6 +35,9 @@ METRIC_CLAIMS = frozenset({
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One catalog line; `relations` holds the `diagonal_relations` claim
+    parsed once, on load, as tuples of Fractions."""
+
     name: str
     dim: int
     structure: str
@@ -44,6 +47,7 @@ class CatalogEntry:
     family: Optional[str] = None
     parameter: Optional[str] = None
     line: int = 0
+    relations: tuple = ()
 
     @property
     def exact(self) -> bool:
@@ -95,14 +99,6 @@ def _require(cond, msg, line):
         raise CatalogSchemaError(msg, line)
 
 
-def _is_literal(x) -> bool:
-    try:
-        parse_scalar(str(x))
-    except ValueError:
-        return False
-    return True
-
-
 def load_catalog(path=None) -> list:
     """Parse the JSON-lines catalog; schema violations carry line numbers."""
     if path is None:
@@ -138,23 +134,26 @@ def load_catalog(path=None) -> list:
         backend = data.get("backend", "exact")
         _require(backend in ("exact", "float"),
                  f"backend must be exact|float, got {backend!r}", lineno)
-        entries.append(CatalogEntry(
+        entry = CatalogEntry(
             name=str(data["name"]), dim=int(data["dim"]),
             structure=str(data["structure"]), claims=claims,
             metrics=tuple(metrics), backend=backend,
             family=data.get("family"), parameter=data.get("parameter"),
-            line=lineno))
+            line=lineno)
         try:
-            a = entries[-1].parse()
+            n = entry.parse().n
         except LieCurvError as exc:
             raise CatalogSchemaError(f"structure does not parse: {exc}", lineno)
-        _require(a.n == entries[-1].dim,
-                 f"dim {entries[-1].dim} != parsed dimension {a.n}", lineno)
+        _require(n == entry.dim, f"dim {entry.dim} != parsed dimension {n}", lineno)
         relations = claims.get("diagonal_relations", [])
+        message = f"diagonal_relations must be lists of {n} numeric literals"
         _require(isinstance(relations, list) and all(
-            isinstance(f, list) and len(f) == a.n and all(map(_is_literal, f))
-            for f in relations),
-            f"diagonal_relations must be lists of {a.n} numeric literals", lineno)
+            isinstance(f, list) and len(f) == n for f in relations), message, lineno)
+        try:
+            relations = tuple(tuple(parse_scalar(str(x)) for x in f) for f in relations)
+        except ValueError:
+            raise CatalogSchemaError(message, lineno)
+        entries.append(replace(entry, relations=relations))
     return entries
 
 
@@ -193,12 +192,11 @@ def _check_algebra_claims(entry: CatalogEntry, a: StructureTensor):
             computed = derivations.diagonal_derivation_solve(a).dim
         elif claim == "diagonal_relations":
             # each relation sum_i f_i x_i = 0 holds on every solution x: on
-            # the rows of a basis, whose scales do not change that
+            # the rows of a basis, whose scales do not change that; a
+            # Fraction f_i times a float x_i is a float
             rows = derivations.diagonal_derivation_solve(a).span.rows
-            functionals = [[parse_scalar(str(f), a.exact) for f in functional]
-                           for functional in expected]
             computed = all(is_zero(sum(f[i] * x for i, x in v.items()), a.tol)
-                           for f in functionals for v in rows)
+                           for f in entry.relations for v in rows)
             expected = True
         else:  # pragma: no cover - schema check rules this out
             computed = None

@@ -64,10 +64,9 @@ def _connection(a: StructureTensor, S: Metric) -> tuple:
     cl, d = _lowered(a, S)
     # K[i,j,k] = <nabla_{e_i} e_j, e_k>
     #          = (cl[i,j,k] - cl[j,k,i] + cl[k,i,j]) / 2
-    K, d = linalg.over(cl - np.transpose(cl, (2, 0, 1))
-                       + np.transpose(cl, (1, 2, 0)), d, 2)
+    K = cl - np.transpose(cl, (2, 0, 1)) + np.transpose(cl, (1, 2, 0))
     Gi, di = S._scaled[1]
-    return linalg.contract(K, Gi), d * di
+    return linalg.contract(K, Gi), 2 * d * di
 
 
 def levi_civita(a: StructureTensor, S: Metric) -> ConnectionCoefficients:
@@ -104,10 +103,10 @@ def _operators(a: StructureTensor, S: Metric) -> tuple:
     row = {ij: r for r, ij in enumerate(pairs)}
     I, J = (list(x) for x in zip(*pairs))
     coeffs, dc = a._scaled
-    R = (GG[I, :, J] - GG[J, :, I]) * dc                 # over dg^2 dc
+    R = GG[I, :, J] - GG[J, :, I]                        # over dg^2
     for (i, j, k), c in coeffs.items():
-        R[row[i, j]] -= c * dg * G[k]
-    return (R, dc * dg * dg), (gamma, dg)
+        R[row[i, j]] -= c * (dg // dc) * G[k]            # dc divides dg
+    return (R, dg * dg), (gamma, dg)
 
 
 def _antisymmetric(X: np.ndarray, n: int) -> np.ndarray:
@@ -180,14 +179,14 @@ def _b_forms(a: StructureTensor, S: Metric):
     cl, dl = _lowered(a, S)
     # de_j^flat as a 2-form: F_j[p, q] = -<e_j, [e_p, e_q]> = -cl[p, q, j]
     forms = -np.transpose(cl, (2, 0, 1))
-    tau, dt = linalg.scaled(trace_ad(a))
-    if is_unimodular(a):
-        B1 = np.zeros((a.n, a.n), dtype=tau.dtype), 1
+    (tau, dt), (Gi, di) = a._trace_ad, S._scaled[1]
+    if is_unimodular(a):        # over the d of the other forms, as `common` needs
+        B1 = np.zeros((a.n, a.n), dtype=tau.dtype)
     else:
-        Gi, di = S._scaled[1]
         T1 = linalg.contract(np.transpose(cl, (0, 2, 1)), Gi @ tau)  # sum_q cl[j,q,h] w_q
-        B1 = -(T1 + T1.T), dl * di * dt
-    return (B1, scaled_gram(S, (np.transpose(C, (0, 2, 1)), dc), "T*T"),
+        B1 = -(T1 + T1.T)
+    return ((B1, dl * di * dt),
+            scaled_gram(S, (np.transpose(C, (0, 2, 1)), dc), "T*T"),
             scaled_gram(S, (forms, dl), "Lambda2T*"), (cl, dl), (forms, dl))
 
 
@@ -220,7 +219,7 @@ def ricci_general(a: StructureTensor, S: Metric) -> RicciData:
     a, S = match_backends(a, S)
     B1, B3, B5, _, _ = _b_forms(a, S)
     (b1, b5, b3, b4), d = linalg.common(B1, B5, B3, a._killing_sums)
-    return RicciData.from_form(S, *linalg.over(np.stack([-b1, b5, -b3, -b4]), d, 2))
+    return RicciData.from_form(S, np.stack([-b1, b5, -b3, -b4]), 2 * d)
 
 
 def ricci_killing_zero(a: StructureTensor, S: Metric) -> RicciData:
@@ -229,7 +228,7 @@ def ricci_killing_zero(a: StructureTensor, S: Metric) -> RicciData:
     a, S = match_backends(a, S)
     _, B3, B5, _, _ = _b_forms(a, S)
     (b5, b3), d = linalg.common(B5, B3)
-    return RicciData.from_form(S, *linalg.over(np.stack([b5, -b3]), d, 2))
+    return RicciData.from_form(S, np.stack([b5, -b3]), 2 * d)
 
 
 def ricci_index_oracle(a: StructureTensor, S: Metric) -> RicciData:
@@ -289,8 +288,8 @@ def mn_criterion(a: StructureTensor, S: Metric):
         G, _ = scaled_gram(S, (B.reshape(-1, n, n), 1), shape)
         if not a.exact:
             (g, _), (gi, _) = S._scaled
-            L, R = (g, gi) if shape == "T*T" else (gi / 2, gi)
-            size = linalg.sandwich(np.abs(L), np.abs(B).reshape(-1, n, n), np.abs(R))
+            L = np.abs(g if shape == "T*T" else gi)
+            size = linalg.sandwich(L, np.abs(B).reshape(-1, n, n), np.abs(gi))
             G[np.abs(G) <= a.tol * np.abs(B) @ size.reshape(len(B), n * n).T] = 0.0
         return len(B) - linalg.rank(G, a.tol)
 

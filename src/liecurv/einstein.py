@@ -57,7 +57,7 @@ def einstein_metrics(a: StructureTensor) -> Optional[tuple]:
     if points is None:
         return None
     logs = _log_solve(a)
-    float_terms, e = _search_terms(a)
+    float_terms, dd = _search_terms(a)
     results = []
     for w in points:
         y = [sum(x * c for x, c in zip(w, row)) + row[d] for row in span]
@@ -68,7 +68,7 @@ def einstein_metrics(a: StructureTensor) -> Optional[tuple]:
         absg = _metric_magnitudes(logs, [abs(x) / c for x, c in zip(y, c2)])
         for sigma in _sign_solutions(a.n, a.coeffs, [x < 0 for x in y]):
             sigma = tuple(s * sigma[0] for s in sigma)
-            found = _einstein_result(a, float_terms, e, sigma,
+            found = _einstein_result(a, float_terms, dd, sigma,
                                      [s * x for s, x in zip(sigma, absg)])
             if found is not None:
                 results.append(found)

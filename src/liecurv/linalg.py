@@ -20,12 +20,13 @@ ordinary float64 arrays.  Two kernels carry every exact computation:
 
 Exact products are int `@` on scaled pairs (N, d): N an object array of
 Python ints over one common denominator d, so numpy's C loop runs with no
-Fraction and no gcd.  `scaled` makes a pair, `common` and `over` add and
-divide pairs, and `unscaled` builds one Fraction per nonzero entry, when a
-public function returns.  A float array is the pair (M, 1), and `over`
-divides its entries, so floats run the same code and sum in the same
-order.  The exact signature is read off the characteristic polynomial of
-N, which `contract` builds on integers.
+Fraction and no gcd.  `scaled` makes a pair, `common` brings pairs over one
+denominator, (N, d) divided by k is (N, d * k), and `unscaled` builds one
+Fraction per nonzero entry, when a public function returns.  Floats run
+the same code and sum in the same order, over a d that is an exact power of
+two, 1 from `scaled` or that of `StructureTensor._scaled`.  The exact
+signature is read off the characteristic polynomial of N, which `contract`
+builds on integers.
 
 Floats have no elimination: every float rank, kernel, row space, pivot set
 and inverse comes from one SVD, `svd_rank`, so float zero and rank
@@ -44,13 +45,13 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .errors import DegenerateMetricError
+from .errors import DegenerateMetricError, FloatOverflowError
 from .scalars import DEFAULT_TOL, is_zero
 
 __all__ = [
     "zeros", "eye", "to_float", "is_float_array",
     "mat_equal", "mat_is_zero", "as_integers", "scaled", "unscaled",
-    "common", "over", "contract", "sandwich",
+    "common", "contract", "sandwich",
     "sparse_rows", "eliminate", "kernel", "svd_rank", "pivot_columns", "rank",
     "to_matrix", "Subspace", "row_space", "null_space", "inv", "sylvester_signature",
 ]
@@ -102,26 +103,31 @@ def scaled(M: np.ndarray) -> tuple:
 
 def unscaled(N, d):
     """N / d for a scaled pair, an array or a trace: exact, one Fraction per
-    nonzero entry and one shared Fraction(0) for the zeros; floats divided."""
+    nonzero entry and one shared Fraction(0) for the zeros; floats scaled by
+    the power of two 1 / d with `np.ldexp`, and FloatOverflowError where an
+    entry overflows or a nonzero N underflows to all zeros."""
     if isinstance(N, int):
         return Fraction(N, d)
     if is_float_array(N):
-        return N / d
+        d = Fraction(d)
+        with np.errstate(over="ignore"):
+            M = np.ldexp(N, d.denominator.bit_length() - d.numerator.bit_length())
+        if not np.isfinite(M).all() or (N.any() and not M.any()):
+            raise FloatOverflowError("a result is out of the float range")
+        return M
     zero = Fraction(0)
     return np.array([Fraction(x, d) if x else zero for x in N.ravel().tolist()],
                     dtype=object).reshape(N.shape)
 
 
 def common(*pairs) -> tuple:
-    """Scaled pairs over one denominator, the lcm of theirs: ([N, ...], d)."""
+    """Scaled pairs over one denominator, ([N, ...], d): the lcm of theirs,
+    on floats the largest of their powers of two."""
+    if is_float_array(pairs[0][0]):
+        d = max(e for _, e in pairs)
+        return [N * float(d / e) for N, e in pairs], d
     d = lcm(*(e for _, e in pairs))
     return [N if e == d else N * (d // e) for N, e in pairs], d
-
-
-def over(N, d, k: int) -> tuple:
-    """The scaled pair (N, d) divided by the integer k: exact, d times k;
-    floats, the entries divided, so that a float d stays 1."""
-    return (N / k, d) if is_float_array(N) else (N, d * k)
 
 
 def contract(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -158,8 +158,7 @@ def _duals(S: Metric, mats: tuple, shape: str) -> tuple:
     if shape == "T*T":
         return linalg.sandwich(G, X, Gi), d * dg * di
     if shape == "Lambda2T*":
-        L, dl = linalg.over(Gi, di, 2)
-        return linalg.sandwich(L, X, Gi), d * dl * di
+        return linalg.sandwich(Gi, X, Gi), 2 * d * di * di
     raise ValueError(f"no matrix pairing on tensor shape {shape!r}")
 
 
@@ -170,8 +169,8 @@ def scaled_gram(S: Metric, mats: tuple, shape: str) -> tuple:
 
     The duals x' of the whole stack, with <y, x> the sum of y * x' over all
     entries, come from one `linalg.sandwich` L x R: (L, R) = (g, g^{-1}) on
-    operators and (g^{-1} / 2, g^{-1}) on 2-forms.  G is then one product of the
-    flattened stack with the flattened duals, on integers over one
+    operators and (g^{-1}, g^{-1}), over 2, on 2-forms.  G is then one product
+    of the flattened stack with the flattened duals, on integers over one
     denominator.  The pairing is symmetric, and a float G is made exactly
     so by mirroring its upper triangle.
     """

@@ -148,9 +148,8 @@ def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
     a, S = match_backends(a, S)
     c1, c2, d = _contractions(a, q_map(a, S))
     G, dg = S._scaled[0]
-    terms, d = linalg.over(np.stack([linalg.contract(G, c1),
-                                     linalg.contract(G, -2 * c2)]), d, 4)
-    return RicciData.from_form(S, terms, dg * d)
+    terms = np.stack([linalg.contract(G, c1), linalg.contract(G, -2 * c2)])
+    return RicciData.from_form(S, terms, 4 * dg * d)
 
 
 # --- the gauge action -------------------------------------------------------

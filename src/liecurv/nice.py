@@ -17,8 +17,9 @@ damped-Newton search solves per sign pattern before rationalizing and
 re-verifying candidates exactly.  In u = log|g| the
 terms are y = w exp(M^T u), w_t = sigma_i sigma_j sigma_k (a^k_ij)^2, so
 the Jacobian of ric is 1/2 M diag(y) M^T in closed form.  Newton runs on
-the squares divided by a power of two near their largest, which makes its
-thresholds relative to the size of the bracket.
+the squares of the float bracket's coefficients over the power of two of
+`StructureTensor._scaled`, which makes its thresholds relative to the
+size of the bracket.
 
 All diagonal Einstein metrics with lambda != 0 of an exact bracket in the
 class `ricci_killing_zero` accepts (Lie, unimodular, zero Killing form:
@@ -56,6 +57,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import NotNiceBasisError
 from .scalars import DEFAULT_TOL, Scalar, format_scalar, rationalize
 from .structure import StructureTensor, in_killing_zero_class
@@ -110,12 +112,6 @@ def require_nice(a: StructureTensor, what: str):
             str(v[-1]) for v in report.violations))
 
 
-def _squared_terms(a: StructureTensor, floating: bool):
-    """(i, j, k, (a^k_ij)^2) per term; squared exactly, then converted."""
-    return [(i, j, k, float(c * c) if floating else c * c)
-            for (i, j, k), c in a.coeffs.items()]
-
-
 def _closed_form(n: int, terms, g, half):
     out = [g[0] - g[0]] * n
     for i, j, k, c2 in terms:
@@ -164,29 +160,22 @@ class EinsteinMetricResult:
 
 
 def _search_terms(a: StructureTensor):
-    """Float terms (i, j, k, (a^k_ij)^2 / 2^e), 2^e <= max (a^k_ij)^2 <
-    2^(e+1), and e.  Rescaling the bracket rescales ric and keeps its
-    Einstein metrics, so the search's thresholds hold on these quotients.
-    Each is formed exactly, then converted: at e = 0 they are the floats of
-    `_squared_terms`."""
-    squares = _squared_terms(a, False)
-    top = max((c2 for *_, c2 in squares), default=0)
-    e = 0
-    if 0 < top < math.inf:
-        top = Fraction(top)
-        e = top.numerator.bit_length() - top.denominator.bit_length()
-        e -= top < Fraction(2) ** e
-    return [(i, j, k, float(c2 / Fraction(2) ** e))
-            for i, j, k, c2 in squares], e
+    """Float terms (i, j, k, c^2), c the coefficients of the float twin's
+    `StructureTensor._scaled` pair (c, d), and d^2: the squares (a^k_ij)^2
+    are c^2 / d^2, with 1 <= max c^2 < 4.  Rescaling the bracket rescales
+    ric and keeps its Einstein metrics, so the search's thresholds hold on
+    these squares."""
+    coeffs, d = a.to_float()._scaled
+    return [(i, j, k, c * c) for (i, j, k), c in coeffs.items()], d * d
 
 
-def _einstein_result(a: StructureTensor, terms, e: int, pattern, diag):
+def _einstein_result(a: StructureTensor, terms, dd, pattern, diag):
     """The verified result for the candidate diag(diag) of sign pattern
     `pattern`, or None.  Exact when every entry is a nonzero Fraction and
     `diagonal_ricci` gives ric = lambda Id, lambda != 0.  Float otherwise:
-    on the terms and e of `_search_terms`, the closed form ric / 2^e has
+    on the terms and d^2 of `_search_terms`, the closed form ric d^2 has
     |ric_1| >= 1e-8 (lambda != 0) and every entry within 1e-10 of ric_1;
-    lambda = ric_1 2^e."""
+    lambda = ric_1 / d^2, scaled back by `linalg.unscaled`."""
     if all(isinstance(x, Fraction) for x in diag):
         if 0 in diag:               # a tiny float rationalizes to 0
             return None
@@ -199,7 +188,7 @@ def _einstein_result(a: StructureTensor, terms, e: int, pattern, diag):
         ric = _closed_form(a.n, terms, diag, 0.5)
         if abs(ric[0]) < 1e-8 or max(abs(x - ric[0]) for x in ric) > 1e-10:
             return None
-        lam, exact = math.ldexp(ric[0], e), False
+        lam, exact = float(linalg.unscaled(np.float64(ric[0]), dd)), False
     return EinsteinMetricResult(pattern, tuple(diag), lam, lam * a.n, exact)
 
 
@@ -333,9 +322,9 @@ def diagonal_einstein_search(a: StructureTensor,
     (denominators up to 10^6) and kept only if they re-verify exactly, or
     -- failing rationalization -- if the float residual is below 1e-10.
     These thresholds, the Newton stop at 1e-13 and the test lambda != 0
-    (|lambda| >= 1e-8) apply to the squares divided by 2^e, the power of
-    two with 1 <= max (a^k_ij)^2 / 2^e < 2, so rescaling the bracket does
-    not change which metrics are found.  `search_status` says whether an
+    (|lambda| >= 1e-8) apply to the squares c^2 of `_search_terms`, with
+    1 <= max |c| < 2, so rescaling the bracket does not change which
+    metrics are found.  `search_status` says whether an
     empty list is a proof or a budget statement.
     """
     require_nice(a, "the diagonal search")
@@ -370,7 +359,7 @@ def diagonal_einstein_search(a: StructureTensor,
         if terms is None:           # built once, after a pattern passes
             if not in_killing_zero_class(a):
                 return []           # Newton would solve a form that is not ric
-            terms, e = _search_terms(a)
+            terms, dd = _search_terms(a)
             M = np.array([[row.get(m, 0) for row in a._diagonal_certificate.rows]
                           for m in range(n)], dtype=float)
             squares = np.array([c2 for *_, c2 in terms])
@@ -381,14 +370,14 @@ def diagonal_einstein_search(a: StructureTensor,
             g = _newton_from(M, w, pattern, u0)
             if g is None:
                 continue
-            found = _einstein_result(a, terms, e, pattern, g)
+            found = _einstein_result(a, terms, dd, pattern, g)
             if found is None:
                 continue
             # the exact re-check is a full Ricci computation: look up first
             key = (pattern, tuple(map(rationalize, g)))
             if key in seen:
                 continue
-            exact = _einstein_result(a, terms, e, pattern, key[1])
+            exact = _einstein_result(a, terms, dd, pattern, key[1])
             if exact is None:
                 key = (pattern, tuple(round(x, 8) for x in g))
             if key not in seen:

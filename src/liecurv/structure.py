@@ -14,6 +14,7 @@ the test suite are transcribed under this convention.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -25,8 +26,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (KillingFormNonzeroError, LieCurvError,
-                     NotLieAlgebraError, NotUnimodularError,
+from .errors import (FloatOverflowError, KillingFormNonzeroError,
+                     LieCurvError, NotLieAlgebraError, NotUnimodularError,
                      StructureParseError)
 from .scalars import (COEFF, DEFAULT_TOL, Scalar, format_scalar, is_zero,
                       signed_coeff)
@@ -116,27 +117,39 @@ class StructureTensor:
 
     @cached_property
     def _lie(self) -> bool:
-        return not jacobi_defect(self)
+        try:
+            return not jacobi_defect(self)
+        except FloatOverflowError:      # a defect out of the float range
+            return False
 
     @cached_property
-    def _trace_ad(self) -> np.ndarray:
-        t = linalg.zeros(self.n, self.exact)
-        for (i, j, k), c in self.coeffs.items():
+    def _trace_ad(self) -> tuple:
+        """Tr ad(e_i) as the `linalg.scaled` pair (t, d), d as in `_scaled`."""
+        coeffs, d = self._scaled
+        t = np.zeros(self.n, dtype=object if self.exact else float)
+        for (i, j, k), c in coeffs.items():
             if k == j:
                 t[i] += c
             if k == i:
                 t[j] -= c
-        return _read_only(t)
+        return _read_only(t), d
+
+    @cached_property
+    def _trace_vector(self) -> np.ndarray:
+        return _read_only(linalg.unscaled(*self._trace_ad))
 
     @cached_property
     def _scaled(self) -> tuple:
-        """(c, d): the coefficients as c[key] / d, integers over one common
-        denominator d on the exact backend, the floats with d = 1 on the
-        float backend."""
-        if not self.exact:
-            return self.coeffs, 1
-        nums, d = linalg.as_integers(self.coeffs.values())
-        return dict(zip(self.coeffs, nums)), d
+        """(c, d): the coefficients as c[key] / d, exact integers over one
+        common denominator, floats divided by 2^e, 1 <= max |c| < 2, over
+        the Fraction d = 2^-e.  The one place that knows the scale of a
+        bracket: float zero tests on c take plain tol."""
+        if self.exact:
+            nums, d = linalg.as_integers(self.coeffs.values())
+            return dict(zip(self.coeffs, nums)), d
+        e = max((math.frexp(c)[1] for c in self.coeffs.values()), default=1) - 1
+        return ({key: math.ldexp(c, -e) for key, c in self.coeffs.items()},
+                Fraction(2) ** -e)
 
     @cached_property
     def _scaled_array(self) -> tuple:
@@ -166,11 +179,6 @@ class StructureTensor:
         return _bracket_span(self, g, g)
 
     @cached_property
-    def _top(self) -> float:
-        """max |a^k_ij|, the scale of float zero tests on the bracket."""
-        return 0.0 if self.exact else max(map(abs, self.coeffs.values()), default=0.0)
-
-    @cached_property
     def _killing_sums(self) -> tuple:
         """The Killing form B_ij = Tr(ad e_i ad e_j) = sum over k, m of
         a^k_im a^m_jk as the `linalg.scaled` pair (N, d^2), c and d as in
@@ -190,8 +198,7 @@ class StructureTensor:
     @cached_property
     def _killing_zero(self) -> bool:
         N, _ = self._killing_sums   # exact: numpy's truthiness, no is_zero
-        return not N.any() if self.exact else linalg.mat_is_zero(
-            N, self.tol * self._top ** 2)
+        return not N.any() if self.exact else linalg.mat_is_zero(N, self.tol)
 
     @cached_property
     def _diagonal_certificate(self) -> DiagonalCertificate:
@@ -404,9 +411,8 @@ def _bracket_span(a: StructureTensor, us, vs) -> tuple:
     if a.exact:
         reduced, pivots = linalg.eliminate(rows)
         return tuple(reduced[:len(pivots)])
-    top = a.tol * a._top
     rows = [w for w, (u, v) in zip(rows, pairs) if max(map(abs, w.values()), default=0)
-            > top * sum(map(abs, u.values())) * sum(map(abs, v.values()))]
+            > a.tol * sum(map(abs, u.values())) * sum(map(abs, v.values()))]
     return tuple(linalg.sparse_rows(linalg.row_space(rows, a.n, False, a.tol)
                                     .tolist(), False))
 
@@ -415,9 +421,10 @@ def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
     """J(e_i,e_j,e_k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
 
     Returns the nonzero components on triples i < j < k; empty iff `a`
-    satisfies the Jacobi identity.
+    satisfies the Jacobi identity.  A float defect out of the float range
+    raises FloatOverflowError, as `linalg.unscaled` does.
     """
-    ad, dd, tol = a._ad, a._scaled[1] ** 2, a.tol * a._top ** 2
+    ad, dd = a._ad, a._scaled[1] ** 2
     defect = {}
     for i, j, k in combinations(range(a.n), 3):
         v = defaultdict(int)
@@ -426,10 +433,10 @@ def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
             for m, c in ad[p][q]:
                 for l, c2 in ad[m][r]:
                     v[l] += c * c2
-        if not all(is_zero(x, tol) for x in v.values()):
-            defect[(i, j, k)] = J = linalg.zeros(a.n, a.exact)
-            for l, x in v.items():
-                J[l] = Fraction(x, dd) if a.exact else x
+        if not all(is_zero(x, a.tol) for x in v.values()):
+            J = np.zeros(a.n, dtype=object if a.exact else float)
+            J[list(v)] = list(v.values())
+            defect[(i, j, k)] = linalg.unscaled(J, dd)
     return defect
 
 
@@ -444,11 +451,11 @@ def killing_form(a: StructureTensor) -> np.ndarray:
 
 def trace_ad(a: StructureTensor) -> np.ndarray:
     """Vector of Tr ad(e_i); zero iff unimodular."""
-    return a._trace_ad
+    return a._trace_vector
 
 
 def is_unimodular(a: StructureTensor) -> bool:
-    return all(is_zero(x, a.tol * a._top) for x in trace_ad(a))
+    return all(is_zero(x, a.tol) for x in a._trace_ad[0])
 
 
 # --- preconditions: `what` names the operation in the error message --------

@@ -451,17 +451,15 @@ def test_tolerance_must_be_finite_and_nonnegative(capsys, tol):
 
 
 @pytest.mark.parametrize("command, power", [
-    ("classify", 155), ("ricci", 155), ("einstein", 155), ("scalar", 155),
-    ("scalar", 154), ("moment", 155)])
+    ("ricci", 155), ("einstein", 155), ("scalar", 155), ("moment", 155)])
 @pytest.mark.parametrize("output", ["text", "json"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_float_overflow_exits_2_and_prints_no_inf(capsys, command, power, output):
-    """(0,0,c*12) with c = 10^155 overflows the squares of the bracket, and
-    the scalar curvature from c = 10^154: a message, never inf as an answer.
-    The grammar reads no exponent, so c is written out."""
-    metric = [] if command == "classify" else ["--metric", "diag(1,1,1)"]
+    """(0,0,c*12) with c = 10^155: the curvature, of order c^2, is past the
+    float range, so a message, never inf as an answer.  The grammar reads
+    no exponent, so c is written out."""
     code, out, err = run(capsys, "--backend", "float", "--output", output, command,
-                         "--structure", f"(0,0,{10 ** power}*12)", *metric)
+                         "--structure", f"(0,0,{10 ** power}*12)",
+                         "--metric", "diag(1,1,1)")
     assert code == 2 and out == ""
     assert "error: float overflow" in err and "Traceback" not in err
 
@@ -470,6 +468,26 @@ def test_float_results_below_overflow_still_print(capsys):
     code, out, _ = run(capsys, "--backend", "float", "ricci", "--structure",
                        f"(0,0,{10 ** 154}*12)", "--metric", "diag(1,1,1)")
     assert code == 0 and "scalar curvature: -5e+307" in out
+
+
+@pytest.mark.parametrize("command, power", [("classify", 155), ("scalar", 154)])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_float_answers_inside_the_range_print(capsys, command, power, output):
+    """Answers inside the float range print, though the bracket's squares are
+    past it: the scalar curvature -c^2 / 2 at c = 10^154, and the
+    classification of Heisenberg at 10^155, the same as at scale 1 (the text
+    report's first line echoes the structure)."""
+    def answer(c):
+        metric = [] if command == "classify" else ["--metric", "diag(1,1,1)"]
+        return run(capsys, "--backend", "float", "--output", output, command,
+                   "--structure", f"(0,0,{c}*12)", *metric)
+    code, out, err = answer(10 ** power)
+    assert code == 0 and err == "" and "inf" not in out
+    if command == "classify":
+        skip = 1 if output == "text" else 0
+        assert out.splitlines()[skip:] == answer(1)[1].splitlines()[skip:]
+    else:
+        assert ("s = -5e+307" if output == "text" else '"s": "-5e+307"') in out
 
 
 def test_zero_tolerance_is_allowed(capsys):

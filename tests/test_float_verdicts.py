@@ -5,6 +5,7 @@ not depend on the basis."""
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 
 from liecurv.catalog import load_catalog
 from liecurv.cli import main
-from liecurv.curvature import holonomy_span, ricci_general
+from liecurv.curvature import holonomy_span, mn_criterion, ricci_general
 from liecurv.derivations import derivation_space
+from liecurv.errors import FloatOverflowError
 from liecurv.metric import Metric, parse_metric, signature
-from liecurv.moment import gauge_metric, gauge_structure, jacobi_tangent_critical
+from liecurv.moment import (gauge_metric, gauge_structure, jacobi_tangent_critical,
+                            scalar_functional)
 from liecurv.structure import (StructureTensor, classify, in_killing_zero_class,
-                               is_lie, parse_structure)
+                               is_lie, jacobi_defect, parse_structure)
 
 from tests_helpers import dense_basis_instances, euclidean
 
@@ -60,24 +63,85 @@ def test_heisenberg_scaled_down_classifies_as_heisenberg(capsys):
     assert reports[0] == reports[1] and reports[1]["step"] == 2
 
 
+def scaled_bracket(a, c):
+    """The float bracket of `a` with its coefficients times the float c."""
+    return StructureTensor.from_brackets(
+        a.n, {key: float(x) * c for key, x in a.coeffs.items()}, a.tol, exact=False)
+
+
 @pytest.mark.parametrize("k", [-10, 10])
 def test_float_verdicts_do_not_see_the_scale_of_the_bracket(catalog_entries, k):
     """Every exact catalog bracket, so(3) and sl(2, R), its coefficients
     times 10^k as floats: the exact classification, Killing-zero class and,
-    for a Lie bracket, dim Der(g) and its trace verdict.  With absolute zero
-    tests 71 of these 144 cases differed."""
-    brackets = [e.parse() for e in catalog_entries if e.exact]
-    brackets += [parse_structure(s) for s in ("(23,-13,12)", "(23,13,12)")]
-    for a in brackets:
-        b = StructureTensor.from_brackets(
-            a.n, {key: float(c) * 10.0 ** k for key, c in a.coeffs.items()},
-            a.tol, exact=False)
+    for a Lie bracket, dim Der(g) and its trace verdict; for a Killing-zero
+    bracket, `jacobi_tangent_critical` with its first catalogued metric.
+    With absolute zero tests 71 of these 144 cases differed, and with the
+    bracket's scale left in the float products criticality differed on 13
+    of the 26 Killing-zero cases."""
+    brackets = [(e.parse(), e.metrics[0]["metric"] if e.metrics else None)
+                for e in catalog_entries if e.exact]
+    brackets += [(parse_structure(s), None) for s in ("(23,-13,12)", "(23,13,12)")]
+    critical = 0
+    for a, metric in brackets:
+        b = scaled_bracket(a, 10.0 ** k)
         assert classify(b).to_json() == classify(a).to_json(), (str(a), k)
         assert in_killing_zero_class(b) == in_killing_zero_class(a)
         if is_lie(a):
             want, got = derivation_space(a), derivation_space(b)
             assert (got.dim, got.has_nonzero_trace) == (want.dim,
                                                         want.has_nonzero_trace)
+        if metric is not None and in_killing_zero_class(a):
+            S = parse_metric(metric, a.n)
+            assert jacobi_tangent_critical(b, S.to_float()) == \
+                jacobi_tangent_critical(a, S), (str(a), k)
+            critical += 1
+    assert critical == 13
+
+
+def _in_float_range(x: Fraction) -> bool:
+    return x == 0 or 2.0 ** -1022 <= abs(x) <= sys.float_info.max
+
+
+@pytest.mark.parametrize("c", [10.0 ** 200, 10.0 ** -200, 2.0 ** 600, 2.0 ** -600,
+                               10.0 ** 100, 10.0 ** -100],
+                         ids=["1e200", "1e-200", "2^600", "2^-600", "1e100", "1e-100"])
+@pytest.mark.parametrize("text, diag", [("(0,0,12)", ("1", "1", "1")), (N8, N8_DIAG)],
+                         ids=["heisenberg", "n8"])
+def test_float_answers_at_every_bracket_scale(text, diag, c):
+    """Heisenberg and the 8-dim bracket times c, with diag(1, 1, 1) and the
+    8-dim Einstein metric: the exact verdicts of classify, Der(g), the M/N
+    criterion, criticality and holonomy.  ric, s and lambda are c^2 times
+    their exact values where those are in the float range, as at 1e+-100;
+    elsewhere FloatOverflowError is raised, so a nonzero s or lambda never
+    reads 0.0 or inf.  With the bracket's scale in the float products,
+    Heisenberg read as Ricci-flat at 1e-200, classify stopped with
+    OverflowError at 1e200, and holonomy spanned nothing at 1e-100."""
+    a = parse_structure(text)
+    S = parse_metric(f"diag({','.join(diag)})", a.n)
+    b, F = scaled_bracket(a, c), S.to_float()
+    assert classify(b).to_json() == classify(a).to_json()
+    assert derivation_space(b).dim == derivation_space(a).dim
+    for verdict in (mn_criterion, jacobi_tangent_critical, holonomy_span):
+        assert verdict(b, F) == verdict(a, S), verdict.__name__
+    want = ricci_general(a, S)
+    c2 = Fraction(c) ** 2
+    # s twice: from ricci_general and from scalar_functional
+    values = [*want.ric_op.flat, want.scalar, want.scalar]
+    if want.einstein is not None:
+        values.append(want.einstein)
+    if not all(_in_float_range(x * c2) for x in values):
+        with pytest.raises(FloatOverflowError):
+            ricci_general(b, F)
+        with pytest.raises(FloatOverflowError):
+            scalar_functional(b, F)
+        return
+    got = ricci_general(b, F)
+    computed = [*got.ric_op.flat, got.scalar, scalar_functional(b, F)]
+    assert (got.einstein is None) == (want.einstein is None)
+    if want.einstein is not None:
+        computed.append(got.einstein)
+    for x, y in zip(computed, values):
+        assert math.isclose(x, float(y * c2), rel_tol=1e-9, abs_tol=1e-9 * float(c2))
 
 
 # indices into dense_basis_instances(catalog, seed 0) where float
@@ -143,6 +207,18 @@ def test_float_verdicts_do_not_see_the_scale_of_the_metric(pair, k):
     assert signature(S) == sig
     if critical is not None:
         assert jacobi_tangent_critical(a, S) == critical
+
+
+@pytest.mark.parametrize("c", [10.0 ** 200, 10.0 ** -200], ids=["1e200", "1e-200"])
+def test_a_jacobi_defect_out_of_the_float_range_is_a_defect(c):
+    """(12,13,0) fails the Jacobi identity by terms of order c^2, past the
+    float range here: `jacobi_defect` cannot return them, but the bracket is
+    still not Lie.  Tests absolute in the bracket read it as Lie at 1e-200
+    and stopped with OverflowError at 1e200."""
+    b = scaled_bracket(parse_structure("(12,13,0)"), c)
+    assert classify(b).to_json() == {"is_lie": False}
+    with pytest.raises(FloatOverflowError):
+        jacobi_defect(b)
 
 
 @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4])

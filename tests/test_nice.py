@@ -17,7 +17,7 @@ from liecurv.nice import (diagonal_einstein_search, diagonal_ricci,
 from liecurv.structure import (StructureTensor, in_killing_zero_class,
                                parse_structure)
 
-from tests_helpers import dense_rref, diagonal_ricci_closed_form
+from tests_helpers import dense_rref, diagonal_ricci_closed_form, squared_terms
 
 N8 = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
 N8_DIAG = (Fraction(1), Fraction(1), Fraction(1), Fraction(1),
@@ -143,7 +143,7 @@ def test_search_float_loop_matches_closed_form_bit_for_bit(catalog_entries):
     tensors.append(parse_structure("(0,0,1/10*12,3/10*13)"))
     rng = random.Random(7)
     for a in tensors:
-        terms = nice._squared_terms(a, True)
+        terms = squared_terms(a, True)
         for _ in range(4):
             g = [rng.choice((1.0, -1.0)) * math.exp(rng.uniform(-2, 2))
                  for _ in range(a.n)]

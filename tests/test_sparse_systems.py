@@ -81,14 +81,14 @@ def assert_same_basis(got, want, exact):
 def test_derivations_match_the_dense_system(catalog_entries, seed):
     for a in brackets(catalog_entries, seed):
         n = a.n
-        # the same rows up to the common denominator of the coefficients,
-        # the sparse ones with their columns reversed
+        # the same rows up to the denominator d of the coefficients, a
+        # power of two on floats, the sparse ones with their columns reversed
         M = dense_derivation_system(a)
         d, last = a._scaled[1], n * n - 1
         S = linalg.zeros(M.shape, a.exact)
         for r, row in enumerate(_derivation_system(a)):
             for c, x in row.items():
-                S[r, last - c] = Fraction(x, d) if a.exact else x
+                S[r, last - c] = Fraction(x, d) if a.exact else x / d
         assert (S == M).all()
         span = linalg.null_space(_derivation_system(a), n * n, a.exact, a.tol)
         dense = dense_row_space(dense_nullspace(M, a.tol), n * n, a.exact, a.tol)

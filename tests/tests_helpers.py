@@ -13,7 +13,7 @@ from liecurv.curvature import (ConnectionCoefficients, _lowered, _operators,
 from liecurv.errors import DegenerateMetricError, DimensionMismatchError
 from liecurv.metric import Metric, _duals, scaled_gram
 from liecurv.moment import DualStructureTensor, q_map
-from liecurv.nice import _closed_form, _squared_terms
+from liecurv.nice import _closed_form
 from liecurv.scalars import DEFAULT_TOL, is_zero, parse_scalar
 from liecurv.structure import (StructureTensor, _centre_system, is_lie,
                                is_unimodular, killing_form, trace_ad)
@@ -100,11 +100,17 @@ def gram(S: Metric, mats, shape: str) -> np.ndarray:
     return linalg.unscaled(*scaled_gram(S, linalg.scaled(X), shape))
 
 
+def squared_terms(a: StructureTensor, floating: bool):
+    """(i, j, k, (a^k_ij)^2) per term; squared exactly, then converted."""
+    return [(i, j, k, float(c * c) if floating else c * c)
+            for (i, j, k), c in a.coeffs.items()]
+
+
 def diagonal_ricci_closed_form(a: StructureTensor, diag):
     """The n diagonal Ricci entries of diag(g) on a nice basis, closed form."""
     g = list(diag)
     floating = isinstance(g[0], float)
-    return _closed_form(a.n, _squared_terms(a, floating), g,
+    return _closed_form(a.n, squared_terms(a, floating), g,
                         0.5 if floating else Fraction(1, 2))
 
 
