@@ -101,11 +101,10 @@ def derivation_space(a: StructureTensor) -> DerivationSpace:
 
 def has_trace_derivation(a: StructureTensor) -> bool:
     """Whether some derivation of `a` has nonzero trace.  A diagonal
-    derivation of nonzero trace, the witness of
-    `StructureTensor._diagonal_certificate`, is exact in any basis and
-    answers yes; only without one is Der(g) built."""
+    derivation of nonzero trace, the witness of `nice.Support`, is exact
+    in any basis and answers yes; only without one is Der(g) built."""
     require_lie(a, "the derivation space")
-    return (a._diagonal_certificate.witness is not None
+    return (a._support.witness is not None
             or derivation_space(a).has_nonzero_trace)
 
 
@@ -128,12 +127,11 @@ def trace_obstruction(a: StructureTensor) -> dict:
 def diagonal_derivation_solve(a: StructureTensor) -> DerivationSpace:
     """The diagonal derivations X = diag(x): x_i + x_j = x_k for every
     nonzero a^k_ij.  The basis holds the vectors x, the kernel of
-    `StructureTensor._diagonal_certificate`, as floats on the float
-    backend: each row divided by its leading entry, as `linalg.to_matrix`
-    divides an exact one."""
-    cert = a._diagonal_certificate
-    span = cert.kernel
+    `nice.Support`, as floats on the float backend: each row divided by
+    its leading entry, as `linalg.to_matrix` divides an exact one."""
+    support = a._support
+    span = support.kernel
     if not a.exact:
         span = linalg.Subspace(tuple({c: x / v[min(v)] for c, x in v.items()}
                                      for v in span.rows), a.n, False)
-    return DerivationSpace((a.n,), span, cert.witness)
+    return DerivationSpace((a.n,), span, support.witness)

@@ -50,7 +50,7 @@ class NotNiceBasisError(LieCurvError):
 
 
 class FloatOverflowError(LieCurvError, OverflowError):
-    """A float result is inf or nan where a number is due."""
+    """A float result is outside the float range, above it or below it."""
 
 
 class CatalogSchemaError(LieCurvError):

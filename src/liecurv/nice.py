@@ -10,11 +10,11 @@ diagonal metric has diagonal Ricci tensor, with the closed form
 
 that is ric = 1/2 M y, where the term t = (i, j, k) gives M the column
 e_k - e_i - e_j and y_t = (a^k_{ij})^2 g_k / (g_i g_j), the terms in the
-order of `coeffs`; `StructureTensor._diagonal_certificate` keeps the rows
-of M^T, built once per tensor.  This turns the Einstein condition into
-n rational equations in the n diagonal entries -- the system the
-damped-Newton search solves per sign pattern before rationalizing and
-re-verifying candidates exactly.  In u = log|g| the
+order of `coeffs`.  M reads only which terms are nonzero: `Support` builds
+it, and all that follows from it, once per tensor.  This turns the
+Einstein condition into n rational equations in the n diagonal entries --
+the system the damped-Newton search solves per sign pattern before
+rationalizing and re-verifying candidates exactly.  In u = log|g| the
 terms are y = w exp(M^T u), w_t = sigma_i sigma_j sigma_k (a^k_ij)^2, so
 the Jacobian of ric is 1/2 M diag(y) M^T in closed form.  Newton runs on
 the squares of the float bracket's coefficients over the power of two of
@@ -30,18 +30,18 @@ that list, and its answer is complete.  Elsewhere -- float brackets,
 larger dimension, a resultant that vanishes identically or (at dimension
 3) has an irrational root -- seeded damped Newton searches per sign
 pattern, outside that class not at all.
-Two exact tests come first, on either backend, both read off
-`StructureTensor._diagonal_certificate`: they read only which terms are
-nonzero, and Newton solves the closed form itself.  If 1 is not in the
-image of M -- exactly when a diagonal derivation of nonzero trace exists
--- no y has 1/2 M y = lambda 1 with lambda != 0; otherwise Newton skips a
-sign pattern sigma when no y with M y in R 1 has the signs
-sign(y_t) = sigma_i sigma_j sigma_k, a linear feasibility question
-decided exactly by Fourier-Motzkin elimination.  On an exact bracket of
-that class these are proofs: the first rules out every Einstein metric
-with s != 0 (the trace obstruction); when every requested pattern fails
-the second, no diagonal Einstein metric with lambda != 0 exists in the
-given basis (metrics not diagonal in it are not covered).
+Two exact tests come first, on either backend, both read off `Support`:
+they read only which terms are nonzero, and Newton solves the closed form
+itself.  If 1 is not in the image of M -- exactly when a diagonal
+derivation of nonzero trace exists -- no y has 1/2 M y = lambda 1 with
+lambda != 0; otherwise Newton skips a sign pattern sigma when no y with
+M y in R 1 has the signs sign(y_t) = sigma_i sigma_j sigma_k, a linear
+feasibility question decided exactly by Fourier-Motzkin elimination.
+On an exact bracket of that class these are proofs: the first rules out
+every Einstein metric with s != 0 (the trace obstruction); when every
+requested pattern fails the second, no diagonal Einstein metric with
+lambda != 0 exists in the given basis (metrics not diagonal in it are not
+covered).
 `search_status` states what the output proves; an empty result of Newton
 is a statement about the search budget only.
 """
@@ -51,8 +51,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,7 +62,7 @@ import numpy as np
 from . import linalg
 from .errors import NotNiceBasisError
 from .scalars import DEFAULT_TOL, Scalar, format_scalar, rationalize
-from .structure import StructureTensor, in_killing_zero_class
+from .structure import StructureTensor, in_killing_zero_class, require_lie
 
 
 @dataclass(frozen=True)
@@ -73,34 +75,128 @@ class NiceReport:
                 "violations": [list(v) for v in self.violations]}
 
 
-def nice_basis_check(a: StructureTensor) -> NiceReport:
-    """Check both nice-basis conditions on the presented basis only; the
-    report is computed once per tensor (`StructureTensor._nice_report`)."""
-    return a._nice_report
+@dataclass(frozen=True)
+class Support:
+    """All that reads only the support of a bracket on R^n, which a^k_ij
+    are nonzero: `terms`, their triples (i, j, k), i < j, in the order of
+    `coeffs`.  Read it as `StructureTensor._support`.  Each member is built
+    on first read and kept, and is exact on either backend.  `rows` are the
+    rows of M^T, {m: entry} per term; `kernel` is ker M^T, x_k = x_i + x_j
+    per term, the diagonal derivations diag(x); `witness` is the index of
+    its first row of nonzero sum, or None.  By the Fredholm alternative
+    either there is a witness or 1 is in the image of M."""
 
+    n: int
+    terms: tuple
 
-def _nice_report(a: StructureTensor) -> NiceReport:
-    violations = []
-    by_pair = {}
-    by_target = {}
-    for (i, j, k) in sorted(a.coeffs):
-        by_pair.setdefault((i, j), []).append(k)
-        by_target.setdefault(k, []).append((i, j))
-    for (i, j), ks in by_pair.items():
-        if len(ks) > 1:
-            violations.append(
-                ("pair", i + 1, j + 1,
-                 f"[e{i+1},e{j+1}] has components on " +
-                 ", ".join(f"e{k+1}" for k in ks)))
-    for k, pairs in by_target.items():
-        for (p, q) in itertools.combinations(pairs, 2):
-            shared = set(p) & set(q)
-            if shared and set(p) != set(q):
+    @cached_property
+    def nice(self) -> NiceReport:
+        """Both nice-basis conditions on the presented basis."""
+        violations = []
+        by_pair = {}
+        by_target = {}
+        for (i, j, k) in sorted(self.terms):
+            by_pair.setdefault((i, j), []).append(k)
+            by_target.setdefault(k, []).append((i, j))
+        for (i, j), ks in by_pair.items():
+            if len(ks) > 1:
                 violations.append(
-                    ("target", k + 1,
-                     f"source pairs {tuple(x+1 for x in p)} and "
-                     f"{tuple(x+1 for x in q)} of e{k+1} share an index"))
-    return NiceReport(not violations, tuple(violations))
+                    ("pair", i + 1, j + 1,
+                     f"[e{i+1},e{j+1}] has components on " +
+                     ", ".join(f"e{k+1}" for k in ks)))
+        for k, pairs in by_target.items():
+            for (p, q) in itertools.combinations(pairs, 2):
+                shared = set(p) & set(q)
+                if shared and set(p) != set(q):
+                    violations.append(
+                        ("target", k + 1,
+                         f"source pairs {tuple(x+1 for x in p)} and "
+                         f"{tuple(x+1 for x in q)} of e{k+1} share an index"))
+        return NiceReport(not violations, tuple(violations))
+
+    @cached_property
+    def rows(self) -> tuple:
+        cols = tuple(defaultdict(int) for _ in self.terms)
+        for col, (i, j, k) in zip(cols, self.terms):
+            col[k] += 1
+            col[i] -= 1
+            col[j] -= 1
+        return cols
+
+    @cached_property
+    def kernel(self) -> linalg.Subspace:
+        last = self.n - 1
+        return linalg.null_space([{last - m: x for m, x in col.items()}
+                                  for col in self.rows], self.n, True)
+
+    @cached_property
+    def witness(self) -> Optional[int]:
+        return next((r for r, v in enumerate(self.kernel.rows)
+                     if sum(v.values())), None)
+
+    @cached_property
+    def span(self) -> Optional[tuple]:
+        """None when there is a witness, and otherwise a row per term, the
+        rows of an integer basis of {y : M y in R 1}.  Its columns but the
+        last are a basis of ker M; the last has M y = s 1 with s > 0, as s
+        is the last free column of the system that `linalg.kernel` solves."""
+        if self.witness is not None:
+            return None
+        s = len(self.rows)                   # the column of s in (y, s)
+        rows = [defaultdict(int, {s: -1}) for _ in range(self.n)]
+        for t, col in enumerate(self.rows):
+            for i, x in col.items():
+                rows[i][t] = x
+        null = linalg.kernel(rows, s + 1)          # (y, s) with M y = s 1
+        return tuple(zip(*([v.get(t, 0) for t in range(s)] for v in null)))
+
+    @cached_property
+    def logs(self) -> list:
+        """Per m, (D, {t: x_t}) with D v_m = sum_t x_t L_t for the solution
+        v of M^T v = L, L in the image of M^T, that vanishes at the pivot
+        columns of the reduced echelon basis of ker M^T (the diagonal
+        derivations, whose exponentials are the freedom left in g): one
+        exact elimination of [M^T | -I] and those rows."""
+        n = self.n
+        rows = [{**row, n + t: -1} for t, row in enumerate(self.rows)]
+        rows += [{min(v): 1} for v in self.kernel.rows]
+        reduced, _ = linalg.eliminate(rows)
+        out = []
+        for m, row in zip(range(n), reduced):   # the pivots are 0, ..., n - 1
+            s = 1 if row[m] > 0 else -1
+            out.append((s * row[m], {c - n: -s * x for c, x in row.items()
+                                     if c >= n}))
+        return out
+
+    def feasible(self, pattern) -> bool:
+        """Whether some y with M y = 2 lambda 1, lambda != 0, has the signs
+        s_t = pattern_i pattern_j pattern_k that the metric's signs force.
+        Rescaling g by a positive factor rescales y, so lambda is free and
+        the question is whether the strict system s_t (B w)_t > 0 is
+        solvable, B the basis `span`: an open set, so a solution with
+        lambda = 0 would have neighbours with lambda != 0."""
+        if self.span is None:
+            return False
+        return _strictly_solvable(
+            [row if pattern[i] * pattern[j] * pattern[k] > 0 else
+             tuple(-x for x in row)
+             for (i, j, k), row in zip(self.terms, self.span)])
+
+    def sign_solutions(self, negative) -> list:
+        """Every sigma in {1, -1}^n with sigma_i sigma_j sigma_k = -1
+        exactly for the terms marked negative, in the order of
+        itertools.product((1, -1), repeat=n): a filter over all 2^n sign
+        vectors.  One call takes 0.3-0.6 ms at n = 8 and 90 ms at n =
+        MAX_DIM = 16 on a 2-vCPU x86 host; the enumeration makes one per
+        point y, two over the whole exact catalog."""
+        return [s for s in itertools.product((1, -1), repeat=self.n)
+                if all((s[i] * s[j] * s[k] < 0) == b
+                       for (i, j, k), b in zip(self.terms, negative))]
+
+
+def nice_basis_check(a: StructureTensor) -> NiceReport:
+    """Both nice-basis conditions on the presented basis: `Support.nice`."""
+    return a._support.nice
 
 
 def require_nice(a: StructureTensor, what: str):
@@ -245,24 +341,6 @@ def _newton_from(M, w, signs, u0):
     return gvec(u) if abs(F).max() < 1e-13 else None
 
 
-def _pattern_feasible(a: StructureTensor, pattern) -> bool:
-    """Whether some y with M y = 2 lambda 1, lambda != 0, has the signs
-    sign(y_t) = pattern_i pattern_j pattern_k that the metric's signs force.
-
-    Rescaling g by a positive factor rescales y, so lambda is free and the
-    question is whether the strict system s_t (B w)_t > 0 is solvable, B
-    spanning {y : M y in R 1} (see StructureTensor._diagonal_certificate):
-    an open set, so a solution with lambda = 0 would have neighbours with
-    lambda != 0.
-    """
-    span = a._diagonal_certificate.span
-    if span is None:
-        return False
-    return _strictly_solvable(
-        [row if pattern[i] * pattern[j] * pattern[k] > 0 else
-         tuple(-x for x in row) for (i, j, k), row in zip(a.coeffs, span)])
-
-
 # Fourier-Motzkin can grow doubly exponentially; past this many new rows in
 # one step the pattern counts as feasible, and Newton decides as before
 _FM_ROWS = 4096
@@ -303,20 +381,21 @@ def _all_patterns(n: int):
 def diagonal_einstein_search(a: StructureTensor,
                              sign_pattern: Optional[Sequence[int]] = None,
                              seed: int = 0, restarts: int = 200):
-    """Search for diagonal metrics with ric = lambda Id, lambda != 0.
+    """Search for diagonal metrics with ric = lambda Id, lambda != 0, on
+    a nice basis of a Lie bracket; any other input raises.
 
     The empty list is returned at once when 1 is not in the image of M.
     Where `einstein.einstein_metrics` applies, the result is its cached
     list, which is complete, filtered by the sign pattern (a pattern with
     first sign -1 gets the metrics -g, with -lambda, of the pattern's
     negation); `seed` and `restarts` are not read.  Elsewhere the seeded
-    Newton search below runs.  The empty list is returned before its first run
-    when the closed form is not the Ricci tensor (outside
-    `structure.in_killing_zero_class`).  A sign pattern that fails
-    the exact sign test is skipped without a Newton run; its starts are
-    still drawn, so the other patterns see the same ones.  Both exact tests
-    read only which terms are nonzero, so they apply on either backend.
-    Newton runs on log-magnitudes with the signs frozen per pattern and the
+    Newton search below runs.  The empty list is returned before its first
+    run when the closed form is not the Ricci tensor (outside
+    `structure.in_killing_zero_class`).  A sign pattern that fails the
+    exact sign test is skipped without a Newton run; its starts are still
+    drawn, so the other patterns see the same ones.  Both exact tests read
+    only which terms are nonzero, so they apply on either backend.  Newton
+    runs on log-magnitudes with the signs frozen per pattern and the
     analytic Jacobian 1/2 M diag(y) M^T; the first entry is normalized to
     sign_pattern[0].  Candidates are rationalized by continued fractions
     (denominators up to 10^6) and kept only if they re-verify exactly, or
@@ -324,10 +403,11 @@ def diagonal_einstein_search(a: StructureTensor,
     These thresholds, the Newton stop at 1e-13 and the test lambda != 0
     (|lambda| >= 1e-8) apply to the squares c^2 of `_search_terms`, with
     1 <= max |c| < 2, so rescaling the bracket does not change which
-    metrics are found.  `search_status` says whether an
-    empty list is a proof or a budget statement.
+    metrics are found.  `search_status` says whether an empty list is a
+    proof or a budget statement.
     """
     require_nice(a, "the diagonal search")
+    require_lie(a, "the diagonal search")
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
     n = a.n
@@ -338,7 +418,8 @@ def diagonal_einstein_search(a: StructureTensor,
         patterns = [pattern]
     else:
         patterns = _all_patterns(n)
-    if a._diagonal_certificate.span is None:
+    support = a._support
+    if support.span is None:
         return []
     if a._diagonal_einstein is not None:
         # the cached metrics have sigma_1 = +1; -g is Einstein with -lambda
@@ -352,7 +433,7 @@ def diagonal_einstein_search(a: StructureTensor,
     seen = set()
     terms = None
     for pattern in patterns:
-        if not _pattern_feasible(a, pattern):
+        if not support.feasible(pattern):
             for _ in range(restarts * (n - 1)):
                 rng.random()        # the starts its Newton runs would take
             continue
@@ -360,7 +441,7 @@ def diagonal_einstein_search(a: StructureTensor,
             if not in_killing_zero_class(a):
                 return []           # Newton would solve a form that is not ric
             terms, dd = _search_terms(a)
-            M = np.array([[row.get(m, 0) for row in a._diagonal_certificate.rows]
+            M = np.array([[row.get(m, 0) for row in support.rows]
                           for m in range(n)], dtype=float)
             squares = np.array([c2 for *_, c2 in terms])
         w = squares * [pattern[i] * pattern[j] * pattern[k]
@@ -403,11 +484,11 @@ def search_status(a: StructureTensor, sign_patterns, results) -> dict:
     enumeration; Newton's results never are.  "budget" otherwise.
     """
     if a.exact and in_killing_zero_class(a):
-        cert = a._diagonal_certificate
-        if cert.witness is not None:
+        support = a._support
+        if support.witness is not None:
             return {"status": "none", "reason": "trace-obstruction",
-                    "witness": [format_scalar(x)
-                                for x in cert.kernel.matrix[cert.witness]]}
+                    "witness": [format_scalar(x) for x
+                                in support.kernel.matrix[support.witness]]}
         if a._diagonal_einstein is not None:
             if results:
                 return {"status": "found", "complete": True}
@@ -415,6 +496,6 @@ def search_status(a: StructureTensor, sign_patterns, results) -> dict:
                     "complete": True}
         patterns = [q for p in sign_patterns
                     for q in (_all_patterns(a.n) if p is None else [p])]
-        if not results and not any(_pattern_feasible(a, p) for p in patterns):
+        if not results and not any(map(support.feasible, patterns)):
             return {"status": "none", "reason": "sign-patterns"}
     return {"status": "found" if results else "budget"}

@@ -176,7 +176,9 @@ def _refine(seq, lo, hi):
 
 
 def _det(rows) -> int:
-    """Determinant of a square integer matrix, fraction-free (Bareiss)."""
+    """Determinant of a square integer matrix, fraction-free (Bareiss).
+    Not `linalg.eliminate`: it divides each row by its content, so the
+    product of its pivots is not the determinant."""
     M = [list(r) for r in rows]
     n, sign, prev = len(M), 1, 1
     for k in range(n):

@@ -51,35 +51,6 @@ def _freeze(coeffs, tol):
 
 
 @dataclass(frozen=True)
-class DiagonalCertificate:
-    """`StructureTensor._diagonal_certificate`: `rows`, the rows of M^T,
-    {m: entry} per term in the order of `coeffs`; `kernel`, ker M^T, the
-    diagonal derivations; `witness`, the index of its first row of nonzero
-    sum, or None.  `span`, built on first read and kept, is None when there
-    is a witness, and otherwise a row per term in the order of `coeffs`,
-    the rows of an integer basis of {y : M y in R 1}.  The columns of
-    `span` but the last are a basis of ker M; the last has M y = s 1 with
-    s > 0, as s is the last free column of the system that `linalg.kernel`
-    solves."""
-
-    rows: tuple
-    kernel: linalg.Subspace
-    witness: Optional[int]
-
-    @cached_property
-    def span(self) -> Optional[tuple]:
-        if self.witness is not None:
-            return None
-        s = len(self.rows)                   # the column of s in (y, s)
-        rows = [defaultdict(int, {s: -1}) for _ in range(self.kernel.n)]
-        for t, col in enumerate(self.rows):
-            for i, x in col.items():
-                rows[i][t] = x
-        null = linalg.kernel(rows, s + 1)          # (y, s) with M y = s 1
-        return tuple(zip(*([v.get(t, 0) for t in range(s)] for v in null)))
-
-
-@dataclass(frozen=True)
 class StructureTensor:
     """Components a^k_{ij} of an antisymmetric bracket on R^n (0-based keys).
 
@@ -201,33 +172,10 @@ class StructureTensor:
         return not N.any() if self.exact else linalg.mat_is_zero(N, self.tol)
 
     @cached_property
-    def _diagonal_certificate(self) -> DiagonalCertificate:
-        """Both sides of the Fredholm alternative for the term matrix M.
-
-        On a nice basis ric = 1/2 M y for diag(g): M is the n x m matrix
-        whose column for the term (i, j, k), in the order of `coeffs`, is
-        e_k - e_i - e_j, and y_t = (a^k_ij)^2 g_k / (g_i g_j).  Either some x
-        in ker M^T -- x_k = x_i + x_j per term, the diagonal derivations
-        diag(x) -- has nonzero sum, or 1 is in the image of M.  M reads only
-        which terms are nonzero, so this is exact on either backend.
-        """
-        cols = tuple(defaultdict(int) for _ in self.coeffs)  # rows of M^T
-        for col, (i, j, k) in zip(cols, self.coeffs):
-            col[k] += 1
-            col[i] -= 1
-            col[j] -= 1
-        last = self.n - 1
-        kernel = linalg.null_space([{last - m: x for m, x in col.items()}
-                                    for col in cols], self.n, True)
-        witness = next((r for r, v in enumerate(kernel.rows) if sum(v.values())),
-                       None)
-        return DiagonalCertificate(cols, kernel, witness)
-
-    @cached_property
-    def _nice_report(self) -> "NiceReport":
-        """The verdict of `nice.nice_basis_check` on this basis."""
-        from .nice import _nice_report   # it imports this module
-        return _nice_report(self)
+    def _support(self) -> "Support":
+        """`nice.Support`: all that reads only which terms are nonzero."""
+        from .nice import Support   # it imports this module
+        return Support(self.n, tuple(self.coeffs))
 
     @cached_property
     def _diagonal_einstein(self) -> Optional[tuple]:

@@ -177,19 +177,19 @@ def test_der_in_sl_builds_der_g_only_without_a_diagonal_witness(
         calls.clear()
         checks = _check_algebra_claims(entry, a)
         assert checks and all(c.passed for c in checks), entry.name
-        cert = a._diagonal_certificate
-        if "der_in_sl" in entry.claims and cert.witness is not None:
+        support = a._support
+        if "der_in_sl" in entry.claims and support.witness is not None:
             answered += 1
             assert calls == [], entry.name
         assert len(calls) <= 1, entry.name
-        assert "span" not in cert.__dict__, entry.name
+        assert "span" not in support.__dict__, entry.name
     assert answered == 52
     # the Einstein layer builds the span on first read
     entry = next(e for e in catalog_entries if e.name == "n8-einstein")
     a = entry.parse()
     _check_algebra_claims(entry, a)
-    assert a._diagonal_certificate.witness is None
-    assert "span" not in a._diagonal_certificate.__dict__
+    assert a._support.witness is None
+    assert "span" not in a._support.__dict__
     found = {r.diag for r in diagonal_einstein_search(a) if r.exact}
     assert {(1, 1, 1, 1, Fraction(-7, 3), Fraction(-7, 3), Fraction(98, 15),
              Fraction(98, 15)),

@@ -254,6 +254,16 @@ def test_einstein_search_rejects_negative_restarts(capsys):
     assert code == 0 and json.loads(out)["results"] == []
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_einstein_search_refuses_a_bracket_that_is_not_lie(capsys, backend):
+    # (0,0,12,0,34) is nice, but J(e1, e2, e4) = e5: ricci refuses it too
+    code, out, err = run(capsys, "--backend", backend, "einstein-search",
+                         "--structure", "(0,0,12,0,34)")
+    assert code == 2 and out == ""
+    assert "error: the diagonal search needs a Lie bracket" in err
+    assert "Traceback" not in err
+
+
 def test_einstein_search_deterministic_bytes(capsys):
     args = ["einstein-search", "--structure", HEIS, "--patterns", "+,+,-",
             "--seed", "5", "--restarts", "10", "--output", "json"]
@@ -451,17 +461,20 @@ def test_tolerance_must_be_finite_and_nonnegative(capsys, tol):
 
 
 @pytest.mark.parametrize("command, power", [
-    ("ricci", 155), ("einstein", 155), ("scalar", 155), ("moment", 155)])
+    ("ricci", 155), ("einstein", 155), ("scalar", 155), ("moment", 155),
+    ("einstein", -170)])
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_float_overflow_exits_2_and_prints_no_inf(capsys, command, power, output):
     """(0,0,c*12) with c = 10^155: the curvature, of order c^2, is past the
-    float range, so a message, never inf as an answer.  The grammar reads
-    no exponent, so c is written out."""
+    float range, so a message, never inf as an answer; with c = 10^-170 it
+    is below the range, and the message is the same, never 0 as an answer.
+    The grammar reads no exponent, so c is written out."""
+    c = 10 ** power if power > 0 else f"1/{10 ** -power}"
     code, out, err = run(capsys, "--backend", "float", "--output", output, command,
-                         "--structure", f"(0,0,{10 ** power}*12)",
+                         "--structure", f"(0,0,{c}*12)",
                          "--metric", "diag(1,1,1)")
     assert code == 2 and out == ""
-    assert "error: float overflow" in err and "Traceback" not in err
+    assert "error: outside the float range" in err and "Traceback" not in err
 
 
 def test_float_results_below_overflow_still_print(capsys):

@@ -42,7 +42,7 @@ def test_derivation_space_rejects_non_lie():
         derivation_space(parse_structure("(12,13,0)"))
     # also where a diagonal derivation of nonzero trace exists
     a = parse_structure("(0,0,12,23,14)")
-    assert a._diagonal_certificate.witness is not None
+    assert a._support.witness is not None
     with pytest.raises(NotLieAlgebraError, match="the derivation space"):
         has_trace_derivation(a)
 

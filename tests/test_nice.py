@@ -12,7 +12,7 @@ from liecurv.curvature import ricci_general
 from liecurv.derivations import diagonal_derivation_solve
 from liecurv.errors import DegenerateMetricError, NotNiceBasisError
 from liecurv.metric import Metric
-from liecurv.nice import (diagonal_einstein_search, diagonal_ricci,
+from liecurv.nice import (Support, diagonal_einstein_search, diagonal_ricci,
                           nice_basis_check)
 from liecurv.structure import (StructureTensor, in_killing_zero_class,
                                parse_structure)
@@ -207,7 +207,7 @@ def _gated_nice_entries(catalog_entries):
 
 def test_sign_test_keeps_exactly_eight_patterns_of_n8():
     a = parse_structure(N8)
-    feasible = {p for p in nice._all_patterns(8) if nice._pattern_feasible(a, p)}
+    feasible = {p for p in nice._all_patterns(8) if a._support.feasible(p)}
     assert feasible == N8_FEASIBLE
     assert tuple(1 if x > 0 else -1 for x in N8_DIAG) in feasible
     assert tuple(1 if x > 0 else -1 for x in N8_DIAG_2) in feasible
@@ -234,8 +234,7 @@ def test_sign_test_agrees_with_trace_witness(catalog_entries):
         witness = diagonal_derivation_solve(a).has_nonzero_trace
         # 1 is outside the image of M exactly when the witness exists
         assert _one_in_image(a) != witness, name
-        feasible = any(nice._pattern_feasible(a, p)
-                       for p in nice._all_patterns(a.n))
+        feasible = any(map(a._support.feasible, nice._all_patterns(a.n)))
         assert feasible != witness, name
         obstructed += witness
     # n8-einstein and so(3) have none
@@ -249,6 +248,30 @@ def test_float_diagonal_solve_matches_the_exact_one(catalog_entries):
         floating = diagonal_derivation_solve(a.to_float())
         assert floating.dim == exact.dim, entry.name
         assert floating.has_nonzero_trace == exact.has_nonzero_trace, entry.name
+
+
+def test_support_reads_only_which_terms_are_nonzero(catalog_entries):
+    """Support(n, terms), built without a tensor, equals the tensor's
+    `_support` in all it computes: on every exact catalog entry, on its
+    float twin, and on a bracket with the same terms but other nonzero
+    coefficients."""
+    def members(s):
+        return s.nice, s.rows, s.kernel.rows, s.witness, s.span, s.logs
+
+    rng = random.Random(5)
+    checked = 0
+    for entry in catalog_entries:
+        if not entry.exact:
+            continue
+        a = entry.parse()
+        want = members(Support(a.n, tuple(a.coeffs)))
+        other = StructureTensor(a.n, {key: Fraction(rng.choice((-3, -1, 2, 5)),
+                                                    rng.randint(1, 4))
+                                      for key in a.coeffs})
+        for b in (a, a.to_float(), other):
+            assert members(b._support) == want, entry.name
+        checked += 1
+    assert checked == 70
 
 
 def test_strictly_solvable_small_systems():
@@ -271,7 +294,7 @@ def test_pruned_pattern_never_runs_newton(monkeypatch):
     def newton(*args):
         raise AssertionError("Newton ran on the exact 8-dim example")
     monkeypatch.setattr(nice, "_newton_from", newton)
-    monkeypatch.setattr(nice, "_pattern_feasible", newton)
+    monkeypatch.setattr(nice.Support, "feasible", newton)
     a = parse_structure(N8)
     known = {tuple(1 if x > 0 else -1 for x in d): d
              for d in (N8_DIAG, N8_DIAG_2)}
@@ -301,7 +324,7 @@ def test_prune_keeps_the_search_output(monkeypatch):
     # where Newton still runs
     a = parse_structure(N8, exact=False)
     pruned = diagonal_einstein_search(a, seed=2, restarts=3)
-    monkeypatch.setattr(nice, "_pattern_feasible", lambda a, p: True)
+    monkeypatch.setattr(nice.Support, "feasible", lambda support, p: True)
     unpruned = diagonal_einstein_search(a, seed=2, restarts=3)
     assert pruned
     assert [r.to_json() for r in pruned] == [r.to_json() for r in unpruned]
@@ -477,13 +500,13 @@ def test_newton_runs_on_an_exact_bracket_where_the_enumeration_does_not_apply(
 
 def test_sign_system_without_solution_and_with_a_kernel():
     # sigma_1 sigma_2 sigma_3 = -1 and = +1 at once: no solution
-    assert einstein._sign_solutions(3, [(0, 1, 2), (0, 1, 2)], [True, False]) == []
+    assert Support(3, ((0, 1, 2), (0, 1, 2))).sign_solutions([True, False]) == []
     # sigma_1 sigma_2 sigma_3 = -1 alone: four solutions, a kernel of rank 2
-    sols = einstein._sign_solutions(3, [(0, 1, 2)], [True])
+    sols = Support(3, ((0, 1, 2),)).sign_solutions([True])
     assert sorted(sols) == sorted(
         s for s in itertools.product((1, -1), repeat=3) if s[0] * s[1] * s[2] < 0)
     # a repeated index counts twice: sigma_1 sigma_2 sigma_2 = sigma_1
-    assert einstein._sign_solutions(2, [(0, 1, 1)], [True]) == [(-1, 1), (-1, -1)]
+    assert Support(2, ((0, 1, 1),)).sign_solutions([True]) == [(-1, 1), (-1, -1)]
 
 
 def test_sign_solutions_match_brute_force():
@@ -495,7 +518,7 @@ def test_sign_solutions_match_brute_force():
         want = {s for s in itertools.product((1, -1), repeat=n)
                 if all((s[i] * s[j] * s[k] < 0) == b
                        for (i, j, k), b in zip(terms, negative))}
-        got = einstein._sign_solutions(n, terms, negative)
+        got = Support(n, tuple(terms)).sign_solutions(negative)
         assert len(got) == len(set(got)) and set(got) == want
 
 
@@ -535,7 +558,7 @@ EIGHT_TERMS = {(0, 1, 6): -1, (0, 3, 5): 1, (0, 5, 7): -1, (1, 2, 4): -1,
 
 def test_enumeration_with_d_0_and_a_metric_with_cube_roots():
     a = StructureTensor(8, {k: Fraction(c) for k, c in EIGHT_TERMS.items()})
-    assert len(a._diagonal_certificate.span[0]) == 1
+    assert len(a._support.span[0]) == 1
     (r,) = diagonal_einstein_search(a)
     assert r.exact and r.diag == (1, 1, 1, 1, Fraction(-7, 3), Fraction(-7, 3),
                                   Fraction(49, 15), Fraction(49, 15))

@@ -278,7 +278,7 @@ def test_trace_derivation_from_the_diagonal_certificate_matches_der_g(
     for a in cases:
         want = derivation_space(a).has_nonzero_trace
         assert has_trace_derivation(a) == want
-        seen.add((a._diagonal_certificate.witness is not None, want))
+        seen.add((a._support.witness is not None, want))
     assert seen == {(True, True), (False, True), (False, False)}
 
 
