@@ -17,17 +17,18 @@ import importlib
 __all__ = [
     "StructureTensor", "Metric", "DualStructureTensor",
     "parse_structure", "print_structure", "parse_metric", "signature",
-    "classify", "levi_civita", "riemann", "ricci_general",
-    "ricci_killing_zero", "ricci_index_oracle", "b_forms", "mn_criterion",
-    "holonomy_span", "q_map", "contractions", "moment_map", "ricci_via_moment",
-    "scalar_functional", "gauge_derivative", "jacobi_tangent_critical",
+    "classify", "trace_ad", "killing_form", "levi_civita", "riemann",
+    "ricci_general", "ricci_killing_zero", "ricci_index_oracle", "b_forms",
+    "mn_criterion", "holonomy_span", "q_map", "contractions", "moment_map",
+    "ricci_via_moment", "scalar_functional", "gauge_derivative",
+    "jacobi_tangent_critical",
     "derivation_space", "trace_obstruction", "diagonal_derivation_solve",
     "nice_basis_check", "diagonal_ricci", "diagonal_einstein_search",
 ]
 
 _HOME = {
     "structure": ("StructureTensor", "parse_structure", "print_structure",
-                  "classify"),
+                  "classify", "trace_ad", "killing_form"),
     "metric": ("Metric", "parse_metric", "signature"),
     "curvature": ("levi_civita", "riemann", "ricci_general",
                   "ricci_killing_zero", "ricci_index_oracle", "b_forms",

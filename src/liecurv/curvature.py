@@ -33,8 +33,8 @@ from . import linalg
 from .errors import NotNilpotentError
 from .metric import Metric, pseudo_orthonormal_frame, scaled_gram
 from .scalars import Scalar, format_scalar
-from .structure import (StructureTensor, classify, is_unimodular, killing_form,
-                        require_killing_zero_class, require_lie, trace_ad)
+from .structure import (StructureTensor, classify, is_unimodular,
+                        require_killing_zero_class, require_lie)
 from .structure import is_lie  # noqa: F401  (bench/test_smoke.py traces it here)
 
 
@@ -104,8 +104,9 @@ def _operators(a: StructureTensor, S: Metric) -> tuple:
     I, J = (list(x) for x in zip(*pairs))
     coeffs, dc = a._scaled
     R = GG[I, :, J] - GG[J, :, I]                        # over dg^2
+    ratio = dg // dc if a.exact else dg / dc             # dc divides an exact dg
     for (i, j, k), c in coeffs.items():
-        R[row[i, j]] -= c * (dg // dc) * G[k]            # dc divides dg
+        R[row[i, j]] -= c * ratio * G[k]
     return (R, dg * dg), (gamma, dg)
 
 
@@ -200,14 +201,13 @@ def b_forms(a: StructureTensor, S: Metric):
     a, S = match_backends(a, S)
     n = a.n
     B1, B3, B5, (cl, dl), (forms, _) = _b_forms(a, S)
-    tau, dt = linalg.scaled(trace_ad(a))
+    (tau, dt), (Gi, di) = a._trace_ad, S._scaled[1]
     # B6[j, h] = Tr((ad e_j)^flat_sharp (de_h^flat)^T_sharp) symmetrized
-    Gi, di = S._scaled[1]
     U = linalg.sandwich(Gi, cl, Gi)
     # M1[j, h] = sum_pq U[j, p, q] forms[h, p, q]
     M1 = linalg.contract(U.reshape(n, n * n), forms.reshape(n, n * n).T)
     B = {1: B1, 2: (np.outer(tau, tau), dt * dt), 3: B3,
-         4: linalg.scaled(killing_form(a)), 5: B5, 6: (M1 + M1.T, di * dl * di * dl)}
+         4: a._killing_sums, 5: B5, 6: (M1 + M1.T, di * dl * di * dl)}
     # Tr(g^{-1} B) = sum of g^{-1} * B^T
     traces = {k: linalg.unscaled(np.sum(Gi * B[k][0].T), di * B[k][1]) for k in (2, 3, 4)}
     return {k: linalg.unscaled(*B[k]) for k in B}, traces
@@ -354,7 +354,7 @@ def holonomy_span(a: StructureTensor, S: Metric):
     # a float zero test is relative to the size of its terms: products of
     # k + 2 G_m at order k (times g in coordinates), of 3 G_m in nabla R
     size = 1 if a.exact else np.abs(G).max()
-    tol = a.tol * np.abs(g).max() * size ** 2
+    tol = a.tol * size ** 2
     I, J = np.triu_indices(n, 1)
     full_dim = len(I)
     span, new = [], list(R)    # span: (X, coordinates of X) for each X kept

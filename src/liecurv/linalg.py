@@ -23,8 +23,9 @@ Python ints over one common denominator d, so numpy's C loop runs with no
 Fraction and no gcd.  `scaled` makes a pair, `common` brings pairs over one
 denominator, (N, d) divided by k is (N, d * k), and `unscaled` builds one
 Fraction per nonzero entry, when a public function returns.  Floats run
-the same code and sum in the same order, over a d that is an exact power of
-two, 1 from `scaled` or that of `StructureTensor._scaled`.  The exact
+the same code and sum in the same order, each operand, metric or bracket,
+over a power of two from `scaled`, the one place that reads a float scale:
+no product sees it, and zero tests on N take plain tol.  The exact
 signature is read off the characteristic polynomial of N, which `contract`
 builds on integers.
 
@@ -94,9 +95,11 @@ def as_integers(xs):
 
 def scaled(M: np.ndarray) -> tuple:
     """(N, d) with M == N / d: an exact array as an object array of Python
-    ints over one common denominator d > 0, a float array as (M, 1)."""
+    ints over one common denominator d > 0, a float array over the Fraction
+    d = 2^-e with 1 <= max |N| < 2, or d = 1 if it is all zeros or empty."""
     if is_float_array(M):
-        return M, 1
+        e = int(np.frexp(np.abs(M).max(initial=0.0))[1]) - 1 if M.any() else 0
+        return np.ldexp(M, -e), Fraction(2) ** -e
     nums, d = as_integers(M.ravel().tolist())
     return np.array(nums, dtype=object).reshape(M.shape), d
 

@@ -36,9 +36,8 @@ class Metric:
         if self.g.shape != (self.n, self.n):
             raise DimensionMismatchError(
                 f"metric matrix shape {self.g.shape} != ({self.n}, {self.n})")
-        # a float g is symmetric to tol relative to its largest entry
-        top = 1 if self.exact else np.abs(self.g).max(initial=0.0)
-        if not linalg.mat_equal(self.g, self.g.T, self.tol * top):
+        N, _ = self._scaled_g            # a float g over a power of two
+        if not linalg.mat_equal(N, N.T, self.tol):
             raise MetricParseError("metric matrix is not symmetric")
         try:
             object.__setattr__(self, "ginv", linalg.inv(self.g, self.tol))
@@ -50,9 +49,13 @@ class Metric:
         return not linalg.is_float_array(self.g)
 
     @cached_property
+    def _scaled_g(self) -> tuple:
+        return linalg.scaled(self.g)
+
+    @cached_property
     def _scaled(self) -> tuple:
         """g and g^{-1} as `linalg.scaled` pairs (N, d)."""
-        return linalg.scaled(self.g), linalg.scaled(self.ginv)
+        return self._scaled_g, linalg.scaled(self.ginv)
 
     @classmethod
     def diagonal(cls, entries: Sequence[Scalar], tol: float = DEFAULT_TOL) -> "Metric":

@@ -58,10 +58,8 @@ class DualStructureTensor:
         if self.comps.shape != (self.n, self.n, self.n):
             raise DimensionMismatchError(
                 f"component array shape {self.comps.shape} != ({self.n},) * 3")
-        N, d = linalg.scaled(self.comps)
-        tol = self.tol
-        if linalg.is_float_array(N):        # relative to the largest entry
-            tol *= np.max(np.abs(N))
+        N, d = linalg.scaled(self.comps)    # float tol relative to the largest N
+        tol = self.tol * (np.max(np.abs(N)) if linalg.is_float_array(N) else 1)
         if not linalg.mat_is_zero(N + np.transpose(N, (1, 0, 2)), tol):
             raise ValueError("components are not antisymmetric in the vector pair")
         object.__setattr__(self, "_scaled", (N, d))
@@ -69,18 +67,31 @@ class DualStructureTensor:
 
     def to_json(self) -> dict:
         """The nonzero components, float ones above tol times the largest."""
-        terms = []
+        N, terms = self._scaled[0], []
         for m in range(self.n):
             for j in range(self.n):
                 for l in range(self.n):
-                    c = self.comps[m, j, l]
-                    if not is_zero(c, self._zero_tol):
+                    if not is_zero(N[m, j, l], self._zero_tol):
                         terms.append({"m": m + 1, "l": l + 1, "j": j + 1,
-                                      "c": format_scalar(c)})
+                                      "c": format_scalar(self.comps[m, j, l])})
         return {"n": self.n, "terms": terms}
 
 
 # --- the q map and its contractions ----------------------------------------
+
+def _q(a: StructureLike, S: Metric) -> tuple:
+    """q(a, S) as a scaled pair, a and S on one backend, a float q over its
+    own power of two: its largest entry moves with the shape of g."""
+    C, dc = _c_scaled(a)
+    if C.shape != (S.n,) * 3:
+        raise DimensionMismatchError(
+            f"bracket array shape {C.shape} incompatible with metric on R^{S.n}")
+    # comps[m] = sum_i g^{-1}[i, m] u_i*, u_i* = g^{-1} u_i^T g = g^{-1} c[i] g
+    (G, dg), (Gi, di) = S._scaled
+    N = linalg.contract(Gi.T, linalg.sandwich(Gi, C, G))
+    N, e = linalg.scaled(N) if linalg.is_float_array(N) else (N, 1)
+    return N, dc * dg * di * di * e
+
 
 def q_map(a: StructureLike, S: Metric) -> DualStructureTensor:
     """The metric dual q(a, S) = S^{-1} e^i (x) S^{-1} a_i^T S.
@@ -91,23 +102,15 @@ def q_map(a: StructureLike, S: Metric) -> DualStructureTensor:
     if isinstance(a, StructureTensor):
         a, S = match_backends(a, S)
         structure.require_unimodular(a, "q")
-    C, dc = _c_scaled(a)
-    n = S.n
-    if C.shape != (n, n, n):
-        raise DimensionMismatchError(
-            f"bracket array shape {C.shape} incompatible with metric on R^{n}")
-    # comps[m] = sum_i g^{-1}[i, m] u_i*, u_i* = g^{-1} u_i^T g = g^{-1} c[i] g
-    (G, dg), (Gi, di) = S._scaled
-    duals = linalg.sandwich(Gi, C, G)
-    return DualStructureTensor(n, linalg.unscaled(linalg.contract(Gi.T, duals),
-                                                  dc * dg * di * di), S.tol)
+    return DualStructureTensor(S.n, linalg.unscaled(*_q(a, S)), S.tol)
 
 
-def _contractions(a: StructureLike, b: DualStructureTensor) -> tuple:
-    """(c1, c2, d): the contractions as integers over one denominator d."""
+def _contractions(a: StructureLike, b: tuple) -> tuple:
+    """(c1, c2, d) for the `linalg.scaled` pair b of a dual: the
+    contractions as integers over one denominator d."""
     C, dc = _c_scaled(a)
-    N, db = b._scaled
-    n = b.n
+    N, db = b
+    n = len(N)
     if C.shape != (n, n, n):
         raise DimensionMismatchError(
             f"bracket array shape {C.shape} does not match n={n}")
@@ -122,19 +125,13 @@ def _contractions(a: StructureLike, b: DualStructureTensor) -> tuple:
 
 def contractions(a: StructureLike, b: DualStructureTensor):
     """(c1, c2) = (sum_i a_i o b_i, sum_i b_i o a_i); Tr c1 = Tr c2."""
-    c1, c2, d = _contractions(a, b)
+    c1, c2, d = _contractions(a, b._scaled)
     return linalg.unscaled(c1, d), linalg.unscaled(c2, d)
-
-
-def pairing(a: StructureLike, b: DualStructureTensor) -> Scalar:
-    """Invariant pairing <a, b> = Tr c1(a, b)."""
-    c1, _, d = _contractions(a, b)
-    return linalg.unscaled(np.trace(c1), d)
 
 
 def moment_map(a: StructureLike, b: DualStructureTensor):
     """(mu, <a, b>) with mu = c1 - 2 c2, the moment map of the GL(n) action."""
-    c1, c2, d = _contractions(a, b)
+    c1, c2, d = _contractions(a, b._scaled)
     return linalg.unscaled(c1 - 2 * c2, d), linalg.unscaled(np.trace(c1), d)
 
 
@@ -146,7 +143,7 @@ def ricci_via_moment(a: StructureTensor, S: Metric) -> RicciData:
     """
     structure.require_killing_zero_class(a, "the moment-map Ricci")
     a, S = match_backends(a, S)
-    c1, c2, d = _contractions(a, q_map(a, S))
+    c1, c2, d = _contractions(a, _q(a, S))
     G, dg = S._scaled[0]
     terms = np.stack([linalg.contract(G, c1), linalg.contract(G, -2 * c2)])
     return RicciData.from_form(S, terms, 4 * dg * d)
@@ -200,7 +197,7 @@ def scalar_functional(a: StructureTensor, S: Metric) -> Scalar:
     """s(a, S) = -1/4 <a, q(a, S)>; the scalar curvature when a is in P."""
     a, S = match_backends(a, S)
     structure.require_unimodular(a, "the scalar functional")
-    c1, _, d = _contractions(a, q_map(a, S))
+    c1, _, d = _contractions(a, _q(a, S))
     return linalg.unscaled(-np.trace(c1), 4 * d)
 
 
@@ -214,7 +211,8 @@ def gauge_derivative(a: StructureTensor, S: Metric, X) -> Scalar:
     a, S = match_backends(a, S)
     ric = ricci_via_moment(a, S)
     inner = np.sum(ric.ric_op * X.T)
-    alt = pairing(infinitesimal_structure(X, a), q_map(a, S)) / 4
+    c1, _, d = _contractions(infinitesimal_structure(X, a), _q(a, S))
+    alt = linalg.unscaled(np.trace(c1), 4 * d)
     if not close(inner, alt, S.tol):
         raise AssertionError(
             f"gauge-derivative identities disagree: {inner} vs {alt}")
@@ -290,12 +288,9 @@ def jacobi_tangent_critical(a: StructureTensor, S: Metric) -> dict:
     structure.require_killing_zero_class(a, "criticality")
     a, S = match_backends(a, S)
     index = _variable_index(a.n)
-    b, _ = q_map(a, S)._scaled
+    b, _ = _q(a, S)
     # <a', q> = sum over i < j, k of a'^k_ij (b[i, j, k] - b[j, i, k]), scaled
     w = linalg.sparse_rows([[b[i, j, k] - b[j, i, k] for i, j, k in index]], a.exact)
-    if not a.exact and w[0]:     # to unit max-abs: w scales with g, J does not
-        top = max(map(abs, w[0].values()))
-        w = [{c: x / top for c, x in w[0].items()}]
 
     def verdict(rows):
         r = len(linalg.pivot_columns(rows, len(index), a.exact, a.tol))

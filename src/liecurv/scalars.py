@@ -7,9 +7,9 @@ exact products, eliminations and the signature run on Python integers over a
 common denominator (``linalg.scaled``), so no pivot or size measure on
 rationals is needed.  Zero/equality tests go through ``is_zero``/``close``,
 which take the float comparison tolerance into account; float zero and
-rank decisions scale it by the size of their operand, and those on a float
-bracket take it plain, on the coefficients over the power of two of
-``StructureTensor._scaled``, whose largest is between 1 and 2.
+rank decisions scale it by the size of their operand.  A float bracket,
+metric or q travels over the power of two of ``linalg.scaled``, its largest
+entry between 1 and 2, and zero tests on it take the tolerance plain.
 """
 
 from __future__ import annotations

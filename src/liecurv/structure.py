@@ -14,11 +14,9 @@ the test suite are transcribed under this convention.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, product
 from typing import Iterator, Mapping, Optional, Sequence
@@ -111,16 +109,14 @@ class StructureTensor:
 
     @cached_property
     def _scaled(self) -> tuple:
-        """(c, d): the coefficients as c[key] / d, exact integers over one
-        common denominator, floats divided by 2^e, 1 <= max |c| < 2, over
-        the Fraction d = 2^-e.  The one place that knows the scale of a
-        bracket: float zero tests on c take plain tol."""
-        if self.exact:
-            nums, d = linalg.as_integers(self.coeffs.values())
-            return dict(zip(self.coeffs, nums)), d
-        e = max((math.frexp(c)[1] for c in self.coeffs.values()), default=1) - 1
-        return ({key: math.ldexp(c, -e) for key, c in self.coeffs.items()},
-                Fraction(2) ** -e)
+        """(c, d): the coefficients as c[key] / d, the `linalg.scaled` pair
+        of their vector: exact integers over one common denominator, floats
+        over a power of two with 1 <= max |c| < 2, so that float zero tests
+        on c take plain tol."""
+        values = np.array(list(self.coeffs.values()),
+                          dtype=object if self.exact else float)
+        N, d = linalg.scaled(values)
+        return dict(zip(self.coeffs, N.tolist())), d
 
     @cached_property
     def _scaled_array(self) -> tuple:

@@ -1,6 +1,7 @@
 """Float verdicts against the exact backend: they must not depend on the
-overall scale of the metric or of the bracket, and float criticality must
-not depend on the basis."""
+overall scale of the metric or of the bracket, float criticality must not
+depend on the basis, and the Einstein, signature and criticality verdicts
+not on the ratios of the metric's entries either."""
 
 import json
 import math
@@ -9,13 +10,14 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecurv.catalog import load_catalog
 from liecurv.cli import main
-from liecurv.curvature import holonomy_span, mn_criterion, ricci_general
+from liecurv.curvature import holonomy_span, mn_criterion, ricci_general, riemann
 from liecurv.derivations import derivation_space
 from liecurv.errors import FloatOverflowError
 from liecurv.metric import Metric, parse_metric, signature
@@ -209,6 +211,42 @@ def test_float_verdicts_do_not_see_the_scale_of_the_metric(pair, k):
         assert jacobi_tangent_critical(a, S) == critical
 
 
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from(PAIRS), st.data())
+def test_float_verdicts_do_not_see_the_shape_of_the_metric(pair, data):
+    """The metric D g D, D = diag(2^k_1, ..., 2^k_n) with k_i in [-7, 7],
+    which moves the ratios of the entries of g and not only its scale: the
+    float Einstein and Ricci-flat verdicts, the signature and criticality
+    are those of the exact backend on the same metric."""
+    a, S = exact_verdicts(*pair)[:2]
+    D = [Fraction(2) ** k for k in data.draw(
+        st.lists(st.integers(-7, 7), min_size=a.n, max_size=a.n), label="k")]
+    E = Metric(a.n, np.array([[D[i] * S.g[i, j] * D[j] for j in range(a.n)]
+                              for i in range(a.n)], dtype=object))
+    F, b = E.to_float(), a.to_float()
+    want, got = ricci_general(a, E).einstein, ricci_general(b, F).einstein
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert (got == 0) == (want == 0)
+    assert signature(F) == signature(E)
+    if in_killing_zero_class(a):
+        assert jacobi_tangent_critical(b, F) == jacobi_tangent_critical(a, E)
+
+
+@pytest.mark.parametrize("k", [10, 13, 20, 29])
+def test_float_criticality_does_not_see_the_shape_of_the_metric(k):
+    """Heisenberg with diag(1, 1, 2^-k) is not critical.  q is a product of
+    g, g^-1 and the bracket whose largest entry moves with the ratio of the
+    entries of g; with q read off without its own power of two, w fell
+    below the rank tolerance of the J rows and float criticality read
+    `critical_killing` true from k = 10 and `critical` true from k = 13."""
+    a = parse_structure("(0,0,12)")
+    S = Metric.diagonal([Fraction(1), Fraction(1), Fraction(1, 2 ** k)])
+    want = jacobi_tangent_critical(a, S)
+    assert not want["critical"] and not want["critical_killing"]
+    assert jacobi_tangent_critical(a.to_float(), S.to_float()) == want
+
+
 @pytest.mark.parametrize("c", [10.0 ** 200, 10.0 ** -200], ids=["1e200", "1e-200"])
 def test_a_jacobi_defect_out_of_the_float_range_is_a_defect(c):
     """(12,13,0) fails the Jacobi identity by terms of order c^2, past the
@@ -279,3 +317,91 @@ def test_float_holonomy_does_not_see_the_scale_of_the_metric(catalog_entries):
                     assert holonomy_span(a.to_float(), scaled) == want, (e.name, k)
                 checked += 1
     assert checked == 4
+
+
+@lru_cache(maxsize=None)
+def exact_answers(name, k):
+    """Every answer that the metamorphic test below compares, on the exact
+    backend, for the k-th metric of a catalog entry."""
+    a, S = exact_verdicts(name, k)[:2]
+    return {"classify": classify(a).to_json(), "der": derivation_space(a).dim,
+            "holonomy": holonomy_span(a, S), "mn": mn_criterion(a, S),
+            "critical": jacobi_tangent_critical(a, S),
+            "signature": signature(S).to_json(), "ricci": ricci_general(a, S),
+            "riemann": riemann(a, S).R}
+
+
+def _matches(got, want, factor) -> bool:
+    """Whether the floats `got` are the Fractions `want` times the power of
+    two `factor`, to 1e-9 relative to the largest of `want`, or to 1e-9 when
+    `want` is zero: compared after an exact division by the factor."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=object)
+    tol = Fraction(1, 10 ** 9) * max(1, *map(abs, want.flat))
+    return all(abs(Fraction(x) / factor - y) <= tol for x, y in zip(got.flat, want.flat))
+
+
+def _all_in_range(values) -> bool:
+    """Whether every entry of each array in `values` times its factor, a
+    list of pairs (array, factor), is zero or in the normal float range."""
+    return all(_in_float_range(x * f) for v, f in values for x in np.asarray(v).flat)
+
+
+def _unless_out_of_range(compute, values):
+    """compute(), or None where it raises FloatOverflowError, which it may
+    only where an answer in `values` leaves the float range."""
+    try:
+        return compute()
+    except FloatOverflowError:
+        assert not _all_in_range(values)
+        return None
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(PAIRS), st.integers(-1000, 1000), st.integers(-1000, 1000),
+       st.booleans(), st.data())
+def test_float_answers_do_not_see_scale_sign_or_basis_order(pair, s, t, negate, data):
+    """A catalog pair (a, g) on floats with the bracket times 2^s, the metric
+    times +-2^t and the basis relabelled: classify, dim Der(g), holonomy,
+    M/N, criticality, the signature (swapped under -g) and the Einstein and
+    Ricci-flat verdicts are the exact ones, and none of them raises.  The
+    Ricci form is 2^(2s) times the exact one, ric_op, s and lambda are
+    +-2^(2s-t) times theirs and the Riemann tensor is +-2^(2s+t) times its
+    own; FloatOverflowError is raised only where an entry leaves the float
+    range.  With the metric's scale in the float products, holonomy spanned
+    0 with the metric times 2^511.  A float dg // dc in the curvature
+    operators, which floors once g lies over a power of two, moves the
+    Riemann tensor and no verdict."""
+    a, S = exact_verdicts(*pair)[:2]
+    want = exact_answers(*pair)
+    n, sign = a.n, -1 if negate else 1
+    p = data.draw(st.permutations(range(n)), label="new e_i = old e_p[i]")
+    new = {old: i for i, old in enumerate(p)}
+    b = StructureTensor.from_brackets(
+        n, {(new[i], new[j], new[k]): math.ldexp(float(c), s)
+            for (i, j, k), c in a.coeffs.items()}, exact=False)
+    F = Metric(n, np.array([[sign * math.ldexp(float(S.g[x, y]), t) for y in p]
+                            for x in p]))
+    assert classify(b).to_json() == want["classify"]
+    assert derivation_space(b).dim == want["der"]
+    assert holonomy_span(b, F) == want["holonomy"]
+    assert mn_criterion(b, F) == want["mn"]
+    assert jacobi_tangent_critical(b, F) == want["critical"]
+    assert signature(F).to_json() == want["signature"][::sign]    # (q, p) under -g
+
+    ric, op = want["ricci"], sign * Fraction(2) ** (2 * s - t)
+    values = [(ric.ric_form[np.ix_(p, p)], Fraction(2) ** (2 * s)),
+              (ric.ric_op[np.ix_(p, p)], op), ([ric.scalar], op)]
+    got = _unless_out_of_range(lambda: ricci_general(b, F), values)
+    if got is not None:
+        assert (got.einstein is None) == (ric.einstein is None)
+        if ric.einstein is not None:
+            assert (got.einstein == 0) == (ric.einstein == 0)
+        if _all_in_range(values):
+            assert all(_matches(x, v, f) for x, (v, f)
+                       in zip((got.ric_form, got.ric_op, [got.scalar]), values))
+            if ric.einstein is not None:
+                assert _matches([got.einstein], [ric.einstein], op)
+    values = [(want["riemann"][np.ix_(p, p, p, p)], sign * Fraction(2) ** (2 * s + t))]
+    got = _unless_out_of_range(lambda: riemann(b, F), values)
+    if got is not None and _all_in_range(values):
+        assert _matches(got.R, *values[0])
