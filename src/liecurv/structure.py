@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate, combinations, product
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -54,6 +54,8 @@ class StructureTensor:
 
     Metric-independent invariants are computed once, on first use, and kept
     read-only; read them through is_lie, trace_ad, killing_form, classify.
+    `classify` returns one report per tensor, whose fields are each built
+    on first read.
     `exact` is the backend; when it is not given it is read off the
     coefficients, which an abelian bracket does not have.
     """
@@ -183,27 +185,7 @@ class StructureTensor:
 
     @cached_property
     def _report(self) -> "ClassifyReport":
-        if not is_lie(self):
-            return ClassifyReport(is_lie=False)
-        lcs = lower_central_series(self)
-        nilpotent = lcs.dims[-1] == 0
-        centre = linalg.null_space(_centre_system(self), self.n, self.exact, self.tol)
-        derived = self._derived
-        # Z lies in [g, g] when its rows add no pivot to those of [g, g]
-        rank = len(linalg.pivot_columns([*derived, *centre.rows], self.n,
-                                        self.exact, self.tol))
-        return ClassifyReport(
-            is_lie=True,
-            unimodular=is_unimodular(self),
-            nilpotent=nilpotent,
-            solvable=derived_series_terminates(self),
-            step=len(lcs.dims) if nilpotent else None,
-            killing_zero=self._killing_zero,
-            lcs=lcs,
-            centre=centre,
-            derived=lcs.spaces[0],
-            centre_in_derived=rank == len(derived),
-        )
+        return ClassifyReport(self)
 
     def as_array(self) -> np.ndarray:
         """Dense components c[i, j, k] = a^k_{ij}."""
@@ -364,23 +346,30 @@ def _bracket_span(a: StructureTensor, us, vs) -> tuple:
 def jacobi_defect(a: StructureTensor) -> dict[tuple[int, int, int], np.ndarray]:
     """J(e_i,e_j,e_k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
 
-    Returns the nonzero components on triples i < j < k; empty iff `a`
-    satisfies the Jacobi identity.  A float defect out of the float range
-    raises FloatOverflowError, as `linalg.unscaled` does.
+    Returns the nonzero components on triples i < j < k, in that order;
+    empty iff `a` satisfies the Jacobi identity.  One sweep over the terms:
+    a^m_pq, p < q, enters [[e_p, e_q], e_r] = sum of a^m_pq a^l_mr e_l for
+    every r not in {p, q}, in J of the sorted triple, with sign - when
+    p < r < q, where (p, q, r) is not a cyclic order of it.  A float defect
+    out of the float range raises FloatOverflowError, as `linalg.unscaled`
+    does.
     """
     ad, dd = a._ad, a._scaled[1] ** 2
+    sums = defaultdict(lambda: defaultdict(int))
+    for (p, q, m), c in a._scaled[0].items():
+        for r, column in enumerate(ad[m]):
+            if column and r != p and r != q:
+                v = sums[(p, q, r) if q < r else (r, p, q) if r < p else (p, r, q)]
+                s = -c if p < r < q else c
+                for l, c2 in column:
+                    v[l] += s * c2
     defect = {}
-    for i, j, k in combinations(range(a.n), 3):
-        v = defaultdict(int)
-        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-            # [[e_p, e_q], e_r] = sum of a^m_pq a^l_mr e_l
-            for m, c in ad[p][q]:
-                for l, c2 in ad[m][r]:
-                    v[l] += c * c2
+    for t in sorted(sums):
+        v = sums[t]
         if not all(is_zero(x, a.tol) for x in v.values()):
             J = np.zeros(a.n, dtype=object if a.exact else float)
             J[list(v)] = list(v.values())
-            defect[(i, j, k)] = linalg.unscaled(J, dd)
+            defect[t] = linalg.unscaled(J, dd)
     return defect
 
 
@@ -477,18 +466,75 @@ def _centre_system(a: StructureTensor) -> list:
     return rows
 
 
-@dataclass(frozen=True)
+def _field(compute):
+    """A field of `ClassifyReport`: built on first read and kept; None
+    off a Lie bracket."""
+    return cached_property(wraps(compute)(
+        lambda report: compute(report) if report.is_lie else None))
+
+
 class ClassifyReport:
-    is_lie: bool
-    unimodular: Optional[bool] = None
-    nilpotent: Optional[bool] = None
-    solvable: Optional[bool] = None
-    step: Optional[int] = None
-    killing_zero: Optional[bool] = None
-    lcs: Optional[SubspaceFlag] = None
-    centre: Optional[linalg.Subspace] = None
-    derived: Optional[linalg.Subspace] = None
-    centre_in_derived: Optional[bool] = None
+    """Metric-independent report on one bracket, one per tensor.
+
+    Each field is built on first read and kept, so a caller pays only for
+    what it reads; `to_json` reads them all.  A nilpotent bracket is
+    unimodular and solvable with zero Killing form (ad x is nilpotent for
+    every x, and ad x ad y maps g^i into g^{i+2}), so those three fields
+    read True once `nilpotent` does, on both backends.  Off a Lie bracket
+    every field but is_lie reads None.
+    """
+
+    def __init__(self, a: StructureTensor):
+        self._a = a
+
+    @cached_property
+    def is_lie(self) -> bool:
+        return is_lie(self._a)
+
+    @_field
+    def lcs(self) -> SubspaceFlag:
+        return lower_central_series(self._a)
+
+    @_field
+    def lcs_dims(self) -> list:
+        return list(self.lcs.dims)
+
+    @_field
+    def nilpotent(self) -> bool:
+        return self.lcs.dims[-1] == 0
+
+    @_field
+    def step(self) -> Optional[int]:
+        return len(self.lcs.dims) if self.nilpotent else None
+
+    @_field
+    def unimodular(self) -> bool:
+        return self.nilpotent or is_unimodular(self._a)
+
+    @_field
+    def solvable(self) -> bool:
+        return self.nilpotent or derived_series_terminates(self._a)
+
+    @_field
+    def killing_zero(self) -> bool:
+        return self.nilpotent or self._a._killing_zero
+
+    @_field
+    def centre(self) -> linalg.Subspace:
+        a = self._a
+        return linalg.null_space(_centre_system(a), a.n, a.exact, a.tol)
+
+    @_field
+    def derived(self) -> linalg.Subspace:
+        return self.lcs.spaces[0]
+
+    @_field
+    def centre_in_derived(self) -> bool:
+        # Z lies in [g, g] when its rows add no pivot to those of [g, g]
+        a, derived = self._a, self._a._derived
+        rank = len(linalg.pivot_columns([*derived, *self.centre.rows], a.n,
+                                        a.exact, a.tol))
+        return rank == len(derived)
 
     def to_json(self) -> dict:
         out = {"is_lie": self.is_lie}
@@ -500,7 +546,7 @@ class ClassifyReport:
             "solvable": self.solvable,
             "step": self.step,
             "killing_zero": self.killing_zero,
-            "lcs_dims": list(self.lcs.dims),
+            "lcs_dims": self.lcs_dims,
             "centre_dim": self.centre.dim,
             "derived_dim": self.derived.dim,
             "centre_in_derived": self.centre_in_derived,
@@ -509,5 +555,6 @@ class ClassifyReport:
 
 
 def classify(a: StructureTensor) -> ClassifyReport:
-    """Metric-independent report; fields beyond is_lie are absent if it fails."""
+    """Metric-independent report, one per tensor; its fields are built on
+    first read, and read None beyond is_lie if the Jacobi identity fails."""
     return a._report

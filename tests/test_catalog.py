@@ -87,6 +87,11 @@ def test_schema_error_reports_line(tmp_path):
     ({"name": "x", "dim": 3, "structure": "(0,0,12)",
       "claims": {"diagonal_relations": ["1", "1", "-1"]}},
      "diagonal_relations must be lists of 3 numeric literals"),
+    ({"name": "x", "dim": 3, "structure": "(0,0,12)",
+      "metrics": [{"metric": 5}]}, "needs a 'metric' field, a string"),
+    ({"name": "x", "dim": 3, "structure": "(0,0,12)",
+      "metrics": [{"metric": "diag(1,1,1)", "claims": ["signature"]}]},
+     "metric claims must be an object"),
 ])
 def test_schema_violations(tmp_path, bad, what):
     with pytest.raises(CatalogSchemaError) as err:
@@ -99,6 +104,101 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         "# header comment", "",
         json.dumps({"name": "h", "dim": 3, "structure": "(0,0,12)"})])
     assert len(entries) == 1 and entries[0].line == 3
+
+
+def _one_line(structure, claims=None, metric=None, metric_claims=None,
+              backend="exact"):
+    """A one-entry catalog line; a metric only where one is given."""
+    line = {"name": "x", "dim": structure.count(",") + 1, "structure": structure,
+            "claims": claims or {}, "backend": backend}
+    if metric is not None:
+        line["metrics"] = [{"metric": metric, "claims": metric_claims or {}}]
+    return json.dumps(line)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_diagonal_relations_are_integer_rows(tmp_path, backend):
+    """A relation with mixed denominators is stored as integers over their
+    common denominator, which is dropped, and holds; a false one fails."""
+    # on (0,0,12,13) the diagonal derivations are x3 = x1 + x2, x4 = 2 x1 + x2
+    true, false = ["-1/6", "1/3", "-5/6", "1/2"], ["-1/6", "1/3", "-5/6", "1/3"]
+    (entry,) = _load_lines(tmp_path, [_one_line(
+        "(0,0,12,13)", {"diagonal_relations": [true]}, backend=backend)])
+    assert entry.relations == ((-1, 2, -5, 3),)
+    assert all(type(x) is int for x in entry.relations[0])
+    assert verify_entry(entry).passed
+    (entry,) = _load_lines(tmp_path, [_one_line(
+        "(0,0,12,13)", {"diagonal_relations": [true, false]}, backend=backend)])
+    (check,) = verify_entry(entry).checks
+    assert check.claim == "diagonal_relations" and not check.passed
+
+
+@pytest.mark.parametrize("structure,claims,metric_claims,message", [
+    ("(0,12,-13)", {"unimodular": True}, {"mn_excluded": True},
+     "the M/N criterion needs a nilpotent Lie algebra"),
+    ("(0,12,-13)", {"unimodular": True}, {"critical": True, "signature": [3, 0]},
+     "criticality needs an identically zero Killing form"),
+    ("(0,0,12,0,34+15)", {"der_in_sl": True, "is_lie": False}, {},
+     "the derivation space needs a Lie bracket; the Jacobi identity fails"),
+], ids=["mn_excluded", "critical", "der_in_sl"])
+def test_a_failed_precondition_fails_only_its_claim(tmp_path, structure, claims,
+                                                    metric_claims, message):
+    """An operation whose precondition the entry does not meet fails its
+    claim, with the error message as the computed value; the entry's other
+    claims and the entries after it are still checked."""
+    metric = f"diag({','.join(['1'] * (structure.count(',') + 1))})"
+    entries = _load_lines(tmp_path, [
+        _one_line(structure, claims, metric if metric_claims else None, metric_claims),
+        _one_line("(0,0,12)", {"nilpotent": True})])
+    bad, good = verify_catalog(entries)
+    failing = [c for c in bad.checks if not c.passed]
+    assert len(failing) == 1 and failing[0].computed == message
+    assert len(bad.checks) == len(claims) + len(metric_claims)
+    assert good.passed
+
+
+@pytest.mark.parametrize("metric,message", [
+    ("diag(1,1,0)", "degenerate"),
+    ("diag(1,1", "malformed diag"),
+    ("[[1, 0, 0], [0, 1, 0]", "does not parse"),
+])
+def test_a_bad_metric_names_its_line(tmp_path, metric, message):
+    entries = _load_lines(tmp_path, [
+        "# a comment", _one_line("(0,0,12)", {"nilpotent": True}),
+        _one_line("(0,0,12)", {}, metric, {"signature": [3, 0]})])
+    assert verify_entry(entries[0]).passed
+    with pytest.raises(CatalogSchemaError) as err:
+        verify_entry(entries[1])
+    assert err.value.line == 3
+    assert "line 3" in str(err.value) and message in str(err.value)
+
+
+def test_verify_entry_reads_only_the_claimed_report_fields(catalog_entries,
+                                                           monkeypatch):
+    """The centre and the derived series are computed only where an entry
+    claims what reads them: a nilpotent entry reads killing_zero,
+    unimodular and solvable off its lower central series."""
+    from liecurv import structure
+    calls = []
+    for name in ("_centre_system", "derived_series_terminates"):
+        def counting(a, original=getattr(structure, name), name=name):
+            calls.append(name)
+            return original(a)
+        monkeypatch.setattr(structure, name, counting)
+    entry = next(e for e in catalog_entries if e.name == "1357M(lambda=1/2)")
+    assert entry.dim == 7 and entry.claims["nilpotent"]
+    assert not {"centre_in_derived", "solvable"} & set(entry.claims)
+    assert verify_entry(entry).passed and calls == []
+    # per pass: the centre once per entry with centre_in_derived or an M/N
+    # claim, the derived series once per solvable claim of a non-nilpotent
+    reports = verify_catalog(catalog_entries)
+    assert all(r.passed for r in reports)
+    centre = [e for e in catalog_entries if "centre_in_derived" in e.claims
+              or any("mn_excluded" in m.get("claims", {}) for m in e.metrics)]
+    derived = [e for e in catalog_entries
+               if "solvable" in e.claims and not e.claims.get("nilpotent")]
+    assert (calls.count("_centre_system"), calls.count("derived_series_terminates")
+            ) == (len(centre), len(derived)) == (8, 1)
 
 
 def test_algebra_claims_build_no_fraction_matrix(catalog_entries, monkeypatch):

@@ -384,6 +384,37 @@ def test_catalog_verify_failure_exit_code(capsys, tmp_path):
     assert code == 1 and "FAIL" in out
 
 
+def test_catalog_verify_reports_a_failed_precondition(capsys, tmp_path):
+    """An operation whose precondition an entry does not meet fails its
+    claim and the run goes on: exit 1, a report, no traceback."""
+    lines = [{"name": "solvable", "dim": 3, "structure": "(0,12,-13)",
+              "metrics": [{"metric": "diag(1,1,1)", "claims": {"mn_excluded": True}}]},
+             {"name": "heis", "dim": 3, "structure": "(0,0,12)",
+              "claims": {"nilpotent": True}}]
+    p = tmp_path / "cat.jsonl"
+    p.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, out, err = run(capsys, "catalog", "verify", "--path", str(p))
+    assert code == 1 and err == ""
+    assert "[FAIL] solvable" in out and "[ok] heis" in out
+    assert "the M/N criterion needs a nilpotent Lie algebra" in out
+    code, out, _ = run(capsys, "--output", "json", "catalog", "verify", "--path", str(p))
+    bad, good = json.loads(out)["reports"]
+    assert code == 1 and good["passed"]
+    assert bad["checks"] == [{"claim": "diag(1,1,1): mn_excluded", "expected": True,
+                              "computed": "the M/N criterion needs a nilpotent "
+                                          "Lie algebra", "passed": False}]
+
+
+def test_catalog_verify_names_the_line_of_a_bad_metric(capsys, tmp_path):
+    line = {"name": "h", "dim": 3, "structure": "(0,0,12)",
+            "metrics": [{"metric": "diag(1,1,0)", "claims": {"signature": [2, 0]}}]}
+    p = tmp_path / "cat.jsonl"
+    p.write_text("# a comment\n" + json.dumps(line) + "\n")
+    code, out, err = run(capsys, "catalog", "verify", "--path", str(p))
+    assert code == 2 and out == ""
+    assert "line 2" in err and "degenerate" in err and "Traceback" not in err
+
+
 def test_catalog_verify_has_no_jobs_flag(capsys):
     code, out, err = run(capsys, "catalog", "verify", "--jobs", "2")
     assert code == 2 and out == ""

@@ -285,9 +285,15 @@ def test_trace_derivation_from_the_diagonal_certificate_matches_der_g(
 @pytest.mark.parametrize("seed", range(3))
 def test_jacobi_defect_and_killing_form_match_the_dense_versions(catalog_entries,
                                                                  seed):
-    for a in brackets(catalog_entries, seed):
+    """Also on seeded random brackets, most of them not Lie: the defect of
+    the one sweep over the terms has the dense keys, in their order."""
+    rng = random.Random(100 + seed)
+    extra = [random_bracket(rng, rng.randint(3, 8)) for _ in range(30)]
+    non_lie = 0
+    for a in brackets(catalog_entries, seed) + extra + [b.to_float() for b in extra]:
         J, J_ref = jacobi_defect(a), dense_jacobi_defect(a)
-        assert J.keys() == J_ref.keys()
+        assert list(J) == list(J_ref)
+        non_lie += bool(J)
         B, B_ref = killing_form(a), dense_killing_form(a)
         if a.exact:
             assert all((J[t] == J_ref[t]).all() for t in J)
@@ -301,6 +307,7 @@ def test_jacobi_defect_and_killing_form_match_the_dense_versions(catalog_entries
                            for x, y in zip(J[t], J_ref[t]))
             assert all(close(x, y) for x, y in zip(B.flat, B_ref.flat))
             assert B.dtype == float
+    assert non_lie >= 40
 
 
 @pytest.mark.parametrize("kind", ["sparse", "dense", "degenerate",

@@ -271,3 +271,66 @@ def test_classify_is_basis_independent_on_dense_tensors(catalog_entries):
         assert report == classify(a).to_json(), entry.name
         for claim in set(entry.claims) & set(report):
             assert report[claim] == entry.claims[claim], (entry.name, claim)
+
+
+def test_nilpotent_report_fields_equal_their_own_computation(catalog_entries):
+    """The report reads killing_zero, unimodular and solvable True once
+    `nilpotent` holds; on every Lie catalog entry, its float twin and
+    seeded dense transforms they equal the Killing sums, tr ad and the
+    derived series, computed on their own."""
+    from conftest import random_invertible
+    from liecurv.moment import gauge_structure
+    from liecurv.structure import derived_series_terminates, is_unimodular
+    rng = random.Random(3)
+    tensors = [e.parse() for e in catalog_entries]
+    sources = [a for a in tensors if a.exact and 5 <= a.n <= 7 and is_lie(a)]
+    dense = [gauge_structure(random_invertible(rng, a.n), a)
+             for a in rng.sample(sources, 8)]
+    cases = [b for a in tensors + dense
+             for b in ((a, a.to_float()) if a.exact else (a,)) if is_lie(b)]
+    for a in cases:
+        rep = classify(a)
+        assert (rep.killing_zero, rep.unimodular, rep.solvable) == (
+            a._killing_zero, is_unimodular(a), derived_series_terminates(a)), str(a)
+    assert {classify(a).nilpotent for a in cases} == {True, False}
+    assert {classify(a).killing_zero for a in cases} == {True, False}
+
+
+def test_every_field_of_a_non_lie_report_reads_none():
+    from functools import cached_property
+    from liecurv.structure import ClassifyReport
+    fields = [name for name, value in vars(ClassifyReport).items()
+              if isinstance(value, cached_property) and name != "is_lie"]
+    assert len(fields) == 10
+    for text in ("(0,0,12,0,34+15)", "(12,13,0)"):
+        for a in (parse_structure(text), parse_structure(text, exact=False)):
+            rep = classify(a)
+            assert rep.is_lie is False
+            assert {name: getattr(rep, name) for name in fields} == dict.fromkeys(fields)
+            assert rep.to_json() == {"is_lie": False}
+
+
+def test_report_fields_are_built_on_first_read(monkeypatch):
+    """A read of one field builds it and what it reads, nothing else; a
+    second read builds nothing."""
+    from liecurv import structure
+    calls = []
+    for name in ("lower_central_series", "_centre_system",
+                 "derived_series_terminates", "is_unimodular"):
+        def counting(a, original=getattr(structure, name), name=name):
+            calls.append(name)
+            return original(a)
+        monkeypatch.setattr(structure, name, counting)
+    a = parse_structure("(0,0,12,13,23)")
+    rep = classify(a)
+    assert rep.step == 3 and rep.lcs_dims == [3, 2, 0]
+    assert rep.killing_zero and rep.unimodular and rep.solvable
+    assert calls == ["lower_central_series"]
+    assert "_killing_sums" not in a.__dict__
+    assert rep.centre.dim == 2 and rep.centre_in_derived
+    assert calls == ["lower_central_series", "_centre_system"]
+    rep.to_json()
+    assert calls == ["lower_central_series", "_centre_system"]
+    b = parse_structure("(0,12,-13)")
+    assert classify(b).solvable and not classify(b).killing_zero
+    assert calls[2:] == ["lower_central_series", "derived_series_terminates"]
