@@ -140,6 +140,8 @@ def load_catalog(path=None) -> list:
         _require(isinstance(data, dict), "entry must be a JSON object", lineno)
         for key in ("name", "dim", "structure"):
             _require(key in data, f"missing required field {key!r}", lineno)
+        dim = data["dim"]
+        _require(type(dim) is int, f"dim must be an integer, got {dim!r}", lineno)
         claims = data.get("claims", {})
         _require(isinstance(claims, dict), "claims must be an object", lineno)
         unknown = set(claims) - ALGEBRA_CLAIMS
@@ -149,16 +151,21 @@ def load_catalog(path=None) -> list:
         for m in metrics:
             _require(isinstance(m, dict) and isinstance(m.get("metric"), str),
                      "each metric needs a 'metric' field, a string", lineno)
-            _require(isinstance(m.get("claims", {}), dict),
-                     "metric claims must be an object", lineno)
-            munknown = set(m.get("claims", {})) - METRIC_CLAIMS
-            _require(not munknown,
-                     f"unknown metric claims {sorted(munknown)}", lineno)
+            mclaims = m.get("claims", {})
+            _require(isinstance(mclaims, dict), "metric claims must be an object", lineno)
+            munknown = set(mclaims) - METRIC_CLAIMS
+            _require(not munknown, f"unknown metric claims {sorted(munknown)}", lineno)
+            terms = mclaims.get("q_terms", [])
+            _require(isinstance(terms, list) and all(
+                isinstance(t, dict) and "c" in t
+                and all(type(t.get(k)) is int and 1 <= t[k] <= dim for k in "mlj")
+                for t in terms), f"q_terms must be terms with m, l, j in 1..{dim} "
+                "and a c", lineno)
         backend = data.get("backend", "exact")
         _require(backend in ("exact", "float"),
                  f"backend must be exact|float, got {backend!r}", lineno)
         entry = CatalogEntry(
-            name=str(data["name"]), dim=int(data["dim"]),
+            name=str(data["name"]), dim=dim,
             structure=str(data["structure"]), claims=claims,
             metrics=tuple(metrics), backend=backend,
             family=data.get("family"), parameter=data.get("parameter"),
@@ -192,7 +199,6 @@ def _scalar_matches(expected_text, computed, exact, tol):
 
 def _check_algebra_claims(entry: CatalogEntry, a: StructureTensor):
     checks = []
-    der = None
     for claim in sorted(entry.claims):
         expected = True if claim == "diagonal_relations" else entry.claims[claim]
         try:
@@ -201,15 +207,11 @@ def _check_algebra_claims(entry: CatalogEntry, a: StructureTensor):
             elif claim == "nice_basis":
                 computed = nice.nice_basis_check(a).is_nice
             elif claim == "der_in_sl":
-                if "der_strictly_lower_triangular" in entry.claims:
-                    der = derivations.derivation_space(a)    # read again below
-                computed = not (der.has_nonzero_trace if der
-                                else derivations.has_trace_derivation(a))
-            elif claim == "der_strictly_lower_triangular":
-                der = der or derivations.derivation_space(a)
-                computed = all(
-                    is_zero(B[i, j], a.tol)
-                    for B in der.basis for i in range(a.n) for j in range(i, a.n))
+                computed = not derivations.has_trace_derivation(a)
+            elif claim == "der_strictly_lower_triangular":   # X[l, m] at column l n + m
+                computed = all(c // a.n > c % a.n
+                               for v in derivations.derivation_space(a).span.rows
+                               for c, x in v.items() if not is_zero(x, a.tol))
             elif claim == "diagonal_solution_dim":
                 computed = derivations.diagonal_derivation_solve(a).dim
             elif claim == "diagonal_relations":

@@ -266,46 +266,22 @@ def mn_criterion(a: StructureTensor, S: Metric):
     rep = classify(a)
     if not rep.is_lie or not rep.nilpotent:
         raise NotNilpotentError("the M/N criterion needs a nilpotent Lie algebra")
-    n = a.n
-    C, _ = a._scaled_array
-
-    def null_dim(X, shape):
-        """Null-space dimension of the pairing on `shape` restricted to the
-        span of the n x n matrices of the stack X: rank B less rank Gram(B),
-        B the reduced rows of X, on the exact backend integer rows on a
-        scale that no rank sees.  (Gram(X) has that rank too, but a float
-        rank of it can exceed rank B.)  A float entry of Gram(B) within tol
-        of the size of its terms, |B| (|L| |B| |R|)^T for the duals L B R
-        of `metric.scaled_gram`, is zero, as a float rank is relative."""
-        rows = linalg.sparse_rows(X.reshape(n, n * n).tolist(), a.exact)
-        if a.exact:
-            reduced, pivots = linalg.eliminate(rows)
-            B = np.zeros((len(pivots), n * n), dtype=object)
-            for b, row in zip(B, reduced):
-                b[list(row)] = list(row.values())
-        else:
-            B = linalg.row_space(rows, n * n, False, a.tol)
+    # a float entry of Gram(B) within tol of the size of its terms, |B| (|L| |B| |R|)^T
+    # for the duals L B R of `metric.scaled_gram`, is zero: a float rank is relative
+    n, null_dims = a.n, []
+    for shape, B in a._mn_spans.items():
         G, _ = scaled_gram(S, (B.reshape(-1, n, n), 1), shape)
         if not a.exact:
             (g, _), (gi, _) = S._scaled
             L = np.abs(g if shape == "T*T" else gi)
             size = linalg.sandwich(L, np.abs(B).reshape(-1, n, n), np.abs(gi))
             G[np.abs(G) <= a.tol * np.abs(B) @ size.reshape(len(B), n * n).T] = 0.0
-        return len(B) - linalg.rank(G, a.tol)
-
-    # ad(g) is spanned by the ad(e_i), d(g*) by the de^k
-    dim_m = null_dim(np.transpose(C, (0, 2, 1)), "T*T")
-    dim_n = null_dim(-np.transpose(C, (2, 0, 1)), "Lambda2T*")
-    dim_derived = rep.derived.dim
-    dim_centre = rep.centre.dim
-    excluded = dim_m + dim_n >= dim_derived - dim_centre
-    return {
-        "dim_M": dim_m,
-        "dim_N": dim_n,
-        "dim_derived": dim_derived,
-        "dim_centre": dim_centre,
-        "excluded": bool(excluded),
-    }
+        null_dims.append(len(B) - linalg.rank(G, a.tol))
+    dim_m, dim_n = null_dims
+    dim_derived, dim_centre = rep.derived.dim, rep.centre.dim
+    return {"dim_M": dim_m, "dim_N": dim_n, "dim_derived": dim_derived,
+            "dim_centre": dim_centre,
+            "excluded": dim_m + dim_n >= dim_derived - dim_centre}
 
 
 def _derivative_vanishes(R, G, tol: float) -> bool:

@@ -5,9 +5,10 @@ For a unimodular Lie algebra with identically zero Killing form, the
 existence of a derivation with nonzero trace rules out Einstein metrics of
 nonzero scalar curvature, so the space Der(g) -- an exact kernel of a
 linear system in the n^2 matrix entries -- is itself a curvature invariant.
-`has_trace_derivation` answers whether one exists, from a diagonal
-derivation of nonzero trace where there is one, and builds Der(g) only
-where there is none.
+It is built once per `StructureTensor` and kept, as are the M/N spans
+ad(g) and d(g*).  `has_trace_derivation` answers whether one exists, from a
+diagonal derivation of nonzero trace where there is one, and builds Der(g)
+only where there is none.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .scalars import is_zero
 from .structure import (StructureTensor, require_killing_zero_class,
                         require_lie)
 
@@ -85,18 +85,9 @@ def _derivation_system(a: StructureTensor) -> list:
 
 
 def derivation_space(a: StructureTensor) -> DerivationSpace:
-    """Exact kernel of the derivation system, with a trace witness if any.
-
-    The witness is the first reduced-echelon basis element with nonzero
-    trace, which makes it reproducible across runs; the trace is read off
-    its sparse row, the sum of its entries at i (n + 1).
-    """
+    """Der(g) with a trace witness if any, kept by the tensor: `_der`."""
     require_lie(a, "the derivation space")
-    n = a.n
-    span = linalg.null_space(_derivation_system(a), n * n, a.exact, a.tol)
-    witness = next((r for r, v in enumerate(span.rows) if not is_zero(
-        sum(v.get(i * (n + 1), 0) for i in range(n)), a.tol)), None)
-    return DerivationSpace((n, n), span, witness)
+    return a._der
 
 
 def has_trace_derivation(a: StructureTensor) -> bool:
@@ -104,8 +95,7 @@ def has_trace_derivation(a: StructureTensor) -> bool:
     derivation of nonzero trace, the witness of `nice.Support`, is exact
     in any basis and answers yes; only without one is Der(g) built."""
     require_lie(a, "the derivation space")
-    return (a._support.witness is not None
-            or derivation_space(a).has_nonzero_trace)
+    return a._support.witness is not None or a._der.has_nonzero_trace
 
 
 def trace_obstruction(a: StructureTensor) -> dict:

@@ -53,11 +53,11 @@ class StructureTensor:
     """Components a^k_{ij} of an antisymmetric bracket on R^n (0-based keys).
 
     Metric-independent invariants are computed once, on first use, and kept
-    read-only; read them through is_lie, trace_ad, killing_form, classify.
+    read-only; read them through is_lie, trace_ad, killing_form, classify,
+    `derivation_space` (Der(g)) and `mn_criterion` (the spans ad(g), d(g*)).
     `classify` returns one report per tensor, whose fields are each built
-    on first read.
-    `exact` is the backend; when it is not given it is read off the
-    coefficients, which an abelian bracket does not have.
+    on first read.  `exact` is the backend; when it is not given it is read
+    off the coefficients, which an abelian bracket does not have.
     """
 
     n: int
@@ -168,6 +168,38 @@ class StructureTensor:
     def _killing_zero(self) -> bool:
         N, _ = self._killing_sums   # exact: numpy's truthiness, no is_zero
         return not N.any() if self.exact else linalg.mat_is_zero(N, self.tol)
+
+    @cached_property
+    def _der(self) -> "DerivationSpace":
+        """Der(g), the kernel of `derivations._derivation_system`, and as its
+        witness the first basis element whose row sums to nonzero at i (n + 1)."""
+        from .derivations import (DerivationSpace,   # it imports this module
+                                  _derivation_system)
+        n = self.n
+        span = linalg.null_space(_derivation_system(self), n * n, self.exact, self.tol)
+        witness = next((r for r, v in enumerate(span.rows) if not is_zero(
+            sum(v.get(i * (n + 1), 0) for i in range(n)), self.tol)), None)
+        return DerivationSpace((n, n), span, witness)
+
+    @cached_property
+    def _mn_spans(self) -> dict:
+        """ad(g), spanned by the ad(e_i), and d(g*), by the de^k, by the shape
+        of their pairing in `curvature.mn_criterion`, as read-only matrices of
+        reduced rows, integers on the exact backend: a float rank of the Gram
+        matrix of a spanning set can exceed the rank of the span."""
+        C, m = self._scaled_array[0], self.n * self.n
+        spans = {}
+        for shape, X in (("T*T", np.transpose(C, (0, 2, 1))),
+                         ("Lambda2T*", -np.transpose(C, (2, 0, 1)))):
+            rows = linalg.sparse_rows(X.reshape(self.n, m).tolist(), self.exact)
+            if self.exact:
+                reduced, pivots = linalg.eliminate(rows)
+                B = np.array([[row.get(c, 0) for c in range(m)] for row in
+                              reduced[:len(pivots)]], dtype=object).reshape(-1, m)
+            else:
+                B = linalg.row_space(rows, m, False, self.tol)
+            spans[shape] = _read_only(B)
+        return spans
 
     @cached_property
     def _support(self) -> "Support":

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from liecurv.catalog import load_catalog, verify_catalog, verify_entry
 from liecurv.errors import CatalogSchemaError
+from liecurv.scalars import is_zero
 
 
 def test_catalog_loads_and_has_expected_shape(catalog_entries):
@@ -92,6 +94,11 @@ def test_schema_error_reports_line(tmp_path):
     ({"name": "x", "dim": 3, "structure": "(0,0,12)",
       "metrics": [{"metric": "diag(1,1,1)", "claims": ["signature"]}]},
      "metric claims must be an object"),
+    ({"name": "x", "dim": "three", "structure": "(0,0,12)"},
+     "dim must be an integer"),
+    ({"name": "x", "dim": 3, "structure": "(0,0,12)",
+      "metrics": [{"metric": "diag(1,1,1)", "claims": {"q_terms": [{"m": 1}]}}]},
+     "q_terms must be terms with m, l, j in 1..3 and a c"),
 ])
 def test_schema_violations(tmp_path, bad, what):
     with pytest.raises(CatalogSchemaError) as err:
@@ -204,10 +211,10 @@ def test_verify_entry_reads_only_the_claimed_report_fields(catalog_entries,
 def test_algebra_claims_build_no_fraction_matrix(catalog_entries, monkeypatch):
     """The algebra claims read dimensions, verdicts and integer rows, so
     they build no Fraction matrix: no exact `linalg.to_matrix` call (a float
-    one is the input of an SVD) and no exact Killing form.  Only
-    der_strictly_lower_triangular reads the basis of Der(g).  The matrices
-    of the results are built on first read, once: a second read builds
-    nothing."""
+    one is the input of an SVD) and no exact Killing form;
+    der_strictly_lower_triangular reads the sparse rows of Der(g).  The
+    matrices of the results are built on first read, once: a second read
+    builds nothing."""
     from liecurv import linalg
     from liecurv.catalog import _check_algebra_claims
     from liecurv.derivations import derivation_space, diagonal_derivation_solve
@@ -221,10 +228,8 @@ def test_algebra_claims_build_no_fraction_matrix(catalog_entries, monkeypatch):
         return to_matrix(rows, n, exact)
 
     monkeypatch.setattr(linalg, "to_matrix", counting)
-    entries = [e for e in catalog_entries
-               if "der_strictly_lower_triangular" not in e.claims]
-    assert len(entries) == 65
-    for entry in entries:
+    assert len(catalog_entries) == 71
+    for entry in catalog_entries:
         a = entry.parse()
         built.clear()
         checks = _check_algebra_claims(entry, a)
@@ -249,6 +254,32 @@ def test_algebra_claims_build_no_fraction_matrix(catalog_entries, monkeypatch):
                 assert built == [], entry.name
             elif a.exact:
                 assert True in built, entry.name
+
+
+def test_der_strictly_lower_triangular_matches_the_basis_of_der_g(catalog_entries):
+    """The claim, read off the sparse rows of Der(g), gives the verdict of
+    its n x n basis matrices, zero on and above the diagonal, on every
+    exact Lie entry and on its float twin."""
+    from liecurv.catalog import _check_algebra_claims
+    from liecurv.derivations import derivation_space
+    from liecurv.structure import is_lie
+
+    verdicts = {"exact": [], "float": []}
+    for entry in filter(lambda e: e.exact, catalog_entries):
+        for backend, found in verdicts.items():
+            entry = replace(entry, backend=backend,
+                            claims={"der_strictly_lower_triangular": True})
+            a = entry.parse()
+            if not is_lie(a):
+                continue
+            [check] = _check_algebra_claims(entry, a)
+            n = a.n
+            want = all(is_zero(B[i, j], a.tol) for B in derivation_space(a).basis
+                       for i in range(n) for j in range(i, n))
+            assert check.computed == want, (entry.name, backend)
+            found.append(want)
+    assert verdicts["exact"] == verdicts["float"]
+    assert len(verdicts["exact"]) == 70 and verdicts["exact"].count(True) == 16
 
 
 def test_der_in_sl_builds_der_g_only_without_a_diagonal_witness(

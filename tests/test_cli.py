@@ -415,6 +415,22 @@ def test_catalog_verify_names_the_line_of_a_bad_metric(capsys, tmp_path):
     assert "line 2" in err and "degenerate" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("line,what", [
+    ({"name": "h", "dim": "three", "structure": "(0,0,12)"},
+     "dim must be an integer, got 'three'"),
+    ({"name": "h", "dim": 3, "structure": "(0,0,12)",
+      "metrics": [{"metric": "diag(1,1,1)", "claims": {"q_terms": [{"m": 1}]}}]},
+     "q_terms must be terms"),
+])
+def test_catalog_verify_names_the_line_of_a_bad_dim_or_q_term(capsys, tmp_path,
+                                                              line, what):
+    p = tmp_path / "cat.jsonl"
+    p.write_text(json.dumps(line) + "\n")
+    code, out, err = run(capsys, "catalog", "verify", "--path", str(p))
+    assert code == 2 and out == ""
+    assert "line 1" in err and what in err and "Traceback" not in err
+
+
 def test_catalog_verify_has_no_jobs_flag(capsys):
     code, out, err = run(capsys, "catalog", "verify", "--jobs", "2")
     assert code == 2 and out == ""

@@ -203,6 +203,38 @@ def test_mn_criterion_heisenberg():
     assert out["dim_derived"] == 1 and out["dim_centre"] == 1
 
 
+def test_mn_spans_are_eliminated_once_per_tensor(monkeypatch):
+    """mn_criterion pairs the spans ad(g) and d(g*) of one tensor under
+    each metric: two metrics eliminate them once, and give what a freshly
+    parsed tensor gives, on both backends."""
+    from functools import cached_property
+    calls = []
+    original = StructureTensor.__dict__["_mn_spans"].func
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(StructureTensor, "_mn_spans")
+    monkeypatch.setattr(StructureTensor, "_mn_spans", prop)
+    text = "(0,0,0,0,12+34,14-23,-24+35+16,-13+26+45)"
+    metrics = ("diag(1,1,1,1,-7/3,-7/3,98/15,98/15)", "diag(1,1,1,1,1,1,1,1)")
+    for exact in (True, False):
+        a = parse_structure(text, exact=exact)
+        calls.clear()
+        got = [mn_criterion(a, parse_metric(m, 8, exact=exact)) for m in metrics]
+        assert calls == [a]
+        assert got == [mn_criterion(parse_structure(text, exact=exact),
+                                    parse_metric(m, 8, exact=exact)) for m in metrics]
+        assert len(calls) == 3
+        spans = a._mn_spans
+        assert [len(B) for B in spans.values()] == [6, 4]
+        for B in spans.values():
+            with pytest.raises(ValueError):
+                B.flat[0] = 5
+
+
 def test_mn_criterion_requires_nilpotent():
     a = parse_structure("(0,12,-13)")
     with pytest.raises(NotNilpotentError):

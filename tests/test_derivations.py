@@ -108,3 +108,37 @@ def test_diagonal_solve_matches_derivation_space():
             for i in range(a.n):
                 X[i, i] = v[i]
             assert derivations_contain(der, X)
+
+
+def test_der_g_is_built_once_per_tensor(catalog_entries, monkeypatch):
+    """Der(g) is eliminated once per tensor, on both backends, whatever
+    reads it: derivation_space, has_trace_derivation, trace_obstruction
+    and the two der claims of one catalog entry."""
+    from dataclasses import replace
+
+    from liecurv import derivations
+    from liecurv.catalog import _check_algebra_claims
+
+    calls = []
+    system = derivations._derivation_system
+
+    def counting(a):
+        calls.append(a)
+        return system(a)
+
+    monkeypatch.setattr(derivations, "_derivation_system", counting)
+    entries = [e for e in catalog_entries
+               if {"der_in_sl", "der_strictly_lower_triangular"} <= e.claims.keys()]
+    assert len(entries) == 6
+    for entry in entries:
+        for backend in ("exact", "float"):
+            entry = replace(entry, backend=backend)
+            a = entry.parse()
+            calls.clear()
+            checks = _check_algebra_claims(entry, a)
+            assert checks and all(c.passed for c in checks), (entry.name, backend)
+            der = derivation_space(a)
+            assert derivation_space(a) is der
+            assert has_trace_derivation(a) == der.has_nonzero_trace
+            assert trace_obstruction(a)["dim_der"] == der.dim
+            assert calls == [a], (entry.name, backend)

@@ -250,11 +250,15 @@ def test_float_twin_is_built_once(monkeypatch):
 
 
 def test_cached_arrays_are_read_only():
+    from liecurv.derivations import derivation_space
     a = parse_structure("(0,12,-13)")
-    for M in (killing_form(a), trace_ad(a), classify(a).centre.matrix,
-              classify(a).derived.matrix):
-        with pytest.raises(ValueError):
-            M.flat[0] = Fraction(5)
+    for b in (a, a.to_float()):
+        der = derivation_space(b)
+        for M in (killing_form(b), trace_ad(b), classify(b).centre.matrix,
+                  classify(b).derived.matrix, der.span.matrix, *der.basis,
+                  der.trace_witness):
+            with pytest.raises(ValueError):
+                M.flat[0] = Fraction(5)
     assert killing_form(a)[0, 0] == Fraction(2)
 
 
